@@ -309,7 +309,7 @@ mod tests {
             "crates/netsim/src/obs/phase.rs",
             "crates/lab/src/watchdog.rs",
             "crates/lab/src/supervise.rs",
-            "crates/bench/src/timing.rs",
+            "crates/bench/src/lib.rs",
         ] {
             assert_eq!(scan_source(ok, src), Vec::new(), "{ok}");
         }

@@ -1,5 +1,5 @@
 //! Shared experiment harness for the figure-regeneration binaries
-//! (`src/bin/fig*.rs`) and the Criterion benches.
+//! (`src/bin/fig*.rs`).
 //!
 //! Every table and figure of the paper's evaluation maps to one binary;
 //! see `DESIGN.md` for the index and `EXPERIMENTS.md` for recorded
@@ -7,7 +7,6 @@
 
 pub mod chart;
 pub mod report;
-pub mod timing;
 
 use phastlane_core::{PhastlaneConfig, PhastlaneNetwork};
 use phastlane_electrical::{ElectricalConfig, ElectricalNetwork};

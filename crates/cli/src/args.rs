@@ -24,8 +24,7 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Option keys that take a value; anything else starting with `--` is a
-/// boolean flag.
+/// Option keys that take a value.
 pub const VALUE_KEYS: &[&str] = &[
     "net",
     "benchmark",
@@ -57,7 +56,6 @@ pub const VALUE_KEYS: &[&str] = &[
     "retry-limit",
     "intensities",
     "workers",
-    "batch",
     "name",
     "baseline-dir",
     "perf-out",
@@ -80,6 +78,19 @@ pub const VALUE_KEYS: &[&str] = &[
     "state-dir",
 ];
 
+/// Boolean flags (`progress` doubles as `--progress=FILE`).
+pub const FLAG_KEYS: &[&str] = &[
+    "allow-shutdown",
+    "counts",
+    "help",
+    "json",
+    "preflight",
+    "profile",
+    "progress",
+    "src",
+    "wait",
+];
+
 impl Parsed {
     /// Parses raw arguments (without the program name).
     ///
@@ -89,24 +100,29 @@ impl Parsed {
     ///
     /// # Errors
     ///
-    /// Errors when a value-taking option is missing its value.
+    /// Errors on an option that is in neither [`VALUE_KEYS`] nor
+    /// [`FLAG_KEYS`], or a value-taking option that is missing its value.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, ArgError> {
         let mut out = Parsed::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                if let Some((key, value)) = key.split_once('=') {
-                    if key.is_empty() {
-                        return Err(ArgError(format!(
-                            "malformed option {a:?}: empty option name"
-                        )));
-                    }
+                let (key, inline) = match key.split_once('=') {
+                    Some((key, value)) => (key, Some(value)),
+                    None => (key, None),
+                };
+                if key.is_empty() {
+                    return Err(ArgError(format!(
+                        "malformed option {a:?}: empty option name"
+                    )));
+                }
+                let takes_value = VALUE_KEYS.contains(&key);
+                if !takes_value && !FLAG_KEYS.contains(&key) {
+                    return Err(ArgError(format!("unknown option --{key}")));
+                }
+                if let Some(value) = inline {
                     out.options.insert(key.to_string(), value.to_string());
-                } else if key.is_empty() {
-                    return Err(ArgError(
-                        "malformed option \"--\": empty option name".into(),
-                    ));
-                } else if VALUE_KEYS.contains(&key) {
+                } else if takes_value {
                     let v = it
                         .next()
                         .ok_or_else(|| ArgError(format!("--{key} requires a value")))?;
@@ -162,18 +178,32 @@ mod tests {
 
     #[test]
     fn positionals_and_options() {
-        let p = parse(&["simulate", "--net", "optical4", "--scale", "0.5", "--quick"]);
+        let p = parse(&["simulate", "--net", "optical4", "--scale", "0.5", "--json"]);
         assert_eq!(p.positional(0), Some("simulate"));
         assert_eq!(p.get("net"), Some("optical4"));
         assert_eq!(p.get_parsed("scale", 1.0).unwrap(), 0.5);
-        assert!(p.flag("quick"));
-        assert!(!p.flag("chart"));
+        assert!(p.flag("json"));
+        assert!(!p.flag("wait"));
     }
 
     #[test]
     fn missing_value_is_an_error() {
         let e = Parsed::parse(vec!["--net".to_string()]).unwrap_err();
         assert!(e.to_string().contains("--net requires a value"));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_in_every_form() {
+        // Neither a value key nor a flag: a misspelt or removed option
+        // is refused instead of silently turning into a flag.
+        for words in [
+            &["lab", "run", "spec.lab", "--lanes", "4"][..],
+            &["--lanes=4"],
+            &["--lanes"],
+        ] {
+            let e = Parsed::parse(words.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(e.to_string().contains("unknown option --lanes"), "{e}");
+        }
     }
 
     #[test]
@@ -193,7 +223,7 @@ mod tests {
 
     #[test]
     fn equals_form_binds_inline_and_makes_options_flaggable() {
-        // An unknown key with = is an option, without = a flag.
+        // A flag key with = is an option, without = a flag.
         let p = parse(&["lab", "run", "--progress=out.ndjson", "--workers=4"]);
         assert_eq!(p.get("progress"), Some("out.ndjson"));
         assert_eq!(p.get_parsed("workers", 1).unwrap(), 4);

@@ -935,15 +935,15 @@ USAGE:
   phastlane sweep    [--net N] [--pattern P] [--rate R | --rates R1,R2,..]
   phastlane chaos    [--net N] [--rate R] [--intensities I1,I2,..]
                      [--fault-seed S] [--retry-limit L]
-  phastlane lab run     SPEC [--workers N] [--batch K] [--report-out F]
+  phastlane lab run     SPEC [--workers N] [--report-out F]
                      [--perf-out F] [--progress[=FILE]] [--profile]
                      [--profile-sample C] [--journal F] [--resume F]
                      [--preflight]
   phastlane lab record  SPEC [--name NAME] [--baseline-dir DIR] [--workers N]
-                     [--batch K] [--bench-out F]
+                     [--bench-out F]
   phastlane lab compare SPEC [--name NAME] [--baseline-dir DIR] [--workers N]
-                     [--batch K] [--tol-mean T] [--tol-p99 T]
-                     [--tol-saturation T] [--tol-throughput T]
+                     [--tol-mean T] [--tol-p99 T] [--tol-saturation T]
+                     [--tol-throughput T]
   phastlane serve    [--addr A] [--workers N] [--queue-depth D]
                      [--state-dir DIR] [--baseline-dir DIR] [--allow-shutdown]
   phastlane client submit SPEC [--addr A] [--workers N] [--wait]
@@ -1022,12 +1022,11 @@ static verification (analyze; no cycles simulated):
 
 lab spec keys (one `key value...` per line, # comments):
   name mesh seed nets patterns rates intensities replicas
-  warmup measure drain retry-limit benchmarks scale max-cycles batch
+  warmup measure drain retry-limit benchmarks scale max-cycles
   profile cycle-budget livelock-window wall-budget retries
   retry-backoff-ms sabotage
-  (batch K advances up to K same-cell replicas in lockstep; profile C
-  attaches the phase profiler timing one cycle in C; like --workers
-  neither ever changes a canonical-report bit)
+  (profile C attaches the phase profiler timing one cycle in C; like
+  --workers it never changes a canonical-report bit)
   (supervision: cycle-budget / livelock-window end runaway jobs with a
   terminal timed_out outcome; wall-budget S caps wall seconds; retries N
   re-runs panicked or wall-timed jobs with seeded backoff; sabotage

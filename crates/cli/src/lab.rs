@@ -4,9 +4,7 @@
 //! * `lab run FILE` — expand and execute the spec, print a per-job
 //!   table, optionally export the canonical report (`--report-out`,
 //!   `.json` or `.csv`) and the perf profile (`--perf-out`). The
-//!   canonical export is byte-identical for any `--workers` or
-//!   `--batch` value (`--batch K` advances up to `K` same-cell
-//!   replicas in lockstep per scheduler slot).
+//!   canonical export is byte-identical for any `--workers` value.
 //! * `lab record FILE` — run, then write
 //!   `<baseline-dir>/<name>.json` (canonical + perf) and a
 //!   `BENCH_<name>.json` trajectory point next to the baseline dir.
@@ -69,12 +67,7 @@ fn parse_progress(p: &Parsed) -> Result<Option<(EventSink, String)>, ArgError> {
 
 fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> {
     let workers: usize = p.get_parsed("workers", 1)?;
-    let batch: u32 = p.get_parsed("batch", spec.batch)?;
-    if batch == 0 {
-        return Err(ArgError("--batch must be at least 1".into()));
-    }
     let mut spec = spec.clone();
-    spec.batch = batch;
     if p.flag("profile") || p.get("profile-sample").is_some() {
         spec.profile = p.get_parsed("profile-sample", PhaseProfiler::DEFAULT_SAMPLE_EVERY)?;
         if spec.profile == 0 {
@@ -268,7 +261,7 @@ fn git_commit() -> String {
 }
 
 /// A `BENCH_*.json` trajectory point: the perf layer plus enough
-/// identity (commit, arena layout, batch/worker configuration) that
+/// identity (commit, arena layout, worker count) that
 /// successive recordings chart simulator throughput over the repo's
 /// history and every number is attributable to the code that made it.
 fn bench_json(name: &str, report: &LabReport) -> JsonValue {
@@ -286,10 +279,6 @@ fn bench_json(name: &str, report: &LabReport) -> JsonValue {
                 (
                     "arena_layout".into(),
                     JsonValue::Str(phastlane_core::ARENA_LAYOUT.into()),
-                ),
-                (
-                    "batch".into(),
-                    JsonValue::Uint(u64::from(report.spec.batch)),
                 ),
                 ("workers".into(), JsonValue::Uint(report.workers as u64)),
             ]),
@@ -447,45 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_keeps_the_canonical_export_identical() {
-        let dir = scratch("batch");
-        let spec = write_spec(
-            &dir,
-            "name batch-cli\nmesh 4x4\nnets optical4\npatterns uniform\n\
-             rates 0.02\nreplicas 4\nwarmup 100\nmeasure 300\ndrain 1000\n",
-        );
-        let plain = dir.join("plain.json");
-        let batched = dir.join("batched.json");
-        cmd_lab(&parsed(&[
-            "lab",
-            "run",
-            &spec,
-            "--report-out",
-            plain.to_str().unwrap(),
-        ]))
-        .expect("unbatched run");
-        cmd_lab(&parsed(&[
-            "lab",
-            "run",
-            &spec,
-            "--batch",
-            "4",
-            "--report-out",
-            batched.to_str().unwrap(),
-        ]))
-        .expect("batched run");
-        assert_eq!(
-            std::fs::read_to_string(&plain).unwrap(),
-            std::fs::read_to_string(&batched).unwrap(),
-            "--batch must not change a canonical bit"
-        );
-        let err =
-            cmd_lab(&parsed(&["lab", "run", &spec, "--batch", "0"])).expect_err("batch 0 rejected");
-        assert!(err.to_string().contains("at least 1"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn progress_stream_leaves_canonical_export_identical() {
         let dir = scratch("progress");
         let spec = write_spec(&dir, SPEC);
@@ -572,8 +522,6 @@ mod tests {
             "lab",
             "record",
             &spec,
-            "--batch",
-            "2",
             "--baseline-dir",
             bdir.to_str().unwrap(),
             "--bench-out",
@@ -585,7 +533,6 @@ mod tests {
             "\"commit\"",
             "\"config\"",
             "\"arena_layout\"",
-            "\"batch\"",
             "\"workers\"",
         ] {
             assert!(text.contains(key), "bench point missing {key}: {text}");
@@ -594,7 +541,6 @@ mod tests {
             text.contains(&format!("\"{}\"", phastlane_core::ARENA_LAYOUT)),
             "{text}"
         );
-        assert!(text.contains("\"batch\": 2"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

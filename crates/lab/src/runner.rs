@@ -14,8 +14,7 @@ use phastlane_electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_netsim::fault::{Fault, FaultKind, FaultPlan};
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_netsim::harness::{
-    run_synthetic_lockstep_watched, run_synthetic_watched, run_trace_guarded, SyntheticOptions,
-    SyntheticResult, TraceOptions,
+    run_synthetic_guarded, run_trace_guarded, SyntheticOptions, SyntheticResult, TraceOptions,
 };
 use phastlane_netsim::network::Network;
 use phastlane_netsim::obs::PhaseProfiler;
@@ -209,71 +208,6 @@ fn synthetic_opts(spec: &LabSpec, job: &JobSpec) -> SyntheticOptions {
     }
 }
 
-/// Runs a group of same-cell synthetic replicas in one lockstep batch
-/// (see [`run_synthetic_lockstep`]) and summarizes each. Results are
-/// bit-identical to running the jobs one by one; each record's wall
-/// clock is the batch wall divided evenly across the lanes.
-///
-/// # Errors
-///
-/// Errors on an unknown network name, or if any job is not synthetic
-/// (the scheduler only groups synthetic replicas).
-pub fn run_job_batch(spec: &LabSpec, jobs: &[JobSpec]) -> Result<Vec<JobRecord>, String> {
-    run_job_batch_watched(spec, jobs, None)
-}
-
-/// [`run_job_batch`] with per-lane watchdogs armed from the spec's
-/// supervision keys (and the supervisor's cancellation token, if any).
-/// An interrupted lane stops ticking; the others run to completion.
-///
-/// # Errors
-///
-/// Same as [`run_job_batch`].
-pub fn run_job_batch_watched(
-    spec: &LabSpec,
-    jobs: &[JobSpec],
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<JobRecord>, String> {
-    let wall_start = Instant::now();
-    let mut nets = Vec::with_capacity(jobs.len());
-    let mut workloads = Vec::with_capacity(jobs.len());
-    let mut cells = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let Work::Synthetic { pattern, rate } = &job.work else {
-            return Err(format!(
-                "job {} in a batch group is not synthetic",
-                job.index
-            ));
-        };
-        nets.push(build_job_network(spec, job)?);
-        workloads.push(BernoulliTraffic::new(spec.mesh, *pattern, *rate, job.seed));
-        cells.push((pattern, *rate));
-    }
-    // The scheduler never batches sabotaged jobs, so one shared options
-    // struct (no per-lane drain bump) is correct here.
-    let results = run_synthetic_lockstep_watched(
-        &mut nets,
-        &mut workloads,
-        SyntheticOptions {
-            warmup: spec.warmup,
-            measure: spec.measure,
-            drain: spec.drain,
-        },
-        |lane| watchdog_for(spec, &jobs[lane], cancel),
-    );
-    let wall_share = wall_start.elapsed().as_secs_f64() / jobs.len().max(1) as f64;
-    Ok(jobs
-        .iter()
-        .zip(cells)
-        .zip(results)
-        .map(|((job, (pattern, rate)), r)| {
-            let mut rec = synthetic_record(job, pattern, rate, r);
-            rec.wall_seconds = wall_share;
-            rec
-        })
-        .collect())
-}
-
 /// Runs one job of the expanded matrix and summarizes it.
 ///
 /// # Errors
@@ -302,8 +236,13 @@ pub fn run_job_watched(
     let mut rec = match &job.work {
         Work::Synthetic { pattern, rate } => {
             let mut workload = BernoulliTraffic::new(spec.mesh, *pattern, *rate, job.seed);
-            let r =
-                run_synthetic_watched(&mut net, &mut workload, synthetic_opts(spec, job), watchdog);
+            let r = run_synthetic_guarded(
+                &mut net,
+                &mut workload,
+                synthetic_opts(spec, job),
+                None,
+                watchdog,
+            );
             synthetic_record(job, pattern, *rate, r)
         }
         Work::Replay { benchmark } => {

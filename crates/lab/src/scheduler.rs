@@ -14,46 +14,14 @@
 
 use crate::journal::Journal;
 use crate::report::{JobRecord, LabReport};
-use crate::spec::{expand, JobSpec, LabSpec, Work};
+use crate::spec::{expand, JobSpec, LabSpec};
 use crate::supervise;
 use phastlane_netsim::obs::json::JsonValue;
 use phastlane_netsim::obs::EventSink;
 use phastlane_netsim::watchdog::CancelToken;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Whether `b` is the next lockstep-batchable replica after `a`: the
-/// same synthetic matrix cell, differing only in the replica number
-/// (which [`expand`] varies fastest, so same-cell replicas are always
-/// adjacent in the job list).
-fn next_replica_of(a: &JobSpec, b: &JobSpec) -> bool {
-    matches!(a.work, Work::Synthetic { .. })
-        && a.net == b.net
-        && a.work == b.work
-        && a.intensity == b.intensity
-        && b.replica == a.replica + 1
-}
-
-/// Chunks the job list into scheduler units: runs of up to `batch`
-/// consecutive same-cell synthetic replicas (executed as one lockstep
-/// batch), everything else as singleton groups. Replay jobs never
-/// batch.
-fn batch_groups(jobs: &[JobSpec], batch: usize) -> Vec<Range<usize>> {
-    let batch = batch.max(1);
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < jobs.len() {
-        let mut j = i + 1;
-        while j < jobs.len() && j - i < batch && next_replica_of(&jobs[j - 1], &jobs[j]) {
-            j += 1;
-        }
-        groups.push(i..j);
-        i = j;
-    }
-    groups
-}
 
 /// Shared progress bookkeeping for one lab run: lifecycle events stream
 /// to the sink as NDJSON while atomic tallies feed the rolling
@@ -64,21 +32,23 @@ struct Progress<'a> {
     sink: &'a EventSink,
     started: Instant,
     total_jobs: usize,
-    finished: AtomicUsize,
+    /// Jobs recovered from a journal: part of `finished` / `total`, but
+    /// not of this session's rate or ETA.
+    resumed: usize,
+    /// Jobs and cycles completed since `started`.
+    ran: AtomicUsize,
     cycles_done: AtomicU64,
 }
 
 impl<'a> Progress<'a> {
-    /// `resumed` jobs (and their cycles) count as already finished, so
-    /// a resumed run's completion fraction and ETA start from where the
-    /// interrupted run left off.
-    fn new(sink: &'a EventSink, total_jobs: usize, resumed: &[JobRecord]) -> Self {
+    fn new(sink: &'a EventSink, total_jobs: usize, resumed: usize) -> Self {
         Progress {
             sink,
             started: Instant::now(),
             total_jobs,
-            finished: AtomicUsize::new(resumed.len()),
-            cycles_done: AtomicU64::new(resumed.iter().map(|r| r.cycles).sum()),
+            resumed,
+            ran: AtomicUsize::new(0),
+            cycles_done: AtomicU64::new(0),
         }
     }
 
@@ -94,13 +64,13 @@ impl<'a> Progress<'a> {
         JsonValue::Obj(pairs)
     }
 
-    fn lab_started(&self, spec: &LabSpec, groups: usize, workers: usize) {
+    fn lab_started(&self, spec: &LabSpec, to_run: usize, workers: usize) {
         self.sink.emit(&Self::event(
             "lab_started",
             vec![
                 ("name".into(), JsonValue::Str(spec.name.clone())),
                 ("jobs".into(), JsonValue::Uint(self.total_jobs as u64)),
-                ("groups".into(), JsonValue::Uint(groups as u64)),
+                ("groups".into(), JsonValue::Uint(to_run as u64)),
                 ("workers".into(), JsonValue::Uint(workers as u64)),
             ],
         ));
@@ -116,12 +86,13 @@ impl<'a> Progress<'a> {
         ));
     }
 
-    /// Emits `job_finished` with a rolling cycles/s over everything
-    /// finished so far and a naive remaining-time estimate
-    /// (`elapsed / finished * remaining`).
+    /// Emits `job_finished` with a rolling cycles/s over everything this
+    /// session ran and a naive remaining-time estimate
+    /// (`elapsed / ran * remaining`).
     fn job_finished(&self, rec: &JobRecord) {
         let cycles = self.cycles_done.fetch_add(rec.cycles, Ordering::Relaxed) + rec.cycles;
-        let finished = self.finished.fetch_add(1, Ordering::Relaxed) + 1;
+        let ran = self.ran.fetch_add(1, Ordering::Relaxed) + 1;
+        let finished = self.resumed + ran;
         let elapsed = self.started.elapsed().as_secs_f64();
         let rate = if elapsed > 0.0 {
             cycles as f64 / elapsed
@@ -129,7 +100,7 @@ impl<'a> Progress<'a> {
             0.0
         };
         let remaining = self.total_jobs.saturating_sub(finished);
-        let eta = elapsed / finished as f64 * remaining as f64;
+        let eta = elapsed / ran as f64 * remaining as f64;
         self.sink.emit(&Self::event(
             "job_finished",
             vec![
@@ -159,10 +130,8 @@ impl<'a> Progress<'a> {
 }
 
 /// Expands `spec` and runs every job on a pool of `workers` threads
-/// (clamped to `1..=groups`), grouping same-cell synthetic replicas
-/// into lockstep batches of up to `spec.batch` lanes
-/// ([`runner::run_job_batch`]). A single-worker run — and any batch
-/// size — produces a byte-identical canonical report.
+/// (clamped to `1..=jobs`). Any worker count produces a byte-identical
+/// canonical report.
 ///
 /// # Errors
 ///
@@ -203,7 +172,7 @@ pub fn run_lab_with(
 /// change a canonical bit of the report.
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    /// Worker threads (clamped to `1..=groups`).
+    /// Worker threads (clamped to `1..=jobs`).
     pub workers: usize,
     /// Streaming NDJSON progress sink.
     pub progress: Option<&'a EventSink>,
@@ -220,8 +189,8 @@ pub struct RunOptions<'a> {
 }
 
 /// The full-control entry point: [`run_lab_with`] plus journaling,
-/// resume, and cancellation. Every group runs supervised
-/// ([`supervise::run_group_supervised`]): a panicking job records a
+/// resume, and cancellation. Every job runs supervised
+/// ([`supervise::run_one_supervised`]): a panicking job records a
 /// terminal outcome instead of killing the run.
 ///
 /// # Errors
@@ -248,59 +217,41 @@ pub fn run_lab_opts(spec: &LabSpec, opts: RunOptions<'_>) -> Result<LabReport, S
         *slot.lock().expect("slot lock") = Some(Ok(rec.clone()));
     }
 
-    // Only the jobs without a resumed record still run. Grouping over
-    // the remainder is safe: batching is bit-invisible by contract, so
-    // it does not matter that resume may split groups differently.
-    let remaining: Vec<JobSpec> = jobs
+    // Only the jobs without a resumed record still run.
+    let remaining: Vec<&JobSpec> = jobs
         .iter()
         .filter(|j| slots[j.index].lock().expect("slot lock").is_none())
-        .cloned()
         .collect();
-    let groups = batch_groups(&remaining, spec.batch as usize);
-    let workers = opts.workers.max(1).min(groups.len().max(1));
+    let workers = opts.workers.max(1).min(remaining.len().max(1));
 
     let progress = opts
         .progress
-        .map(|sink| Progress::new(sink, jobs.len(), &opts.resumed));
+        .map(|sink| Progress::new(sink, jobs.len(), opts.resumed.len()));
     if let Some(p) = &progress {
-        p.lab_started(spec, groups.len(), workers);
+        p.lab_started(spec, remaining.len(), workers);
     }
 
     let cursor = AtomicUsize::new(0);
-    let finished = |rec: &JobRecord| {
-        if let Some(j) = opts.journal {
-            j.append(rec);
-        }
-        if let Some(p) = &progress {
-            p.job_finished(rec);
-        }
-    };
-
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let g = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(group) = groups.get(g) else { break };
+                let next = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&job) = remaining.get(next) else {
+                    break;
+                };
                 if let Some(p) = &progress {
-                    for job in &remaining[group.clone()] {
-                        p.job_started(job);
+                    p.job_started(job);
+                }
+                let result = supervise::run_one_supervised(spec, job, opts.cancel);
+                if let Ok(rec) = &result {
+                    if let Some(j) = opts.journal {
+                        j.append(rec);
+                    }
+                    if let Some(p) = &progress {
+                        p.job_finished(rec);
                     }
                 }
-                match supervise::run_group_supervised(spec, &remaining[group.clone()], opts.cancel)
-                {
-                    Ok(records) => {
-                        for rec in records {
-                            finished(&rec);
-                            let i = rec.index;
-                            *slots[i].lock().expect("slot lock") = Some(Ok(rec));
-                        }
-                    }
-                    Err(e) => {
-                        for job in &remaining[group.clone()] {
-                            *slots[job.index].lock().expect("slot lock") = Some(Err(e.clone()));
-                        }
-                    }
-                }
+                *slots[job.index].lock().expect("slot lock") = Some(result);
             });
         }
     });
@@ -380,53 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_groups_chunk_same_cell_replicas_only() {
-        let spec = LabSpec::parse(
-            "mesh 4x4\nnets optical4\npatterns uniform\nrates 0.02 0.04\n\
-             replicas 3\nbenchmarks FFT\nscale 0.02\n\
-             warmup 50\nmeasure 100\ndrain 400\n",
-        )
-        .unwrap();
-        let jobs = expand(&spec);
-        // 2 rate cells x 3 replicas synthetic + 3 replay replicas.
-        assert_eq!(jobs.len(), 9);
-        // Batch 1: every group is a singleton.
-        assert_eq!(batch_groups(&jobs, 1).len(), 9);
-        // Batch 2: each 3-replica cell splits 2+1; replay never batches.
-        let groups = batch_groups(&jobs, 2);
-        let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-        assert_eq!(sizes, vec![2, 1, 2, 1, 1, 1, 1]);
-        // Batch 8: a whole cell is one group, capped at the cell edge.
-        let groups = batch_groups(&jobs, 8);
-        let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-        assert_eq!(sizes, vec![3, 3, 1, 1, 1]);
-        // Groups always tile the job list in order.
-        let mut next = 0;
-        for g in &groups {
-            assert_eq!(g.start, next);
-            next = g.end;
-        }
-        assert_eq!(next, jobs.len());
-    }
-
-    #[test]
-    fn batched_run_matches_unbatched_byte_for_byte() {
-        let mut spec = LabSpec::parse(
-            "name batch-test\nmesh 4x4\nnets optical4\npatterns uniform\n\
-             rates 0.02 0.05\nreplicas 4\nwarmup 100\nmeasure 300\ndrain 1000\n",
-        )
-        .unwrap();
-        let unbatched = run_lab(&spec, 1).unwrap();
-        spec.batch = 4;
-        let batched = run_lab(&spec, 2).unwrap();
-        assert_eq!(
-            unbatched.canonical_json().to_string_pretty(),
-            batched.canonical_json().to_string_pretty(),
-            "lockstep batching must not change a single canonical bit"
-        );
-    }
-
-    #[test]
     fn records_come_back_in_matrix_order() {
         let report = run_lab(&small_spec(), 4).unwrap();
         for (i, j) in report.jobs.iter().enumerate() {
@@ -490,6 +394,36 @@ mod tests {
             .unwrap();
         assert_eq!(last_done.get("finished").and_then(|f| f.as_u64()), Some(8));
         assert_eq!(last_done.get("total").and_then(|t| t.as_u64()), Some(8));
+    }
+
+    #[test]
+    fn resumed_jobs_count_as_finished_but_not_toward_rate_or_eta() {
+        let spec = small_spec();
+        let full = run_lab(&spec, 1).unwrap();
+        let (resumed, fresh) = full.jobs.split_at(6);
+
+        let buf = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let sink = EventSink::new(Box::new(Capture(buf.clone())), EventSink::DEFAULT_CAPACITY);
+        let progress = Progress::new(&sink, full.jobs.len(), resumed.len());
+        // Let the session clock move, so a rate or ETA that folds the
+        // six recovered jobs in is off by far more than timer jitter.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let before = progress.started.elapsed().as_secs_f64();
+        progress.job_finished(&fresh[0]);
+        sink.finish();
+
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let event = phastlane_netsim::obs::json::parse(text.trim()).unwrap();
+        let num = |key: &str| event.get(key).and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(event.get("finished").and_then(|f| f.as_u64()), Some(7));
+        assert_eq!(event.get("total").and_then(|t| t.as_u64()), Some(8));
+        // One job ran this session and one remains: the rate covers that
+        // job's cycles alone and the ETA is one job's worth of elapsed.
+        assert!(
+            num("cycles_per_sec") <= fresh[0].cycles as f64 / before,
+            "{text}"
+        );
+        assert!(num("eta_seconds") >= before, "{text}");
     }
 
     #[test]

@@ -64,23 +64,15 @@ pub struct LabSpec {
     pub scale: f64,
     /// Replay cycle limit (livelock guard).
     pub max_cycles: u64,
-    /// Lockstep replica batch size: up to this many consecutive
-    /// same-cell synthetic replicas advance through one driver loop
-    /// (see `phastlane_netsim::harness::run_synthetic_lockstep`).
-    ///
-    /// Pure execution strategy, like the worker count: results are
-    /// bit-identical for any value, so it is **excluded** from
-    /// [`encode`](LabSpec::encode) and therefore from the canonical
-    /// report and baseline identity.
-    pub batch: u32,
     /// Hot-loop phase-profiler wall-sampling stride: `0` (the default)
     /// runs unprofiled; `N > 0` attaches a
     /// [`phastlane_netsim::obs::PhaseProfiler`] to every job's network,
     /// timing one cycle in `N`.
     ///
     /// Profiling is pure observation — job results are bit-identical
-    /// with it on or off — so like `batch` it is **excluded** from
-    /// [`encode`](LabSpec::encode); the breakdown lands in the perf
+    /// with it on or off — so like the worker count it is **excluded**
+    /// from [`encode`](LabSpec::encode) and therefore from the canonical
+    /// report and baseline identity; the breakdown lands in the perf
     /// layer only.
     pub profile: u32,
     /// Watchdog cycle budget per job: a job still running after this
@@ -107,7 +99,7 @@ pub struct LabSpec {
     pub retry_backoff_ms: u64,
     /// Deliberate job failures for harness testing: the listed matrix
     /// indices panic or livelock on purpose, exercising the supervision
-    /// path end-to-end. Changes outcomes, so (unlike `batch`/`profile`)
+    /// path end-to-end. Changes outcomes, so (unlike `profile`)
     /// it **is** part of [`encode`](LabSpec::encode) when non-empty.
     pub sabotage: Vec<Sabotage>,
 }
@@ -179,7 +171,6 @@ impl Default for LabSpec {
             benchmarks: Vec::new(),
             scale: 0.05,
             max_cycles: 10_000_000,
-            batch: 1,
             profile: 0,
             cycle_budget: None,
             livelock_window: None,
@@ -303,12 +294,6 @@ impl LabSpec {
                         return Err(err("max-cycles must be positive"));
                     }
                 }
-                "batch" => {
-                    spec.batch = one()?.parse().map_err(|_| err("bad batch"))?;
-                    if spec.batch == 0 {
-                        return Err(err("batch must be positive"));
-                    }
-                }
                 "profile" => {
                     spec.profile = one()?.parse().map_err(|_| err("bad profile"))?;
                 }
@@ -354,10 +339,9 @@ impl LabSpec {
 
     /// Renders the spec back to its [`parse`](LabSpec::parse) text form.
     ///
-    /// `batch` and `profile` are deliberately omitted: like the worker
-    /// count they are execution/observation strategy, not experiment
-    /// identity, and the encoding doubles as the canonical report's
-    /// spec string.
+    /// `profile` is deliberately omitted: like the worker count it is
+    /// observation strategy, not experiment identity, and the encoding
+    /// doubles as the canonical report's spec string.
     pub fn encode(&self) -> String {
         let mut out = String::new();
         let join_f = |v: &[f64]| v.iter().map(f64::to_string).collect::<Vec<_>>().join(" ");
@@ -602,16 +586,6 @@ max-cycles 500000
     }
 
     #[test]
-    fn batch_parses_but_stays_out_of_the_canonical_encoding() {
-        let spec = LabSpec::parse("mesh 4x4\nbatch 8\n").unwrap();
-        assert_eq!(spec.batch, 8);
-        assert!(!spec.encode().contains("batch"), "{}", spec.encode());
-        // Reparsing the encoding resets batch to its default: the
-        // canonical identity of a run is batch-independent.
-        assert_eq!(LabSpec::parse(&spec.encode()).unwrap().batch, 1);
-    }
-
-    #[test]
     fn profile_parses_but_stays_out_of_the_canonical_encoding() {
         let spec = LabSpec::parse("mesh 4x4\nprofile 32\n").unwrap();
         assert_eq!(spec.profile, 32);
@@ -691,13 +665,18 @@ max-cycles 500000
             "mesh 0x4",                 // zero dimension
             "replicas 0",               // zero
             "measure 0",                // zero
-            "batch 0",                  // zero
+            "mesh 4x4\nbatch 4",        // removed key
             "seed",                     // missing value
             "seed 1 2",                 // too many values
             "seed 1\nseed 2",           // duplicate
         ] {
             assert!(LabSpec::parse(bad).is_err(), "{bad:?} accepted");
         }
+        let err = LabSpec::parse("mesh 4x4\nbatch 4\n").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("unknown key"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Supervised job execution: panic isolation and bounded retry.
 //!
-//! The scheduler routes every group through [`run_group_supervised`],
+//! The scheduler routes every job through [`run_one_supervised`],
 //! which wraps the actual simulation in `catch_unwind` so one job
 //! hitting a simulator bug (or a deliberate `sabotage panic@N`) records
 //! a terminal [`JobOutcome::Panicked`] instead of poisoning the worker
@@ -152,37 +152,6 @@ pub fn run_one_supervised(
     }
 }
 
-/// Runs one scheduler group under supervision. Multi-job lockstep
-/// batches are attempted whole (fast path, byte-identical results); if
-/// any lane panics, the batch is abandoned and every job re-runs
-/// individually supervised, so the poisoned lane is isolated and the
-/// healthy lanes still complete. Groups containing sabotaged jobs skip
-/// the batch and go straight to per-job supervision.
-///
-/// # Errors
-///
-/// Structural failures only, as [`run_one_supervised`].
-pub fn run_group_supervised(
-    spec: &LabSpec,
-    jobs: &[JobSpec],
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<JobRecord>, String> {
-    let sabotaged = jobs.iter().any(|j| spec.sabotage_for(j.index).is_some());
-    if jobs.len() > 1 && !sabotaged {
-        match catch_unwind(AssertUnwindSafe(|| {
-            runner::run_job_batch_watched(spec, jobs, cancel)
-        })) {
-            Ok(result) => return result,
-            Err(_) => {
-                // One lane blew up mid-batch; fall through and isolate.
-            }
-        }
-    }
-    jobs.iter()
-        .map(|job| run_one_supervised(spec, job, cancel))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,21 +216,6 @@ mod tests {
         assert!(a.timed_out);
         assert_eq!(a.stable, None);
         assert_eq!(a.cycles, b.cycles);
-    }
-
-    #[test]
-    fn mixed_group_isolates_the_poisoned_job() {
-        let spec = base_spec("replicas 3\nsabotage panic@1\nretry-backoff-ms 1\n");
-        let jobs = expand(&spec);
-        assert_eq!(jobs.len(), 3);
-        let recs = run_group_supervised(&spec, &jobs, None).unwrap();
-        assert_eq!(recs.len(), 3);
-        assert!(recs[0].outcome.is_completed());
-        assert!(matches!(recs[1].outcome, JobOutcome::Panicked { .. }));
-        assert!(recs[2].outcome.is_completed());
-        // The healthy replicas' results match unsupervised runs.
-        let plain0 = runner::run_job(&spec, &jobs[0]).unwrap();
-        assert_eq!(recs[0].latency, plain0.latency);
     }
 
     #[test]

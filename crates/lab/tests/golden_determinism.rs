@@ -1,11 +1,11 @@
 //! The SoA-core determinism gate: the committed golden export
 //! (`tests/golden/golden.json`, recorded before the data-oriented
 //! hot-path refactor) must be reproduced byte-for-byte by today's
-//! simulator, for every worker count and lockstep batch size.
+//! simulator, for every worker count.
 //!
-//! This is the contract that lets the scheduler batch replicas and the
-//! core rearrange its memory layout freely: none of it may move a
-//! single canonical bit. If this test fails, the refactor changed
+//! This is the contract that lets the scheduler spread jobs over threads
+//! and the core rearrange its memory layout freely: none of it may move
+//! a single canonical bit. If this test fails, the refactor changed
 //! simulated behavior — fix the code, do not re-record the golden.
 
 use phastlane_lab::{run_lab, LabSpec};
@@ -16,24 +16,19 @@ fn manifest_path(rel: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn golden_export_is_bit_identical_across_workers_and_batch_sizes() {
+fn golden_export_is_bit_identical_across_worker_counts() {
     let spec_text = std::fs::read_to_string(manifest_path("../../results/specs/golden.lab"))
         .expect("read results/specs/golden.lab");
     let golden = std::fs::read_to_string(manifest_path("tests/golden/golden.json"))
         .expect("read committed golden export");
 
-    let base = LabSpec::parse(&spec_text).expect("golden spec parses");
+    let spec = LabSpec::parse(&spec_text).expect("golden spec parses");
     for workers in [1usize, 2] {
-        for batch in [1u32, 4, 8] {
-            let mut spec = base.clone();
-            spec.batch = batch;
-            let report = run_lab(&spec, workers).expect("golden spec runs");
-            let fresh = report.canonical_json().to_string_pretty();
-            assert_eq!(
-                fresh, golden,
-                "canonical export drifted from the pre-refactor golden \
-                 (workers={workers}, batch={batch})"
-            );
-        }
+        let report = run_lab(&spec, workers).expect("golden spec runs");
+        let fresh = report.canonical_json().to_string_pretty();
+        assert_eq!(
+            fresh, golden,
+            "canonical export drifted from the pre-refactor golden (workers={workers})"
+        );
     }
 }

@@ -104,7 +104,7 @@ pub fn run_synthetic<N: Network + ?Sized, W: SyntheticWorkload>(
     workload: &mut W,
     opts: SyntheticOptions,
 ) -> SyntheticResult {
-    run_synthetic_observed(net, workload, opts, None)
+    run_synthetic_guarded(net, workload, opts, None, None)
 }
 
 /// [`run_synthetic`] with an optional time-series metrics collector.
@@ -120,107 +120,33 @@ pub fn run_synthetic_observed<N: Network + ?Sized, W: SyntheticWorkload>(
     net: &mut N,
     workload: &mut W,
     opts: SyntheticOptions,
-    mut metrics: Option<&mut MetricsCollector>,
+    metrics: Option<&mut MetricsCollector>,
 ) -> SyntheticResult {
-    let wall_start = Instant::now();
-    let mut drive = SyntheticDrive::new(net, opts);
-    while !drive.done() {
-        drive.tick(net, workload, metrics.as_deref_mut());
-    }
-    drive.finish(net, metrics, wall_start.elapsed())
+    run_synthetic_guarded(net, workload, opts, metrics, None)
 }
 
-/// [`run_synthetic`] with an optional [`Watchdog`]: the drive stops at
-/// the first interrupt and records the verdict in
+/// [`run_synthetic_observed`] with an optional [`Watchdog`]: the drive
+/// stops at the first interrupt and records the verdict in
 /// [`SyntheticResult::interrupt`].
-pub fn run_synthetic_watched<N: Network + ?Sized, W: SyntheticWorkload>(
+pub fn run_synthetic_guarded<N: Network + ?Sized, W: SyntheticWorkload>(
     net: &mut N,
     workload: &mut W,
     opts: SyntheticOptions,
+    mut metrics: Option<&mut MetricsCollector>,
     watchdog: Option<Watchdog>,
 ) -> SyntheticResult {
-    let wall_start = Instant::now();
-    let mut drive = SyntheticDrive::new(net, opts);
-    if let Some(wd) = watchdog {
-        drive.set_watchdog(wd);
-    }
+    let mut drive = SyntheticDrive::new(net, opts, watchdog);
     while !drive.done() {
-        drive.tick(net, workload, None);
+        drive.tick(net, workload, metrics.as_deref_mut());
     }
-    drive.finish(net, None, wall_start.elapsed())
+    drive.finish(net, metrics)
 }
 
-/// Runs several independent `(network, workload)` replicas in lockstep:
-/// one loop advances every unfinished replica by one cycle per round, so
-/// the instruction stream of the simulator core is shared across the
-/// whole batch instead of being re-fetched per job.
-///
-/// Each replica's results are **bit-identical** to running it alone —
-/// the lanes share no simulation state, only the driver loop. The
-/// wall-clock share attributed to each lane's [`SyntheticResult::perf`]
-/// is the batch wall divided by the lane count (the perf layer is the
-/// only place wall time surfaces, so canonical outputs are unaffected).
-///
-/// # Panics
-///
-/// Panics if `nets` and `workloads` differ in length.
-pub fn run_synthetic_lockstep<W: SyntheticWorkload>(
-    nets: &mut [Box<dyn Network + Send>],
-    workloads: &mut [W],
-    opts: SyntheticOptions,
-) -> Vec<SyntheticResult> {
-    run_synthetic_lockstep_watched(nets, workloads, opts, |_| None)
-}
-
-/// [`run_synthetic_lockstep`] with an optional per-lane [`Watchdog`]
-/// (`mk_watchdog(lane)`). An interrupted lane stops ticking and records
-/// the verdict in its [`SyntheticResult::interrupt`]; the other lanes
-/// keep running to completion, so one stuck replica cannot hold the
-/// whole batch hostage.
-pub fn run_synthetic_lockstep_watched<W: SyntheticWorkload>(
-    nets: &mut [Box<dyn Network + Send>],
-    workloads: &mut [W],
-    opts: SyntheticOptions,
-    mut mk_watchdog: impl FnMut(usize) -> Option<Watchdog>,
-) -> Vec<SyntheticResult> {
-    assert_eq!(nets.len(), workloads.len(), "one workload per network lane");
-    let wall_start = Instant::now();
-    let mut drives: Vec<SyntheticDrive> = nets
-        .iter()
-        .enumerate()
-        .map(|(lane, n)| {
-            let mut d = SyntheticDrive::new(n.as_ref(), opts);
-            if let Some(wd) = mk_watchdog(lane) {
-                d.set_watchdog(wd);
-            }
-            d
-        })
-        .collect();
-    loop {
-        let mut live = false;
-        for ((drive, net), workload) in drives.iter_mut().zip(&mut *nets).zip(&mut *workloads) {
-            if !drive.done() {
-                drive.tick(net.as_mut(), workload, None);
-                live = true;
-            }
-        }
-        if !live {
-            break;
-        }
-    }
-    let share = wall_start.elapsed() / nets.len().max(1) as u32;
-    drives
-        .into_iter()
-        .zip(nets)
-        .map(|(drive, net)| drive.finish(net.as_mut(), None, share))
-        .collect()
-}
-
-/// The per-cycle state machine behind [`run_synthetic`]: source queues,
-/// measurement-window bookkeeping, and scratch buffers for one synthetic
-/// run, steppable one cycle at a time so a batch driver can interleave
-/// several replicas ([`run_synthetic_lockstep`]).
-pub struct SyntheticDrive {
+/// The per-cycle state machine behind [`run_synthetic_guarded`]: source
+/// queues, measurement-window bookkeeping, and scratch buffers for one
+/// synthetic run.
+struct SyntheticDrive {
+    wall_start: Instant,
     opts: SyntheticOptions,
     nodes: usize,
     source_queues: Vec<VecDeque<(NewPacket, u64)>>,
@@ -256,11 +182,17 @@ pub struct SyntheticDrive {
 
 impl SyntheticDrive {
     /// Prepares a drive for `net` (which supplies the node count and the
-    /// base cycle). The network must not be stepped by anything else
-    /// between `new` and [`finish`](Self::finish).
-    pub fn new<N: Network + ?Sized>(net: &N, opts: SyntheticOptions) -> Self {
+    /// base cycle) and starts its wall clock. An unarmed watchdog is
+    /// dropped, so the supervision cost without one is a single branch
+    /// per cycle.
+    fn new<N: Network + ?Sized>(
+        net: &N,
+        opts: SyntheticOptions,
+        watchdog: Option<Watchdog>,
+    ) -> Self {
         let nodes = net.mesh().nodes();
         SyntheticDrive {
+            wall_start: Instant::now(),
             opts,
             nodes,
             source_queues: vec![VecDeque::new(); nodes],
@@ -282,29 +214,21 @@ impl SyntheticDrive {
             rel: 0,
             drained: false,
             queued: 0,
-            watchdog: None,
+            watchdog: watchdog.filter(Watchdog::is_armed),
             interrupt: None,
-        }
-    }
-
-    /// Attaches a watchdog; its checks run once per [`tick`](Self::tick).
-    /// Without one the supervision cost is a single branch per cycle.
-    pub fn set_watchdog(&mut self, wd: Watchdog) {
-        if wd.is_armed() {
-            self.watchdog = Some(wd);
         }
     }
 
     /// Whether the run is over: the hard cycle limit was reached, every
     /// measured packet resolved after the measurement window, or a
     /// watchdog stopped the run.
-    pub fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.drained || self.interrupt.is_some() || self.rel >= self.hard_end
     }
 
     /// Advances the run by one cycle: generate, inject, step the
     /// network, account deliveries and failures.
-    pub fn tick<N: Network + ?Sized, W: SyntheticWorkload>(
+    fn tick<N: Network + ?Sized, W: SyntheticWorkload>(
         &mut self,
         net: &mut N,
         workload: &mut W,
@@ -435,14 +359,11 @@ impl SyntheticDrive {
         }
     }
 
-    /// Closes the run and summarizes it. `wall` is the wall-clock time
-    /// to attribute to this run's [`PerfProfile`] — the caller measures
-    /// it because a lockstep batch splits one clock across its lanes.
-    pub fn finish<N: Network + ?Sized>(
+    /// Closes the run and summarizes it.
+    fn finish<N: Network + ?Sized>(
         self,
         net: &mut N,
         metrics: Option<&mut MetricsCollector>,
-        wall: std::time::Duration,
     ) -> SyntheticResult {
         if let Some(m) = metrics {
             let st = net.stats();
@@ -461,7 +382,8 @@ impl SyntheticDrive {
             unfinished: self.measured_outstanding,
             undeliverable: self.undeliverable,
             interrupt: self.interrupt,
-            perf: PerfProfile::new(self.rel, wall).with_phases(net.take_phase_breakdown()),
+            perf: PerfProfile::new(self.rel, self.wall_start.elapsed())
+                .with_phases(net.take_phase_breakdown()),
         }
     }
 }

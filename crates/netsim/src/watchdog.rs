@@ -14,9 +14,9 @@
 //!
 //! Cycle-budget and livelock verdicts fire at *cycle-deterministic*
 //! points, so a report containing them is still byte-identical across
-//! worker counts, batch sizes, and re-runs. Wall-clock and cancellation
-//! verdicts are inherently machine-dependent; they exist as safety
-//! valves, not as reproducible measurements.
+//! worker counts and re-runs. Wall-clock and cancellation verdicts are
+//! inherently machine-dependent; they exist as safety valves, not as
+//! reproducible measurements.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

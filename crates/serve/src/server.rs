@@ -683,6 +683,15 @@ mod tests {
         let (status, _) =
             client::request(&addr, "POST", "/jobs", Some(b"{\"no_spec\": 1}")).unwrap();
         assert_eq!(status, 400);
+        // A removed spec key is an unknown key like any other.
+        let (status, body) =
+            client::request(&addr, "POST", "/jobs", Some(b"mesh 4x4\nbatch 4\n")).unwrap();
+        assert_eq!(status, 400);
+        let text = String::from_utf8(body).unwrap();
+        assert!(
+            text.contains("line 2") && text.contains("unknown key"),
+            "{text}"
+        );
         handle.join();
     }
 
