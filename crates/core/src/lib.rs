@@ -47,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod channels;
 pub mod config;

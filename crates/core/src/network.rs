@@ -1,25 +1,45 @@
 //! The cycle-accurate Phastlane network simulator (§2).
 //!
-//! Each cycle proceeds in phases:
+//! [`PhastlaneNetwork::step`] is a driver: it calls one function per
+//! phase and marks the hot-loop profiler after each.
 //!
-//! 1. **Confirm/revert** — launches from the previous cycle either
+//! | phase function | `Phase` mark | paper |
+//! |---|---|---|
+//! | `fault_bookkeeping` | `Fault` | — |
+//! | `confirm_launches` | `Drain` | §2.1.2 |
+//! | `drain_nics` | `Route` | Table 1 |
+//! | `arbitrate_and_launch` | `Arbitrate` | §2.1.1 |
+//! | `wavefront` | `Traverse` | §2.1.2–§2.1.3 |
+//! | `end_cycle` | `Eject` | — |
+//!
+//! 1. **Fault bookkeeping** — fault edge events, the hop reach under
+//!    laser droop, the bit-error rate; the nominal values with no plan.
+//! 2. **Confirm/revert** — launches from the previous cycle either
 //!    succeeded (the packet was delivered or an intermediate router
 //!    assumed responsibility) and their buffer slots free, or a Packet
 //!    Dropped signal arrived over the optical return path and the
-//!    launcher reverts the entry with a randomized backoff (§2.1.2).
-//! 2. **NIC drain** — packets move from the 50-entry NIC into the local
+//!    launcher reverts the entry with a randomized backoff — or, past
+//!    the retry cap, `give_up`s on its remaining targets.
+//! 3. **NIC drain** — packets move from the 50-entry NIC into the local
 //!    buffer while space allows.
-//! 3. **Arbitration & launch** — each router's rotating-priority arbiter
-//!    picks up to four buffered packets for its four output ports
-//!    (§2.1.1). Launches claim their output ports: buffered packets have
-//!    priority over newly arriving ones.
-//! 4. **Optical wavefront** — all launched packets traverse up to
-//!    `max_hops` routers within the cycle. At each router, contention is
-//!    resolved with the paper's fixed priorities (straight beats turns);
-//!    losers are received and buffered at their input port, or dropped
-//!    when the buffer is full. Multicast taps deliver copies en route;
-//!    interim stops buffer the packet for the next segment (§2.1.3).
-//! 5. **Leakage** accrues and the clock advances.
+//! 4. **Arbitration & launch** — `arbitrate_router`: each router's
+//!    rotating-priority arbiter picks up to four buffered packets for
+//!    its four output ports. `service_head` decides what one queue head
+//!    does and `launch` claims its output port: buffered packets have
+//!    priority over newly arriving ones. Under a fault plan a head whose
+//!    preferred output is faulted takes a productive detour or
+//!    `stall_or_give_up`s in place, and a head that an ECC-rejected
+//!    delivery re-buffered at its own target router ejects locally
+//!    (through the same `deliver` as the wavefront) instead of launching.
+//! 5. **Optical wavefront** — all launched packets traverse up to
+//!    `max_hops` routers within the cycle. At each router `claim_exit`
+//!    resolves contention with the paper's fixed priorities (straight
+//!    beats turns); losers are received and buffered at their input
+//!    port, or dropped when the buffer is full (`block_flight`).
+//!    `receive_copy` delivers multicast taps en route and the final
+//!    accept, unless SECDED rejects the copy; interim stops buffer the
+//!    packet for the next segment (§2.1.3).
+//! 6. **End of cycle** — leakage accrues and the clock advances.
 
 use crate::config::PhastlaneConfig;
 use crate::control::RouteControl;
@@ -30,9 +50,9 @@ use crate::policies::ArbitrationPolicy;
 use crate::power::EnergyLedger;
 use crate::router::{Entry, PacketCore, RouterState};
 use phastlane_netsim::ecc::{self, Decoded};
-use phastlane_netsim::fastmap::FastMap;
 use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
+use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::network::Network;
 use phastlane_netsim::nic::Nic;
 use phastlane_netsim::obs::{
@@ -55,6 +75,17 @@ enum EccOutcome {
     /// A double upset: SECDED detects but cannot correct; the delivery
     /// is rejected and the packet re-buffered for retransmission.
     Uncorrectable,
+}
+
+/// What one queue head did in one arbitration pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HeadAction {
+    /// Nothing: no ready head, output claimed, stalled, or given up.
+    Skipped,
+    /// An ECC-re-buffered copy ejected at its own target router.
+    EjectedLocally,
+    /// The head launched as this cycle's next flight.
+    Launched,
 }
 
 /// An in-flight optical packet during one cycle's wavefront.
@@ -114,6 +145,16 @@ struct Claim {
 #[inline]
 fn pack_rank((a, b): (u8, u8)) -> u16 {
     (u16::from(a) << 8) | u16::from(b)
+}
+
+/// The delivery ledger's view of a message's packet identity.
+fn origin(core: PacketCore) -> PacketOrigin {
+    PacketOrigin {
+        id: core.id,
+        src: core.src,
+        kind: core.kind,
+        injected_cycle: core.injected_cycle,
+    }
 }
 
 /// Output-port claims for the current cycle, indexed by directed link
@@ -188,10 +229,8 @@ pub struct PhastlaneNetwork {
     nics: Vec<Nic<Entry>>,
     next_packet_id: u64,
     next_uid: u64,
-    /// Remaining undelivered targets per packet id (keyed by the raw
-    /// id — sequential, so the open-addressing map probes are short).
-    outstanding: FastMap<usize>,
-    deliveries: Vec<Delivery>,
+    /// Owed destination copies, deliveries, terminal failures, stats.
+    ledger: DeliveryLedger,
     /// Drop signals travelling the return path, indexed by the launching
     /// cycle's flight index: `Some(targets still owed)` when that flight
     /// was dropped. Consumed at the start of the next cycle by the
@@ -211,7 +250,6 @@ pub struct PhastlaneNetwork {
     /// Plan-construction scratch (hop direction list).
     plan_dirs: Vec<Direction>,
     energy: EnergyLedger,
-    stats: NetworkStats,
     rng: SimRng,
     /// Per-cycle drop-signal link tracker (footnote-4 invariant).
     return_paths: ReturnPathRegistry,
@@ -228,8 +266,6 @@ pub struct PhastlaneNetwork {
     /// bit-error positions), kept separate from `rng` so an empty plan
     /// leaves the main backoff stream untouched.
     fault_rng: SimRng,
-    /// Destinations terminally given up on, awaiting `drain_failures`.
-    failures: Vec<FailedDelivery>,
 }
 
 impl PhastlaneNetwork {
@@ -248,8 +284,7 @@ impl PhastlaneNetwork {
             nics,
             next_packet_id: 0,
             next_uid: 0,
-            outstanding: FastMap::new(),
-            deliveries: Vec::new(),
+            ledger: DeliveryLedger::new(),
             drop_slots: Vec::new(),
             flights: Vec::new(),
             n_flights: 0,
@@ -257,7 +292,6 @@ impl PhastlaneNetwork {
             confirm_scratch: Vec::new(),
             plan_dirs: Vec::new(),
             energy,
-            stats: NetworkStats::default(),
             rng,
             return_paths: ReturnPathRegistry::new(),
             links: LinkCounters::for_mesh(mesh),
@@ -265,7 +299,6 @@ impl PhastlaneNetwork {
             profiler: PhaseProfiler::off(),
             fault_plan: FaultPlan::new(),
             fault_rng: SimRng::seed_from_u64(0),
-            failures: Vec::new(),
         }
     }
 
@@ -293,65 +326,17 @@ impl PhastlaneNetwork {
         uid
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        outstanding: &mut FastMap<usize>,
-        deliveries: &mut Vec<Delivery>,
-        stats: &mut NetworkStats,
-        energy: &mut EnergyLedger,
-        obs: &mut Obs,
-        flight: &mut Flight,
-        at: NodeId,
-        now: u64,
-    ) {
-        energy.on_receive();
-        obs.emit(now, EventKind::Eject, at, None, Some(flight.core.id));
-        let before = flight.remaining.len();
-        flight.remaining.retain(|&t| t != at);
-        debug_assert_eq!(
-            flight.remaining.len() + 1,
-            before,
-            "delivery target {at} not in itinerary"
-        );
-        let delivered_cycle = now + 1;
-        deliveries.push(Delivery {
-            packet: flight.core.id,
-            src: flight.core.src,
-            dest: at,
-            injected_cycle: flight.core.injected_cycle,
-            delivered_cycle,
-        });
-        stats.delivered += 1;
-        let lat = delivered_cycle - flight.core.injected_cycle;
-        stats.latency.record(lat);
-        stats.latency_by_kind.record(flight.core.kind, lat);
-        let rem = outstanding
-            .get_mut(flight.core.id.0)
-            .expect("delivery for unknown packet");
-        *rem -= 1;
-        if *rem == 0 {
-            outstanding.remove(flight.core.id.0);
-        }
+    /// Ejects the copy of `core` owed to the local node of router `at`.
+    fn deliver(&mut self, core: PacketCore, at: NodeId, now: u64) {
+        self.energy.on_receive();
+        self.ledger
+            .deliver(&mut self.obs, origin(core), at, now, now + 1);
     }
 
-    /// Receives a blocked (or interim) packet into `router`'s input-port
-    /// buffer, or drops it and signals the launcher.
-    #[allow(clippy::too_many_arguments)]
-    fn block_flight(
-        mesh: Mesh,
-        routers: &mut [RouterState],
-        drop_slots: &mut [Option<TargetList>],
-        return_paths: &mut ReturnPathRegistry,
-        stats: &mut NetworkStats,
-        energy: &mut EnergyLedger,
-        obs: &mut Obs,
-        next_uid: &mut u64,
-        flight: &mut Flight,
-        flight_idx: usize,
-        router: NodeId,
-        entry_dir: Direction,
-        now: u64,
-    ) {
+    /// Receives blocked (or interim) flight `fi` into `router`'s
+    /// input-port buffer, or drops it and signals the launcher.
+    fn block_flight(&mut self, fi: usize, router: NodeId, entry_dir: Direction, now: u64) {
+        let flight = &mut self.flights[fi];
         debug_assert!(flight.alive);
         flight.alive = false;
         if flight.remaining.is_empty() {
@@ -360,19 +345,20 @@ impl PhastlaneNetwork {
             return;
         }
         let qi = RouterState::input_queue(entry_dir);
-        let state = &mut routers[router.index()];
+        let state = &mut self.routers[router.index()];
+        let id = Some(flight.core.id);
         if state.has_room(qi) {
-            obs.emit(
+            self.obs.emit(
                 now,
                 EventKind::ElectricalFallback,
                 router,
                 Some(entry_dir),
-                Some(flight.core.id),
+                id,
             );
-            energy.on_receive();
-            energy.on_buffer_write();
-            let uid = *next_uid;
-            *next_uid += 1;
+            self.energy.on_receive();
+            self.energy.on_buffer_write();
+            let uid = self.next_uid;
+            self.next_uid += 1;
             state.push(
                 qi,
                 Entry {
@@ -384,63 +370,38 @@ impl PhastlaneNetwork {
                 },
             );
         } else {
-            obs.emit(
-                now,
-                EventKind::BufferOverflow,
-                router,
-                Some(entry_dir),
-                Some(flight.core.id),
-            );
-            stats.dropped += 1;
+            self.obs
+                .emit(now, EventKind::BufferOverflow, router, Some(entry_dir), id);
+            self.ledger.stats.dropped += 1;
             // The drop signal travels the registered return path in the
             // next cycle. Footnote 4: return paths of the same cycle are
             // link-disjoint by construction, because forward paths never
             // share output ports.
-            let path = ReturnPath::from_forward_trail(mesh, &flight.trail);
+            let path = ReturnPath::from_forward_trail(self.cfg.mesh, &flight.trail);
             debug_assert_eq!(path.dropped_at(), router);
-            let registered = return_paths.register(&path);
+            let registered = self.return_paths.register(&path);
             debug_assert!(
                 registered.is_ok(),
                 "return paths overlapped: {registered:?}"
             );
-            energy.on_drop_signal();
+            self.energy.on_drop_signal();
             debug_assert!(
-                drop_slots[flight_idx].is_none(),
+                self.drop_slots[fi].is_none(),
                 "one launch cannot drop twice"
             );
-            drop_slots[flight_idx] = Some(std::mem::take(&mut flight.remaining));
+            self.drop_slots[fi] = Some(std::mem::take(&mut flight.remaining));
         }
     }
 
     /// The retry cap / livelock guard fired: every remaining target of
     /// `entry` becomes a terminal [`FailedDelivery`]. The packet leaves
     /// the in-flight set so closed-loop harnesses observe completion.
-    fn give_up(
-        outstanding: &mut FastMap<usize>,
-        failures: &mut Vec<FailedDelivery>,
-        stats: &mut NetworkStats,
-        obs: &mut Obs,
-        entry: &Entry,
-        at: NodeId,
-        now: u64,
-    ) {
-        stats.retry_exhausted += 1;
+    /// (Takes the two fields it needs, not `&mut self`, so the confirm
+    /// sweep can call it while iterating the routers.)
+    fn give_up(ledger: &mut DeliveryLedger, obs: &mut Obs, entry: &Entry, at: NodeId, now: u64) {
+        ledger.stats.retry_exhausted += 1;
         for &dest in &entry.targets {
-            stats.undeliverable += 1;
-            failures.push(FailedDelivery {
-                packet: entry.core.id,
-                src: entry.core.src,
-                dest,
-                cycle: now,
-            });
-            obs.emit(now, EventKind::Undeliverable, at, None, Some(entry.core.id));
-            let rem = outstanding
-                .get_mut(entry.core.id.0)
-                .expect("failure for unknown packet");
-            *rem -= 1;
-            if *rem == 0 {
-                outstanding.remove(entry.core.id.0);
-            }
+            ledger.fail(obs, origin(entry.core), dest, at, now);
         }
     }
 
@@ -490,6 +451,465 @@ impl PhastlaneNetwork {
             EccOutcome::Corrected
         }
     }
+    /// Fault bookkeeping for this cycle: edge events, then the hop reach
+    /// under laser droop and the transient bit-error rate. Everything
+    /// collapses to the nominal values when no plan is installed, so an
+    /// empty plan is exactly zero-effect.
+    fn fault_bookkeeping(&mut self, now: u64) -> (u32, f64) {
+        if self.fault_plan.is_empty() {
+            return (self.cfg.max_hops, 0.0);
+        }
+        self.fault_plan.emit_edges(&mut self.obs, now);
+        (
+            self.effective_max_hops(now),
+            self.fault_plan.bit_error_rate(now),
+        )
+    }
+
+    /// Confirms or reverts last cycle's launches. Routers that launched
+    /// nothing are skipped outright; for the rest, the launched list
+    /// swaps into a reused scratch buffer.
+    fn confirm_launches(&mut self, now: u64) {
+        let mut scratch = std::mem::take(&mut self.confirm_scratch);
+        for (r_idx, state) in self.routers.iter_mut().enumerate() {
+            if !state.has_launched() {
+                continue;
+            }
+            state.begin_confirm(&mut scratch);
+            self.profiler.add_work(Phase::Drain, scratch.len() as u64);
+            let launcher = NodeId(r_idx as u16);
+            for &(queue, flight) in &scratch {
+                let qi = usize::from(queue);
+                let mut entry = state.pop_launched(qi);
+                // No drop signal: confirmed — the slot simply frees.
+                let Some(remaining) = self.drop_slots[flight as usize].take() else {
+                    continue;
+                };
+                let id = Some(entry.core.id);
+                self.obs
+                    .emit(now, EventKind::DropReturn, launcher, None, id);
+                entry.targets = remaining;
+                if entry.attempts >= self.cfg.retry_limit {
+                    Self::give_up(&mut self.ledger, &mut self.obs, &entry, launcher, now);
+                    continue;
+                }
+                let roll = self.rng.gen_u64();
+                entry.ready_at = now + self.cfg.backoff.delay(entry.attempts, roll);
+                entry.attempts += 1;
+                self.ledger.stats.retransmitted += 1;
+                self.obs
+                    .emit(now, EventKind::Retransmit, launcher, None, id);
+                state.push(qi, entry);
+            }
+        }
+        self.confirm_scratch = scratch;
+        debug_assert!(
+            self.drop_slots.iter().all(Option::is_none),
+            "drop signal with no matching launch"
+        );
+    }
+
+    /// Moves packets from each NIC into the local buffer while it has
+    /// room.
+    fn drain_nics(&mut self) {
+        let local_q = RouterState::local_queue();
+        let mut route_work = 0u64;
+        for (state, nic) in self.routers.iter_mut().zip(&mut self.nics) {
+            if nic.is_empty() {
+                continue;
+            }
+            while state.has_room(local_q) {
+                match nic.pop() {
+                    Some(entry) => {
+                        self.energy.on_buffer_write();
+                        state.push(local_q, entry);
+                        route_work += 1;
+                    }
+                    None => break,
+                }
+            }
+        }
+        self.profiler.add_work(Phase::Route, route_work);
+    }
+
+    /// Rotating-priority arbitration and launch at every router. Last
+    /// cycle's flights retire to the pool (keeping their buffers) and
+    /// the claim table rolls its epoch instead of clearing.
+    fn arbitrate_and_launch(&mut self, now: u64, hops: u32) {
+        self.claims.begin_cycle();
+        self.n_flights = 0;
+        self.drop_slots.clear();
+        for r_idx in 0..self.routers.len() {
+            // An idle router still advances its rotating-priority
+            // pointer — the fast path must not change arbitration state.
+            if self.routers[r_idx].waiting() == 0 {
+                self.routers[r_idx].advance();
+            } else {
+                self.arbitrate_router(NodeId(r_idx as u16), now, hops);
+            }
+        }
+        self.profiler
+            .add_work(Phase::Arbitrate, self.n_flights as u64);
+    }
+
+    /// One router's arbitration: up to four launches, visiting the five
+    /// queues in the policy's order until a pass makes no progress.
+    fn arbitrate_router(&mut self, here: NodeId, now: u64, hops: u32) {
+        let state = &mut self.routers[here.index()];
+        let rotation = state.rotate();
+        // Only age-based arbitration inspects the queue heads; the
+        // rotating/fixed orders are pure permutations, so skip the five
+        // head loads for them.
+        let order = match self.cfg.arbitration {
+            ArbitrationPolicy::OldestFirst => {
+                let heads = [0, 1, 2, 3, 4].map(|q| state.head(q));
+                self.cfg.arbitration.queue_order(rotation, heads)
+            }
+            policy => policy.queue_order(rotation, [None; 5]),
+        };
+        let mut launches = 0u32;
+        let mut progress = true;
+        // Re-pass filter: without faults, a queue skipped in one pass
+        // (empty, not ready, or claim-blocked — all invariant within the
+        // cycle) cannot become launchable in a later pass; only a queue
+        // that just launched exposes a new head. Fault handling mutates
+        // heads in place, so it keeps the full rescan.
+        let fault_free = self.fault_plan.is_empty();
+        let mut eligible = [true; 5];
+        while launches < 4 && progress {
+            progress = false;
+            for &qi in &order {
+                if launches >= 4 {
+                    break;
+                }
+                if fault_free && !eligible[qi] {
+                    continue;
+                }
+                eligible[qi] = false;
+                match self.service_head(here, qi, now, hops) {
+                    HeadAction::Skipped => {}
+                    HeadAction::EjectedLocally => progress = true,
+                    HeadAction::Launched => {
+                        launches += 1;
+                        progress = true;
+                        eligible[qi] = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decides what the head of queue `qi` at router `here` does this
+    /// pass: nothing (empty, backing off, output claimed, stalled on a
+    /// fault, given up), a local ejection, or a launch — straight down
+    /// its XY path, or around a faulted first hop.
+    fn service_head(&mut self, here: NodeId, qi: usize, now: u64, hops: u32) -> HeadAction {
+        let mesh = self.cfg.mesh;
+        let state = &mut self.routers[here.index()];
+        if state.arbitrable() & (1 << qi) == 0 {
+            return HeadAction::Skipped;
+        }
+        let Some(head) = state.head_mut(qi) else {
+            return HeadAction::Skipped;
+        };
+        if head.ready_at > now {
+            return HeadAction::Skipped;
+        }
+        let faulted = !self.fault_plan.is_empty();
+        if faulted && head.targets.contains(&here) {
+            // Only an ECC-rejected optical delivery re-buffers a packet
+            // at its own target router. The electrical buffer copy is
+            // clean (SECDED covers the optical hop), so the target ejects
+            // locally instead of launching.
+            head.targets.retain(|&t| t != here);
+            let core = head.core;
+            if head.targets.is_empty() {
+                let _ = state.pop_head(qi);
+            }
+            self.deliver(core, here, now);
+            return HeadAction::EjectedLocally;
+        }
+        let first = *head.targets.first().expect("entries keep >= 1 target");
+        let mut out = xy_first_hop(mesh, here, first)
+            .expect("buffered targets never equal the holding router");
+        let mut waypoint: Option<NodeId> = None;
+        if faulted {
+            let stuck_here = self.fault_plan.router_stuck(now, here);
+            if stuck_here || self.fault_plan.blocked(now, mesh, here, out) {
+                // The preferred output is faulted. A unicast at a working
+                // router may detour through the other dimension if that
+                // makes real progress toward the destination; otherwise
+                // the entry backs off in place until the fault clears or
+                // the retry cap declares it undeliverable.
+                let unicast = !head.core.multicast && head.targets.len() == 1;
+                let detour = (!stuck_here && unicast)
+                    .then(|| productive_detour(&self.fault_plan, now, mesh, here, first))
+                    .flatten();
+                let Some((dir, corner)) = detour else {
+                    self.stall_or_give_up(here, qi, out, now);
+                    return HeadAction::Skipped;
+                };
+                out = dir;
+                waypoint = Some(corner);
+            }
+        }
+        if self.claims.contains(here, out) {
+            return HeadAction::Skipped;
+        }
+        self.launch(here, qi, out, waypoint, now, hops);
+        HeadAction::Launched
+    }
+
+    /// The head of queue `qi` cannot leave `here` (faulted output, no
+    /// productive detour): it backs off in place, or — past the retry
+    /// cap — its targets are declared undeliverable.
+    fn stall_or_give_up(&mut self, here: NodeId, qi: usize, out: Direction, now: u64) {
+        let state = &mut self.routers[here.index()];
+        let head = state.head_mut(qi).expect("caller checked the head");
+        if head.attempts >= self.cfg.retry_limit {
+            let entry = state.pop_head(qi);
+            Self::give_up(&mut self.ledger, &mut self.obs, &entry, here, now);
+            return;
+        }
+        // Flat jittered delay rather than the exponential drop backoff:
+        // growth only helps congestion decongest, and a dead link never
+        // does. Short stalls keep the queue moving toward the retry cap
+        // so head-of-line entries resolve quickly.
+        let roll = self.fault_rng.gen_u64();
+        head.ready_at = now + 1 + roll % 8;
+        head.attempts += 1;
+        let id = Some(head.core.id);
+        self.obs
+            .emit(now, EventKind::FaultStall, here, Some(out), id);
+    }
+
+    /// Launches the head of queue `qi` out of `here` through `out`, as
+    /// the next flight of this cycle: builds its plan (a detour via
+    /// `waypoint` is an ordinary two-waypoint unicast plan; the corner
+    /// is not tapped because the plan is not multicast), claims the
+    /// output port, and parks the entry until next cycle's confirm.
+    fn launch(
+        &mut self,
+        here: NodeId,
+        qi: usize,
+        out: Direction,
+        waypoint: Option<NodeId>,
+        now: u64,
+        hops: u32,
+    ) {
+        let mesh = self.cfg.mesh;
+        let fi = self.n_flights;
+        if self.flights.len() == fi {
+            self.flights.push(Flight::blank());
+        }
+        let entry = self.routers[here.index()].launch_head(qi, fi as u32);
+        let id = Some(entry.core.id);
+        let flight = &mut self.flights[fi];
+        if let Some(corner) = waypoint {
+            let first = *entry.targets.first().expect("entries keep >= 1 target");
+            flight.plan.rebuild_with(
+                &mut self.plan_dirs,
+                mesh,
+                here,
+                &[corner, first],
+                false,
+                hops,
+            );
+            self.ledger.stats.rerouted += 1;
+            self.obs
+                .emit(now, EventKind::FaultReroute, here, Some(out), id);
+        } else {
+            flight.plan.rebuild_with(
+                &mut self.plan_dirs,
+                mesh,
+                here,
+                &entry.targets,
+                entry.core.multicast,
+                hops,
+            );
+        }
+        debug_assert_eq!(flight.plan.first_exit(), out);
+        debug_assert_eq!(
+            RouteControl::encode(&flight.plan).len(),
+            flight.plan.steps().len() - 1 + usize::from(flight.plan.ends_at_interim())
+        );
+        let claim = Claim {
+            flight: fi as u32,
+            step: 0,
+            rank: 0,
+        };
+        self.claims.insert(here, out, claim);
+        self.links.record(here, out);
+        self.obs
+            .emit(now, EventKind::OpticalTransit, here, Some(out), id);
+        flight.uid = entry.uid;
+        flight.core = entry.core;
+        flight.remaining.clone_from_list(&entry.targets);
+        flight.trail.clear();
+        flight.trail.push((here, out));
+        flight.alive = true;
+        self.n_flights += 1;
+        self.drop_slots.push(None);
+        self.energy.on_buffer_read();
+        self.energy.on_launch();
+    }
+
+    /// The optical wavefront: every flight advances one router per
+    /// step, all flights in launch order within a step.
+    fn wavefront(&mut self, now: u64, ber: f64) {
+        let plan_len = |f: &Flight| f.plan.steps().len();
+        let flights = &self.flights[..self.n_flights];
+        if self.profiler.is_enabled() {
+            let wavefront_steps = flights.iter().map(|f| plan_len(f) as u64).sum();
+            self.profiler.add_work(Phase::Traverse, wavefront_steps);
+        }
+        let max_len = flights.iter().map(plan_len).max().unwrap_or(0);
+        for s in 1..max_len {
+            for fi in 0..self.n_flights {
+                let f = &self.flights[fi];
+                if !f.alive {
+                    continue;
+                }
+                let Some(&step) = f.plan.steps().get(s) else {
+                    continue;
+                };
+                let entry_dir = step.entry.expect("only the launch step has no entry");
+                if step.tap && !self.receive_copy(fi, step.router, entry_dir, ber, now) {
+                    continue;
+                }
+                match step.exit {
+                    StepExit::Forward(out) => {
+                        self.claim_exit(fi, s, step.router, entry_dir, out, now);
+                    }
+                    StepExit::Stop(StopKind::Accept) => {
+                        if self.receive_copy(fi, step.router, entry_dir, ber, now) {
+                            self.flights[fi].alive = false;
+                            debug_assert!(self.flights[fi].remaining.is_empty());
+                        }
+                    }
+                    StepExit::Stop(StopKind::Interim) => {
+                        self.block_flight(fi, step.router, entry_dir, now);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The local node of `router` receives its copy of flight `fi` (a
+    /// multicast tap or the final accept), subject to a bit-error roll.
+    /// Returns whether the copy was delivered; when SECDED detects a
+    /// double upset the delivery is rejected instead and the whole
+    /// remaining itinerary re-buffered here for retransmission.
+    fn receive_copy(
+        &mut self,
+        fi: usize,
+        router: NodeId,
+        entry_dir: Direction,
+        ber: f64,
+        now: u64,
+    ) -> bool {
+        let flight = &mut self.flights[fi];
+        let id = Some(flight.core.id);
+        let outcome = Self::roll_bit_error(ber, &mut self.fault_rng, flight.uid);
+        if outcome == EccOutcome::Uncorrectable {
+            self.ledger.stats.ecc_uncorrectable += 1;
+            self.obs
+                .emit(now, EventKind::EccUncorrectable, router, None, id);
+            self.block_flight(fi, router, entry_dir, now);
+            return false;
+        }
+        if outcome == EccOutcome::Corrected {
+            self.ledger.stats.ecc_corrected += 1;
+            self.obs
+                .emit(now, EventKind::EccCorrected, router, None, id);
+        }
+        let before = flight.remaining.len();
+        flight.remaining.retain(|&t| t != router);
+        debug_assert_eq!(
+            flight.remaining.len() + 1,
+            before,
+            "delivery target {router} not in itinerary"
+        );
+        let core = flight.core;
+        self.deliver(core, router, now);
+        true
+    }
+
+    /// Flight `fi`, at plan step `s`, contends for the output port
+    /// `out` of `router`: it takes a free port, displaces a same-step
+    /// incumbent of lower priority (who is received at its own input
+    /// port), or is itself received at `entry_dir`.
+    fn claim_exit(
+        &mut self,
+        fi: usize,
+        s: usize,
+        router: NodeId,
+        entry_dir: Direction,
+        out: Direction,
+        now: u64,
+    ) {
+        let id = Some(self.flights[fi].core.id);
+        if !self.fault_plan.is_empty() && self.fault_plan.blocked(now, self.cfg.mesh, router, out) {
+            // The wavefront ran into a faulted link or stuck router
+            // mid-flight: forced electrical fallback at this hop.
+            self.ledger.stats.rerouted += 1;
+            self.obs
+                .emit(now, EventKind::FaultReroute, router, Some(out), id);
+            self.block_flight(fi, router, entry_dir, now);
+            return;
+        }
+        let turn_class = match classify_turn(entry_dir, out) {
+            Turn::Straight => 1,
+            Turn::Left => 2,
+            Turn::Right => 3,
+        };
+        let rank = pack_rank(
+            self.cfg
+                .path_priority
+                .rank(turn_class, entry_dir as u8, now),
+        );
+        let incumbent = self.claims.get(router, out);
+        if incumbent.is_some_and(|c| c.step as usize != s || rank >= c.rank) {
+            self.block_flight(fi, router, entry_dir, now);
+            return;
+        }
+        let claim = Claim {
+            flight: fi as u32,
+            step: s as u16,
+            rank,
+        };
+        self.claims.insert(router, out, claim);
+        self.flights[fi].trail.push((router, out));
+        if incumbent.is_none() {
+            self.links.record(router, out);
+        }
+        self.obs
+            .emit(now, EventKind::OpticalTransit, router, Some(out), id);
+        if let Some(c) = incumbent {
+            // This packet's control bits force the incumbent (a
+            // lower-priority turn) to be received at its input port. It
+            // never actually exits this router: undo its claim in the
+            // trail.
+            let loser = c.flight as usize;
+            let loser_step = self.flights[loser].plan.steps()[s];
+            let loser_entry = loser_step.entry.expect("incumbent arrived via a link");
+            self.flights[loser].trail.pop();
+            self.block_flight(loser, loser_step.router, loser_entry, now);
+        }
+    }
+
+    /// Leakage accrues and the clock advances.
+    fn end_cycle(&mut self, delivered_before: usize) {
+        debug_assert_eq!(
+            self.ledger.stats.dropped,
+            self.return_paths.signals_total(),
+            "every dropped packet produces exactly one drop-return signal"
+        );
+        self.energy.on_cycle();
+        self.cycle += 1;
+        let ejected = self.ledger.pending_deliveries() - delivered_before;
+        self.profiler.add_work(Phase::Eject, ejected as u64);
+    }
 }
 
 impl Network for PhastlaneNetwork {
@@ -537,11 +957,9 @@ impl Network for PhastlaneNetwork {
                 };
                 let pushed = self.nics[packet.src.index()].try_push(entry);
                 assert!(pushed.is_ok(), "capacity verified above");
-                self.outstanding.insert(id.0, 1);
-                self.stats.injected += 1;
+                self.ledger
+                    .accept(&mut self.obs, self.cycle, id, packet.src, 1);
                 self.next_packet_id += 1;
-                self.obs
-                    .emit(self.cycle, EventKind::Inject, packet.src, None, Some(id));
                 return Some(id);
             }
         }
@@ -551,19 +969,8 @@ impl Network for PhastlaneNetwork {
         if dests.is_empty() {
             // Degenerate self-send: delivered locally without the network.
             self.next_packet_id += 1;
-            self.stats.injected += 1;
-            self.stats.delivered += 1;
-            self.obs
-                .emit(self.cycle, EventKind::Inject, packet.src, None, Some(id));
-            self.obs
-                .emit(self.cycle, EventKind::Eject, packet.src, None, Some(id));
-            self.deliveries.push(Delivery {
-                packet: id,
-                src: packet.src,
-                dest: packet.src,
-                injected_cycle: self.cycle,
-                delivered_cycle: self.cycle,
-            });
+            self.ledger
+                .self_send(&mut self.obs, self.cycle, id, packet.src);
             return Some(id);
         }
 
@@ -601,679 +1008,38 @@ impl Network for PhastlaneNetwork {
             let pushed = self.nics[packet.src.index()].try_push(entry);
             assert!(pushed.is_ok(), "capacity verified above");
         }
-        self.outstanding.insert(id.0, dests.len());
-        self.stats.injected += 1;
+        self.ledger
+            .accept(&mut self.obs, self.cycle, id, packet.src, dests.len());
         self.next_packet_id += 1;
-        self.obs
-            .emit(self.cycle, EventKind::Inject, packet.src, None, Some(id));
         Some(id)
     }
 
     fn step(&mut self) {
         let now = self.cycle;
-        let mesh = self.cfg.mesh;
         self.return_paths.clear();
         self.profiler.begin_cycle();
-        let delivered_before = self.deliveries.len();
+        let delivered_before = self.ledger.pending_deliveries();
 
-        // Fault bookkeeping for this cycle: edge events, the hop reach
-        // under laser droop, and the transient bit-error rate. Everything
-        // collapses to the nominal values when no plan is installed, so an
-        // empty plan is exactly zero-effect.
-        let (hops, ber) = if self.fault_plan.is_empty() {
-            (self.cfg.max_hops, 0.0)
-        } else {
-            for (fault, injected) in self.fault_plan.edges_at(now) {
-                let kind = if injected {
-                    EventKind::FaultInjected
-                } else {
-                    EventKind::FaultCleared
-                };
-                self.obs.emit(now, kind, fault.site(), fault.port(), None);
-            }
-            (
-                self.effective_max_hops(now),
-                self.fault_plan.bit_error_rate(now),
-            )
-        };
+        let (hops, ber) = self.fault_bookkeeping(now);
         self.profiler.mark(Phase::Fault);
-
-        // Phase 1: confirm or revert last cycle's launches. Routers that
-        // launched nothing are skipped outright; for the rest, the
-        // launched list swaps into a reused scratch buffer.
-        let mut scratch = std::mem::take(&mut self.confirm_scratch);
-        for (r_idx, state) in self.routers.iter_mut().enumerate() {
-            if !state.has_launched() {
-                continue;
-            }
-            state.begin_confirm(&mut scratch);
-            self.profiler.add_work(Phase::Drain, scratch.len() as u64);
-            for &(queue, flight) in &scratch {
-                let qi = usize::from(queue);
-                let mut entry = state.pop_launched(qi);
-                if let Some(remaining) = self.drop_slots[flight as usize].take() {
-                    let launcher = NodeId(r_idx as u16);
-                    self.obs.emit(
-                        now,
-                        EventKind::DropReturn,
-                        launcher,
-                        None,
-                        Some(entry.core.id),
-                    );
-                    entry.targets = remaining;
-                    if entry.attempts >= self.cfg.retry_limit {
-                        Self::give_up(
-                            &mut self.outstanding,
-                            &mut self.failures,
-                            &mut self.stats,
-                            &mut self.obs,
-                            &entry,
-                            launcher,
-                            now,
-                        );
-                        continue;
-                    }
-                    let roll = self.rng.gen_u64();
-                    entry.ready_at = now + self.cfg.backoff.delay(entry.attempts, roll);
-                    entry.attempts += 1;
-                    self.stats.retransmitted += 1;
-                    self.obs.emit(
-                        now,
-                        EventKind::Retransmit,
-                        launcher,
-                        None,
-                        Some(entry.core.id),
-                    );
-                    state.push(qi, entry);
-                }
-                // else: confirmed — the slot simply frees.
-            }
-        }
-        self.confirm_scratch = scratch;
-        debug_assert!(
-            self.drop_slots.iter().all(Option::is_none),
-            "drop signal with no matching launch"
-        );
+        self.confirm_launches(now);
         self.profiler.mark(Phase::Drain);
-
-        // Phase 2: NIC -> local buffer.
-        let local_q = RouterState::local_queue();
-        let mut route_work = 0u64;
-        for (state, nic) in self.routers.iter_mut().zip(&mut self.nics) {
-            if nic.is_empty() {
-                continue;
-            }
-            while state.has_room(local_q) {
-                match nic.pop() {
-                    Some(entry) => {
-                        self.energy.on_buffer_write();
-                        state.push(local_q, entry);
-                        route_work += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        self.profiler.add_work(Phase::Route, route_work);
+        self.drain_nics();
         self.profiler.mark(Phase::Route);
-
-        // Phase 3: rotating-priority arbitration and launch. Last
-        // cycle's flights retire to the pool (keeping their buffers) and
-        // the claim table rolls its epoch instead of clearing.
-        self.claims.begin_cycle();
-        self.n_flights = 0;
-        self.drop_slots.clear();
-        for r_idx in 0..self.routers.len() {
-            let here = NodeId(r_idx as u16);
-            // An idle router still advances its rotating-priority
-            // pointer — the fast path must not change arbitration state.
-            if self.routers[r_idx].waiting() == 0 {
-                self.routers[r_idx].advance();
-                continue;
-            }
-            let rotation = self.routers[r_idx].rotate();
-            // Only age-based arbitration inspects the queue heads; the
-            // rotating/fixed orders are pure permutations, so skip the
-            // five head loads for them.
-            let order = match self.cfg.arbitration {
-                ArbitrationPolicy::OldestFirst => {
-                    let state = &self.routers[r_idx];
-                    let heads = [0, 1, 2, 3, 4].map(|q| state.head(q));
-                    self.cfg.arbitration.queue_order(rotation, heads)
-                }
-                policy => policy.queue_order(rotation, [None; 5]),
-            };
-            let mut launches = 0u32;
-            let mut progress = true;
-            // Re-pass filter: without faults, a queue skipped in one
-            // pass (empty, not ready, or claim-blocked — all invariant
-            // within the cycle) cannot become launchable in a later
-            // pass; only a queue that just launched exposes a new head.
-            // Fault handling mutates heads in place, so it keeps the
-            // full rescan.
-            let fault_free = self.fault_plan.is_empty();
-            let mut eligible = [true; 5];
-            while launches < 4 && progress {
-                progress = false;
-                for &qi in &order {
-                    if launches >= 4 {
-                        break;
-                    }
-                    if fault_free && !eligible[qi] {
-                        continue;
-                    }
-                    eligible[qi] = false;
-                    if self.routers[r_idx].arbitrable() & (1 << qi) == 0 {
-                        continue;
-                    }
-                    let Some(head) = self.routers[r_idx].head(qi) else {
-                        continue;
-                    };
-                    if head.ready_at > now {
-                        continue;
-                    }
-                    if !fault_free && head.targets.contains(&here) {
-                        // Only an ECC-rejected optical delivery re-buffers a
-                        // packet at its own target router. The electrical
-                        // buffer copy is clean (SECDED covers the optical
-                        // hop), so the target ejects locally instead of
-                        // launching.
-                        let head = self.routers[r_idx]
-                            .head_mut(qi)
-                            .expect("head checked above");
-                        head.targets.retain(|&t| t != here);
-                        let id = head.core.id;
-                        let src = head.core.src;
-                        let injected_cycle = head.core.injected_cycle;
-                        let kind = head.core.kind;
-                        let done = head.targets.is_empty();
-                        self.energy.on_receive();
-                        self.obs.emit(now, EventKind::Eject, here, None, Some(id));
-                        let delivered_cycle = now + 1;
-                        self.deliveries.push(Delivery {
-                            packet: id,
-                            src,
-                            dest: here,
-                            injected_cycle,
-                            delivered_cycle,
-                        });
-                        self.stats.delivered += 1;
-                        let lat = delivered_cycle - injected_cycle;
-                        self.stats.latency.record(lat);
-                        self.stats.latency_by_kind.record(kind, lat);
-                        let rem = self
-                            .outstanding
-                            .get_mut(id.0)
-                            .expect("delivery for unknown packet");
-                        *rem -= 1;
-                        if *rem == 0 {
-                            self.outstanding.remove(id.0);
-                        }
-                        if done {
-                            let _ = self.routers[r_idx].pop_head(qi);
-                        }
-                        progress = true;
-                        continue;
-                    }
-                    let first = *head.targets.first().expect("entries keep >= 1 target");
-                    let unicast = !head.core.multicast && head.targets.len() == 1;
-                    let attempts = head.attempts;
-                    let mut out = xy_first_hop(mesh, here, first)
-                        .expect("buffered targets never equal the holding router");
-                    let mut waypoint: Option<NodeId> = None;
-                    if !self.fault_plan.is_empty() {
-                        let stuck_here = self.fault_plan.router_stuck(now, here);
-                        if stuck_here || self.fault_plan.blocked(now, mesh, here, out) {
-                            // The preferred output is faulted. A unicast at
-                            // a working router may detour through the other
-                            // dimension if that makes real progress toward
-                            // the destination; otherwise the entry backs
-                            // off in place until the fault clears or the
-                            // retry cap declares it undeliverable.
-                            let detour = (!stuck_here && unicast)
-                                .then(|| {
-                                    productive_detour(&self.fault_plan, now, mesh, here, first)
-                                })
-                                .flatten();
-                            match detour {
-                                Some((dir, corner)) => {
-                                    out = dir;
-                                    waypoint = Some(corner);
-                                }
-                                None => {
-                                    if attempts >= self.cfg.retry_limit {
-                                        let entry = self.routers[r_idx].pop_head(qi);
-                                        Self::give_up(
-                                            &mut self.outstanding,
-                                            &mut self.failures,
-                                            &mut self.stats,
-                                            &mut self.obs,
-                                            &entry,
-                                            here,
-                                            now,
-                                        );
-                                    } else {
-                                        // Flat jittered delay rather than the
-                                        // exponential drop backoff: growth only
-                                        // helps congestion decongest, and a dead
-                                        // link never does. Short stalls keep the
-                                        // queue moving toward the retry cap so
-                                        // head-of-line entries resolve quickly.
-                                        let roll = self.fault_rng.gen_u64();
-                                        let delay = 1 + roll % 8;
-                                        let head = self.routers[r_idx]
-                                            .head_mut(qi)
-                                            .expect("head checked above");
-                                        head.ready_at = now + delay;
-                                        head.attempts += 1;
-                                        let id = head.core.id;
-                                        self.obs.emit(
-                                            now,
-                                            EventKind::FaultStall,
-                                            here,
-                                            Some(out),
-                                            Some(id),
-                                        );
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    if self.claims.contains(here, out) {
-                        continue;
-                    }
-                    let flight_idx = self.n_flights;
-                    if self.flights.len() == flight_idx {
-                        self.flights.push(Flight::blank());
-                    }
-                    let entry = self.routers[r_idx].launch_head(qi, flight_idx as u32);
-                    let flight = &mut self.flights[flight_idx];
-                    match waypoint {
-                        Some(corner) => {
-                            // Detour expressed as an ordinary two-waypoint
-                            // unicast plan; the corner is not tapped
-                            // because the plan is not multicast.
-                            flight.plan.rebuild_with(
-                                &mut self.plan_dirs,
-                                mesh,
-                                here,
-                                &[corner, first],
-                                false,
-                                hops,
-                            );
-                        }
-                        None => flight.plan.rebuild_with(
-                            &mut self.plan_dirs,
-                            mesh,
-                            here,
-                            &entry.targets,
-                            entry.core.multicast,
-                            hops,
-                        ),
-                    };
-                    if waypoint.is_some() {
-                        self.stats.rerouted += 1;
-                        self.obs.emit(
-                            now,
-                            EventKind::FaultReroute,
-                            here,
-                            Some(out),
-                            Some(entry.core.id),
-                        );
-                    }
-                    debug_assert_eq!(flight.plan.first_exit(), out);
-                    debug_assert_eq!(
-                        RouteControl::encode(&flight.plan).len(),
-                        flight.plan.steps().len() - 1 + usize::from(flight.plan.ends_at_interim())
-                    );
-                    self.claims.insert(
-                        here,
-                        out,
-                        Claim {
-                            flight: flight_idx as u32,
-                            step: 0,
-                            rank: 0,
-                        },
-                    );
-                    self.links.record(here, out);
-                    self.obs.emit(
-                        now,
-                        EventKind::OpticalTransit,
-                        here,
-                        Some(out),
-                        Some(entry.core.id),
-                    );
-                    flight.uid = entry.uid;
-                    flight.core = entry.core;
-                    flight.remaining.clone_from_list(&entry.targets);
-                    flight.trail.clear();
-                    flight.trail.push((here, out));
-                    flight.alive = true;
-                    self.n_flights += 1;
-                    self.drop_slots.push(None);
-                    self.energy.on_buffer_read();
-                    self.energy.on_launch();
-                    launches += 1;
-                    progress = true;
-                    eligible[qi] = true;
-                }
-            }
-        }
-
-        self.profiler
-            .add_work(Phase::Arbitrate, self.n_flights as u64);
+        self.arbitrate_and_launch(now, hops);
         self.profiler.mark(Phase::Arbitrate);
-
-        // Phase 4: optical wavefront, hop by hop within the cycle.
-        if self.profiler.is_enabled() {
-            let wavefront_steps: u64 = self.flights[..self.n_flights]
-                .iter()
-                .map(|f| f.plan.steps().len() as u64)
-                .sum();
-            self.profiler.add_work(Phase::Traverse, wavefront_steps);
-        }
-        let max_len = self.flights[..self.n_flights]
-            .iter()
-            .map(|f| f.plan.steps().len())
-            .max()
-            .unwrap_or(0);
-        for s in 1..max_len {
-            for fi in 0..self.n_flights {
-                let f = &self.flights[fi];
-                if !f.alive {
-                    continue;
-                }
-                let steps = f.plan.steps();
-                if steps.len() <= s {
-                    continue;
-                }
-                let step = steps[s];
-                if step.tap {
-                    match Self::roll_bit_error(ber, &mut self.fault_rng, self.flights[fi].uid) {
-                        EccOutcome::Uncorrectable => {
-                            // SECDED detected a double upset at the tap:
-                            // reject the delivery and re-buffer the whole
-                            // remaining itinerary for retransmission.
-                            self.stats.ecc_uncorrectable += 1;
-                            self.obs.emit(
-                                now,
-                                EventKind::EccUncorrectable,
-                                step.router,
-                                None,
-                                Some(self.flights[fi].core.id),
-                            );
-                            let entry_dir = step.entry.expect("tap steps have an entry");
-                            Self::block_flight(
-                                mesh,
-                                &mut self.routers,
-                                &mut self.drop_slots,
-                                &mut self.return_paths,
-                                &mut self.stats,
-                                &mut self.energy,
-                                &mut self.obs,
-                                &mut self.next_uid,
-                                &mut self.flights[fi],
-                                fi,
-                                step.router,
-                                entry_dir,
-                                now,
-                            );
-                        }
-                        outcome => {
-                            if outcome == EccOutcome::Corrected {
-                                self.stats.ecc_corrected += 1;
-                                self.obs.emit(
-                                    now,
-                                    EventKind::EccCorrected,
-                                    step.router,
-                                    None,
-                                    Some(self.flights[fi].core.id),
-                                );
-                            }
-                            Self::deliver(
-                                &mut self.outstanding,
-                                &mut self.deliveries,
-                                &mut self.stats,
-                                &mut self.energy,
-                                &mut self.obs,
-                                &mut self.flights[fi],
-                                step.router,
-                                now,
-                            );
-                        }
-                    }
-                    if !self.flights[fi].alive {
-                        continue;
-                    }
-                }
-                match step.exit {
-                    StepExit::Forward(out) => {
-                        let entry_dir = step.entry.expect("hop steps have an entry");
-                        if !self.fault_plan.is_empty()
-                            && self.fault_plan.blocked(now, mesh, step.router, out)
-                        {
-                            // The wavefront ran into a faulted link or
-                            // stuck router mid-flight: forced electrical
-                            // fallback at this hop.
-                            self.stats.rerouted += 1;
-                            self.obs.emit(
-                                now,
-                                EventKind::FaultReroute,
-                                step.router,
-                                Some(out),
-                                Some(self.flights[fi].core.id),
-                            );
-                            Self::block_flight(
-                                mesh,
-                                &mut self.routers,
-                                &mut self.drop_slots,
-                                &mut self.return_paths,
-                                &mut self.stats,
-                                &mut self.energy,
-                                &mut self.obs,
-                                &mut self.next_uid,
-                                &mut self.flights[fi],
-                                fi,
-                                step.router,
-                                entry_dir,
-                                now,
-                            );
-                            continue;
-                        }
-                        let turn_class = match classify_turn(entry_dir, out) {
-                            Turn::Straight => 1,
-                            Turn::Left => 2,
-                            Turn::Right => 3,
-                        };
-                        let rank = pack_rank(self.cfg.path_priority.rank(
-                            turn_class,
-                            entry_dir as u8,
-                            now,
-                        ));
-                        match self.claims.get(step.router, out) {
-                            None => {
-                                self.claims.insert(
-                                    step.router,
-                                    out,
-                                    Claim {
-                                        flight: fi as u32,
-                                        step: s as u16,
-                                        rank,
-                                    },
-                                );
-                                self.flights[fi].trail.push((step.router, out));
-                                self.links.record(step.router, out);
-                                self.obs.emit(
-                                    now,
-                                    EventKind::OpticalTransit,
-                                    step.router,
-                                    Some(out),
-                                    Some(self.flights[fi].core.id),
-                                );
-                            }
-                            Some(c) if c.step as usize == s && rank < c.rank => {
-                                // This packet's control bits force the
-                                // incumbent (a lower-priority turn) to be
-                                // received at its input port.
-                                self.claims.insert(
-                                    step.router,
-                                    out,
-                                    Claim {
-                                        flight: fi as u32,
-                                        step: s as u16,
-                                        rank,
-                                    },
-                                );
-                                self.flights[fi].trail.push((step.router, out));
-                                self.obs.emit(
-                                    now,
-                                    EventKind::OpticalTransit,
-                                    step.router,
-                                    Some(out),
-                                    Some(self.flights[fi].core.id),
-                                );
-                                let loser = c.flight as usize;
-                                let loser_step = self.flights[loser].plan.steps()[s];
-                                let loser_entry =
-                                    loser_step.entry.expect("incumbent arrived via a link");
-                                // The incumbent never actually exits this
-                                // router: undo its claim in the trail.
-                                self.flights[loser].trail.pop();
-                                Self::block_flight(
-                                    mesh,
-                                    &mut self.routers,
-                                    &mut self.drop_slots,
-                                    &mut self.return_paths,
-                                    &mut self.stats,
-                                    &mut self.energy,
-                                    &mut self.obs,
-                                    &mut self.next_uid,
-                                    &mut self.flights[loser],
-                                    loser,
-                                    loser_step.router,
-                                    loser_entry,
-                                    now,
-                                );
-                            }
-                            Some(_) => {
-                                Self::block_flight(
-                                    mesh,
-                                    &mut self.routers,
-                                    &mut self.drop_slots,
-                                    &mut self.return_paths,
-                                    &mut self.stats,
-                                    &mut self.energy,
-                                    &mut self.obs,
-                                    &mut self.next_uid,
-                                    &mut self.flights[fi],
-                                    fi,
-                                    step.router,
-                                    entry_dir,
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                    StepExit::Stop(StopKind::Accept) => {
-                        match Self::roll_bit_error(ber, &mut self.fault_rng, self.flights[fi].uid) {
-                            EccOutcome::Uncorrectable => {
-                                self.stats.ecc_uncorrectable += 1;
-                                self.obs.emit(
-                                    now,
-                                    EventKind::EccUncorrectable,
-                                    step.router,
-                                    None,
-                                    Some(self.flights[fi].core.id),
-                                );
-                                let entry_dir = step.entry.expect("accept steps have an entry");
-                                Self::block_flight(
-                                    mesh,
-                                    &mut self.routers,
-                                    &mut self.drop_slots,
-                                    &mut self.return_paths,
-                                    &mut self.stats,
-                                    &mut self.energy,
-                                    &mut self.obs,
-                                    &mut self.next_uid,
-                                    &mut self.flights[fi],
-                                    fi,
-                                    step.router,
-                                    entry_dir,
-                                    now,
-                                );
-                            }
-                            outcome => {
-                                if outcome == EccOutcome::Corrected {
-                                    self.stats.ecc_corrected += 1;
-                                    self.obs.emit(
-                                        now,
-                                        EventKind::EccCorrected,
-                                        step.router,
-                                        None,
-                                        Some(self.flights[fi].core.id),
-                                    );
-                                }
-                                Self::deliver(
-                                    &mut self.outstanding,
-                                    &mut self.deliveries,
-                                    &mut self.stats,
-                                    &mut self.energy,
-                                    &mut self.obs,
-                                    &mut self.flights[fi],
-                                    step.router,
-                                    now,
-                                );
-                                self.flights[fi].alive = false;
-                                debug_assert!(self.flights[fi].remaining.is_empty());
-                            }
-                        }
-                    }
-                    StepExit::Stop(StopKind::Interim) => {
-                        let entry_dir = step.entry.expect("interim steps have an entry");
-                        Self::block_flight(
-                            mesh,
-                            &mut self.routers,
-                            &mut self.drop_slots,
-                            &mut self.return_paths,
-                            &mut self.stats,
-                            &mut self.energy,
-                            &mut self.obs,
-                            &mut self.next_uid,
-                            &mut self.flights[fi],
-                            fi,
-                            step.router,
-                            entry_dir,
-                            now,
-                        );
-                    }
-                }
-            }
-        }
-
+        self.wavefront(now, ber);
         self.profiler.mark(Phase::Traverse);
-
-        // Phase 5: leakage, clock.
-        debug_assert_eq!(
-            self.stats.dropped,
-            self.return_paths.signals_total(),
-            "every dropped packet produces exactly one drop-return signal"
-        );
-        self.energy.on_cycle();
-        self.cycle += 1;
-        self.profiler.add_work(
-            Phase::Eject,
-            (self.deliveries.len() - delivered_before) as u64,
-        );
+        self.end_cycle(delivered_before);
         self.profiler.mark(Phase::Eject);
     }
 
     fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.deliveries)
+        self.ledger.drain_deliveries()
     }
 
     fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.deliveries);
+        self.ledger.drain_deliveries_into(out);
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
@@ -1282,15 +1048,15 @@ impl Network for PhastlaneNetwork {
     }
 
     fn drain_failures(&mut self) -> Vec<FailedDelivery> {
-        std::mem::take(&mut self.failures)
+        self.ledger.drain_failures()
     }
 
     fn drain_failures_into(&mut self, out: &mut Vec<FailedDelivery>) {
-        out.append(&mut self.failures);
+        self.ledger.drain_failures_into(out);
     }
 
     fn in_flight(&self) -> usize {
-        self.outstanding.len()
+        self.ledger.in_flight()
     }
 
     fn energy(&self) -> EnergyReport {
@@ -1298,7 +1064,7 @@ impl Network for PhastlaneNetwork {
     }
 
     fn stats(&self) -> NetworkStats {
-        self.stats.clone()
+        self.ledger.stats.clone()
     }
 
     fn link_counters(&self) -> LinkCounters {

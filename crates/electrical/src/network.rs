@@ -10,33 +10,42 @@
 //! crossbar: a flit reaching its destination router is accepted by the
 //! processor one cycle after arrival. Broadcasts use pre-installed VCTM
 //! trees ([`crate::vctm`]).
+//!
+//! [`ElectricalNetwork::step`] is a driver over the eight phases of a
+//! cycle, marking the hot-loop profiler after each group:
+//!
+//! | # | phase function | `Phase` mark |
+//! |---|---|---|
+//! | — | `FaultPlan::emit_edges` (fault edge events) | `Fault` |
+//! | 1 | `return_credits` | `Drain` |
+//! | 2 | `land_arrivals` | `Drain` |
+//! | 3 | `eject` (ejection bypass) | `Eject` |
+//! | 4 | `inject_from_nics`; a stuck router's NIC: `age_out_nic` | `Route` |
+//! | 5 | `allocate_vcs` → `allocate_output_vcs` per output | `Arbitrate` |
+//! | 6 | `switch_and_traverse` → `traverse_router` per router | `Traverse` |
+//! | 7 | `recycle_vcs`; a stalled flit under faults: `abandon` | `Drain` |
+//! | 8 | leakage, clock (in the driver) | `Drain` |
+//!
+//! Phases 7–8 are resource recycling, so their time accrues to `Drain`
+//! alongside phases 1–2.
 
 use crate::config::ElectricalConfig;
 use crate::islip::Islip;
 use crate::power::EnergyLedger;
 use crate::vctm::{mask_of, tree_fork, TargetMask};
-use phastlane_netsim::fastmap::FastMap;
 use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
+use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::NodeMask;
 use phastlane_netsim::network::Network;
 use phastlane_netsim::nic::Nic;
 use phastlane_netsim::obs::{
     EventKind, FlightRecorder, Obs, Phase, PhaseBreakdown, PhaseProfiler, TraceBuffer,
 };
-use phastlane_netsim::packet::{Delivery, NewPacket, PacketId, PacketKind};
+use phastlane_netsim::packet::{Delivery, NewPacket, PacketId};
 use phastlane_netsim::routing::xy_first_hop;
 use phastlane_netsim::stats::{EnergyReport, NetworkStats};
 use phastlane_netsim::telemetry::LinkCounters;
-
-/// Immutable identity of a packet.
-#[derive(Debug, Clone, Copy)]
-struct Core {
-    id: PacketId,
-    src: NodeId,
-    kind: PacketKind,
-    injected_cycle: u64,
-}
 
 /// Routing state a flit carries.
 #[derive(Debug, Clone, Copy)]
@@ -58,10 +67,22 @@ struct Branch {
     done: bool,
 }
 
+/// The routing state carried by the flit copy that leaves through
+/// branch `b` of a flit routed by `route`.
+fn branch_route(route: Route, b: &Branch) -> Route {
+    match route {
+        Route::Unicast(dest) => Route::Unicast(dest),
+        Route::Tree(_) => {
+            debug_assert!(!b.mask.is_empty(), "tree branches carry masks");
+            Route::Tree(b.mask)
+        }
+    }
+}
+
 /// A flit occupying a VC.
 #[derive(Debug, Clone)]
 struct Flit {
-    core: Core,
+    core: PacketOrigin,
     route: Route,
     in_port: Port,
     eligible_at: u64,
@@ -130,18 +151,15 @@ pub struct ElectricalNetwork {
     cfg: ElectricalConfig,
     cycle: u64,
     routers: Vec<Router>,
-    nics: Vec<Nic<(Core, Route)>>,
+    nics: Vec<Nic<(PacketOrigin, Route)>>,
     incoming: Vec<Arrival>,
     credit_returns: Vec<CreditReturn>,
-    /// Remaining undelivered targets per packet id (keyed by the raw
-    /// sequential id, so open-addressing probes stay short).
-    outstanding: FastMap<usize>,
-    deliveries: Vec<Delivery>,
+    /// Owed destination copies, deliveries, terminal failures, stats.
+    ledger: DeliveryLedger,
     next_id: u64,
     /// Sources whose VCTM tree is already installed (dense, per node).
     warm_trees: Vec<bool>,
     energy: EnergyLedger,
-    stats: NetworkStats,
     links: LinkCounters,
     /// Observability handle: one branch per emit site when disabled.
     obs: Obs,
@@ -150,8 +168,6 @@ pub struct ElectricalNetwork {
     /// Scheduled device failures; the empty plan is zero-effect (every
     /// fault hook is gated on it).
     fault_plan: FaultPlan,
-    /// Destinations terminally given up on, awaiting `drain_failures`.
-    failures: Vec<FailedDelivery>,
 }
 
 /// How long a flit may sit unserviced before a fault plan declares its
@@ -179,17 +195,14 @@ impl ElectricalNetwork {
             nics,
             incoming: Vec::new(),
             credit_returns: Vec::new(),
-            outstanding: FastMap::new(),
-            deliveries: Vec::new(),
+            ledger: DeliveryLedger::new(),
             next_id: 0,
             warm_trees: vec![false; nodes],
             energy,
-            stats: NetworkStats::default(),
             links: LinkCounters::for_mesh(mesh),
             obs: Obs::off(),
             profiler: PhaseProfiler::off(),
             fault_plan: FaultPlan::new(),
-            failures: Vec::new(),
         }
     }
 
@@ -198,7 +211,14 @@ impl ElectricalNetwork {
         &self.cfg
     }
 
-    fn make_flit(&mut self, at: NodeId, core: Core, route: Route, in_port: Port, now: u64) -> Flit {
+    fn make_flit(
+        &mut self,
+        at: NodeId,
+        core: PacketOrigin,
+        route: Route,
+        in_port: Port,
+        now: u64,
+    ) -> Flit {
         let mesh = self.cfg.mesh;
         let (branches, eject) = match route {
             Route::Unicast(dest) => {
@@ -217,7 +237,7 @@ impl ElectricalNetwork {
                             productive_detour(&self.fault_plan, now, mesh, at, dest)
                         {
                             out = dir;
-                            self.stats.rerouted += 1;
+                            self.ledger.stats.rerouted += 1;
                             self.obs.emit(
                                 now,
                                 EventKind::FaultReroute,
@@ -262,65 +282,344 @@ impl ElectricalNetwork {
         }
     }
 
-    /// Records one terminally-failed destination of an abandoned flit
-    /// (stall-abandon guard): the delivery is never going to happen, so
-    /// the packet's outstanding count shrinks exactly as a delivery
-    /// would, keeping closed-loop harnesses live.
-    #[allow(clippy::too_many_arguments)]
-    fn record_failure(
-        outstanding: &mut FastMap<usize>,
-        failures: &mut Vec<FailedDelivery>,
-        stats: &mut NetworkStats,
-        obs: &mut Obs,
-        core: Core,
-        dest: NodeId,
-        at: NodeId,
-        now: u64,
-    ) {
-        stats.undeliverable += 1;
-        failures.push(FailedDelivery {
-            packet: core.id,
-            src: core.src,
-            dest,
-            cycle: now,
-        });
-        obs.emit(now, EventKind::Undeliverable, at, None, Some(core.id));
-        let rem = outstanding
-            .get_mut(core.id.0)
-            .expect("failure for unknown packet");
-        *rem -= 1;
-        if *rem == 0 {
-            outstanding.remove(core.id.0);
+    /// Declares `route`'s targets terminally undeliverable at `at`.
+    fn fail_route(&mut self, packet: PacketOrigin, route: Route, at: NodeId, now: u64) {
+        match route {
+            Route::Unicast(dest) => self.ledger.fail(&mut self.obs, packet, dest, at, now),
+            Route::Tree(mask) => {
+                for t in mask.iter() {
+                    self.ledger.fail(&mut self.obs, packet, t, at, now);
+                }
+            }
         }
     }
 
-    fn deliver(
-        outstanding: &mut FastMap<usize>,
-        deliveries: &mut Vec<Delivery>,
-        stats: &mut NetworkStats,
-        obs: &mut Obs,
-        core: Core,
-        dest: NodeId,
-        now: u64,
-    ) {
-        obs.emit(now, EventKind::Eject, dest, None, Some(core.id));
-        deliveries.push(Delivery {
-            packet: core.id,
-            src: core.src,
-            dest,
-            injected_cycle: core.injected_cycle,
-            delivered_cycle: now,
-        });
-        stats.delivered += 1;
-        let lat = now - core.injected_cycle;
-        stats.latency.record(lat);
-        stats.latency_by_kind.record(core.kind, lat);
-        let rem = outstanding
-            .get_mut(core.id.0)
-            .expect("unknown packet delivered");
-        *rem -= 1;
-        if *rem == 0 {
-            outstanding.remove(core.id.0);
+    /// Phase 1: credits return.
+    fn return_credits(&mut self) {
+        self.profiler
+            .add_work(Phase::Drain, self.credit_returns.len() as u64);
+        for cr in std::mem::take(&mut self.credit_returns) {
+            debug_assert!(!self.routers[cr.router].credits[cr.dir][cr.vc]);
+            self.routers[cr.router].credits[cr.dir][cr.vc] = true;
+        }
+    }
+
+    /// Phase 2: link arrivals land in their reserved VCs.
+    fn land_arrivals(&mut self) {
+        for a in std::mem::take(&mut self.incoming) {
+            let r = &mut self.routers[a.router];
+            let slot = &mut r.vcs[a.port][a.vc];
+            debug_assert!(slot.is_none(), "reserved VC occupied");
+            self.energy.on_buffer_write();
+            *slot = Some(a.flit);
+            r.occupied += 1;
+        }
+    }
+
+    /// Phase 3: ejection bypass — deliver flits one cycle after
+    /// arrival, without the crossbar.
+    fn eject(&mut self, now: u64, faulted: bool) {
+        let delivered_before = self.ledger.pending_deliveries();
+        for (r_idx, router) in self.routers.iter_mut().enumerate() {
+            if router.occupied == 0 {
+                continue;
+            }
+            let here = NodeId(r_idx as u16);
+            if faulted && self.fault_plan.router_stuck(now, here) {
+                continue; // a stuck router cannot even eject
+            }
+            for flit in router.vcs.iter_mut().flatten().flatten() {
+                if flit.eject_at.is_some_and(|t| t <= now) {
+                    flit.eject_at = None;
+                    self.energy.on_buffer_read();
+                    self.ledger
+                        .deliver(&mut self.obs, flit.core, here, now, now);
+                }
+            }
+        }
+        let ejected = self.ledger.pending_deliveries() - delivered_before;
+        self.profiler.add_work(Phase::Eject, ejected as u64);
+    }
+
+    /// Phase 4: injection — one flit per node per cycle into a free
+    /// local-port VC.
+    fn inject_from_nics(&mut self, now: u64, faulted: bool) {
+        let local = Port::Local.index();
+        let mut route_work = 0u64;
+        for r_idx in 0..self.routers.len() {
+            let here = NodeId(r_idx as u16);
+            if self.nics[r_idx].is_empty() {
+                continue;
+            }
+            if faulted && self.fault_plan.router_stuck(now, here) {
+                self.age_out_nic(here, now);
+                continue;
+            }
+            let Some(vc) = self.routers[r_idx].vcs[local]
+                .iter()
+                .position(Option::is_none)
+            else {
+                continue;
+            };
+            let (core, route) = self.nics[r_idx].pop().expect("checked non-empty");
+            let mut flit = self.make_flit(here, core, route, Port::Local, now);
+            if let Route::Tree(_) = route {
+                if self.cfg.vctm_setup_penalty > 0
+                    && !std::mem::replace(&mut self.warm_trees[core.src.index()], true)
+                {
+                    flit.eligible_at += self.cfg.vctm_setup_penalty;
+                }
+            }
+            self.energy.on_buffer_write();
+            self.routers[r_idx].vcs[local][vc] = Some(flit);
+            self.routers[r_idx].occupied += 1;
+            route_work += 1;
+        }
+        self.profiler.add_work(Phase::Route, route_work);
+    }
+
+    /// A stuck router accepts no new traffic — and a permanent fault
+    /// would strand its own NIC queue forever. Age out entries waiting
+    /// far past any transient window, failing their targets terminally
+    /// so accounting stays closed.
+    fn age_out_nic(&mut self, here: NodeId, now: u64) {
+        while let Some((core, _)) = self.nics[here.index()].front() {
+            if now.saturating_sub(core.injected_cycle) <= STALL_ABANDON_CYCLES {
+                break;
+            }
+            let (core, route) = self.nics[here.index()].pop().expect("checked non-empty");
+            self.ledger.stats.retry_exhausted += 1;
+            self.fail_route(core, route, here, now);
+        }
+    }
+
+    /// Phase 5: VC allocation at every live output of every busy router.
+    fn allocate_vcs(&mut self, now: u64, faulted: bool) {
+        let mesh = self.cfg.mesh;
+        let mut arb_work = 0u64;
+        for r_idx in 0..self.routers.len() {
+            if self.routers[r_idx].occupied == 0 {
+                continue;
+            }
+            let here = NodeId(r_idx as u16);
+            for dir in Direction::ALL {
+                if mesh.neighbor(here, dir).is_none() {
+                    continue;
+                }
+                if faulted && self.fault_plan.blocked(now, mesh, here, dir) {
+                    continue; // never grant VCs across a faulted link
+                }
+                arb_work += self.allocate_output_vcs(r_idx, dir, now);
+            }
+        }
+        self.profiler.add_work(Phase::Arbitrate, arb_work);
+    }
+
+    /// Grants the free downstream VCs of router `r_idx`'s output `dir`
+    /// to eligible branches, round-robin from the VA pointer; returns
+    /// the number of grants.
+    fn allocate_output_vcs(&mut self, r_idx: usize, dir: Direction, now: u64) -> u64 {
+        let vcs_per_port = self.cfg.vcs_per_port;
+        let d = Port::Dir(dir).index();
+        let router = &mut self.routers[r_idx];
+        // Gather requesters (port, vc, branch index) in flattened
+        // order.
+        let mut requesters: Vec<(usize, usize, usize)> = Vec::new();
+        for port in 0..5 {
+            for vc in 0..vcs_per_port {
+                if let Some(f) = router.vcs[port][vc].as_ref() {
+                    if f.eligible_at > now {
+                        continue;
+                    }
+                    for (bi, b) in f.branches.iter().enumerate() {
+                        if b.out == dir && b.out_vc.is_none() && !b.done {
+                            requesters.push((port, vc, bi));
+                        }
+                    }
+                }
+            }
+        }
+        if requesters.is_empty() {
+            return 0;
+        }
+        // Rotate requesters to start at the VA pointer.
+        let ptr = router.va_ptr[d];
+        let split = requesters
+            .iter()
+            .position(|&(p, v, _)| p * vcs_per_port + v >= ptr)
+            .unwrap_or(0);
+        requesters.rotate_left(split);
+
+        let mut free_vcs: Vec<usize> = (0..vcs_per_port)
+            .filter(|&v| router.credits[d][v])
+            .collect();
+        free_vcs.reverse(); // pop() yields ascending order
+        let mut granted = 0;
+        for (port, vc, bi) in requesters {
+            let Some(out_vc) = free_vcs.pop() else { break };
+            router.credits[d][out_vc] = false;
+            let f = router.vcs[port][vc].as_mut().expect("requester exists");
+            f.branches[bi].out_vc = Some(out_vc);
+            self.energy.on_allocation();
+            granted += 1;
+            router.va_ptr[d] = port * vcs_per_port + vc + 1;
+        }
+        granted
+    }
+
+    /// Phase 6: switch allocation (iSLIP) and traversal.
+    fn switch_and_traverse(&mut self, now: u64, faulted: bool) {
+        for r_idx in 0..self.routers.len() {
+            if self.routers[r_idx].occupied == 0 {
+                continue;
+            }
+            let here = NodeId(r_idx as u16);
+            if faulted && self.fault_plan.router_stuck(now, here) {
+                continue; // nothing moves through a stuck router
+            }
+            self.traverse_router(here, now, faulted);
+        }
+        // Link traversals this cycle = arrivals queued for the next one.
+        self.profiler
+            .add_work(Phase::Traverse, self.incoming.len() as u64);
+    }
+
+    /// One router's switch allocation: matched branches cross the
+    /// crossbar and their flit copies leave on the link.
+    fn traverse_router(&mut self, here: NodeId, now: u64, faulted: bool) {
+        let mesh = self.cfg.mesh;
+        let vcs_per_port = self.cfg.vcs_per_port;
+        let r_idx = here.index();
+        // Candidate branch per (input port, output dir), chosen
+        // round-robin over VCs.
+        let mut candidate: [[Option<(usize, usize)>; 4]; 5] = Default::default();
+        let mut requests: Vec<Vec<usize>> = vec![Vec::new(); 5];
+        for port in 0..5 {
+            for dir in Direction::ALL {
+                let d = Port::Dir(dir).index();
+                if faulted && self.fault_plan.blocked(now, mesh, here, dir) {
+                    continue; // granted VCs across a now-dead link wait
+                }
+                let sel = self.routers[r_idx].vc_sel[port][d];
+                for k in 0..vcs_per_port {
+                    let vc = (sel + k) % vcs_per_port;
+                    let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() else {
+                        continue;
+                    };
+                    if f.eligible_at > now {
+                        continue;
+                    }
+                    if let Some(bi) = f
+                        .branches
+                        .iter()
+                        .position(|b| b.out == dir && b.out_vc.is_some() && !b.done)
+                    {
+                        candidate[port][d] = Some((vc, bi));
+                        requests[port].push(d);
+                        break;
+                    }
+                }
+            }
+        }
+        let matches = self.routers[r_idx].sa.allocate(
+            &requests,
+            self.cfg.input_speedup,
+            self.cfg.islip_iterations,
+        );
+        for (port, d) in matches {
+            let (vc, bi) = candidate[port][d].expect("matched request had a candidate");
+            let dir = match Port::ALL[d] {
+                Port::Dir(dir) => dir,
+                Port::Local => unreachable!("outputs are directions"),
+            };
+            let next = mesh.neighbor(here, dir).expect("VA only grants real links");
+            let f = self.routers[r_idx].vcs[port][vc]
+                .as_mut()
+                .expect("candidate flit exists");
+            let b = &mut f.branches[bi];
+            let out_vc = b.out_vc.expect("SA requires an allocated VC");
+            b.done = true;
+            let (core, route) = (f.core, branch_route(f.route, b));
+            self.energy.on_allocation();
+            self.energy.on_buffer_read();
+            self.energy.on_crossbar();
+            self.energy.on_link();
+            self.links.record(here, dir);
+            self.obs.emit(
+                now,
+                EventKind::LinkTraversal,
+                here,
+                Some(dir),
+                Some(core.id),
+            );
+            self.routers[r_idx].vc_sel[port][d] = (vc + 1) % vcs_per_port;
+            let in_port = Port::Dir(dir.opposite());
+            let flit = self.make_flit(next, core, route, in_port, now + 1);
+            self.incoming.push(Arrival {
+                router: next.index(),
+                port: in_port.index(),
+                vc: out_vc,
+                flit,
+            });
+        }
+    }
+
+    /// Phase 7: free finished VCs and send credits upstream.
+    fn recycle_vcs(&mut self, now: u64, faulted: bool) {
+        let mesh = self.cfg.mesh;
+        for r_idx in 0..self.routers.len() {
+            if self.routers[r_idx].occupied == 0 {
+                continue;
+            }
+            let here = NodeId(r_idx as u16);
+            for port in 0..5 {
+                for vc in 0..self.cfg.vcs_per_port {
+                    let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() else {
+                        continue;
+                    };
+                    let finished = f.finished();
+                    let abandon =
+                        faulted && now.saturating_sub(f.eligible_at) > STALL_ABANDON_CYCLES;
+                    if !finished && !abandon {
+                        continue;
+                    }
+                    let flit = self.routers[r_idx].vcs[port][vc].take().expect("checked");
+                    self.routers[r_idx].occupied -= 1;
+                    if !finished {
+                        self.abandon(&flit, here, now);
+                    }
+                    if let Port::Dir(in_dir) = flit.in_port {
+                        let upstream = mesh
+                            .neighbor(here, in_dir)
+                            .expect("flit arrived over a real link");
+                        let up_out = Port::Dir(in_dir.opposite()).index();
+                        self.credit_returns.push(CreditReturn {
+                            router: upstream.index(),
+                            dir: up_out,
+                            vc,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stall-abandon: a fault plan is active and `flit`, just removed
+    /// from router `here`, has been unserviceable for far longer than
+    /// congestion alone could explain. Its remaining targets are
+    /// terminally undeliverable; reserved downstream VCs are released
+    /// so the fabric around the fault keeps flowing.
+    fn abandon(&mut self, flit: &Flit, here: NodeId, now: u64) {
+        self.ledger.stats.retry_exhausted += 1;
+        if flit.eject_at.is_some() {
+            self.ledger.fail(&mut self.obs, flit.core, here, here, now);
+        }
+        for b in flit.branches.iter().filter(|b| !b.done) {
+            if let Some(ovc) = b.out_vc {
+                let d = Port::Dir(b.out).index();
+                self.routers[here.index()].credits[d][ovc] = true;
+            }
+            self.fail_route(flit.core, branch_route(flit.route, b), here, now);
         }
     }
 
@@ -352,19 +651,8 @@ impl Network for ElectricalNetwork {
         let id = PacketId(self.next_id);
         if dests.is_empty() {
             self.next_id += 1;
-            self.stats.injected += 1;
-            self.stats.delivered += 1;
-            self.obs
-                .emit(self.cycle, EventKind::Inject, packet.src, None, Some(id));
-            self.obs
-                .emit(self.cycle, EventKind::Eject, packet.src, None, Some(id));
-            self.deliveries.push(Delivery {
-                packet: id,
-                src: packet.src,
-                dest: packet.src,
-                injected_cycle: self.cycle,
-                delivered_cycle: self.cycle,
-            });
+            self.ledger
+                .self_send(&mut self.obs, self.cycle, id, packet.src);
             return Some(id);
         }
         let route = if dests.len() == 1 {
@@ -372,7 +660,7 @@ impl Network for ElectricalNetwork {
         } else {
             Route::Tree(mask_of(&dests))
         };
-        let core = Core {
+        let core = PacketOrigin {
             id,
             src: packet.src,
             kind: packet.kind,
@@ -386,438 +674,45 @@ impl Network for ElectricalNetwork {
                 .emit(self.cycle, EventKind::NicRetry, packet.src, None, None);
             return None;
         }
-        self.outstanding.insert(id.0, dests.len());
-        self.stats.injected += 1;
+        self.ledger
+            .accept(&mut self.obs, self.cycle, id, packet.src, dests.len());
         self.next_id += 1;
-        self.obs
-            .emit(self.cycle, EventKind::Inject, packet.src, None, Some(id));
         Some(id)
     }
 
     fn step(&mut self) {
         let now = self.cycle;
-        let mesh = self.cfg.mesh;
-        let vcs_per_port = self.cfg.vcs_per_port;
         self.profiler.begin_cycle();
-        let delivered_before = self.deliveries.len();
 
-        // Fault bookkeeping: edge events for faults starting or clearing
-        // this cycle. Skipped entirely (zero-effect) with no plan.
-        let fault_active = !self.fault_plan.is_empty();
-        if fault_active {
-            for (fault, injected) in self.fault_plan.edges_at(now) {
-                let kind = if injected {
-                    EventKind::FaultInjected
-                } else {
-                    EventKind::FaultCleared
-                };
-                self.obs.emit(now, kind, fault.site(), fault.port(), None);
-            }
+        // Every fault hook is gated on this, so no plan is zero-effect.
+        let faulted = !self.fault_plan.is_empty();
+        if faulted {
+            self.fault_plan.emit_edges(&mut self.obs, now);
         }
         self.profiler.mark(Phase::Fault);
-
-        // Phase 1: credits return.
-        self.profiler
-            .add_work(Phase::Drain, self.credit_returns.len() as u64);
-        for cr in std::mem::take(&mut self.credit_returns) {
-            debug_assert!(!self.routers[cr.router].credits[cr.dir][cr.vc]);
-            self.routers[cr.router].credits[cr.dir][cr.vc] = true;
-        }
-
-        // Phase 2: link arrivals land in their reserved VCs.
-        for a in std::mem::take(&mut self.incoming) {
-            let r = &mut self.routers[a.router];
-            let slot = &mut r.vcs[a.port][a.vc];
-            debug_assert!(slot.is_none(), "reserved VC occupied");
-            self.energy.on_buffer_write();
-            *slot = Some(a.flit);
-            r.occupied += 1;
-        }
+        self.return_credits();
+        self.land_arrivals();
         self.profiler.mark(Phase::Drain);
-
-        // Phase 3: ejection bypass — deliver flits one cycle after
-        // arrival, without the crossbar.
-        for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
-                continue;
-            }
-            let here = NodeId(r_idx as u16);
-            if fault_active && self.fault_plan.router_stuck(now, here) {
-                continue; // a stuck router cannot even eject
-            }
-            for port in 0..5 {
-                for vc in 0..vcs_per_port {
-                    if let Some(flit) = self.routers[r_idx].vcs[port][vc].as_mut() {
-                        if let Some(t) = flit.eject_at {
-                            if t <= now {
-                                flit.eject_at = None;
-                                let core = flit.core;
-                                self.energy.on_buffer_read();
-                                Self::deliver(
-                                    &mut self.outstanding,
-                                    &mut self.deliveries,
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    core,
-                                    here,
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        self.profiler.add_work(
-            Phase::Eject,
-            (self.deliveries.len() - delivered_before) as u64,
-        );
+        self.eject(now, faulted);
         self.profiler.mark(Phase::Eject);
-
-        // Phase 4: injection — one flit per node per cycle into a free
-        // local-port VC.
-        let mut route_work = 0u64;
-        for r_idx in 0..self.routers.len() {
-            let here = NodeId(r_idx as u16);
-            let local = Port::Local.index();
-            if self.nics[r_idx].is_empty() {
-                continue;
-            }
-            if fault_active && self.fault_plan.router_stuck(now, here) {
-                // A stuck router accepts no new traffic — and a permanent
-                // fault would strand its own NIC queue forever. Age out
-                // entries waiting far past any transient window, failing
-                // their targets terminally so accounting stays closed.
-                while let Some((core, _)) = self.nics[r_idx].front() {
-                    if now.saturating_sub(core.injected_cycle) <= STALL_ABANDON_CYCLES {
-                        break;
-                    }
-                    let (core, route) = self.nics[r_idx].pop().expect("checked non-empty");
-                    self.stats.retry_exhausted += 1;
-                    match route {
-                        Route::Unicast(dest) => Self::record_failure(
-                            &mut self.outstanding,
-                            &mut self.failures,
-                            &mut self.stats,
-                            &mut self.obs,
-                            core,
-                            dest,
-                            here,
-                            now,
-                        ),
-                        Route::Tree(mask) => {
-                            for t in mask.iter() {
-                                Self::record_failure(
-                                    &mut self.outstanding,
-                                    &mut self.failures,
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    core,
-                                    t,
-                                    here,
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            let Some(vc) = (0..vcs_per_port).find(|&v| self.routers[r_idx].vcs[local][v].is_none())
-            else {
-                continue;
-            };
-            let (core, route) = self.nics[r_idx].pop().expect("checked non-empty");
-            let mut flit = self.make_flit(here, core, route, Port::Local, now);
-            if let Route::Tree(_) = route {
-                if self.cfg.vctm_setup_penalty > 0
-                    && !std::mem::replace(&mut self.warm_trees[core.src.index()], true)
-                {
-                    flit.eligible_at += self.cfg.vctm_setup_penalty;
-                }
-            }
-            self.energy.on_buffer_write();
-            self.routers[r_idx].vcs[local][vc] = Some(flit);
-            self.routers[r_idx].occupied += 1;
-            route_work += 1;
-        }
-        self.profiler.add_work(Phase::Route, route_work);
+        self.inject_from_nics(now, faulted);
         self.profiler.mark(Phase::Route);
-
-        // Phase 5: VC allocation — grant free downstream VCs to eligible
-        // branches, round-robin per output direction.
-        let mut arb_work = 0u64;
-        for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
-                continue;
-            }
-            for dir in Direction::ALL {
-                let d = Port::Dir(dir).index();
-                if mesh.neighbor(NodeId(r_idx as u16), dir).is_none() {
-                    continue;
-                }
-                if fault_active
-                    && self
-                        .fault_plan
-                        .blocked(now, mesh, NodeId(r_idx as u16), dir)
-                {
-                    continue; // never grant VCs across a faulted link
-                }
-                // Gather requesters (port, vc, branch index) in flattened
-                // order.
-                let mut requesters: Vec<(usize, usize, usize)> = Vec::new();
-                for port in 0..5 {
-                    for vc in 0..vcs_per_port {
-                        if let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() {
-                            if f.eligible_at > now {
-                                continue;
-                            }
-                            for (bi, b) in f.branches.iter().enumerate() {
-                                if b.out == dir && b.out_vc.is_none() && !b.done {
-                                    requesters.push((port, vc, bi));
-                                }
-                            }
-                        }
-                    }
-                }
-                if requesters.is_empty() {
-                    continue;
-                }
-                // Rotate requesters to start at the VA pointer.
-                let ptr = self.routers[r_idx].va_ptr[d];
-                let split = requesters
-                    .iter()
-                    .position(|&(p, v, _)| p * vcs_per_port + v >= ptr)
-                    .unwrap_or(0);
-                requesters.rotate_left(split);
-
-                let mut free_vcs: Vec<usize> = (0..vcs_per_port)
-                    .filter(|&v| self.routers[r_idx].credits[d][v])
-                    .collect();
-                free_vcs.reverse(); // pop() yields ascending order
-                for (port, vc, bi) in requesters {
-                    let Some(out_vc) = free_vcs.pop() else { break };
-                    self.routers[r_idx].credits[d][out_vc] = false;
-                    let f = self.routers[r_idx].vcs[port][vc]
-                        .as_mut()
-                        .expect("requester exists");
-                    f.branches[bi].out_vc = Some(out_vc);
-                    self.energy.on_allocation();
-                    arb_work += 1;
-                    self.routers[r_idx].va_ptr[d] = port * vcs_per_port + vc + 1;
-                }
-            }
-        }
-        self.profiler.add_work(Phase::Arbitrate, arb_work);
+        self.allocate_vcs(now, faulted);
         self.profiler.mark(Phase::Arbitrate);
-
-        // Phase 6: switch allocation (iSLIP) and traversal.
-        for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
-                continue;
-            }
-            let here = NodeId(r_idx as u16);
-            if fault_active && self.fault_plan.router_stuck(now, here) {
-                continue; // nothing moves through a stuck router
-            }
-            // Candidate branch per (input port, output dir), chosen
-            // round-robin over VCs.
-            let mut candidate: [[Option<(usize, usize)>; 4]; 5] = Default::default();
-            let mut requests: Vec<Vec<usize>> = vec![Vec::new(); 5];
-            for port in 0..5 {
-                for dir in Direction::ALL {
-                    let d = Port::Dir(dir).index();
-                    if fault_active && self.fault_plan.blocked(now, mesh, here, dir) {
-                        continue; // granted VCs across a now-dead link wait
-                    }
-                    let sel = self.routers[r_idx].vc_sel[port][d];
-                    for k in 0..vcs_per_port {
-                        let vc = (sel + k) % vcs_per_port;
-                        let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() else {
-                            continue;
-                        };
-                        if f.eligible_at > now {
-                            continue;
-                        }
-                        if let Some(bi) = f
-                            .branches
-                            .iter()
-                            .position(|b| b.out == dir && b.out_vc.is_some() && !b.done)
-                        {
-                            candidate[port][d] = Some((vc, bi));
-                            requests[port].push(d);
-                            break;
-                        }
-                    }
-                }
-            }
-            let matches = {
-                let r = &mut self.routers[r_idx];
-                r.sa.allocate(&requests, self.cfg.input_speedup, self.cfg.islip_iterations)
-            };
-            for (port, d) in matches {
-                let (vc, bi) = candidate[port][d].expect("matched request had a candidate");
-                let dir = match Port::ALL[d] {
-                    Port::Dir(dir) => dir,
-                    Port::Local => unreachable!("outputs are directions"),
-                };
-                let next = mesh.neighbor(here, dir).expect("VA only grants real links");
-                let (core, route_mask, out_vc) = {
-                    let f = self.routers[r_idx].vcs[port][vc]
-                        .as_mut()
-                        .expect("candidate flit exists");
-                    let b = &mut f.branches[bi];
-                    let out_vc = b.out_vc.expect("SA requires an allocated VC");
-                    b.done = true;
-                    (f.core, b.mask, out_vc)
-                };
-                self.energy.on_allocation();
-                self.energy.on_buffer_read();
-                self.energy.on_crossbar();
-                self.energy.on_link();
-                self.links.record(here, dir);
-                self.obs.emit(
-                    now,
-                    EventKind::LinkTraversal,
-                    here,
-                    Some(dir),
-                    Some(core.id),
-                );
-                self.routers[r_idx].vc_sel[port][d] = (vc + 1) % vcs_per_port;
-                let route = if route_mask.is_empty() {
-                    match self.routers[r_idx].vcs[port][vc].as_ref().unwrap().route {
-                        Route::Unicast(dest) => Route::Unicast(dest),
-                        Route::Tree(_) => unreachable!("tree branches carry masks"),
-                    }
-                } else {
-                    Route::Tree(route_mask)
-                };
-                let in_port = Port::Dir(dir.opposite());
-                let flit = self.make_flit(next, core, route, in_port, now + 1);
-                self.incoming.push(Arrival {
-                    router: next.index(),
-                    port: in_port.index(),
-                    vc: out_vc,
-                    flit,
-                });
-            }
-        }
-
-        // Link traversals this cycle = arrivals queued for the next one.
-        self.profiler
-            .add_work(Phase::Traverse, self.incoming.len() as u64);
+        self.switch_and_traverse(now, faulted);
         self.profiler.mark(Phase::Traverse);
-
-        // Phase 7: free finished VCs and send credits upstream.
-        for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
-                continue;
-            }
-            let here = NodeId(r_idx as u16);
-            for port in 0..5 {
-                for vc in 0..vcs_per_port {
-                    let (finished, abandon) = match self.routers[r_idx].vcs[port][vc].as_ref() {
-                        None => (false, false),
-                        Some(f) => (
-                            f.finished(),
-                            fault_active
-                                && now.saturating_sub(f.eligible_at) > STALL_ABANDON_CYCLES,
-                        ),
-                    };
-                    if !finished && !abandon {
-                        continue;
-                    }
-                    let flit = self.routers[r_idx].vcs[port][vc].take().expect("checked");
-                    self.routers[r_idx].occupied -= 1;
-                    if abandon && !finished {
-                        // Stall-abandon: a fault plan is active and this
-                        // flit has been unserviceable for far longer than
-                        // congestion alone could explain. Its remaining
-                        // targets are terminally undeliverable; reserved
-                        // downstream VCs are released so the fabric around
-                        // the fault keeps flowing.
-                        self.stats.retry_exhausted += 1;
-                        for b in &flit.branches {
-                            if !b.done {
-                                if let Some(ovc) = b.out_vc {
-                                    let d = Port::Dir(b.out).index();
-                                    self.routers[r_idx].credits[d][ovc] = true;
-                                }
-                            }
-                        }
-                        if flit.eject_at.is_some() {
-                            Self::record_failure(
-                                &mut self.outstanding,
-                                &mut self.failures,
-                                &mut self.stats,
-                                &mut self.obs,
-                                flit.core,
-                                here,
-                                here,
-                                now,
-                            );
-                        }
-                        for b in &flit.branches {
-                            if b.done {
-                                continue;
-                            }
-                            match flit.route {
-                                Route::Unicast(dest) => Self::record_failure(
-                                    &mut self.outstanding,
-                                    &mut self.failures,
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    flit.core,
-                                    dest,
-                                    here,
-                                    now,
-                                ),
-                                Route::Tree(_) => {
-                                    for t in b.mask.iter() {
-                                        Self::record_failure(
-                                            &mut self.outstanding,
-                                            &mut self.failures,
-                                            &mut self.stats,
-                                            &mut self.obs,
-                                            flit.core,
-                                            t,
-                                            here,
-                                            now,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if let Port::Dir(in_dir) = flit.in_port {
-                        let upstream = mesh
-                            .neighbor(here, in_dir)
-                            .expect("flit arrived over a real link");
-                        let up_out = Port::Dir(in_dir.opposite()).index();
-                        self.credit_returns.push(CreditReturn {
-                            router: upstream.index(),
-                            dir: up_out,
-                            vc,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Phase 8: leakage, clock. Phases 7–8 are resource recycling, so
-        // their time accrues to the drain phase alongside phases 1–2.
+        self.recycle_vcs(now, faulted);
         self.energy.on_cycle();
         self.cycle += 1;
         self.profiler.mark(Phase::Drain);
     }
 
     fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.deliveries)
+        self.ledger.drain_deliveries()
     }
 
     fn drain_deliveries_into(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.deliveries);
+        self.ledger.drain_deliveries_into(out);
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan, _seed: u64) {
@@ -828,15 +723,15 @@ impl Network for ElectricalNetwork {
     }
 
     fn drain_failures(&mut self) -> Vec<FailedDelivery> {
-        std::mem::take(&mut self.failures)
+        self.ledger.drain_failures()
     }
 
     fn drain_failures_into(&mut self, out: &mut Vec<FailedDelivery>) {
-        out.append(&mut self.failures);
+        self.ledger.drain_failures_into(out);
     }
 
     fn in_flight(&self) -> usize {
-        self.outstanding.len()
+        self.ledger.in_flight()
     }
 
     fn energy(&self) -> EnergyReport {
@@ -844,7 +739,7 @@ impl Network for ElectricalNetwork {
     }
 
     fn stats(&self) -> NetworkStats {
-        self.stats.clone()
+        self.ledger.stats.clone()
     }
 
     fn link_counters(&self) -> LinkCounters {

@@ -20,6 +20,7 @@
 //! to a build without this module.
 
 use crate::geometry::{Coord, Direction, Mesh, NodeId};
+use crate::obs::{EventKind, Obs};
 use crate::packet::PacketId;
 use crate::rng::SimRng;
 
@@ -213,6 +214,19 @@ impl FaultPlan {
                 None
             }
         })
+    }
+
+    /// Emits the trace edge events of `cycle`: `FaultInjected` for every
+    /// fault starting, `FaultCleared` for every window ending.
+    pub fn emit_edges(&self, obs: &mut Obs, cycle: u64) {
+        for (fault, injected) in self.edges_at(cycle) {
+            let kind = if injected {
+                EventKind::FaultInjected
+            } else {
+                EventKind::FaultCleared
+            };
+            obs.emit(cycle, kind, fault.site(), fault.port(), None);
+        }
     }
 
     /// Parses a plan from its text form. One fault per line:

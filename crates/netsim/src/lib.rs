@@ -15,6 +15,8 @@
 //!   simulator hot path;
 //! * [`fault`] — deterministic fault injection (dead links, stuck
 //!   routers, laser droop, bit errors) and terminal delivery failures;
+//! * [`ledger`] — the per-destination delivery accounting both
+//!   simulators share (owed copies, deliveries, terminal failures);
 //! * [`mask`] — 256-node bitsets for multicast target tracking;
 //! * [`network`] — the [`network::Network`] trait;
 //! * [`ideal`] — a contention-free reference network (lower bound and
@@ -48,6 +50,7 @@ pub mod fault;
 pub mod geometry;
 pub mod harness;
 pub mod ideal;
+pub mod ledger;
 pub mod mask;
 pub mod network;
 pub mod nic;

@@ -3,10 +3,12 @@
 //! in-tree deterministic [`SimRng`].
 
 use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
+use phastlane_repro::netsim::fault::FaultPlan;
 use phastlane_repro::netsim::packet::PacketKind;
 use phastlane_repro::netsim::rng::SimRng;
 use phastlane_repro::netsim::{DestSet, Network, NewPacket, NodeId};
 use phastlane_repro::optical::{BufferDepth, PhastlaneConfig, PhastlaneNetwork};
+use std::collections::BTreeSet;
 
 /// Drives a set of packets to completion and returns the sorted
 /// (src, dest) delivery pairs plus drop statistics.
@@ -157,4 +159,76 @@ fn optical_latency_bounded() {
             assert!(d.latency() < 10_000);
         }
     }
+}
+
+/// Drives random traffic for `inject_cycles` of `cycles` under a heavy
+/// random fault plan (dead links, a stuck router, droop, bit errors) and
+/// checks packet conservation after *every* step, not only at idle:
+/// each accepted `(packet, dest)` copy ends as exactly one delivery or
+/// one terminal failure, never both and never twice, and the network's
+/// own counters and `in_flight()` agree with what is still owed.
+fn conserves_every_cycle(net: &mut dyn Network, seed: u64, inject_cycles: u64, cycles: u64) {
+    let mesh = net.mesh();
+    net.set_fault_plan(FaultPlan::random(mesh, seed, 0.3), seed);
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut owed: BTreeSet<(u64, u16)> = BTreeSet::new();
+    let mut accepted = 0u64;
+    for cycle in 0..cycles {
+        for _ in 0..if cycle < inject_cycles { 6 } else { 0 } {
+            let p = random_packet(&mut rng);
+            let Some(id) = net.inject(p.clone()) else {
+                continue;
+            };
+            let dests = p.dests.expand(p.src, mesh.nodes());
+            // A self-send is accepted and delivered on the spot.
+            let dests = if dests.is_empty() { vec![p.src] } else { dests };
+            accepted += dests.len() as u64;
+            for d in dests {
+                assert!(owed.insert((id.0, d.0)), "packet id {id:?} reused");
+            }
+        }
+        net.step();
+        let delivered = net.drain_deliveries();
+        let failed = net.drain_failures();
+        let ended = (delivered.iter().map(|d| (d.packet.0, d.dest.0)))
+            .chain(failed.iter().map(|f| (f.packet.0, f.dest.0)));
+        for pair in ended {
+            assert!(
+                owed.remove(&pair),
+                "cycle {cycle}: {pair:?} ended twice or was never accepted"
+            );
+        }
+        let stats = net.stats();
+        assert_eq!(
+            accepted,
+            stats.delivered + stats.undeliverable + owed.len() as u64,
+            "cycle {cycle}: accepted copies != delivered + failed + still owed"
+        );
+        let packets_owed: BTreeSet<u64> = owed.iter().map(|&(id, _)| id).collect();
+        assert_eq!(net.in_flight(), packets_owed.len(), "cycle {cycle}");
+    }
+    let stats = net.stats();
+    assert!(stats.undeliverable > 0, "the fault plan never bit");
+    assert!(stats.delivered > 0);
+}
+
+/// Conservation under faults, every cycle, on Phastlane: a finite retry
+/// cap makes both give-up paths (drop-return past the cap, fault stall
+/// past the cap) fire, and the run ends fully accounted for.
+#[test]
+fn optical_conserves_every_cycle_under_faults() {
+    let mut cfg = PhastlaneConfig::optical4();
+    cfg.retry_limit = 8;
+    let mut net = PhastlaneNetwork::new(cfg);
+    conserves_every_cycle(&mut net, 0x0092_0906, 200, 5_000);
+    assert_eq!(net.in_flight(), 0, "retry caps bound every packet's life");
+}
+
+/// Same law on the electrical baseline, run past the 2 000-cycle
+/// stall-abandon guard so stranded flits and NIC entries fail
+/// terminally instead of staying owed forever.
+#[test]
+fn electrical_conserves_every_cycle_under_faults() {
+    let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
+    conserves_every_cycle(&mut net, 0x0092_0907, 200, 2_400);
 }

@@ -45,7 +45,7 @@ impl Fnv {
     }
 
     fn opt(&mut self, v: Option<u64>) {
-        self.u64(v.map_or(u64::MAX, |x| x));
+        self.u64(v.unwrap_or(u64::MAX));
     }
 }
 
