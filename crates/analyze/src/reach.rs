@@ -21,7 +21,7 @@
 //! [`LaserDroop`]: phastlane_netsim::fault::FaultKind::LaserDroop
 
 use crate::cdg::{route_walk, Walk};
-use phastlane_core::PhastlaneConfig;
+use phastlane_lab::runner::optical_config;
 use phastlane_netsim::fault::{FaultKind, FaultPlan};
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_photonics::power::PowerPoint;
@@ -108,32 +108,6 @@ pub fn worst_case_droop(plan: &FaultPlan) -> f64 {
             _ => None,
         })
         .product()
-}
-
-/// The optical configuration behind a lab network name, or `None` for
-/// the electrical baselines (which have no optical loss budget).
-///
-/// # Errors
-///
-/// Errors on a name outside [`phastlane_lab::runner::NETWORKS`].
-pub fn optical_config(net: &str) -> Result<Option<PhastlaneConfig>, String> {
-    let cfg = match net.to_ascii_lowercase().as_str() {
-        "optical4" => Some(PhastlaneConfig::optical4()),
-        "optical5" => Some(PhastlaneConfig::optical5()),
-        "optical8" => Some(PhastlaneConfig::optical8()),
-        "optical4b32" => Some(PhastlaneConfig::optical4_b32()),
-        "optical4b64" => Some(PhastlaneConfig::optical4_b64()),
-        "optical4ib" => Some(PhastlaneConfig::optical4_ib()),
-        "optical4sp50" => Some(PhastlaneConfig::optical4_shared_pool()),
-        "electrical2" | "electrical3" => None,
-        other => {
-            return Err(format!(
-                "unknown network {other:?}; known: {}",
-                phastlane_lab::runner::NETWORKS.join(" ")
-            ))
-        }
-    };
-    Ok(cfg)
 }
 
 /// Evaluates the optical envelope of `net` on `mesh` under `plan`'s

@@ -8,11 +8,10 @@
 pub mod chart;
 pub mod report;
 
-use phastlane_core::{PhastlaneConfig, PhastlaneNetwork};
-use phastlane_electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_netsim::harness::{run_trace, Trace, TraceOptions, TraceResult};
 use phastlane_netsim::network::Network;
 use phastlane_netsim::stats::NetworkStats;
+use phastlane_netsim::Mesh;
 
 /// Network clock in GHz (4 GHz throughout the paper).
 pub const CLOCK_GHZ: f64 = 4.0;
@@ -74,22 +73,11 @@ impl Config {
         }
     }
 
-    /// Builds a fresh network of this configuration.
+    /// Builds a fresh network of this configuration on the paper's
+    /// 8x8 mesh, through the lab runner's registry.
     pub fn build(self) -> Box<dyn Network> {
-        match self {
-            Config::Optical4 => Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical4())),
-            Config::Optical5 => Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical5())),
-            Config::Optical8 => Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical8())),
-            Config::Optical4B32 => Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical4_b32())),
-            Config::Optical4B64 => Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical4_b64())),
-            Config::Optical4IB => Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical4_ib())),
-            Config::Electrical3 => {
-                Box::new(ElectricalNetwork::new(ElectricalConfig::electrical3()))
-            }
-            Config::Electrical2 => {
-                Box::new(ElectricalNetwork::new(ElectricalConfig::electrical2()))
-            }
-        }
+        phastlane_lab::runner::build_network(self.label(), Mesh::PAPER, None)
+            .expect("every figure label is a lab network name")
     }
 }
 

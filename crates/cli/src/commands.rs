@@ -940,10 +940,8 @@ USAGE:
                      [--profile-sample C] [--journal F] [--resume F]
                      [--preflight]
   phastlane lab record  SPEC [--name NAME] [--baseline-dir DIR] [--workers N]
-                     [--bench-out F]
   phastlane lab compare SPEC [--name NAME] [--baseline-dir DIR] [--workers N]
                      [--tol-mean T] [--tol-p99 T] [--tol-saturation T]
-                     [--tol-throughput T]
   phastlane serve    [--addr A] [--workers N] [--queue-depth D]
                      [--state-dir DIR] [--baseline-dir DIR] [--allow-shutdown]
   phastlane client submit SPEC [--addr A] [--workers N] [--wait]
@@ -968,7 +966,7 @@ observability (simulate, sweep, chaos):
   --sample-interval C   metrics window in cycles (default 100)
   --ring N              keep only the latest N trace events
   --severity S          trace floor: debug (default), info, warn
-  --profile             per-phase hot-loop breakdown (table + report/BENCH)
+  --profile             per-phase hot-loop breakdown (table + report/--perf-out)
   --profile-sample C    time one cycle in C under --profile (default 32)
   --flight-recorder F   dump per-packet journeys (every 1-in-N sampled
                         packet plus every undeliverable one) to F as JSON
@@ -1064,9 +1062,7 @@ pub fn dispatch(p: &Parsed) -> Result<String, ArgError> {
         Some("trace-dump") => cmd_trace_dump(p),
         Some("design") => cmd_design(p),
         Some("help") | None => Ok(usage().to_string()),
-        Some(other) => Err(ArgError(format!(
-            "unknown command {other:?}; try `phastlane help`"
-        ))),
+        Some(other) => Err(ArgError(format!("unknown command {other:?}"))),
     }
 }
 

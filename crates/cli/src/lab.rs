@@ -6,11 +6,12 @@
 //!   `.json` or `.csv`) and the perf profile (`--perf-out`). The
 //!   canonical export is byte-identical for any `--workers` value.
 //! * `lab record FILE` — run, then write
-//!   `<baseline-dir>/<name>.json` (canonical + perf) and a
-//!   `BENCH_<name>.json` trajectory point next to the baseline dir.
+//!   `<baseline-dir>/<name>.json` (the canonical report only, so the
+//!   file is byte-identical on any host at any `--workers`).
 //! * `lab compare FILE` — run fresh, diff against the recorded
 //!   baseline, and **fail** (non-zero exit) on any regression beyond
-//!   the `--tol-*` tolerances.
+//!   the `--tol-*` tolerances. Only deterministic metrics are gated;
+//!   wall-clock speed is measured by `benchmark/` alone.
 
 use crate::args::{ArgError, Parsed};
 use phastlane_lab::baseline::{self, Tolerances};
@@ -18,7 +19,7 @@ use phastlane_lab::journal::{self, Journal};
 use phastlane_lab::scheduler::{run_lab_opts, RunOptions};
 use phastlane_lab::store::{self, StoreError};
 use phastlane_lab::{LabReport, LabSpec};
-use phastlane_netsim::obs::json::{self, JsonValue};
+use phastlane_netsim::obs::json;
 use phastlane_netsim::obs::{EventSink, Phase, PhaseProfiler};
 use std::path::{Path, PathBuf};
 
@@ -32,19 +33,30 @@ fn read_spec(p: &Parsed) -> Result<LabSpec, ArgError> {
 }
 
 fn parse_tolerances(p: &Parsed) -> Result<Tolerances, ArgError> {
+    // NaN or inf would make every `fresh > base * (1 + tol)` check
+    // false and so switch the gate off without saying so.
+    let tol = |key: &str, default: f64| -> Result<f64, ArgError> {
+        let v: f64 = p.get_parsed(key, default)?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(ArgError(format!(
+                "--{key} must be a finite, non-negative number, got {v}"
+            )))
+        }
+    };
     let d = Tolerances::default();
     Ok(Tolerances {
-        mean: p.get_parsed("tol-mean", d.mean)?,
-        p99: p.get_parsed("tol-p99", d.p99)?,
-        saturation: p.get_parsed("tol-saturation", d.saturation)?,
-        throughput: p.get_parsed("tol-throughput", d.throughput)?,
+        mean: tol("tol-mean", d.mean)?,
+        p99: tol("tol-p99", d.p99)?,
+        saturation: tol("tol-saturation", d.saturation)?,
     })
 }
 
-fn write_json(path: &str, json: &JsonValue) -> Result<(), ArgError> {
+fn write_atomic(path: &str, body: &str) -> Result<(), ArgError> {
     // Atomic (temp + rename): a crash mid-export leaves the previous
     // file intact, never a torn report.
-    store::write_atomic(Path::new(path), json.to_string_pretty().as_bytes())
+    store::write_atomic(Path::new(path), body.as_bytes())
         .map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }
 
@@ -221,16 +233,16 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
         ));
     }
     if let Some(path) = p.get("report-out") {
-        if path.ends_with(".csv") {
-            std::fs::write(path, report.to_csv())
-                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+        let body = if path.ends_with(".csv") {
+            report.to_csv()
         } else {
-            write_json(path, &report.canonical_json())?;
-        }
+            report.canonical_json().to_string_pretty()
+        };
+        write_atomic(path, &body)?;
         out.push_str(&format!("report -> {path}\n"));
     }
     if let Some(path) = p.get("perf-out") {
-        write_json(path, &report.perf_json())?;
+        write_atomic(path, &report.perf_json().to_string_pretty())?;
         out.push_str(&format!("perf -> {path}\n"));
     }
     Ok((report, out))
@@ -240,52 +252,6 @@ fn baseline_path(p: &Parsed, spec: &LabSpec) -> (PathBuf, String) {
     let dir = PathBuf::from(p.get("baseline-dir").unwrap_or("results/baselines"));
     let name = p.get("name").unwrap_or(&spec.name).to_string();
     (dir.join(format!("{name}.json")), name)
-}
-
-/// The commit the bench point was measured at: `GITHUB_SHA` in CI,
-/// `git rev-parse HEAD` locally, `"unknown"` outside a checkout.
-fn git_commit() -> String {
-    std::env::var("GITHUB_SHA")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-                .filter(|s| !s.is_empty())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// A `BENCH_*.json` trajectory point: the perf layer plus enough
-/// identity (commit, arena layout, worker count) that
-/// successive recordings chart simulator throughput over the repo's
-/// history and every number is attributable to the code that made it.
-fn bench_json(name: &str, report: &LabReport) -> JsonValue {
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    JsonValue::Obj(vec![
-        ("bench".into(), JsonValue::Str(format!("lab-{name}"))),
-        ("unix_time".into(), JsonValue::Uint(unix_time)),
-        ("commit".into(), JsonValue::Str(git_commit())),
-        (
-            "config".into(),
-            JsonValue::Obj(vec![
-                (
-                    "arena_layout".into(),
-                    JsonValue::Str(phastlane_core::ARENA_LAYOUT.into()),
-                ),
-                ("workers".into(), JsonValue::Uint(report.workers as u64)),
-            ]),
-        ),
-        ("jobs".into(), JsonValue::Uint(report.jobs.len() as u64)),
-        ("perf".into(), report.perf_json()),
-    ])
 }
 
 /// `phastlane lab run|record|compare`.
@@ -314,19 +280,6 @@ pub fn cmd_lab(p: &Parsed) -> Result<String, ArgError> {
             )
             .map_err(|e| ArgError(format!("cannot write baseline: {e}")))?;
             out.push_str(&format!("baseline {name} -> {}\n", path.display()));
-            let bench_path = match p.get("bench-out") {
-                Some(b) => PathBuf::from(b),
-                None => path
-                    .parent()
-                    .and_then(Path::parent)
-                    .unwrap_or_else(|| Path::new("."))
-                    .join(format!("BENCH_{name}.json")),
-            };
-            write_json(
-                bench_path.to_str().expect("utf-8 path"),
-                &bench_json(&name, &report),
-            )?;
-            out.push_str(&format!("bench point -> {}\n", bench_path.display()));
             Ok(out)
         }
         Some("compare") => {
@@ -385,6 +338,7 @@ pub fn cmd_lab(p: &Parsed) -> Result<String, ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phastlane_netsim::obs::json::JsonValue;
 
     fn parsed(words: &[&str]) -> Parsed {
         Parsed::parse(words.iter().map(|s| s.to_string())).expect("parses")
@@ -513,38 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_point_carries_commit_and_config() {
-        let dir = scratch("bench-id");
-        let spec = write_spec(&dir, SPEC);
-        let bdir = dir.join("baselines");
-        let bench = dir.join("BENCH_cmd-test.json");
-        cmd_lab(&parsed(&[
-            "lab",
-            "record",
-            &spec,
-            "--baseline-dir",
-            bdir.to_str().unwrap(),
-            "--bench-out",
-            bench.to_str().unwrap(),
-        ]))
-        .expect("records");
-        let text = std::fs::read_to_string(&bench).unwrap();
-        for key in [
-            "\"commit\"",
-            "\"config\"",
-            "\"arena_layout\"",
-            "\"workers\"",
-        ] {
-            assert!(text.contains(key), "bench point missing {key}: {text}");
-        }
-        assert!(
-            text.contains(&format!("\"{}\"", phastlane_core::ARENA_LAYOUT)),
-            "{text}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn record_then_compare_passes_clean() {
         let dir = scratch("record-compare");
         let spec = write_spec(&dir, SPEC);
@@ -558,9 +480,7 @@ mod tests {
         ]);
         let out = cmd_lab(&record).expect("records");
         assert!(out.contains("baseline cmd-test ->"), "{out}");
-        assert!(out.contains("bench point ->"), "{out}");
         assert!(bdir.join("cmd-test.json").exists());
-        assert!(dir.join("BENCH_cmd-test.json").exists());
 
         let compare = parsed(&[
             "lab",
@@ -572,6 +492,54 @@ mod tests {
         let out = cmd_lab(&compare).expect("zero-drift compare passes");
         assert!(out.contains("no regressions"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_is_byte_identical_across_workers_and_writes_only_the_baseline() {
+        let dir = scratch("record-workers");
+        let spec = write_spec(&dir, SPEC);
+        for workers in ["1", "2"] {
+            cmd_lab(&parsed(&[
+                "lab",
+                "record",
+                &spec,
+                "--workers",
+                workers,
+                "--baseline-dir",
+                dir.join(format!("w{workers}")).to_str().unwrap(),
+            ]))
+            .expect("records");
+        }
+        assert_eq!(
+            std::fs::read(dir.join("w1/cmd-test.json")).unwrap(),
+            std::fs::read(dir.join("w2/cmd-test.json")).unwrap(),
+            "a baseline holds no wall-clock or worker-count field"
+        );
+        let ls = |d: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(ls(&dir), ["test.lab", "w1", "w2"]);
+        assert_eq!(ls(&dir.join("w1")), ["cmd-test.json"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_finite_or_negative_tolerances_are_rejected() {
+        for key in ["tol-mean", "tol-p99", "tol-saturation"] {
+            for bad in ["NaN", "inf", "-inf", "-0.1"] {
+                let err = parse_tolerances(&parsed(&["lab", "compare", &format!("--{key}={bad}")]))
+                    .expect_err("a tolerance that disables the gate must be refused");
+                assert!(err.to_string().contains(&format!("--{key}")), "{err}");
+            }
+            let tol = parse_tolerances(&parsed(&["lab", "compare", &format!("--{key}=0.25")]))
+                .expect("a plain fraction is accepted");
+            assert_ne!(tol, Tolerances::default());
+        }
     }
 
     #[test]

@@ -65,9 +65,10 @@ pub use network::PhastlaneNetwork;
 pub use policies::{ArbitrationPolicy, PathPriority};
 
 /// Version tag for the hot-path data layout (flight arena, parked
-/// launch entries, arbitrable bitmask). Recorded in `BENCH_*.json`
-/// trajectory points so a perf number is attributable to the layout
-/// that produced it; bump when the per-cycle memory layout changes.
+/// launch entries, arbitrable bitmask). The perf ledger (`benchmark/`)
+/// stamps it into `results.json` so a perf number is attributable to
+/// the layout that produced it; bump when the per-cycle memory layout
+/// changes.
 pub const ARENA_LAYOUT: &str = "soa-v2";
 
 // Compile-time `Send` guarantee: the `phastlane-lab` scheduler runs

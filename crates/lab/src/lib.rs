@@ -24,7 +24,7 @@
 //! * [`baseline`] — a named baseline store (`results/baselines/*.json`)
 //!   and the regression gate: [`baseline::compare`] diffs a fresh run
 //!   against a recorded baseline and reports regressions in mean/p99
-//!   latency, saturation rate, and simulator throughput beyond
+//!   latency and saturation rate — the deterministic metrics — beyond
 //!   configurable tolerances;
 //! * [`supervise`] — panic isolation and bounded seeded retry around
 //!   every job, so one crashing or livelocked simulation records a

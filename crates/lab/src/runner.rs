@@ -44,6 +44,32 @@ pub fn known_network(name: &str) -> bool {
     NETWORKS.contains(&lower.as_str())
 }
 
+/// The optical configuration behind a network name, or `None` for the
+/// electrical baselines — the one name → [`PhastlaneConfig`] table of
+/// the workspace (case-insensitive).
+///
+/// # Errors
+///
+/// Errors on a name outside [`NETWORKS`].
+pub fn optical_config(name: &str) -> Result<Option<PhastlaneConfig>, String> {
+    Ok(Some(match name.to_ascii_lowercase().as_str() {
+        "optical4" => PhastlaneConfig::optical4(),
+        "optical5" => PhastlaneConfig::optical5(),
+        "optical8" => PhastlaneConfig::optical8(),
+        "optical4b32" => PhastlaneConfig::optical4_b32(),
+        "optical4b64" => PhastlaneConfig::optical4_b64(),
+        "optical4ib" => PhastlaneConfig::optical4_ib(),
+        "optical4sp50" => PhastlaneConfig::optical4_shared_pool(),
+        "electrical2" | "electrical3" => return Ok(None),
+        other => {
+            return Err(format!(
+                "unknown network {other:?}; known: {}",
+                NETWORKS.join(" ")
+            ))
+        }
+    }))
+}
+
 /// Builds a network from its configuration name, with an optional
 /// retry-limit override (the fault subsystem's livelock guard; only
 /// meaningful for the optical configs).
@@ -58,34 +84,21 @@ pub fn build_network(
     mesh: Mesh,
     retry_limit: Option<u32>,
 ) -> Result<Box<dyn Network + Send>, String> {
-    let optical = |mut cfg: PhastlaneConfig| -> Box<dyn Network + Send> {
+    if let Some(mut cfg) = optical_config(name)? {
         cfg.mesh = mesh;
         if let Some(limit) = retry_limit {
             cfg.retry_limit = limit;
         }
-        Box::new(PhastlaneNetwork::new(cfg))
+        return Ok(Box::new(PhastlaneNetwork::new(cfg)));
+    }
+    // `optical_config` answers `None` for exactly these two names.
+    let mut cfg = if name.eq_ignore_ascii_case("electrical2") {
+        ElectricalConfig::electrical2()
+    } else {
+        ElectricalConfig::electrical3()
     };
-    let electrical = |mut cfg: ElectricalConfig| -> Box<dyn Network + Send> {
-        cfg.mesh = mesh;
-        Box::new(ElectricalNetwork::new(cfg))
-    };
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "optical4" => optical(PhastlaneConfig::optical4()),
-        "optical5" => optical(PhastlaneConfig::optical5()),
-        "optical8" => optical(PhastlaneConfig::optical8()),
-        "optical4b32" => optical(PhastlaneConfig::optical4_b32()),
-        "optical4b64" => optical(PhastlaneConfig::optical4_b64()),
-        "optical4ib" => optical(PhastlaneConfig::optical4_ib()),
-        "optical4sp50" => optical(PhastlaneConfig::optical4_shared_pool()),
-        "electrical3" => electrical(ElectricalConfig::electrical3()),
-        "electrical2" => electrical(ElectricalConfig::electrical2()),
-        other => {
-            return Err(format!(
-                "unknown network {other:?}; known: {}",
-                NETWORKS.join(" ")
-            ))
-        }
-    })
+    cfg.mesh = mesh;
+    Ok(Box::new(ElectricalNetwork::new(cfg)))
 }
 
 /// Builds one job's network with the spec's retry policy and fault plan
@@ -308,9 +321,15 @@ mod tests {
         for n in NETWORKS {
             assert!(known_network(n), "{n}");
             assert!(build_network(n, Mesh::new(4, 4), None).is_ok(), "{n}");
+            assert_eq!(
+                optical_config(n).unwrap().is_some(),
+                n.starts_with("optical"),
+                "{n}"
+            );
         }
         assert!(!known_network("warp-drive"));
         assert!(build_network("warp-drive", Mesh::new(4, 4), None).is_err());
+        assert!(optical_config("warp-drive").is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! 4. [`phase`] — a [`PhaseProfiler`] attributing hot-loop time and
 //!    work to the six per-cycle phases (route / arbitrate / traverse /
 //!    eject / fault / drain), with batched wall-clock sampling, feeding
-//!    a [`PhaseBreakdown`] into [`PerfProfile`] and BENCH points;
+//!    a [`PhaseBreakdown`] into [`PerfProfile`] and `lab run --perf-out`;
 //! 5. [`flight`] — a packet [`FlightRecorder`] capturing per-packet
 //!    journeys (seeded sample + every Undeliverable packet) for
 //!    post-mortem diagnosis, riding the same [`Obs::emit`] path as the

@@ -88,7 +88,7 @@ impl Phase {
 /// Accumulated per-phase totals, detached from the profiler.
 ///
 /// Plain copyable data: it crosses thread boundaries inside lab job
-/// records and merges across jobs for the aggregate BENCH breakdown.
+/// records and merges across jobs for the aggregate perf breakdown.
 /// Wall-clock figures (`nanos`) belong to the perf layer and must never
 /// enter a canonical report; the work counters are deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -163,7 +163,7 @@ impl PhaseBreakdown {
     }
 
     /// Parses a [`to_json`](Self::to_json) object back (round-trip for
-    /// BENCH tooling and tests).
+    /// perf tooling and tests).
     pub fn from_json(v: &JsonValue) -> Option<PhaseBreakdown> {
         let mut out = PhaseBreakdown {
             cycles: v.get("cycles")?.as_u64()?,

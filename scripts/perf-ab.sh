@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# Same-host, same-session A/B of the perf ledger: commit BASE against the
+# working tree, both through benchmark/run.sh's one-pass form.
+#
+#   scripts/perf-ab.sh BASE
+#
+# Hard gate: on one traced pass per simulator workload, every sim.* value
+# and `failed` must be identical on both sides, and no pass may report a
+# failed operation. The identity half is skipped only when the diff
+# against BASE itself re-records the simulated behaviour
+# (tests/step_digest.rs or crates/lab/tests/golden/).
+# Soft gate: over alternating untraced pairs, a median end-to-end metric
+# may be worse than the parent's by at most its bound in BENCHMARK.json.
+set -euo pipefail
+[ $# -eq 1 ] || { echo "usage: scripts/perf-ab.sh BASE" >&2; exit 2; }
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+SEED=2009
+SECONDS_PER_PASS=3
+PAIRS=3
+SIM_WORKLOADS="optical-stable optical-saturated optical-faulted electrical-baseline splash2-replay"
+TIMED_WORKLOADS="optical-stable electrical-baseline"
+
+base=$(git rev-parse --verify "$1^{commit}")
+work=$(mktemp -d)
+trap 'git worktree remove --force "$work/parent" 2>/dev/null || true; rm -rf "$work"' EXIT
+git worktree add --quiet --detach "$work/parent" "$base"
+
+root() { if [ "$1" = parent ]; then echo "$work/parent"; else pwd; fi; }
+
+# pass SIDE WORKLOAD TRACE TAG: one ledger pass; keeps its result line.
+# Exit status 1 is a pass that counted failed operations: the line is
+# still there and the report below names it.
+pass() {
+    echo "== $1 $2 trace=$3 ($4)" >&2
+    { CARGO_TARGET_DIR="$work/target-$1" "$(root "$1")/benchmark/run.sh" \
+        --workload "$2" --seed "$SEED" --seconds "$SECONDS_PER_PASS" --trace "$3" \
+        || [ $? -eq 1 ]; } | tail -n 1 > "$work/$1.$2.$4.json"
+}
+
+for side in parent change; do
+    echo "== build $side" >&2
+    CARGO_TARGET_DIR="$work/target-$side" cargo build --release --offline --quiet \
+        --manifest-path "$(root "$side")/benchmark/Cargo.toml"
+done
+for w in $SIM_WORKLOADS; do
+    pass parent "$w" 1 traced
+    pass change "$w" 1 traced
+done
+for w in $TIMED_WORKLOADS; do
+    for pair in $(seq "$PAIRS"); do
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do pass "$side" "$w" 0 "$pair"; done
+    done
+done
+
+if git diff --name-only "$base" | grep -qE '^(tests/step_digest\.rs|crates/lab/tests/golden/)'; then
+    identity=0
+    echo "the diff against $1 re-records simulated behaviour: sim.* identity not required"
+else
+    identity=1
+fi
+
+python3 - "$work" "$identity" "$PAIRS" "$SIM_WORKLOADS" "$TIMED_WORKLOADS" <<'EOF'
+import json, statistics, sys
+
+work, identity, pairs = sys.argv[1], sys.argv[2] == "1", int(sys.argv[3])
+sim_workloads, timed_workloads = sys.argv[4].split(), sys.argv[5].split()
+problems = []
+
+
+def result(side, workload, tag):
+    r = json.load(open(f"{work}/{side}.{workload}.{tag}.json"))
+    if side == "change" and r["failed"] != 0:
+        problems.append(f"{workload} ({tag}): {r['failed']} of {r['attempted']} operations failed")
+    return r
+
+
+print(f"\n{'workload':<20} {'exact value':<26} {'parent':>22} {'change':>22}")
+for w in sim_workloads:
+    parent, change = result("parent", w, "traced"), result("change", w, "traced")
+    rows = [("failed", parent["failed"], change["failed"])] + [
+        (k, v["value"], change["metrics"].get(k, {}).get("value"))
+        for k, v in parent["metrics"].items()
+        if k.startswith("sim.")
+    ]
+    for name, p, c in rows:
+        differs = repr(p) != repr(c)
+        print(f"{w:<20} {name:<26} {p!r:>22} {c!r:>22}{'  DIFFERS' if differs else ''}")
+        if differs and identity:
+            problems.append(f"{w}: {name} is {c!r}, parent has {p!r}")
+
+print(f"\n{'workload':<20} {'median of ' + str(pairs):<18} {'parent':>14} {'change':>14} {'worse by':>9} {'bound':>6}")
+for w in timed_workloads:
+    runs = {s: [result(s, w, t)["metrics"] for t in range(1, pairs + 1)] for s in ("parent", "change")}
+    for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
+        p, c = (statistics.median(r[m["name"]]["value"] for r in runs[s]) for s in ("parent", "change"))
+        worse = (c - p) / p if m["better"] == "lower" else (p - c) / p
+        print(f"{w:<20} {m['name']:<18} {p:>14.6g} {c:>14.6g} {worse:>+9.1%} {m['bound']:>6.0%}")
+        if worse > m["bound"]:
+            problems.append(f"{w}: {m['name']} median is {worse:.1%} worse than the parent's (bound {m['bound']:.0%})")
+
+for p in problems:
+    print(f"FAIL {p}", file=sys.stderr)
+sys.exit(1 if problems else 0)
+EOF
