@@ -15,6 +15,12 @@
 //! fails, the change altered simulated behaviour — fix the code, do not
 //! re-record the digests. (`print_digest_table`, ignored, prints the
 //! table in source form for the day a cell is *added*.)
+//!
+//! `ELECTRICAL_AXES` was added later and recorded at commit c2dd9f7,
+//! before the electrical crate's flat-layout rewrite: the axes that
+//! rewrite touches and the 24 original electrical cells never reach —
+//! 2 and 16 VCs per port, one iSLIP iteration, input speedup 1, a
+//! saturated mesh whose NICs refuse injections, and a non-square mesh.
 
 use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_repro::netsim::fault::{Fault, FaultKind, FaultPlan};
@@ -302,6 +308,55 @@ fn electrical_cells() -> Vec<(String, u64)> {
     cells
 }
 
+/// The electrical axes the 24 cells above hold at their Table 2
+/// defaults, each at fault intensity 0 and 0.3, unicast and mixed, on
+/// 8x8 unless the axis is the mesh. The rates are chosen so the axis
+/// bites: 2 VCs starve at the default rate, 16 VCs and the Table 2
+/// router fill every VC only past saturation (where `inject` refuses),
+/// and one iteration or speedup 1 needs contention to differ from the
+/// default. Every faulted cell runs past the stall-abandon guard.
+fn electrical_axis_cells() -> Vec<(String, u64)> {
+    type Axis = (&'static str, fn(&mut ElectricalConfig), f64, f64);
+    let axes: [Axis; 6] = [
+        ("vcs2", |c| c.vcs_per_port = 2, 0.25, 0.08),
+        ("vcs16", |c| c.vcs_per_port = 16, 0.6, 0.3),
+        ("islip1", |c| c.islip_iterations = 1, 0.35, 0.12),
+        ("speedup1", |c| c.input_speedup = 1, 0.35, 0.12),
+        ("saturated", |_| {}, 0.9, 0.5),
+        ("8x4", |c| c.mesh = Mesh::new(8, 4), 0.25, 0.08),
+    ];
+    let mut cells = Vec::new();
+    let mut seed = 0xE1EC_1000u64;
+    for (axis, apply, unicast_rate, mixed_rate) in axes {
+        for intensity in [0.0, 0.3] {
+            for mixed in [false, true] {
+                seed += 1;
+                let mut cfg = ElectricalConfig::electrical3();
+                apply(&mut cfg);
+                cfg.vctm_setup_penalty = if mixed { 3 } else { 0 };
+                let mesh = cfg.mesh;
+                let mut net = ElectricalNetwork::new(cfg);
+                let drive = Drive {
+                    seed,
+                    rate: if mixed { mixed_rate } else { unicast_rate },
+                    mixed,
+                    inject_cycles: 200,
+                    total_cycles: if intensity > 0.0 { 2_400 } else { 500 },
+                };
+                let digest = run_cell(&mut net, plan_for(mesh, seed, intensity), &drive);
+                cells.push((
+                    format!(
+                        "Electrical3/{axis}/f{intensity}/{}",
+                        if mixed { "mixed" } else { "unicast" }
+                    ),
+                    digest,
+                ));
+            }
+        }
+    }
+    cells
+}
+
 fn check(fresh: &[(String, u64)], recorded: &[(&str, u64)]) {
     assert_eq!(fresh.len(), recorded.len(), "cell count changed");
     let moved: Vec<String> = fresh
@@ -330,11 +385,17 @@ fn electrical_step_digests_match_the_recorded_ones() {
 }
 
 #[test]
+fn electrical_axis_digests_match_the_recorded_ones() {
+    check(&electrical_axis_cells(), ELECTRICAL_AXES);
+}
+
+#[test]
 #[ignore = "prints the digest tables in source form"]
 fn print_digest_table() {
     for (name, cells) in [
         ("OPTICAL", optical_cells()),
         ("ELECTRICAL", electrical_cells()),
+        ("ELECTRICAL_AXES", electrical_axis_cells()),
     ] {
         println!("#[rustfmt::skip]\nconst {name}: &[(&str, u64)] = &[");
         for (label, digest) in cells {
@@ -662,4 +723,32 @@ const ELECTRICAL: &[(&str, u64)] = &[
     ("Electrical2/8x8/f0.15/mixed", 0x48d97e98d38cd8bb),
     ("Electrical2/8x8/f0.3/unicast", 0xdc7158559ff5227d),
     ("Electrical2/8x8/f0.3/mixed", 0x8ba66109e59de0f7),
+];
+
+#[rustfmt::skip]
+const ELECTRICAL_AXES: &[(&str, u64)] = &[
+    ("Electrical3/vcs2/f0/unicast", 0xb9a172712c98f5b0),
+    ("Electrical3/vcs2/f0/mixed", 0x12b010e02e44794a),
+    ("Electrical3/vcs2/f0.3/unicast", 0x738d5dee26831533),
+    ("Electrical3/vcs2/f0.3/mixed", 0x6bfd83d7aa8aaf58),
+    ("Electrical3/vcs16/f0/unicast", 0x773dd34d3d3d73f4),
+    ("Electrical3/vcs16/f0/mixed", 0xb23bfb3a141dc172),
+    ("Electrical3/vcs16/f0.3/unicast", 0x4967e44dd84ba00d),
+    ("Electrical3/vcs16/f0.3/mixed", 0x25694059a96a4e06),
+    ("Electrical3/islip1/f0/unicast", 0x13722d88437a3522),
+    ("Electrical3/islip1/f0/mixed", 0xc8d70de2849c2e97),
+    ("Electrical3/islip1/f0.3/unicast", 0x760ede388bf7e8c4),
+    ("Electrical3/islip1/f0.3/mixed", 0xe22435f2d6e5a01f),
+    ("Electrical3/speedup1/f0/unicast", 0xc0983fc6067af156),
+    ("Electrical3/speedup1/f0/mixed", 0x6fd25673a5e70bac),
+    ("Electrical3/speedup1/f0.3/unicast", 0xa6e937f4efde95d9),
+    ("Electrical3/speedup1/f0.3/mixed", 0x29cf53278a43dd16),
+    ("Electrical3/saturated/f0/unicast", 0xf1ae8022e6419c03),
+    ("Electrical3/saturated/f0/mixed", 0x318d0b3a1b319dd1),
+    ("Electrical3/saturated/f0.3/unicast", 0x89e02c551877d0d0),
+    ("Electrical3/saturated/f0.3/mixed", 0x1f7152ab93634733),
+    ("Electrical3/8x4/f0/unicast", 0x729e48f252cb70a3),
+    ("Electrical3/8x4/f0/mixed", 0x1d151975942fa6e2),
+    ("Electrical3/8x4/f0.3/unicast", 0xd99f93987ff6987f),
+    ("Electrical3/8x4/f0.3/mixed", 0x84b873bd3cc81aca),
 ];
