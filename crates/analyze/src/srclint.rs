@@ -16,7 +16,7 @@
 //!   paths (`crates/lab`, `crates/netsim/src/obs`), where unordered
 //!   iteration order could leak into encoded output.
 //! * `ambient-env` — `env::var` / `thread::current` in the simulation
-//!   core (`crates/core`, `crates/netsim`).
+//!   cores (`crates/core`, `crates/electrical`, `crates/netsim`).
 //!
 //! Findings are matched against an allowlist file
 //! (`results/analyze/srclint-allow.txt`) of audited exceptions, one
@@ -55,7 +55,9 @@ fn hash_iteration_scope(path: &str) -> bool {
 }
 
 fn ambient_env_scope(path: &str) -> bool {
-    path.starts_with("crates/core/") || path.starts_with("crates/netsim/")
+    path.starts_with("crates/core/")
+        || path.starts_with("crates/electrical/")
+        || path.starts_with("crates/netsim/")
 }
 
 const RULES: [Rule; 3] = [
@@ -335,10 +337,13 @@ mod tests {
     #[test]
     fn ambient_env_scoped_to_the_simulation_core() {
         let src = "let v = std::env::var(\"X\");\n";
-        assert_eq!(
-            scan_source("crates/core/src/config.rs", src)[0].rule,
-            "ambient-env"
-        );
+        for core in [
+            "crates/core/src/config.rs",
+            "crates/electrical/src/network.rs",
+            "crates/netsim/src/nic.rs",
+        ] {
+            assert_eq!(scan_source(core, src)[0].rule, "ambient-env", "{core}");
+        }
         assert_eq!(scan_source("crates/cli/src/lab.rs", src), Vec::new());
     }
 

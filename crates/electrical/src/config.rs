@@ -13,16 +13,18 @@ use phastlane_netsim::geometry::Mesh;
 pub struct ElectricalConfig {
     /// Mesh dimensions (8x8 in the paper).
     pub mesh: Mesh,
-    /// Virtual channels per input port (10).
+    /// Virtual channels per input port (10; the simulator takes 1 to 16,
+    /// the width of its per-port VC masks).
     pub vcs_per_port: usize,
     /// Flit entries per VC (1, with wait-for-tail credit).
     pub entries_per_vc: usize,
     /// Total router pipeline delay in cycles (3 baseline, 2 aggressive).
     pub router_delay: u64,
     /// Crossbar input speedup: flits that may leave one input port per
-    /// cycle (4).
+    /// cycle (4; at least 1).
     pub input_speedup: usize,
-    /// Crossbar output speedup (1).
+    /// Crossbar output speedup (1, the only value the simulator
+    /// implements; it refuses any other rather than ignore it).
     pub output_speedup: usize,
     /// iSLIP iterations for the VC and switch allocators.
     pub islip_iterations: usize,

@@ -28,24 +28,62 @@
 //!
 //! Phases 7–8 are resource recycling, so their time accrues to `Drain`
 //! alongside phases 1–2.
+//!
+//! # Layout
+//!
+//! Flits are `Copy` values (branches inline, at most one per output) in
+//! one flat slot array, `(router * 5 + port) * V + vc`. Beside it each
+//! router keeps a `u16` occupancy mask per input port and a `u16` credit
+//! mask per output direction, so eject, VC allocation, switch-candidate
+//! selection and recycling walk set bits in ascending (router, port, vc)
+//! order instead of every slot, and the two round-robin pointers
+//! (`va_ptr`, `vc_sel`) are mask rotations. A steady-state `step`
+//! allocates nothing (`tests/zero_alloc.rs`): the link and credit
+//! buffers are drained in place, switch allocation works on fixed
+//! arrays ([`crate::islip`]), and a tree branch's targets are
+//! `mask & region(here, out)` from the per-mesh table in
+//! [`crate::vctm::TreeRegions`]. Under a fault plan the blocked outputs
+//! of a router are evaluated once per cycle into a 4-bit mask.
+//!
+//! The visiting order is behaviour, not style: trace events, delivery
+//! order and the energy ledger's running `f64` sums all follow it, and
+//! `tests/step_digest.rs` pins it across commits.
 
 use crate::config::ElectricalConfig;
-use crate::islip::Islip;
+use crate::islip::{first_from, Islip, MAX_PORTS};
 use crate::power::EnergyLedger;
-use crate::vctm::{mask_of, tree_fork, TargetMask};
+use crate::vctm::{mask_of, tree_fork, TargetMask, TreeRegions};
 use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
-use phastlane_netsim::mask::NodeMask;
 use phastlane_netsim::network::Network;
 use phastlane_netsim::nic::Nic;
 use phastlane_netsim::obs::{
     EventKind, FlightRecorder, Obs, Phase, PhaseBreakdown, PhaseProfiler, TraceBuffer,
 };
-use phastlane_netsim::packet::{Delivery, NewPacket, PacketId};
+use phastlane_netsim::packet::{Delivery, DestSet, NewPacket, PacketId};
 use phastlane_netsim::routing::xy_first_hop;
 use phastlane_netsim::stats::{EnergyReport, NetworkStats};
 use phastlane_netsim::telemetry::LinkCounters;
+
+/// Most VCs a port can have: the width of the per-port masks.
+const MAX_VCS: usize = 16;
+
+/// The mask of a port's `vcs_per_port` VCs.
+fn vc_mask(vcs_per_port: usize) -> u16 {
+    u16::MAX >> (MAX_VCS - vcs_per_port)
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
 
 /// Routing state a flit carries.
 #[derive(Debug, Clone, Copy)]
@@ -56,80 +94,102 @@ enum Route {
 }
 
 /// One pending output branch of a flit (unicast flits have one; tree
-/// flits fork).
+/// flits fork). A tree branch carries `route mask & region(here, out)`,
+/// derived when its copy leaves rather than stored per branch.
 #[derive(Debug, Clone, Copy)]
 struct Branch {
     out: Direction,
-    /// Subtree targets carried by this branch (empty for unicast).
-    mask: TargetMask,
     /// Downstream VC reserved by the VC allocator.
-    out_vc: Option<usize>,
+    out_vc: Option<u8>,
     done: bool,
 }
 
-/// The routing state carried by the flit copy that leaves through
-/// branch `b` of a flit routed by `route`.
-fn branch_route(route: Route, b: &Branch) -> Route {
-    match route {
-        Route::Unicast(dest) => Route::Unicast(dest),
-        Route::Tree(_) => {
-            debug_assert!(!b.mask.is_empty(), "tree branches carry masks");
-            Route::Tree(b.mask)
-        }
-    }
-}
-
 /// A flit occupying a VC.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Flit {
     core: PacketOrigin,
     route: Route,
     in_port: Port,
     eligible_at: u64,
-    branches: Vec<Branch>,
+    /// The first `n_branches` are this flit's branches, in tree order;
+    /// no two share an output (a mesh router has four).
+    branches: [Branch; 4],
+    n_branches: u8,
     /// Local delivery pending at this cycle (ejection bypass).
     eject_at: Option<u64>,
 }
 
+// A slot may not outgrow the `Vec`-branched flit it replaced (120 bytes
+// plus a heap block per flit): `peak_rss_mb` is a ledger metric.
+const _: () = assert!(std::mem::size_of::<Option<Flit>>() <= 112);
+
 impl Flit {
+    fn branches(&self) -> &[Branch] {
+        &self.branches[..usize::from(self.n_branches)]
+    }
+
+    fn push_branch(&mut self, out: Direction) {
+        self.branches[usize::from(self.n_branches)] = Branch {
+            out,
+            out_vc: None,
+            done: false,
+        };
+        self.n_branches += 1;
+    }
+
+    /// The branch leaving through `out`.
+    fn branch_mut(&mut self, out: Direction) -> &mut Branch {
+        self.branches[..usize::from(self.n_branches)]
+            .iter_mut()
+            .find(|b| b.out == out)
+            .expect("the allocators only name outputs the flit branches to")
+    }
+
     fn finished(&self) -> bool {
-        self.eject_at.is_none() && self.branches.iter().all(|b| b.done)
+        self.eject_at.is_none() && self.branches().iter().all(|b| b.done)
     }
 }
 
-/// Per-router state.
-#[derive(Debug)]
+/// Per-router control state; the flits themselves live in
+/// [`ElectricalNetwork::slots`]. Masks hold one bit per VC.
+#[derive(Debug, Clone)]
 struct Router {
-    /// `vcs[port][vc]`.
-    vcs: Vec<Vec<Option<Flit>>>,
-    /// `credits[dir][vc]`: a free slot at the downstream input port.
-    credits: Vec<Vec<bool>>,
-    /// VC-allocator rotation per output direction (flattened port*V+vc).
-    va_ptr: Vec<usize>,
+    /// `occupied[port]`: the VCs of input `port` holding a flit.
+    occupied: [u16; 5],
+    /// `credits[dir]`: the free VCs of the downstream input port.
+    credits: [u16; 4],
+    /// VC-allocator rotation per output direction: the first requester
+    /// to serve, as `port * MAX_VCS + vc`.
+    va_ptr: [u8; 4],
     /// Switch allocator state (5 inputs x 4 outputs).
     sa: Islip,
     /// Round-robin VC selector per (input port, output dir).
-    vc_sel: Vec<Vec<usize>>,
-    /// Number of occupied VCs (fast-path: idle routers skip every phase).
-    occupied: usize,
+    vc_sel: [[u8; 4]; 5],
+    /// The router across each output link, if the mesh has one.
+    neighbors: [Option<NodeId>; 4],
 }
 
 impl Router {
-    fn new(cfg: &ElectricalConfig) -> Self {
-        let v = cfg.vcs_per_port;
+    fn new(mesh: Mesh, here: NodeId, vc_mask: u16) -> Self {
+        let neighbors = Direction::ALL.map(|dir| mesh.neighbor(here, dir));
         Router {
-            vcs: (0..5).map(|_| vec![None; v]).collect(),
-            credits: (0..4).map(|_| vec![true; v]).collect(),
-            va_ptr: vec![0; 4],
+            occupied: [0; 5],
+            credits: neighbors.map(|n| if n.is_some() { vc_mask } else { 0 }),
+            va_ptr: [0; 4],
             sa: Islip::new(5, 4),
-            vc_sel: (0..5).map(|_| vec![0; 4]).collect(),
-            occupied: 0,
+            vc_sel: [[0; 4]; 5],
+            neighbors,
         }
+    }
+
+    /// Idle routers skip every phase.
+    fn is_idle(&self) -> bool {
+        self.occupied == [0; 5]
     }
 }
 
 /// A flit in flight on a link.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Arrival {
     router: usize,
     port: usize,
@@ -151,9 +211,20 @@ pub struct ElectricalNetwork {
     cfg: ElectricalConfig,
     cycle: u64,
     routers: Vec<Router>,
+    /// Every VC of every router, flat: `(router * 5 + port) * V + vc`.
+    /// `Router::occupied` says which hold a flit, so no phase scans the
+    /// empty ones.
+    slots: Vec<Option<Flit>>,
     nics: Vec<Nic<(PacketOrigin, Route)>>,
+    /// Link arrivals and upstream credits of the previous cycle; drained
+    /// in place every cycle, so their capacity is reused.
     incoming: Vec<Arrival>,
     credit_returns: Vec<CreditReturn>,
+    /// Under a fault plan: the blocked outputs of each busy router this
+    /// cycle, one bit per direction (written by phase 5, read by 6).
+    dead_outputs: Vec<u8>,
+    /// VCTM subtree regions of this mesh.
+    regions: TreeRegions,
     /// Owed destination copies, deliveries, terminal failures, stats.
     ledger: DeliveryLedger,
     next_id: u64,
@@ -178,23 +249,47 @@ const STALL_ABANDON_CYCLES: u64 = 2_000;
 
 impl ElectricalNetwork {
     /// Builds a network from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration this model does not implement: more
+    /// than one entry per VC, no VCs or more than 16 per port, an input
+    /// speedup of zero, or an output speedup other than 1.
     pub fn new(cfg: ElectricalConfig) -> Self {
         assert_eq!(
             cfg.entries_per_vc, 1,
             "this model implements the paper's 1-entry-per-VC configuration"
         );
+        assert!(
+            (1..=MAX_VCS).contains(&cfg.vcs_per_port),
+            "vcs_per_port must be 1 to {MAX_VCS} (the VC mask width), not {}",
+            cfg.vcs_per_port
+        );
+        assert!(
+            cfg.input_speedup >= 1,
+            "input_speedup must be at least 1: at 0 no flit ever crosses a switch"
+        );
+        assert_eq!(
+            cfg.output_speedup, 1,
+            "this model implements crossbar output_speedup 1 only"
+        );
         let mesh = cfg.mesh;
         let nodes = cfg.mesh.nodes();
-        let routers = (0..nodes).map(|_| Router::new(&cfg)).collect();
+        let routers = mesh
+            .iter_nodes()
+            .map(|here| Router::new(mesh, here, vc_mask(cfg.vcs_per_port)))
+            .collect();
         let nics = (0..nodes).map(|_| Nic::new(cfg.nic_entries)).collect();
         let energy = EnergyLedger::new(nodes);
         ElectricalNetwork {
-            cfg,
-            cycle: 0,
             routers,
+            slots: vec![None; nodes * 5 * cfg.vcs_per_port],
             nics,
-            incoming: Vec::new(),
-            credit_returns: Vec::new(),
+            // At most one flit leaves per directed link and cycle.
+            incoming: Vec::with_capacity(4 * nodes),
+            credit_returns: Vec::with_capacity(4 * nodes),
+            dead_outputs: vec![0; nodes],
+            regions: TreeRegions::new(mesh),
             ledger: DeliveryLedger::new(),
             next_id: 0,
             warm_trees: vec![false; nodes],
@@ -203,12 +298,19 @@ impl ElectricalNetwork {
             obs: Obs::off(),
             profiler: PhaseProfiler::off(),
             fault_plan: FaultPlan::new(),
+            cfg,
+            cycle: 0,
         }
     }
 
     /// The configuration this network was built with.
     pub fn config(&self) -> &ElectricalConfig {
         &self.cfg
+    }
+
+    /// Index into `slots` of VC `vc` of input `port` of router `r_idx`.
+    fn slot(&self, r_idx: usize, port: usize, vc: usize) -> usize {
+        (r_idx * 5 + port) * self.cfg.vcs_per_port + vc
     }
 
     fn make_flit(
@@ -220,65 +322,63 @@ impl ElectricalNetwork {
         now: u64,
     ) -> Flit {
         let mesh = self.cfg.mesh;
-        let (branches, eject) = match route {
-            Route::Unicast(dest) => {
-                if dest == at {
-                    (Vec::new(), true)
-                } else {
-                    let mut out = xy_first_hop(mesh, at, dest).expect("dest != at");
-                    if !self.fault_plan.is_empty() && self.fault_plan.blocked(now, mesh, at, out) {
-                        // Dead preferred link: detour through the other
-                        // dimension when that still makes progress toward
-                        // the destination. (When it does not, the branch
-                        // keeps its dead output; the VC allocator will
-                        // never grant it and the stall-abandon guard
-                        // eventually declares the target undeliverable.)
-                        if let Some((dir, _)) =
-                            productive_detour(&self.fault_plan, now, mesh, at, dest)
-                        {
-                            out = dir;
-                            self.ledger.stats.rerouted += 1;
-                            self.obs.emit(
-                                now,
-                                EventKind::FaultReroute,
-                                at,
-                                Some(dir),
-                                Some(core.id),
-                            );
-                        }
-                    }
-                    (
-                        vec![Branch {
-                            out,
-                            mask: NodeMask::EMPTY,
-                            out_vc: None,
-                            done: false,
-                        }],
-                        false,
-                    )
-                }
-            }
-            Route::Tree(mask) => {
-                let (forks, deliver) = tree_fork(mesh, core.src, at, mask);
-                let branches = forks
-                    .iter()
-                    .map(|f| Branch {
-                        out: f.out,
-                        mask: f.submask,
-                        out_vc: None,
-                        done: false,
-                    })
-                    .collect();
-                (branches, deliver)
-            }
-        };
-        Flit {
+        let mut flit = Flit {
             core,
             route,
             in_port,
             eligible_at: now + self.cfg.router_delay,
-            branches,
-            eject_at: eject.then_some(now + 1),
+            branches: [Branch {
+                out: Direction::North,
+                out_vc: None,
+                done: true,
+            }; 4],
+            n_branches: 0,
+            eject_at: None,
+        };
+        let eject = match route {
+            Route::Unicast(dest) if dest == at => true,
+            Route::Unicast(dest) => {
+                let mut out = xy_first_hop(mesh, at, dest).expect("dest != at");
+                if !self.fault_plan.is_empty() && self.fault_plan.blocked(now, mesh, at, out) {
+                    // Dead preferred link: detour through the other
+                    // dimension when that still makes progress toward
+                    // the destination. (When it does not, the branch
+                    // keeps its dead output; the VC allocator will
+                    // never grant it and the stall-abandon guard
+                    // eventually declares the target undeliverable.)
+                    if let Some((dir, _)) = productive_detour(&self.fault_plan, now, mesh, at, dest)
+                    {
+                        out = dir;
+                        self.ledger.stats.rerouted += 1;
+                        self.obs
+                            .emit(now, EventKind::FaultReroute, at, Some(dir), Some(core.id));
+                    }
+                }
+                flit.push_branch(out);
+                false
+            }
+            Route::Tree(mask) => {
+                let (forks, deliver) = tree_fork(&self.regions, core.src, at, mask);
+                for fork in forks.iter() {
+                    flit.push_branch(fork.out);
+                }
+                deliver
+            }
+        };
+        flit.eject_at = eject.then_some(now + 1);
+        flit
+    }
+
+    /// The routing state carried by the flit copy that leaves router
+    /// `here` through `out`, for a flit routed by `route`.
+    fn branch_route(&self, route: Route, here: NodeId, out: Direction) -> Route {
+        match route {
+            Route::Unicast(dest) => Route::Unicast(dest),
+            Route::Tree(mask) => {
+                let submask = mask.and(&self.regions.region(here, out));
+                debug_assert!(!submask.is_empty(), "tree branches carry targets");
+                Route::Tree(submask)
+            }
         }
     }
 
@@ -298,42 +398,53 @@ impl ElectricalNetwork {
     fn return_credits(&mut self) {
         self.profiler
             .add_work(Phase::Drain, self.credit_returns.len() as u64);
-        for cr in std::mem::take(&mut self.credit_returns) {
-            debug_assert!(!self.routers[cr.router].credits[cr.dir][cr.vc]);
-            self.routers[cr.router].credits[cr.dir][cr.vc] = true;
+        for cr in self.credit_returns.drain(..) {
+            let credits = &mut self.routers[cr.router].credits[cr.dir];
+            debug_assert!(*credits & (1 << cr.vc) == 0, "credit returned twice");
+            *credits |= 1 << cr.vc;
         }
     }
 
     /// Phase 2: link arrivals land in their reserved VCs.
     fn land_arrivals(&mut self) {
-        for a in std::mem::take(&mut self.incoming) {
-            let r = &mut self.routers[a.router];
-            let slot = &mut r.vcs[a.port][a.vc];
-            debug_assert!(slot.is_none(), "reserved VC occupied");
+        for i in 0..self.incoming.len() {
+            let Arrival {
+                router,
+                port,
+                vc,
+                flit,
+            } = self.incoming[i];
+            let slot = self.slot(router, port, vc);
+            debug_assert!(self.slots[slot].is_none(), "reserved VC occupied");
             self.energy.on_buffer_write();
-            *slot = Some(a.flit);
-            r.occupied += 1;
+            self.slots[slot] = Some(flit);
+            self.routers[router].occupied[port] |= 1 << vc;
         }
+        self.incoming.clear();
     }
 
     /// Phase 3: ejection bypass — deliver flits one cycle after
     /// arrival, without the crossbar.
     fn eject(&mut self, now: u64, faulted: bool) {
         let delivered_before = self.ledger.pending_deliveries();
-        for (r_idx, router) in self.routers.iter_mut().enumerate() {
-            if router.occupied == 0 {
+        for r_idx in 0..self.routers.len() {
+            if self.routers[r_idx].is_idle() {
                 continue;
             }
             let here = NodeId(r_idx as u16);
             if faulted && self.fault_plan.router_stuck(now, here) {
                 continue; // a stuck router cannot even eject
             }
-            for flit in router.vcs.iter_mut().flatten().flatten() {
-                if flit.eject_at.is_some_and(|t| t <= now) {
-                    flit.eject_at = None;
-                    self.energy.on_buffer_read();
-                    self.ledger
-                        .deliver(&mut self.obs, flit.core, here, now, now);
+            for port in 0..5 {
+                for vc in bits(self.routers[r_idx].occupied[port]) {
+                    let slot = self.slot(r_idx, port, vc);
+                    let flit = self.slots[slot].as_mut().expect("occupied VC holds a flit");
+                    if flit.eject_at.is_some_and(|t| t <= now) {
+                        flit.eject_at = None;
+                        self.energy.on_buffer_read();
+                        self.ledger
+                            .deliver(&mut self.obs, flit.core, here, now, now);
+                    }
                 }
             }
         }
@@ -345,6 +456,7 @@ impl ElectricalNetwork {
     /// local-port VC.
     fn inject_from_nics(&mut self, now: u64, faulted: bool) {
         let local = Port::Local.index();
+        let vc_mask = vc_mask(self.cfg.vcs_per_port);
         let mut route_work = 0u64;
         for r_idx in 0..self.routers.len() {
             let here = NodeId(r_idx as u16);
@@ -355,12 +467,11 @@ impl ElectricalNetwork {
                 self.age_out_nic(here, now);
                 continue;
             }
-            let Some(vc) = self.routers[r_idx].vcs[local]
-                .iter()
-                .position(Option::is_none)
-            else {
+            let free = !self.routers[r_idx].occupied[local] & vc_mask;
+            if free == 0 {
                 continue;
-            };
+            }
+            let vc = free.trailing_zeros() as usize;
             let (core, route) = self.nics[r_idx].pop().expect("checked non-empty");
             let mut flit = self.make_flit(here, core, route, Port::Local, now);
             if let Route::Tree(_) = route {
@@ -371,8 +482,9 @@ impl ElectricalNetwork {
                 }
             }
             self.energy.on_buffer_write();
-            self.routers[r_idx].vcs[local][vc] = Some(flit);
-            self.routers[r_idx].occupied += 1;
+            let slot = self.slot(r_idx, local, vc);
+            self.slots[slot] = Some(flit);
+            self.routers[r_idx].occupied[local] |= 1 << vc;
             route_work += 1;
         }
         self.profiler.add_work(Phase::Route, route_work);
@@ -398,71 +510,78 @@ impl ElectricalNetwork {
         let mesh = self.cfg.mesh;
         let mut arb_work = 0u64;
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            if self.routers[r_idx].is_idle() {
                 continue;
             }
             let here = NodeId(r_idx as u16);
+            if faulted {
+                // Once per router and cycle, for this phase and the next.
+                self.dead_outputs[r_idx] = Direction::ALL
+                    .iter()
+                    .filter(|&&dir| self.fault_plan.blocked(now, mesh, here, dir))
+                    .fold(0, |dead, &dir| dead | 1 << dir as usize);
+            }
+            let requesters = self.vc_requesters(r_idx, now);
             for dir in Direction::ALL {
-                if mesh.neighbor(here, dir).is_none() {
-                    continue;
+                let d = dir as usize;
+                // Never grant VCs across a faulted link; the edge of the
+                // mesh has no credits to grant.
+                if requesters[d] != 0 && self.dead_outputs[r_idx] >> d & 1 == 0 {
+                    arb_work += self.allocate_output_vcs(r_idx, dir, requesters[d]);
                 }
-                if faulted && self.fault_plan.blocked(now, mesh, here, dir) {
-                    continue; // never grant VCs across a faulted link
-                }
-                arb_work += self.allocate_output_vcs(r_idx, dir, now);
             }
         }
         self.profiler.add_work(Phase::Arbitrate, arb_work);
     }
 
-    /// Grants the free downstream VCs of router `r_idx`'s output `dir`
-    /// to eligible branches, round-robin from the VA pointer; returns
-    /// the number of grants.
-    fn allocate_output_vcs(&mut self, r_idx: usize, dir: Direction, now: u64) -> u64 {
-        let vcs_per_port = self.cfg.vcs_per_port;
-        let d = Port::Dir(dir).index();
-        let router = &mut self.routers[r_idx];
-        // Gather requesters (port, vc, branch index) in flattened
-        // order.
-        let mut requesters: Vec<(usize, usize, usize)> = Vec::new();
-        for port in 0..5 {
-            for vc in 0..vcs_per_port {
-                if let Some(f) = router.vcs[port][vc].as_ref() {
-                    if f.eligible_at > now {
-                        continue;
-                    }
-                    for (bi, b) in f.branches.iter().enumerate() {
-                        if b.out == dir && b.out_vc.is_none() && !b.done {
-                            requesters.push((port, vc, bi));
-                        }
+    /// The VC requesters of router `r_idx`, per output: bit
+    /// `port * MAX_VCS + vc` is set where that VC's flit is eligible and
+    /// has a branch to the output still waiting for a downstream VC.
+    fn vc_requesters(&self, r_idx: usize, now: u64) -> [u128; 4] {
+        let mut requesters = [0u128; 4];
+        for (port, &occupied) in self.routers[r_idx].occupied.iter().enumerate() {
+            for vc in bits(occupied) {
+                let flit = self.slots[self.slot(r_idx, port, vc)]
+                    .as_ref()
+                    .expect("occupied VC holds a flit");
+                if flit.eligible_at > now {
+                    continue;
+                }
+                for b in flit.branches() {
+                    if b.out_vc.is_none() && !b.done {
+                        requesters[b.out as usize] |= 1 << (port * MAX_VCS + vc);
                     }
                 }
             }
         }
-        if requesters.is_empty() {
-            return 0;
-        }
-        // Rotate requesters to start at the VA pointer.
-        let ptr = router.va_ptr[d];
-        let split = requesters
-            .iter()
-            .position(|&(p, v, _)| p * vcs_per_port + v >= ptr)
-            .unwrap_or(0);
-        requesters.rotate_left(split);
+        requesters
+    }
 
-        let mut free_vcs: Vec<usize> = (0..vcs_per_port)
-            .filter(|&v| router.credits[d][v])
-            .collect();
-        free_vcs.reverse(); // pop() yields ascending order
+    /// Grants the free downstream VCs of router `r_idx`'s output `dir`
+    /// to `requesters`, round-robin from the VA pointer, lowest free VC
+    /// first; returns the number of grants.
+    fn allocate_output_vcs(&mut self, r_idx: usize, dir: Direction, requesters: u128) -> u64 {
+        let d = dir as usize;
+        // Requesters from the pointer up go first, then the wrapped ones.
+        let below_ptr = (1u128 << self.routers[r_idx].va_ptr[d]) - 1;
         let mut granted = 0;
-        for (port, vc, bi) in requesters {
-            let Some(out_vc) = free_vcs.pop() else { break };
-            router.credits[d][out_vc] = false;
-            let f = router.vcs[port][vc].as_mut().expect("requester exists");
-            f.branches[bi].out_vc = Some(out_vc);
-            self.energy.on_allocation();
-            granted += 1;
-            router.va_ptr[d] = port * vcs_per_port + vc + 1;
+        for mut turn in [requesters & !below_ptr, requesters & below_ptr] {
+            while turn != 0 {
+                let free = self.routers[r_idx].credits[d];
+                if free == 0 {
+                    return granted;
+                }
+                let at = turn.trailing_zeros() as usize;
+                turn &= turn - 1;
+                let slot = self.slot(r_idx, at / MAX_VCS, at % MAX_VCS);
+                let flit = self.slots[slot].as_mut().expect("requester exists");
+                flit.branch_mut(dir).out_vc = Some(free.trailing_zeros() as u8);
+                let router = &mut self.routers[r_idx];
+                router.credits[d] = free & (free - 1);
+                router.va_ptr[d] = (at + 1) as u8;
+                self.energy.on_allocation();
+                granted += 1;
+            }
         }
         granted
     }
@@ -470,76 +589,84 @@ impl ElectricalNetwork {
     /// Phase 6: switch allocation (iSLIP) and traversal.
     fn switch_and_traverse(&mut self, now: u64, faulted: bool) {
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            if self.routers[r_idx].is_idle() {
                 continue;
             }
             let here = NodeId(r_idx as u16);
             if faulted && self.fault_plan.router_stuck(now, here) {
                 continue; // nothing moves through a stuck router
             }
-            self.traverse_router(here, now, faulted);
+            self.traverse_router(here, now);
         }
         // Link traversals this cycle = arrivals queued for the next one.
         self.profiler
             .add_work(Phase::Traverse, self.incoming.len() as u64);
     }
 
-    /// One router's switch allocation: matched branches cross the
-    /// crossbar and their flit copies leave on the link.
-    fn traverse_router(&mut self, here: NodeId, now: u64, faulted: bool) {
-        let mesh = self.cfg.mesh;
-        let vcs_per_port = self.cfg.vcs_per_port;
-        let r_idx = here.index();
-        // Candidate branch per (input port, output dir), chosen
-        // round-robin over VCs.
-        let mut candidate: [[Option<(usize, usize)>; 4]; 5] = Default::default();
-        let mut requests: Vec<Vec<usize>> = vec![Vec::new(); 5];
-        for port in 0..5 {
-            for dir in Direction::ALL {
-                let d = Port::Dir(dir).index();
-                if faulted && self.fault_plan.blocked(now, mesh, here, dir) {
-                    continue; // granted VCs across a now-dead link wait
+    /// The switch requests of router `r_idx`: per input port the outputs
+    /// it asks for, and per (input port, output) the candidate VC —
+    /// chosen round-robin from the VC selector among the VCs whose flit
+    /// is eligible and holds a downstream VC on that output. Granted VCs
+    /// across a now-dead link wait.
+    fn switch_requests(&self, r_idx: usize, now: u64) -> ([u8; 5], [[usize; 4]; 5]) {
+        let router = &self.routers[r_idx];
+        let live = !self.dead_outputs[r_idx];
+        let mut requests = [0u8; 5];
+        let mut candidate = [[0usize; 4]; 5];
+        for (port, &occupied) in router.occupied.iter().enumerate() {
+            let mut ready = [0u16; 4];
+            for vc in bits(occupied) {
+                let flit = self.slots[self.slot(r_idx, port, vc)]
+                    .as_ref()
+                    .expect("occupied VC holds a flit");
+                if flit.eligible_at > now {
+                    continue;
                 }
-                let sel = self.routers[r_idx].vc_sel[port][d];
-                for k in 0..vcs_per_port {
-                    let vc = (sel + k) % vcs_per_port;
-                    let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() else {
-                        continue;
-                    };
-                    if f.eligible_at > now {
-                        continue;
-                    }
-                    if let Some(bi) = f
-                        .branches
-                        .iter()
-                        .position(|b| b.out == dir && b.out_vc.is_some() && !b.done)
-                    {
-                        candidate[port][d] = Some((vc, bi));
-                        requests[port].push(d);
-                        break;
+                for b in flit.branches() {
+                    if b.out_vc.is_some() && !b.done {
+                        ready[b.out as usize] |= 1 << vc;
                     }
                 }
             }
+            for (d, &ready) in ready.iter().enumerate() {
+                if live >> d & 1 == 0 {
+                    continue;
+                }
+                if let Some(vc) = first_from(ready, router.vc_sel[port][d]) {
+                    candidate[port][d] = vc;
+                    requests[port] |= 1 << d;
+                }
+            }
         }
-        let matches = self.routers[r_idx].sa.allocate(
+        (requests, candidate)
+    }
+
+    /// One router's switch allocation: matched branches cross the
+    /// crossbar and their flit copies leave on the link.
+    fn traverse_router(&mut self, here: NodeId, now: u64) {
+        let r_idx = here.index();
+        let (requests, candidate) = self.switch_requests(r_idx, now);
+        if requests == [0; 5] {
+            return; // iSLIP over no requests matches nothing and moves no pointer
+        }
+        let mut matches = [(0, 0); MAX_PORTS];
+        let n_matches = self.routers[r_idx].sa.allocate(
             &requests,
             self.cfg.input_speedup,
             self.cfg.islip_iterations,
+            &mut matches,
         );
-        for (port, d) in matches {
-            let (vc, bi) = candidate[port][d].expect("matched request had a candidate");
-            let dir = match Port::ALL[d] {
-                Port::Dir(dir) => dir,
-                Port::Local => unreachable!("outputs are directions"),
-            };
-            let next = mesh.neighbor(here, dir).expect("VA only grants real links");
-            let f = self.routers[r_idx].vcs[port][vc]
-                .as_mut()
-                .expect("candidate flit exists");
-            let b = &mut f.branches[bi];
+        for &(port, d) in &matches[..n_matches] {
+            let vc = candidate[port][d];
+            let dir = Direction::ALL[d];
+            let next = self.routers[r_idx].neighbors[d].expect("VA only grants real links");
+            let slot = self.slot(r_idx, port, vc);
+            let f = self.slots[slot].as_mut().expect("candidate flit exists");
+            let b = f.branch_mut(dir);
             let out_vc = b.out_vc.expect("SA requires an allocated VC");
             b.done = true;
-            let (core, route) = (f.core, branch_route(f.route, b));
+            let (core, route) = (f.core, f.route);
+            let route = self.branch_route(route, here, dir);
             self.energy.on_allocation();
             self.energy.on_buffer_read();
             self.energy.on_crossbar();
@@ -552,13 +679,13 @@ impl ElectricalNetwork {
                 Some(dir),
                 Some(core.id),
             );
-            self.routers[r_idx].vc_sel[port][d] = (vc + 1) % vcs_per_port;
+            self.routers[r_idx].vc_sel[port][d] = ((vc + 1) % self.cfg.vcs_per_port) as u8;
             let in_port = Port::Dir(dir.opposite());
             let flit = self.make_flit(next, core, route, in_port, now + 1);
             self.incoming.push(Arrival {
                 router: next.index(),
                 port: in_port.index(),
-                vc: out_vc,
+                vc: usize::from(out_vc),
                 flit,
             });
         }
@@ -566,36 +693,32 @@ impl ElectricalNetwork {
 
     /// Phase 7: free finished VCs and send credits upstream.
     fn recycle_vcs(&mut self, now: u64, faulted: bool) {
-        let mesh = self.cfg.mesh;
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            if self.routers[r_idx].is_idle() {
                 continue;
             }
             let here = NodeId(r_idx as u16);
             for port in 0..5 {
-                for vc in 0..self.cfg.vcs_per_port {
-                    let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() else {
-                        continue;
-                    };
+                for vc in bits(self.routers[r_idx].occupied[port]) {
+                    let slot = self.slot(r_idx, port, vc);
+                    let f = self.slots[slot].as_ref().expect("occupied VC holds a flit");
                     let finished = f.finished();
                     let abandon =
                         faulted && now.saturating_sub(f.eligible_at) > STALL_ABANDON_CYCLES;
                     if !finished && !abandon {
                         continue;
                     }
-                    let flit = self.routers[r_idx].vcs[port][vc].take().expect("checked");
-                    self.routers[r_idx].occupied -= 1;
+                    let flit = self.slots[slot].take().expect("checked");
+                    self.routers[r_idx].occupied[port] &= !(1 << vc);
                     if !finished {
                         self.abandon(&flit, here, now);
                     }
                     if let Port::Dir(in_dir) = flit.in_port {
-                        let upstream = mesh
-                            .neighbor(here, in_dir)
+                        let upstream = self.routers[r_idx].neighbors[in_dir as usize]
                             .expect("flit arrived over a real link");
-                        let up_out = Port::Dir(in_dir.opposite()).index();
                         self.credit_returns.push(CreditReturn {
                             router: upstream.index(),
-                            dir: up_out,
+                            dir: in_dir.opposite() as usize,
                             vc,
                         });
                     }
@@ -614,21 +737,29 @@ impl ElectricalNetwork {
         if flit.eject_at.is_some() {
             self.ledger.fail(&mut self.obs, flit.core, here, here, now);
         }
-        for b in flit.branches.iter().filter(|b| !b.done) {
+        for b in flit.branches().iter().filter(|b| !b.done) {
             if let Some(ovc) = b.out_vc {
-                let d = Port::Dir(b.out).index();
-                self.routers[here.index()].credits[d][ovc] = true;
+                self.routers[here.index()].credits[b.out as usize] |= 1 << ovc;
             }
-            self.fail_route(flit.core, branch_route(flit.route, b), here, now);
+            let route = self.branch_route(flit.route, here, b.out);
+            self.fail_route(flit.core, route, here, now);
         }
     }
 
     /// Total occupied VCs (diagnostics).
     pub fn occupied_vcs(&self) -> usize {
-        self.routers
+        let occupied = self
+            .routers
             .iter()
-            .map(|r| r.vcs.iter().flatten().filter(|s| s.is_some()).count())
-            .sum()
+            .flat_map(|r| r.occupied)
+            .map(|vcs| vcs.count_ones() as usize)
+            .sum();
+        debug_assert_eq!(
+            occupied,
+            self.slots.iter().filter(|s| s.is_some()).count(),
+            "occupancy masks track the slots"
+        );
+        occupied
     }
 }
 
@@ -646,19 +777,20 @@ impl Network for ElectricalNetwork {
     }
 
     fn inject(&mut self, packet: NewPacket) -> Option<PacketId> {
-        let nodes = self.cfg.mesh.nodes();
-        let dests = packet.dests.expand(packet.src, nodes);
         let id = PacketId(self.next_id);
-        if dests.is_empty() {
-            self.next_id += 1;
-            self.ledger
-                .self_send(&mut self.obs, self.cycle, id, packet.src);
-            return Some(id);
-        }
-        let route = if dests.len() == 1 {
-            Route::Unicast(dests[0])
-        } else {
-            Route::Tree(mask_of(&dests))
+        // Unicast fast path: no destination list per packet.
+        let (route, copies) = match packet.dests {
+            DestSet::Unicast(dest) if dest != packet.src => (Route::Unicast(dest), 1),
+            ref dests => match *dests.expand(packet.src, self.cfg.mesh.nodes()) {
+                [] => {
+                    self.next_id += 1;
+                    self.ledger
+                        .self_send(&mut self.obs, self.cycle, id, packet.src);
+                    return Some(id);
+                }
+                [dest] => (Route::Unicast(dest), 1),
+                ref dests => (Route::Tree(mask_of(dests)), dests.len()),
+            },
         };
         let core = PacketOrigin {
             id,
@@ -675,7 +807,7 @@ impl Network for ElectricalNetwork {
             return None;
         }
         self.ledger
-            .accept(&mut self.obs, self.cycle, id, packet.src, dests.len());
+            .accept(&mut self.obs, self.cycle, id, packet.src, copies);
         self.next_id += 1;
         Some(id)
     }
@@ -720,6 +852,7 @@ impl Network for ElectricalNetwork {
         // router faults mask deterministically, and the optical-only
         // droop/bit-error faults do not apply here.
         self.fault_plan = plan;
+        self.dead_outputs.fill(0);
     }
 
     fn drain_failures(&mut self) -> Vec<FailedDelivery> {

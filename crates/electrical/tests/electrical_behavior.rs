@@ -2,7 +2,9 @@
 //! VCTM broadcasts, losslessness under load, and credit flow.
 
 use phastlane_electrical::{ElectricalConfig, ElectricalNetwork};
+use phastlane_netsim::ideal::IdealNetwork;
 use phastlane_netsim::packet::PacketKind;
+use phastlane_netsim::rng::SimRng;
 use phastlane_netsim::{Mesh, Network, NewPacket, NodeId};
 
 fn run_until_idle(net: &mut ElectricalNetwork, max_cycles: u64) {
@@ -171,4 +173,102 @@ fn self_send_delivers_immediately() {
     let d = net.drain_deliveries();
     assert_eq!(d[0].packet, id);
     assert_eq!(d[0].latency(), 0);
+}
+
+/// The same seeded unicast workload into the electrical network and
+/// into the contention-free ideal one with the same per-hop cost: no
+/// packet may arrive earlier than its ideal twin.
+#[test]
+fn no_packet_beats_the_ideal_network() {
+    for cfg in [
+        ElectricalConfig::electrical3(),
+        ElectricalConfig::electrical2(),
+    ] {
+        let mesh = cfg.mesh;
+        let nodes = mesh.nodes() as u16;
+        let mut net = ElectricalNetwork::new(cfg.clone());
+        let mut ideal = IdealNetwork::new(mesh, 1, cfg.router_delay + 1);
+        let mut rng = SimRng::seed_from_u64(0x00E1_EC06);
+        let (mut measured, mut bound) = (Vec::new(), Vec::new());
+        let mut contended = 0;
+        for cycle in 0..800 {
+            for src in 0..nodes {
+                if cycle >= 300 || !rng.gen_bool(0.05) {
+                    continue;
+                }
+                let dst = (src + rng.gen_range(1..nodes)) % nodes;
+                let packet = NewPacket::unicast(NodeId(src), NodeId(dst));
+                // Never refused at this rate, so the ids line up.
+                let id = net.inject(packet.clone()).expect("NIC has room");
+                assert_eq!(ideal.inject(packet), Some(id));
+            }
+            net.step();
+            ideal.step();
+            measured.extend(net.drain_deliveries());
+            bound.extend(ideal.drain_deliveries());
+        }
+        assert_eq!(net.in_flight() + ideal.in_flight(), 0, "both drained");
+        assert!(measured.len() > 500 && measured.len() == bound.len());
+        measured.sort_unstable_by_key(|d| d.packet);
+        bound.sort_unstable_by_key(|d| d.packet);
+        for (got, ideal) in measured.iter().zip(&bound) {
+            assert_eq!((got.packet, got.dest), (ideal.packet, ideal.dest));
+            assert!(
+                got.latency() >= ideal.latency(),
+                "{}: packet {:?} took {} cycles, the ideal network {}",
+                cfg.label(),
+                got.packet,
+                got.latency(),
+                ideal.latency()
+            );
+            contended += usize::from(got.latency() > ideal.latency());
+        }
+        assert!(contended > 0, "the workload never contended");
+
+        // An isolated packet meets the bound exactly.
+        for (src, dst) in [(0, 9), (63, 0), (5, 61), (40, 47)] {
+            let mut net = ElectricalNetwork::new(cfg.clone());
+            net.inject(NewPacket::unicast(NodeId(src), NodeId(dst)))
+                .unwrap();
+            run_until_idle(&mut net, 200);
+            assert_eq!(
+                net.drain_deliveries()[0].latency(),
+                ideal.latency_between(NodeId(src), NodeId(dst)),
+                "{} {src} -> {dst}",
+                cfg.label()
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "vcs_per_port must be 1 to 16")]
+fn zero_vcs_rejected() {
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.vcs_per_port = 0;
+    let _ = ElectricalNetwork::new(cfg);
+}
+
+#[test]
+#[should_panic(expected = "vcs_per_port must be 1 to 16")]
+fn more_vcs_than_the_mask_width_rejected() {
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.vcs_per_port = 17;
+    let _ = ElectricalNetwork::new(cfg);
+}
+
+#[test]
+#[should_panic(expected = "input_speedup must be at least 1")]
+fn zero_input_speedup_rejected() {
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.input_speedup = 0;
+    let _ = ElectricalNetwork::new(cfg);
+}
+
+#[test]
+#[should_panic(expected = "output_speedup 1 only")]
+fn unmodelled_output_speedup_rejected() {
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.output_speedup = 2;
+    let _ = ElectricalNetwork::new(cfg);
 }

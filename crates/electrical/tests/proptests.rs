@@ -1,8 +1,8 @@
 //! Randomized property tests of the electrical baseline's allocator and
 //! multicast tree, driven by the in-tree deterministic [`SimRng`].
 
-use phastlane_electrical::islip::Islip;
-use phastlane_electrical::vctm::{mask_contains, mask_len, mask_of, tree_fork};
+use phastlane_electrical::islip::{Islip, MAX_PORTS};
+use phastlane_electrical::vctm::{mask_contains, mask_len, mask_of, tree_fork, TreeRegions};
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_netsim::rng::SimRng;
 
@@ -14,6 +14,22 @@ fn random_requests(rng: &mut SimRng) -> Vec<Vec<usize>> {
             (0..n).map(|_| rng.gen_range(0usize..4)).collect()
         })
         .collect()
+}
+
+/// One `allocate` round over request lists; returns the matches.
+fn allocate(
+    alloc: &mut Islip,
+    reqs: &[Vec<usize>],
+    capacity: usize,
+    iterations: usize,
+) -> Vec<(usize, usize)> {
+    let masks: Vec<u8> = reqs
+        .iter()
+        .map(|outs| outs.iter().fold(0, |m, &o| m | 1 << o))
+        .collect();
+    let mut matches = [(0, 0); MAX_PORTS];
+    let n = alloc.allocate(&masks, capacity, iterations, &mut matches);
+    matches[..n].to_vec()
 }
 
 fn random_node_set(rng: &mut SimRng, max_len: usize) -> std::collections::BTreeSet<u16> {
@@ -37,7 +53,7 @@ fn islip_matches_are_valid() {
         let rounds = rng.gen_range(1usize..6);
         let mut alloc = Islip::new(5, 4);
         for _ in 0..rounds {
-            let matches = alloc.allocate(&reqs, capacity, iterations);
+            let matches = allocate(&mut alloc, &reqs, capacity, iterations);
             let mut out_seen = [false; 4];
             let mut in_count = [0usize; 5];
             for &(i, o) in &matches {
@@ -64,7 +80,7 @@ fn islip_grants_lone_request() {
                 let mut reqs: Vec<Vec<usize>> = vec![Vec::new(); 5];
                 reqs[inp].push(out);
                 for _ in 0..rounds {
-                    let matches = alloc.allocate(&reqs, 4, 2);
+                    let matches = allocate(&mut alloc, &reqs, 4, 2);
                     assert_eq!(&matches, &vec![(inp, out)]);
                 }
             }
@@ -77,8 +93,9 @@ fn islip_grants_lone_request() {
 #[test]
 fn vctm_tree_partitions_any_mask() {
     let mut rng = SimRng::seed_from_u64(0x00E1_EC03);
+    let mesh = Mesh::PAPER;
+    let regions = TreeRegions::new(mesh);
     for _ in 0..128 {
-        let mesh = Mesh::PAPER;
         let src = NodeId(rng.gen_range(0u16..64));
         let nodes = random_node_set(&mut rng, 30);
         let targets: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
@@ -89,7 +106,7 @@ fn vctm_tree_partitions_any_mask() {
         while let Some((at, m)) = frontier.pop() {
             steps += 1;
             assert!(steps < 1000, "tree walk diverged");
-            let (branches, deliver) = tree_fork(mesh, src, at, m);
+            let (branches, deliver) = tree_fork(&regions, src, at, m);
             if deliver {
                 delivered.push(at);
             }
@@ -98,7 +115,7 @@ fn vctm_tree_partitions_any_mask() {
             } else {
                 phastlane_netsim::mask::NodeMask::EMPTY
             };
-            for b in &branches {
+            for b in branches.iter() {
                 assert!(!seen.intersects(&b.submask), "overlapping branches");
                 seen = seen.or(&b.submask);
                 let next = mesh.neighbor(at, b.out).expect("stays in mesh");
