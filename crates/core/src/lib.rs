@@ -21,7 +21,7 @@
 //! * [`channels`] — bit-to-(waveguide, wavelength) assignment (Figure 2);
 //! * [`plan`] — per-cycle flight plans (segments, taps, interim stops);
 //! * [`multicast`] — broadcast decomposition into column messages;
-//! * [`router`] — electrical buffers and the rotating-priority arbiter;
+//! * [`router`] — electrical buffers and the rotating-priority order;
 //! * [`network`] — the simulator, implementing
 //!   [`phastlane_netsim::Network`];
 //! * [`power`] — optical + electrical energy accounting.
@@ -65,11 +65,12 @@ pub use network::PhastlaneNetwork;
 pub use policies::{ArbitrationPolicy, PathPriority};
 
 /// Version tag for the hot-path data layout (flight arena, parked
-/// launch entries, arbitrable bitmask). The perf ledger (`benchmark/`)
+/// launch entries, arbitrable bitmask, busy-router worklist with no
+/// per-router rotation pointer). The perf ledger (`benchmark/`)
 /// stamps it into `results.json` so a perf number is attributable to
 /// the layout that produced it; bump when the per-cycle memory layout
 /// changes.
-pub const ARENA_LAYOUT: &str = "soa-v2";
+pub const ARENA_LAYOUT: &str = "soa-v3";
 
 // Compile-time `Send` guarantee: the `phastlane-lab` scheduler runs
 // whole networks on `std::thread` workers. A future `Rc`/raw-pointer

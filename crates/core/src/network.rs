@@ -3,14 +3,24 @@
 //! [`PhastlaneNetwork::step`] is a driver: it calls one function per
 //! phase and marks the hot-loop profiler after each.
 //!
-//! | phase function | `Phase` mark | paper |
-//! |---|---|---|
-//! | `fault_bookkeeping` | `Fault` | — |
-//! | `confirm_launches` | `Drain` | §2.1.2 |
-//! | `drain_nics` | `Route` | Table 1 |
-//! | `arbitrate_and_launch` | `Arbitrate` | §2.1.1 |
-//! | `wavefront` | `Traverse` | §2.1.2–§2.1.3 |
-//! | `end_cycle` | `Eject` | — |
+//! | phase function | `Phase` mark | paper | visits |
+//! |---|---|---|---|
+//! | `fault_bookkeeping` | `Fault` | — | the fault plan |
+//! | `confirm_launches` | `Drain` | §2.1.2 | busy routers |
+//! | `drain_nics` | `Route` | Table 1 | busy routers |
+//! | `arbitrate_and_launch` | `Arbitrate` | §2.1.1 | busy routers |
+//! | `wavefront` | `Traverse` | §2.1.2–§2.1.3 | this cycle's flights |
+//! | `end_cycle` | `Eject` | — | — |
+//!
+//! A cycle costs what happens in it: the three per-router sweeps walk
+//! the *busy-router worklist*, a bitmask in which a clear bit means the
+//! router's queues, parked launches and NIC are all empty. Set bits are
+//! visited in ascending router order inside each phase — the order the
+//! full walk had — so trace events, both RNG streams and the running
+//! energy sum are those of a walk over all N routers. The three sweeps
+//! are not merged into one per-router pass: that would interleave one
+//! router's `DropReturn` / `Retransmit` events with another's
+//! `OpticalTransit`.
 //!
 //! 1. **Fault bookkeeping** — fault edge events, the hop reach under
 //!    laser droop, the bit-error rate; the nominal values with no plan.
@@ -24,15 +34,22 @@
 //!    buffer while space allows.
 //! 4. **Arbitration & launch** — `arbitrate_router`: each router's
 //!    rotating-priority arbiter picks up to four buffered packets for
-//!    its four output ports. `service_head` decides what one queue head
+//!    its four output ports, visiting its five queues in the order
+//!    `router::rotation(cycle)` (the paper's pointer moves once per
+//!    cycle at every router, so it is the cycle number mod 5 and no
+//!    router stores it). `service_head` decides what one queue head
 //!    does and `launch` claims its output port: buffered packets have
 //!    priority over newly arriving ones. Under a fault plan a head whose
 //!    preferred output is faulted takes a productive detour or
 //!    `stall_or_give_up`s in place, and a head that an ECC-rejected
 //!    delivery re-buffered at its own target router ejects locally
 //!    (through the same `deliver` as the wavefront) instead of launching.
+//!    A router left with nothing — no waiting entry, no parked launch,
+//!    an empty NIC — leaves the worklist here; `inject` and
+//!    `block_flight` put one back on it.
 //! 5. **Optical wavefront** — all launched packets traverse up to
-//!    `max_hops` routers within the cycle. At each router `claim_exit`
+//!    `max_hops` routers within the cycle, along a plan that covers
+//!    that segment only. At each router `claim_exit`
 //!    resolves contention with the paper's fixed priorities (straight
 //!    beats turns); losers are received and buffered at their input
 //!    port, or dropped when the buffer is full (`block_flight`).
@@ -48,7 +65,7 @@ use crate::multicast::split_multicast;
 use crate::plan::{Plan, StepExit, StopKind};
 use crate::policies::ArbitrationPolicy;
 use crate::power::EnergyLedger;
-use crate::router::{Entry, PacketCore, RouterState};
+use crate::router::{rotation, Entry, PacketCore, RouterState};
 use phastlane_netsim::ecc::{self, Decoded};
 use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
@@ -157,6 +174,27 @@ fn origin(core: PacketCore) -> PacketOrigin {
     }
 }
 
+/// Sets bit `i` of a bitmask stored as 64-bit words.
+#[inline]
+fn set_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] |= 1 << (i % 64);
+}
+
+/// The set bits of `word`, ascending. The sweeps run it over a *copy*
+/// of each mask word, inside a loop over the words; keep that two-level
+/// form — a flat cursor walk over the live mask changed what LLVM
+/// inlines into `step` and gave back most of the worklist's gain
+/// (EXPERIMENTS.md "Optical core: busy-router worklist").
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// Output-port claims for the current cycle, indexed by directed link
 /// (`router * 4 + direction`, matching [`Port::index`] order).
 ///
@@ -227,6 +265,13 @@ pub struct PhastlaneNetwork {
     cycle: u64,
     routers: Vec<RouterState>,
     nics: Vec<Nic<Entry>>,
+    /// Busy-router worklist, one bit per router (word `r / 64`, bit
+    /// `r % 64`). Invariant: a clear bit means the router's five queues
+    /// (waiting and parked entries alike) and its NIC are all empty, so
+    /// the three per-router sweeps visit set bits only. Set where an
+    /// entry reaches an idle router (`inject`, `block_flight`), cleared
+    /// by the arbitrate sweep.
+    busy: Vec<u64>,
     next_packet_id: u64,
     next_uid: u64,
     /// Owed destination copies, deliveries, terminal failures, stats.
@@ -282,6 +327,7 @@ impl PhastlaneNetwork {
             cycle: 0,
             routers,
             nics,
+            busy: vec![0; nodes.div_ceil(64)],
             next_packet_id: 0,
             next_uid: 0,
             ledger: DeliveryLedger::new(),
@@ -310,6 +356,24 @@ impl PhastlaneNetwork {
     /// Total waiting entries across all router buffers (diagnostics).
     pub fn buffered_packets(&self) -> usize {
         self.routers.iter().map(RouterState::waiting).sum()
+    }
+
+    /// Routers on the busy worklist (diagnostics): zero once every queue
+    /// and NIC has drained and one more cycle has swept the list.
+    pub fn busy_routers(&self) -> usize {
+        self.busy.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the worklist covers every router that holds anything —
+    /// the full scan the busy mask replaced, kept as its check.
+    fn busy_mask_covers_all_work(&self) -> bool {
+        self.routers
+            .iter()
+            .zip(&self.nics)
+            .enumerate()
+            .all(|(r, (state, nic))| {
+                self.busy[r / 64] >> (r % 64) & 1 == 1 || (state.is_empty() && nic.is_empty())
+            })
     }
 
     /// ASCII heatmap of current buffer occupancy per router — a snapshot
@@ -359,6 +423,7 @@ impl PhastlaneNetwork {
             self.energy.on_buffer_write();
             let uid = self.next_uid;
             self.next_uid += 1;
+            set_bit(&mut self.busy, router.index());
             state.push(
                 qi,
                 Entry {
@@ -466,40 +531,45 @@ impl PhastlaneNetwork {
         )
     }
 
-    /// Confirms or reverts last cycle's launches. Routers that launched
-    /// nothing are skipped outright; for the rest, the launched list
-    /// swaps into a reused scratch buffer.
+    /// Confirms or reverts last cycle's launches. Busy routers that
+    /// launched nothing are skipped outright; for the rest, the launched
+    /// list swaps into a reused scratch buffer. A reverted entry
+    /// re-queues at its launcher, which is on the worklist already.
     fn confirm_launches(&mut self, now: u64) {
         let mut scratch = std::mem::take(&mut self.confirm_scratch);
-        for (r_idx, state) in self.routers.iter_mut().enumerate() {
-            if !state.has_launched() {
-                continue;
-            }
-            state.begin_confirm(&mut scratch);
-            self.profiler.add_work(Phase::Drain, scratch.len() as u64);
-            let launcher = NodeId(r_idx as u16);
-            for &(queue, flight) in &scratch {
-                let qi = usize::from(queue);
-                let mut entry = state.pop_launched(qi);
-                // No drop signal: confirmed — the slot simply frees.
-                let Some(remaining) = self.drop_slots[flight as usize].take() else {
-                    continue;
-                };
-                let id = Some(entry.core.id);
-                self.obs
-                    .emit(now, EventKind::DropReturn, launcher, None, id);
-                entry.targets = remaining;
-                if entry.attempts >= self.cfg.retry_limit {
-                    Self::give_up(&mut self.ledger, &mut self.obs, &entry, launcher, now);
+        for w in 0..self.busy.len() {
+            for bit in bits(self.busy[w]) {
+                let r_idx = w * 64 + bit;
+                let state = &mut self.routers[r_idx];
+                if !state.has_launched() {
                     continue;
                 }
-                let roll = self.rng.gen_u64();
-                entry.ready_at = now + self.cfg.backoff.delay(entry.attempts, roll);
-                entry.attempts += 1;
-                self.ledger.stats.retransmitted += 1;
-                self.obs
-                    .emit(now, EventKind::Retransmit, launcher, None, id);
-                state.push(qi, entry);
+                state.begin_confirm(&mut scratch);
+                self.profiler.add_work(Phase::Drain, scratch.len() as u64);
+                let launcher = NodeId(r_idx as u16);
+                for &(queue, flight) in &scratch {
+                    let qi = usize::from(queue);
+                    let mut entry = state.pop_launched(qi);
+                    // No drop signal: confirmed — the slot simply frees.
+                    let Some(remaining) = self.drop_slots[flight as usize].take() else {
+                        continue;
+                    };
+                    let id = Some(entry.core.id);
+                    self.obs
+                        .emit(now, EventKind::DropReturn, launcher, None, id);
+                    entry.targets = remaining;
+                    if entry.attempts >= self.cfg.retry_limit {
+                        Self::give_up(&mut self.ledger, &mut self.obs, &entry, launcher, now);
+                        continue;
+                    }
+                    let roll = self.rng.gen_u64();
+                    entry.ready_at = now + self.cfg.backoff.delay(entry.attempts, roll);
+                    entry.attempts += 1;
+                    self.ledger.stats.retransmitted += 1;
+                    self.obs
+                        .emit(now, EventKind::Retransmit, launcher, None, id);
+                    state.push(qi, entry);
+                }
             }
         }
         self.confirm_scratch = scratch;
@@ -509,43 +579,53 @@ impl PhastlaneNetwork {
         );
     }
 
-    /// Moves packets from each NIC into the local buffer while it has
-    /// room.
+    /// Moves packets from each busy router's NIC into its local buffer
+    /// while it has room.
     fn drain_nics(&mut self) {
         let local_q = RouterState::local_queue();
         let mut route_work = 0u64;
-        for (state, nic) in self.routers.iter_mut().zip(&mut self.nics) {
-            if nic.is_empty() {
-                continue;
-            }
-            while state.has_room(local_q) {
-                match nic.pop() {
-                    Some(entry) => {
-                        self.energy.on_buffer_write();
-                        state.push(local_q, entry);
-                        route_work += 1;
+        for w in 0..self.busy.len() {
+            for bit in bits(self.busy[w]) {
+                let r_idx = w * 64 + bit;
+                let nic = &mut self.nics[r_idx];
+                if nic.is_empty() {
+                    continue;
+                }
+                let state = &mut self.routers[r_idx];
+                while state.has_room(local_q) {
+                    match nic.pop() {
+                        Some(entry) => {
+                            self.energy.on_buffer_write();
+                            state.push(local_q, entry);
+                            route_work += 1;
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
             }
         }
         self.profiler.add_work(Phase::Route, route_work);
     }
 
-    /// Rotating-priority arbitration and launch at every router. Last
+    /// Rotating-priority arbitration and launch at every busy router,
+    /// which then leaves the worklist if it holds nothing any more. Last
     /// cycle's flights retire to the pool (keeping their buffers) and
     /// the claim table rolls its epoch instead of clearing.
     fn arbitrate_and_launch(&mut self, now: u64, hops: u32) {
         self.claims.begin_cycle();
         self.n_flights = 0;
         self.drop_slots.clear();
-        for r_idx in 0..self.routers.len() {
-            // An idle router still advances its rotating-priority
-            // pointer — the fast path must not change arbitration state.
-            if self.routers[r_idx].waiting() == 0 {
-                self.routers[r_idx].advance();
-            } else {
-                self.arbitrate_router(NodeId(r_idx as u16), now, hops);
+        for w in 0..self.busy.len() {
+            for bit in bits(self.busy[w]) {
+                let r_idx = w * 64 + bit;
+                if self.routers[r_idx].waiting() > 0 {
+                    self.arbitrate_router(NodeId(r_idx as u16), now, hops);
+                }
+                // A launch parks its entry until next cycle's confirm,
+                // so a router that launched stays on the list.
+                if self.routers[r_idx].is_empty() && self.nics[r_idx].is_empty() {
+                    self.busy[w] &= !(1 << bit);
+                }
             }
         }
         self.profiler
@@ -555,17 +635,16 @@ impl PhastlaneNetwork {
     /// One router's arbitration: up to four launches, visiting the five
     /// queues in the policy's order until a pass makes no progress.
     fn arbitrate_router(&mut self, here: NodeId, now: u64, hops: u32) {
-        let state = &mut self.routers[here.index()];
-        let rotation = state.rotate();
+        let state = &self.routers[here.index()];
         // Only age-based arbitration inspects the queue heads; the
         // rotating/fixed orders are pure permutations, so skip the five
         // head loads for them.
         let order = match self.cfg.arbitration {
             ArbitrationPolicy::OldestFirst => {
                 let heads = [0, 1, 2, 3, 4].map(|q| state.head(q));
-                self.cfg.arbitration.queue_order(rotation, heads)
+                self.cfg.arbitration.queue_order(rotation(now), heads)
             }
-            policy => policy.queue_order(rotation, [None; 5]),
+            policy => policy.queue_order(rotation(now), [None; 5]),
         };
         let mut launches = 0u32;
         let mut progress = true;
@@ -705,29 +784,21 @@ impl PhastlaneNetwork {
         let entry = self.routers[here.index()].launch_head(qi, fi as u32);
         let id = Some(entry.core.id);
         let flight = &mut self.flights[fi];
-        if let Some(corner) = waypoint {
-            let first = *entry.targets.first().expect("entries keep >= 1 target");
-            flight.plan.rebuild_with(
-                &mut self.plan_dirs,
-                mesh,
-                here,
-                &[corner, first],
-                false,
-                hops,
-            );
-            self.ledger.stats.rerouted += 1;
-            self.obs
-                .emit(now, EventKind::FaultReroute, here, Some(out), id);
-        } else {
-            flight.plan.rebuild_with(
-                &mut self.plan_dirs,
-                mesh,
-                here,
-                &entry.targets,
-                entry.core.multicast,
-                hops,
-            );
-        }
+        let detour;
+        let (targets, multicast): (&[NodeId], bool) = match waypoint {
+            Some(corner) => {
+                let first = *entry.targets.first().expect("entries keep >= 1 target");
+                detour = [corner, first];
+                self.ledger.stats.rerouted += 1;
+                self.obs
+                    .emit(now, EventKind::FaultReroute, here, Some(out), id);
+                (&detour, false)
+            }
+            None => (&entry.targets, entry.core.multicast),
+        };
+        flight
+            .plan
+            .rebuild_with(&mut self.plan_dirs, mesh, here, targets, multicast, hops);
         debug_assert_eq!(flight.plan.first_exit(), out);
         debug_assert_eq!(
             RouteControl::encode(&flight.plan).len(),
@@ -957,6 +1028,7 @@ impl Network for PhastlaneNetwork {
                 };
                 let pushed = self.nics[packet.src.index()].try_push(entry);
                 assert!(pushed.is_ok(), "capacity verified above");
+                set_bit(&mut self.busy, packet.src.index());
                 self.ledger
                     .accept(&mut self.obs, self.cycle, id, packet.src, 1);
                 self.next_packet_id += 1;
@@ -1008,6 +1080,7 @@ impl Network for PhastlaneNetwork {
             let pushed = self.nics[packet.src.index()].try_push(entry);
             assert!(pushed.is_ok(), "capacity verified above");
         }
+        set_bit(&mut self.busy, packet.src.index());
         self.ledger
             .accept(&mut self.obs, self.cycle, id, packet.src, dests.len());
         self.next_packet_id += 1;
@@ -1016,6 +1089,10 @@ impl Network for PhastlaneNetwork {
 
     fn step(&mut self) {
         let now = self.cycle;
+        debug_assert!(
+            self.busy_mask_covers_all_work(),
+            "a router holds entries but is not on the busy worklist"
+        );
         self.return_paths.clear();
         self.profiler.begin_cycle();
         let delivered_before = self.ledger.pending_deliveries();

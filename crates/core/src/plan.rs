@@ -9,7 +9,7 @@
 //! in a later cycle.
 
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId};
-use phastlane_netsim::routing::{classify_turn, xy_route_into, Turn};
+use phastlane_netsim::routing::{classify_turn, xy_route_prefix_into, Turn};
 
 /// Why a plan ends at its last router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +97,98 @@ impl Plan {
     /// caller's `dirs` scratch buffer — the hot path builds one plan per
     /// launch, so this avoids two allocations per launch.
     ///
+    /// Only the segment is computed: hop directions are collected as far
+    /// as one past `max_hops` (a hop beyond the segment is what tells a
+    /// final accept from an interim stop) and the rest of the itinerary
+    /// is left for the relaunch that will fly it. A U-turn is therefore
+    /// caught by the launch whose segment reaches it.
+    ///
     /// Same contract and panics as [`Plan::build`].
     pub fn rebuild_with(
+        &mut self,
+        dirs: &mut Vec<Direction>,
+        mesh: Mesh,
+        from: NodeId,
+        targets: &[NodeId],
+        multicast: bool,
+        max_hops: u32,
+    ) {
+        assert!(!targets.is_empty(), "plan needs at least one target");
+        assert!(max_hops > 0, "max_hops must be positive");
+
+        let seg_limit = max_hops as usize;
+        let horizon = seg_limit.saturating_add(1);
+        dirs.clear();
+        let mut cursor = from;
+        for &t in targets {
+            assert!(t != cursor, "target {t} coincides with current position");
+            if dirs.len() < horizon {
+                xy_route_prefix_into(mesh, cursor, t, horizon, dirs);
+            }
+            cursor = t;
+        }
+        debug_assert!(
+            dirs.windows(2).all(|w| w[1] != w[0].opposite()),
+            "multicast target order produced a U-turn from {from} through {targets:?}"
+        );
+
+        let seg_hops = dirs.len().min(seg_limit);
+        let route_ends_here = dirs.len() == seg_hops;
+
+        let steps = &mut self.steps;
+        steps.clear();
+        steps.reserve(seg_hops + 1);
+        steps.push(PlanStep {
+            router: from,
+            entry: None,
+            tap: false,
+            exit: StepExit::Forward(dirs[0]),
+        });
+        // Row-major ids: a hop is ±1 along a row, ±width along a column.
+        // Stepping off the north or south edge leaves the id range (a
+        // wrapped id is far outside it); the hop counts come from
+        // coordinate differences, so a row cannot be overrun.
+        let width = mesh.width();
+        let mut node = from;
+        for (i, &dir) in dirs.iter().take(seg_hops).enumerate() {
+            node = NodeId(match dir {
+                Direction::North => node.0.wrapping_sub(width),
+                Direction::South => node.0.wrapping_add(width),
+                Direction::East => node.0.wrapping_add(1),
+                Direction::West => node.0.wrapping_sub(1),
+            });
+            assert!(mesh.contains(node), "route stays in mesh");
+            let is_last_of_segment = i + 1 == seg_hops;
+            let exit = if is_last_of_segment {
+                if route_ends_here {
+                    StepExit::Stop(StopKind::Accept)
+                } else {
+                    StepExit::Stop(StopKind::Interim)
+                }
+            } else {
+                StepExit::Forward(dirs[i + 1])
+            };
+            // A target reached mid-flight is a tap; the final Accept
+            // consumes the packet at the last target directly. The
+            // target scan is skipped outright for unicast plans (the
+            // overwhelmingly common case on the hot path).
+            let tap =
+                multicast && exit != StepExit::Stop(StopKind::Accept) && targets.contains(&node);
+            steps.push(PlanStep {
+                router: node,
+                entry: Some(dir),
+                tap,
+                exit,
+            });
+        }
+    }
+
+    /// The builder [`rebuild_with`](Self::rebuild_with) replaced, kept
+    /// verbatim as its test reference: routes the whole itinerary
+    /// through every target, then walks the segment with
+    /// [`Mesh::neighbor`].
+    #[cfg(test)]
+    fn reference_rebuild(
         &mut self,
         dirs: &mut Vec<Direction>,
         mesh: Mesh,
@@ -116,7 +206,7 @@ impl Plan {
         let mut cursor = from;
         for &t in targets {
             assert!(t != cursor, "target {t} coincides with current position");
-            xy_route_into(mesh, cursor, t, dirs);
+            phastlane_netsim::routing::xy_route_into(mesh, cursor, t, dirs);
             cursor = t;
         }
         debug_assert!(
@@ -315,6 +405,85 @@ mod tests {
         assert_eq!(p, Plan::build(mesh(), NodeId(0), &vd(&[18]), true, 8));
     }
 
+    /// Builds the same plan with both builders — into reused storage, as
+    /// the hot path does — and compares them step for step.
+    fn assert_matches_reference(
+        m: Mesh,
+        from: NodeId,
+        targets: &[NodeId],
+        multicast: bool,
+        max_hops: u32,
+    ) {
+        let (mut dirs, mut ref_dirs) = (Vec::new(), Vec::new());
+        let (mut plan, mut reference) = (Plan::default(), Plan::default());
+        plan.rebuild_with(&mut dirs, m, from, targets, multicast, max_hops);
+        reference.reference_rebuild(&mut ref_dirs, m, from, targets, multicast, max_hops);
+        assert_eq!(
+            plan.steps(),
+            reference.steps(),
+            "{from} through {targets:?}, multicast {multicast}, max_hops {max_hops}"
+        );
+        assert!(dirs.len() <= (max_hops as usize).saturating_add(1));
+    }
+
+    const HOP_LIMITS: [u32; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 14, u32::MAX];
+
+    #[test]
+    fn segment_only_unicast_plans_match_the_reference_exhaustively() {
+        for m in [Mesh::PAPER, Mesh::new(5, 3)] {
+            for from in m.iter_nodes() {
+                for to in m.iter_nodes().filter(|&to| to != from) {
+                    for max_hops in HOP_LIMITS {
+                        assert_matches_reference(m, from, &[to], false, max_hops);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_only_multicast_plans_match_the_reference() {
+        use crate::multicast::split_multicast;
+        use phastlane_netsim::rng::SimRng;
+        let mut rng = SimRng::seed_from_u64(0x0091_A175);
+        for m in [Mesh::PAPER, Mesh::new(5, 3)] {
+            let nodes = m.nodes() as u16;
+            for case in 0..400 {
+                let src = NodeId(rng.gen_range(0..nodes));
+                // Every fourth case a broadcast, else a random subset.
+                let targets: Vec<NodeId> = m
+                    .iter_nodes()
+                    .filter(|_| case % 4 == 0 || rng.gen_bool(0.2))
+                    .collect();
+                for message in split_multicast(m, src, &targets) {
+                    for max_hops in HOP_LIMITS {
+                        assert_matches_reference(m, src, &message, true, max_hops);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_only_detour_plans_match_the_reference() {
+        // The fault path's two-waypoint unicast: out through the other
+        // dimension to the corner, then on to the destination.
+        for m in [Mesh::PAPER, Mesh::new(5, 3)] {
+            for from in m.iter_nodes() {
+                for dest in m.iter_nodes() {
+                    let (f, d) = (m.coord(from), m.coord(dest));
+                    if f.x == d.x || f.y == d.y {
+                        continue;
+                    }
+                    let corner = m.node_at(Coord { x: f.x, y: d.y });
+                    for max_hops in HOP_LIMITS {
+                        assert_matches_reference(m, from, &[corner, dest], false, max_hops);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one target")]
     fn empty_targets_rejected() {
@@ -325,5 +494,13 @@ mod tests {
     #[should_panic(expected = "coincides")]
     fn self_target_rejected() {
         let _ = Plan::build(mesh(), NodeId(0), &vd(&[0]), false, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "coincides")]
+    fn repeated_target_beyond_the_segment_is_still_rejected() {
+        // 0 -> 63 is 14 hops; the repeat lies far past a 4-hop segment
+        // and its one-hop lookahead.
+        let _ = Plan::build(mesh(), NodeId(0), &vd(&[63, 63]), false, 4);
     }
 }

@@ -1,5 +1,6 @@
 //! Per-router electrical state: the five buffer queues (four input ports
-//! plus the local node) and the rotating-priority arbiter (§2.1.1).
+//! plus the local node), and the rotating-priority visit order of the
+//! arbiter that serves them (§2.1.1).
 
 use crate::config::BufferDepth;
 use phastlane_netsim::geometry::{Direction, Port};
@@ -50,9 +51,9 @@ pub struct Entry {
 /// [`Entry`].
 #[derive(Debug, Clone)]
 pub struct RouterState {
-    /// Waiting entries per port (N, S, E, W, Local order per
-    /// [`Port::index`]); the first `launched_per_queue[q]` entries of
-    /// queue `q` are launched-but-unconfirmed.
+    /// Buffered entries per port (N, S, E, W, Local order per
+    /// [`Port::index`]): the first `launched_per_queue[q]` entries of
+    /// queue `q` are parked (launched, unconfirmed), the rest wait.
     queues: [VecDeque<Entry>; 5],
     /// `(queue, flight-arena index)` of entries launched this cycle,
     /// awaiting the (absence of a) drop signal, in launch order.
@@ -65,10 +66,8 @@ pub struct RouterState {
     /// queue mutation so the arbitration scan can reject empty queues
     /// with one bit test instead of touching their storage.
     arbitrable: u8,
-    /// Rotating-priority pointer over the five queues.
-    rr: usize,
-    /// Total waiting entries across all queues, excluding launched ones
-    /// (cached; the idle-router fast path checks this every cycle).
+    /// Total waiting entries across all queues, excluding parked ones
+    /// (cached; the arbitrate sweep tests it at every busy router).
     waiting: u32,
     depth: BufferDepth,
 }
@@ -81,7 +80,6 @@ impl RouterState {
             launched: Vec::new(),
             launched_per_queue: [0; 5],
             arbitrable: 0,
-            rr: 0,
             waiting: 0,
             depth,
         }
@@ -154,6 +152,7 @@ impl RouterState {
     /// cycle's flight arena and returns a reference to it. The entry
     /// stays parked in the queue (still holding its buffer slot) until
     /// next cycle's confirm phase.
+    #[inline]
     pub fn launch_head(&mut self, queue: usize, flight: u32) -> &Entry {
         let pos = self.launched_per_queue[queue] as usize;
         assert!(pos < self.queues[queue].len(), "launch_head on empty queue");
@@ -214,30 +213,6 @@ impl RouterState {
         e
     }
 
-    /// The queue visit order for this cycle's rotating-priority
-    /// arbitration, then advances the pointer.
-    #[inline]
-    pub fn rotate(&mut self) -> [usize; 5] {
-        const ORDERS: [[usize; 5]; 5] = [
-            [0, 1, 2, 3, 4],
-            [1, 2, 3, 4, 0],
-            [2, 3, 4, 0, 1],
-            [3, 4, 0, 1, 2],
-            [4, 0, 1, 2, 3],
-        ];
-        let start = self.rr;
-        self.advance();
-        ORDERS[start]
-    }
-
-    /// Advances the rotating-priority pointer without materializing the
-    /// visit order — the idle-router fast path must still rotate so the
-    /// arbitration state is independent of traffic on *other* routers.
-    #[inline]
-    pub fn advance(&mut self) {
-        self.rr = if self.rr == 4 { 0 } else { self.rr + 1 };
-    }
-
     /// Total waiting entries across all queues (excludes launched).
     #[inline]
     pub fn waiting(&self) -> usize {
@@ -248,10 +223,37 @@ impl RouterState {
         self.waiting as usize
     }
 
-    /// Iterates waiting entries of one queue.
+    /// Whether the router holds nothing at all: no waiting entry and no
+    /// parked launch. With an empty NIC, this is when the network's
+    /// busy-router mask may drop the router.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.waiting == 0 && self.launched.is_empty()
+    }
+
+    /// Iterates every entry buffered in one queue, front to back: the
+    /// parked (launched, unconfirmed) prefix first, then the waiting
+    /// ones.
     pub fn iter_queue(&self, queue: usize) -> impl Iterator<Item = &Entry> {
         self.queues[queue].iter()
     }
+}
+
+/// The queue visit order of the rotating-priority arbiter in `cycle`.
+///
+/// The paper's pointer moves one queue per cycle at every router, busy
+/// or idle, and every router starts at queue 0 in cycle 0 — so it is a
+/// function of the cycle number and needs no per-router state.
+#[inline]
+pub fn rotation(cycle: u64) -> [usize; 5] {
+    const ORDERS: [[usize; 5]; 5] = [
+        [0, 1, 2, 3, 4],
+        [1, 2, 3, 4, 0],
+        [2, 3, 4, 0, 1],
+        [3, 4, 0, 1, 2],
+        [4, 0, 1, 2, 3],
+    ];
+    ORDERS[(cycle % 5) as usize]
 }
 
 #[cfg(test)]
@@ -299,13 +301,10 @@ mod tests {
 
     #[test]
     fn rotation_cycles_through_all_queues() {
-        let mut r = RouterState::new(BufferDepth::Infinite);
-        assert_eq!(r.rotate(), [0, 1, 2, 3, 4]);
-        assert_eq!(r.rotate(), [1, 2, 3, 4, 0]);
-        for _ in 0..3 {
-            r.rotate();
-        }
-        assert_eq!(r.rotate(), [0, 1, 2, 3, 4]);
+        assert_eq!(rotation(0), [0, 1, 2, 3, 4]);
+        assert_eq!(rotation(1), [1, 2, 3, 4, 0]);
+        assert_eq!(rotation(4), [4, 0, 1, 2, 3]);
+        assert_eq!(rotation(5), [0, 1, 2, 3, 4]);
     }
 
     #[test]

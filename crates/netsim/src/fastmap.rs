@@ -2,8 +2,8 @@
 //! hot path.
 //!
 //! `std::collections::HashMap` pays SipHash plus a DoS-resistant random
-//! state on every probe; the simulator's keyed lookups (outstanding
-//! packet counts, harness generation stamps) are all small integer keys
+//! state on every probe; the simulator's keyed lookup (the delivery
+//! ledger's outstanding-copies count per packet) uses small integer keys
 //! on trusted data, so a Fibonacci-multiplicative hash with linear
 //! probing and backward-shift deletion is both faster and — unlike
 //! `HashMap` — fully deterministic in memory layout. The map is

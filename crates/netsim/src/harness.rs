@@ -8,7 +8,6 @@
 //! request it answers was delivered, so a faster network finishes the
 //! trace sooner — which is what "network speedup" measures.
 
-use crate::fastmap::FastMap;
 use crate::geometry::NodeId;
 use crate::network::Network;
 use crate::obs::{CycleTotals, MetricsCollector, PerfProfile};
@@ -142,6 +141,55 @@ pub fn run_synthetic_guarded<N: Network + ?Sized, W: SyntheticWorkload>(
     drive.finish(net, metrics)
 }
 
+/// A `packet id -> V` table for the ids one run sees, stored densely:
+/// slot `id - first id seen`. Every network hands out consecutive ids
+/// ([`Network::inject`]), so a run's ids are one contiguous window —
+/// shifted from zero when the network was used before — and recording
+/// the next one is a `push`. Entries are never removed: a late delivery
+/// may still ask for any of them.
+#[derive(Debug)]
+struct IdWindow<V> {
+    first: u64,
+    slots: Vec<Option<V>>,
+}
+
+impl<V: Clone> IdWindow<V> {
+    fn new() -> Self {
+        IdWindow {
+            first: 0,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Records `id -> value`. An id past the next consecutive one leaves
+    /// unknown slots behind it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is below the first id recorded.
+    fn insert(&mut self, id: u64, value: V) {
+        if self.slots.is_empty() {
+            self.first = id;
+        }
+        let slot =
+            id.checked_sub(self.first)
+                .expect("packet ids never fall below the first one a run saw") as usize;
+        if slot < self.slots.len() {
+            self.slots[slot] = Some(value);
+        } else {
+            self.slots.resize(slot, None);
+            self.slots.push(Some(value));
+        }
+    }
+
+    /// Looks up an id; `None` for one never recorded.
+    #[inline]
+    fn get(&self, id: u64) -> Option<&V> {
+        let slot = id.checked_sub(self.first)?;
+        self.slots.get(slot as usize)?.as_ref()
+    }
+}
+
 /// The per-cycle state machine behind [`run_synthetic_guarded`]: source
 /// queues, measurement-window bookkeeping, and scratch buffers for one
 /// synthetic run.
@@ -150,9 +198,9 @@ struct SyntheticDrive {
     opts: SyntheticOptions,
     nodes: usize,
     source_queues: Vec<VecDeque<(NewPacket, u64)>>,
-    /// Packet id -> (generation cycle, measured?). Keyed by the raw
-    /// sequential id; hit once per accepted packet and once per delivery.
-    gen_cycle: FastMap<(u64, bool)>,
+    /// Packet id -> (generation cycle, measured?); hit once per accepted
+    /// packet and once per delivery.
+    gen_cycle: IdWindow<(u64, bool)>,
     // Per-cycle scratch buffers, reused across the whole run.
     gen_buf: Vec<NewPacket>,
     delivery_buf: Vec<crate::packet::Delivery>,
@@ -196,7 +244,7 @@ impl SyntheticDrive {
             opts,
             nodes,
             source_queues: vec![VecDeque::new(); nodes],
-            gen_cycle: FastMap::new(),
+            gen_cycle: IdWindow::new(),
             gen_buf: Vec::new(),
             delivery_buf: Vec::new(),
             failure_buf: Vec::new(),
@@ -883,6 +931,95 @@ fn resolve_dep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastmap::FastMap;
+    use crate::geometry::Mesh;
+    use crate::ideal::IdealNetwork;
+    use crate::rng::SimRng;
+
+    /// The window against the map it replaced: consecutive ids from an
+    /// arbitrary first one (with the odd gap), then every id around the
+    /// window looked up in scrambled order.
+    #[test]
+    fn id_window_answers_like_the_map_it_replaced() {
+        let mut rng = SimRng::seed_from_u64(0x1D0F_F5E7);
+        for first in [0u64, 1, 977, u64::from(u32::MAX) + 3] {
+            let mut window = IdWindow::new();
+            let mut map = FastMap::new();
+            let mut id = first;
+            for n in 0..500u64 {
+                window.insert(id, (n, n % 3 == 0));
+                map.insert(id, (n, n % 3 == 0));
+                id += if rng.gen_bool(0.05) { 3 } else { 1 };
+            }
+            let lo = first.saturating_sub(5);
+            let mut probes: Vec<u64> = (lo..id + 5).collect();
+            for i in (1..probes.len()).rev() {
+                probes.swap(i, rng.gen_range(0..i + 1));
+            }
+            for probe in probes {
+                assert_eq!(window.get(probe), map.get(probe), "id {probe}");
+            }
+        }
+        assert_eq!(IdWindow::<(u64, bool)>::new().get(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "never fall below")]
+    fn id_window_rejects_an_id_below_its_first() {
+        let mut window = IdWindow::new();
+        window.insert(10, ());
+        window.insert(9, ());
+    }
+
+    /// Two packets a cycle between pseudo-random pairs, as a function of
+    /// the cycle relative to `base` so a reused network sees the same
+    /// traffic a fresh one does.
+    fn scattered_pairs(base: u64) -> impl FnMut(u64) -> Vec<NewPacket> {
+        move |cycle| {
+            let rel = cycle - base;
+            (0..2u64)
+                .map(|k| {
+                    let src = (rel * 7 + k * 29) % 64;
+                    let dst = (src + 1 + (rel * 13 + k * 5) % 63) % 64;
+                    NewPacket::unicast(NodeId(src as u16), NodeId(dst as u16))
+                })
+                .collect()
+        }
+    }
+
+    /// A network used before hands this run ids that do not start at 0,
+    /// and the ideal network delivers by distance, not in id order. The
+    /// literals were recorded with the `FastMap` this window replaced.
+    #[test]
+    fn reused_network_measures_what_a_fresh_one_does() {
+        let opts = SyntheticOptions {
+            warmup: 20,
+            measure: 200,
+            drain: 100,
+        };
+        let mut fresh = IdealNetwork::new(Mesh::PAPER, 2, 1);
+        let expected = run_synthetic(&mut fresh, &mut scattered_pairs(0), opts);
+
+        let mut reused = IdealNetwork::new(Mesh::PAPER, 2, 1);
+        let first = run_synthetic(&mut reused, &mut scattered_pairs(0), opts);
+        let base = reused.cycle();
+        assert!(base > 0 && reused.stats().injected > 0);
+        let second = run_synthetic(&mut reused, &mut scattered_pairs(base), opts);
+
+        for r in [&first, &second] {
+            assert_eq!(r.latency, expected.latency);
+            assert_eq!(r.offered_rate, expected.offered_rate);
+            assert_eq!(r.accepted_rate, expected.accepted_rate);
+            assert_eq!(r.delivered_rate, expected.delivered_rate);
+            assert_eq!((r.unfinished, r.undeliverable), (0, 0));
+            assert_eq!(r.perf.cycles, expected.perf.cycles);
+        }
+        assert_eq!(second.latency.count(), 400);
+        assert_eq!(second.latency.mean(), Some(7.3575));
+        assert_eq!(second.latency.max(), 15);
+        assert_eq!(second.delivered_rate, 0.029_921_875);
+        assert_eq!(second.perf.cycles, 230);
+    }
 
     #[test]
     fn trace_validation_catches_forward_dep() {

@@ -30,7 +30,8 @@ pub trait Network {
     ///
     /// Returns the assigned packet id, or `None` if the NIC is full (the
     /// caller should retry on a later cycle — this is the back-pressure
-    /// path).
+    /// path). Ids are handed out consecutively, in acceptance order; the
+    /// synthetic harness keys its per-packet table on that.
     fn inject(&mut self, packet: NewPacket) -> Option<PacketId>;
 
     /// Advances the simulation by one clock cycle.

@@ -24,6 +24,23 @@ pub fn xy_route(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<Direction> {
 ///
 /// Panics if either node is outside the mesh.
 pub fn xy_route_into(mesh: Mesh, src: NodeId, dst: NodeId, dirs: &mut Vec<Direction>) {
+    xy_route_prefix_into(mesh, src, dst, usize::MAX, dirs);
+}
+
+/// [`xy_route_into`], but stops once `dirs` holds `limit` hops in all:
+/// a launch covers at most `max_hops` of its route, so the optical
+/// plan builder never needs the rest.
+///
+/// # Panics
+///
+/// Panics if either node is outside the mesh.
+pub fn xy_route_prefix_into(
+    mesh: Mesh,
+    src: NodeId,
+    dst: NodeId,
+    limit: usize,
+    dirs: &mut Vec<Direction>,
+) {
     let (a, b) = (mesh.coord(src), mesh.coord(dst));
     let (dx, dy) = (
         i32::from(b.x) - i32::from(a.x),
@@ -34,21 +51,20 @@ pub fn xy_route_into(mesh: Mesh, src: NodeId, dst: NodeId, dirs: &mut Vec<Direct
     } else {
         Direction::West
     };
-    for _ in 0..dx.unsigned_abs() {
-        dirs.push(x_dir);
-    }
+    let x_hops = (dx.unsigned_abs() as usize).min(limit.saturating_sub(dirs.len()));
+    dirs.extend(std::iter::repeat_n(x_dir, x_hops));
     let y_dir = if dy > 0 {
         Direction::South
     } else {
         Direction::North
     };
-    for _ in 0..dy.unsigned_abs() {
-        dirs.push(y_dir);
-    }
+    let y_hops = (dy.unsigned_abs() as usize).min(limit.saturating_sub(dirs.len()));
+    dirs.extend(std::iter::repeat_n(y_dir, y_hops));
 }
 
 /// The first hop direction under XY routing, or `None` if already at the
 /// destination.
+#[inline]
 pub fn xy_first_hop(mesh: Mesh, src: NodeId, dst: NodeId) -> Option<Direction> {
     let (a, b) = (mesh.coord(src), mesh.coord(dst));
     if b.x > a.x {
@@ -161,6 +177,23 @@ mod tests {
             dirs,
             vec![Direction::North, Direction::East, Direction::East]
         );
+    }
+
+    #[test]
+    fn route_prefix_is_the_route_cut_at_the_limit() {
+        let m = Mesh::new(5, 3);
+        for src in m.iter_nodes() {
+            for dst in m.iter_nodes() {
+                let full = xy_route(m, src, dst);
+                for limit in 0..8 {
+                    // Two hops already held count against the limit.
+                    let mut dirs = vec![Direction::North; 2];
+                    xy_route_prefix_into(m, src, dst, limit, &mut dirs);
+                    let kept = full.len().min(limit.saturating_sub(2));
+                    assert_eq!(dirs[2..], full[..kept], "{src}->{dst} limit {limit}");
+                }
+            }
+        }
     }
 
     #[test]
