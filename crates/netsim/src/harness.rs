@@ -7,14 +7,24 @@
 //! *dependency-aware*: a response message only becomes eligible once the
 //! request it answers was delivered, so a faster network finishes the
 //! trace sooner — which is what "network speedup" measures.
+//!
+//! Both kinds run the same way: a drive (`SyntheticDrive`, `TraceDrive`)
+//! with `new` / `done` / `tick` / `finish`, each embedding one `Stepper`
+//! that owns what a cycle costs whatever the workload — the network
+//! step and its drained deliveries and failures, the metrics-window
+//! close, the watchdog, the wall clock. A drive adds only what to
+//! inject this cycle and what a delivery means.
 
+use crate::fault::FailedDelivery;
 use crate::geometry::NodeId;
 use crate::network::Network;
 use crate::obs::{CycleTotals, MetricsCollector, PerfProfile};
-use crate::packet::{DestSet, NewPacket, PacketId, PacketKind};
+use crate::packet::{Delivery, DestSet, NewPacket, PacketId, PacketKind};
 use crate::stats::{EnergyReport, LatencyStats};
 use crate::watchdog::{Interrupt, Watchdog};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -190,80 +200,155 @@ impl<V: Clone> IdWindow<V> {
     }
 }
 
-/// The per-cycle state machine behind [`run_synthetic_guarded`]: source
-/// queues, measurement-window bookkeeping, and scratch buffers for one
-/// synthetic run.
-struct SyntheticDrive {
+/// The cumulative counters and gauges a metrics window closes on.
+fn cycle_totals<N: Network + ?Sized>(net: &N) -> CycleTotals {
+    CycleTotals::from_stats(&net.stats(), net.in_flight() as u64, net.buffer_occupancy())
+}
+
+/// What both drives do every cycle whatever the workload: keep the
+/// clock, step the network and collect what it resolved, close the
+/// metrics window, ask the watchdog, and time the whole run.
+struct Stepper {
     wall_start: Instant,
-    opts: SyntheticOptions,
+    base_cycle: u64,
+    /// Cycles simulated so far.
+    rel: u64,
+    /// What the last simulated cycle delivered and terminally gave up
+    /// on, in drain order; reused across the whole run.
+    deliveries: Vec<Delivery>,
+    failures: Vec<FailedDelivery>,
+    watchdog: Option<Watchdog>,
+    interrupt: Option<Interrupt>,
+}
+
+impl Stepper {
+    /// Starts the wall clock at `net`'s current cycle. An unarmed
+    /// watchdog is dropped, so the supervision cost without one is a
+    /// single branch per cycle.
+    fn new<N: Network + ?Sized>(net: &N, watchdog: Option<Watchdog>) -> Self {
+        Stepper {
+            wall_start: Instant::now(),
+            base_cycle: net.cycle(),
+            rel: 0,
+            deliveries: Vec::new(),
+            failures: Vec::new(),
+            watchdog: watchdog.filter(Watchdog::is_armed),
+            interrupt: None,
+        }
+    }
+
+    /// Simulates one cycle and drains its deliveries and failures into
+    /// the two buffers.
+    fn advance<N: Network + ?Sized>(&mut self, net: &mut N) {
+        net.step();
+        self.rel = net.cycle() - self.base_cycle;
+        self.deliveries.clear();
+        net.drain_deliveries_into(&mut self.deliveries);
+        self.failures.clear();
+        net.drain_failures_into(&mut self.failures);
+    }
+
+    /// Ends the cycle [`advance`](Self::advance) simulated, after the
+    /// drive has accounted its results: flushes the metrics window if
+    /// this cycle fills it (the network's counters are only fetched
+    /// then), and lets the watchdog rule. `progress` says whether any
+    /// packet was injected, delivered or terminally failed this cycle;
+    /// `pending` — whether work is still outstanding — is only
+    /// evaluated once the livelock window has elapsed.
+    fn end_cycle<N: Network + ?Sized>(
+        &mut self,
+        net: &N,
+        metrics: Option<&mut MetricsCollector>,
+        progress: bool,
+        pending: impl FnOnce() -> bool,
+    ) {
+        let closed = self.rel - 1;
+        if let Some(m) = metrics {
+            if m.at_boundary(closed) {
+                m.end_cycle(closed, cycle_totals(net));
+            }
+        }
+        if let Some(wd) = self.watchdog.as_mut() {
+            if progress {
+                wd.note_progress(self.rel);
+            }
+            self.interrupt = wd.check(self.rel, pending);
+        }
+    }
+
+    /// Flushes the trailing metrics window and stops the clock.
+    fn finish<N: Network + ?Sized>(
+        self,
+        net: &mut N,
+        metrics: Option<&mut MetricsCollector>,
+    ) -> (PerfProfile, Option<Interrupt>) {
+        if let Some(m) = metrics {
+            m.finish(self.rel.saturating_sub(1), cycle_totals(net));
+        }
+        let perf = PerfProfile::new(self.rel, self.wall_start.elapsed())
+            .with_phases(net.take_phase_breakdown());
+        (perf, self.interrupt)
+    }
+}
+
+/// The per-cycle state machine behind [`run_synthetic_guarded`]: source
+/// queues and measurement-window bookkeeping for one synthetic run.
+struct SyntheticDrive {
+    core: Stepper,
     nodes: usize,
     source_queues: Vec<VecDeque<(NewPacket, u64)>>,
     /// Packet id -> (generation cycle, measured?); hit once per accepted
     /// packet and once per delivery.
     gen_cycle: IdWindow<(u64, bool)>,
-    // Per-cycle scratch buffers, reused across the whole run.
+    /// Per-cycle scratch buffer, reused across the whole run.
     gen_buf: Vec<NewPacket>,
-    delivery_buf: Vec<crate::packet::Delivery>,
-    failure_buf: Vec<crate::FailedDelivery>,
     latency: LatencyStats,
     offered: u64,
     accepted: u64,
     delivered: u64,
     undeliverable: u64,
+    /// Destinations of measured packets not yet delivered or given up on.
     measured_outstanding: u64,
-    measure_start: u64,
-    measure_end: u64,
+    /// The measurement window and the cycle the run ends at the latest,
+    /// as network cycles (the base cycle included).
+    measure: Range<u64>,
     hard_end: u64,
     energy_start: Option<EnergyReport>,
-    base_cycle: u64,
-    /// Cycles simulated so far (`net.cycle() - base_cycle` after the
-    /// last [`tick`](Self::tick)).
-    rel: u64,
     /// Set when every measured packet drained early.
     drained: bool,
     /// Packets sitting in `source_queues` (cheap pending-work signal for
     /// the watchdog's livelock check).
     queued: u64,
-    watchdog: Option<Watchdog>,
-    interrupt: Option<Interrupt>,
 }
 
 impl SyntheticDrive {
     /// Prepares a drive for `net` (which supplies the node count and the
-    /// base cycle) and starts its wall clock. An unarmed watchdog is
-    /// dropped, so the supervision cost without one is a single branch
-    /// per cycle.
+    /// base cycle) and starts its wall clock.
     fn new<N: Network + ?Sized>(
         net: &N,
         opts: SyntheticOptions,
         watchdog: Option<Watchdog>,
     ) -> Self {
         let nodes = net.mesh().nodes();
+        let measure_start = net.cycle() + opts.warmup;
+        let measure_end = measure_start + opts.measure;
         SyntheticDrive {
-            wall_start: Instant::now(),
-            opts,
+            core: Stepper::new(net, watchdog),
             nodes,
             source_queues: vec![VecDeque::new(); nodes],
             gen_cycle: IdWindow::new(),
             gen_buf: Vec::new(),
-            delivery_buf: Vec::new(),
-            failure_buf: Vec::new(),
             latency: LatencyStats::new(),
             offered: 0,
             accepted: 0,
             delivered: 0,
             undeliverable: 0,
             measured_outstanding: 0,
-            measure_start: opts.warmup,
-            measure_end: opts.warmup + opts.measure,
-            hard_end: opts.warmup + opts.measure + opts.drain,
+            measure: measure_start..measure_end,
+            hard_end: measure_end + opts.drain,
             energy_start: None,
-            base_cycle: net.cycle(),
-            rel: 0,
             drained: false,
             queued: 0,
-            watchdog: watchdog.filter(Watchdog::is_armed),
-            interrupt: None,
         }
     }
 
@@ -271,7 +356,9 @@ impl SyntheticDrive {
     /// measured packet resolved after the measurement window, or a
     /// watchdog stopped the run.
     fn done(&self) -> bool {
-        self.drained || self.interrupt.is_some() || self.rel >= self.hard_end
+        self.drained
+            || self.core.interrupt.is_some()
+            || self.core.base_cycle + self.core.rel >= self.hard_end
     }
 
     /// Advances the run by one cycle: generate, inject, step the
@@ -284,126 +371,117 @@ impl SyntheticDrive {
     ) {
         debug_assert!(!self.done(), "tick called on a finished drive");
         let cycle = net.cycle();
-        let rel = cycle - self.base_cycle;
-        let measuring = rel >= self.measure_start && rel < self.measure_end;
-        if rel == self.measure_start {
+        if cycle == self.measure.start {
             self.energy_start = Some(net.energy());
         }
-
-        // Generate new packets (only until the measurement window closes;
-        // afterwards we just drain).
-        if rel < self.measure_end {
-            self.gen_buf.clear();
-            workload.generate_into(cycle, &mut self.gen_buf);
-            for p in self.gen_buf.drain(..) {
-                if measuring {
-                    self.offered += 1;
-                }
-                if let Some(m) = metrics.as_deref_mut() {
-                    m.on_offered(1);
-                }
-                self.source_queues[p.src.index()].push_back((p, cycle));
-                self.queued += 1;
-            }
+        // Generate only until the measurement window closes; afterwards
+        // we just drain.
+        if cycle < self.measure.end {
+            self.generate(workload, cycle, metrics.as_deref_mut());
         }
-
-        // Progress (for livelock detection): any packet injected,
-        // delivered, or terminally failed this cycle.
-        let mut progress = false;
-
-        // Try to inject from each source queue, in order.
-        for q in &mut self.source_queues {
-            while let Some((p, gen)) = q.front() {
-                let (p, gen) = (p.clone(), *gen);
-                match net.inject(p) {
-                    Some(id) => {
-                        q.pop_front();
-                        self.queued -= 1;
-                        progress = true;
-                        let rel_gen = gen - self.base_cycle;
-                        let measured = rel_gen >= self.measure_start && rel_gen < self.measure_end;
-                        if measured {
-                            self.accepted += 1;
-                            self.measured_outstanding += 1;
-                        }
-                        self.gen_cycle.insert(id.0, (gen, measured));
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.on_accepted(1);
-                        }
-                    }
-                    None => {
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.on_rejected(1);
-                        }
-                        break; // NIC full; retry next cycle
-                    }
-                }
-            }
-        }
-
-        net.step();
-        self.rel = net.cycle() - self.base_cycle;
-
-        self.delivery_buf.clear();
-        net.drain_deliveries_into(&mut self.delivery_buf);
-        progress |= !self.delivery_buf.is_empty();
-        for d in &self.delivery_buf {
-            if let Some(&(gen, measured)) = self.gen_cycle.get(d.packet.0) {
-                if let Some(m) = metrics.as_deref_mut() {
-                    m.on_delivered(d.delivered_cycle.saturating_sub(gen));
-                }
-                if measured {
-                    self.latency.record(d.delivered_cycle.saturating_sub(gen));
-                    // Throughput counts only deliveries inside the
-                    // measurement window: a saturated network keeps
-                    // delivering during the drain, but that is backlog,
-                    // not sustained throughput.
-                    if d.delivered_cycle - self.base_cycle < self.measure_end {
-                        self.delivered += 1;
-                    }
-                    self.measured_outstanding -= 1;
-                }
-            }
-        }
-
-        // Terminally-failed deliveries (retry cap under a fault plan)
-        // resolve their packet just like a delivery would — otherwise the
-        // drain loop would wait forever on packets that can never arrive.
-        self.failure_buf.clear();
-        net.drain_failures_into(&mut self.failure_buf);
-        progress |= !self.failure_buf.is_empty();
-        for f in &self.failure_buf {
-            self.undeliverable += 1;
-            if let Some(&(_, measured)) = self.gen_cycle.get(f.packet.0) {
-                if measured {
-                    self.measured_outstanding -= 1;
-                }
-            }
-        }
-
-        if let Some(m) = metrics {
-            if m.at_boundary(rel) {
-                let st = net.stats();
-                let totals =
-                    CycleTotals::from_stats(&st, net.in_flight() as u64, net.buffer_occupancy());
-                m.end_cycle(rel, totals);
-            }
-        }
+        let injected = self.inject(net, metrics.as_deref_mut());
+        self.core.advance(net);
+        let progress =
+            injected || !self.core.deliveries.is_empty() || !self.core.failures.is_empty();
+        self.account(metrics.as_deref_mut());
 
         // Early exit once every measured packet has drained.
-        if rel + 1 >= self.measure_end && self.measured_outstanding == 0 {
+        if cycle + 1 >= self.measure.end && self.measured_outstanding == 0 {
             self.drained = true;
         }
+        let (net, queued) = (&*net, self.queued);
+        self.core
+            .end_cycle(net, metrics, progress, || queued > 0 || net.in_flight() > 0);
+    }
 
-        // Supervision: one branch when no watchdog is attached. The
-        // pending-work closure is only evaluated if the livelock window
-        // actually elapsed (it costs a virtual call on the network).
-        if let Some(wd) = self.watchdog.as_mut() {
-            if progress {
-                wd.note_progress(self.rel);
+    /// Moves this cycle's packets from the workload to their source
+    /// queues, stamped with the cycle they were generated in.
+    fn generate<W: SyntheticWorkload>(
+        &mut self,
+        workload: &mut W,
+        cycle: u64,
+        mut metrics: Option<&mut MetricsCollector>,
+    ) {
+        let measuring = self.measure.contains(&cycle);
+        self.gen_buf.clear();
+        workload.generate_into(cycle, &mut self.gen_buf);
+        for p in self.gen_buf.drain(..) {
+            if measuring {
+                self.offered += 1;
             }
-            let queued = self.queued;
-            self.interrupt = wd.check(self.rel, || queued > 0 || net.in_flight() > 0);
+            if let Some(m) = metrics.as_deref_mut() {
+                m.on_offered(1);
+            }
+            self.source_queues[p.src.index()].push_back((p, cycle));
+            self.queued += 1;
+        }
+    }
+
+    /// Injects from each source queue, in order, until its NIC refuses
+    /// (the head then retries next cycle). Returns whether any packet
+    /// was accepted.
+    fn inject<N: Network + ?Sized>(
+        &mut self,
+        net: &mut N,
+        mut metrics: Option<&mut MetricsCollector>,
+    ) -> bool {
+        let mut injected = false;
+        for q in &mut self.source_queues {
+            while let Some((p, _)) = q.front() {
+                let Some(id) = net.inject(p.clone()) else {
+                    if let Some(m) = metrics.as_deref_mut() {
+                        m.on_rejected(1);
+                    }
+                    break;
+                };
+                let (p, gen) = q.pop_front().expect("the head just injected");
+                self.queued -= 1;
+                injected = true;
+                let measured = self.measure.contains(&gen);
+                if measured {
+                    self.accepted += 1;
+                    self.measured_outstanding += p.dests.deliveries(p.src, self.nodes) as u64;
+                }
+                self.gen_cycle.insert(id.0, (gen, measured));
+                if let Some(m) = metrics.as_deref_mut() {
+                    m.on_accepted(1);
+                }
+            }
+        }
+        injected
+    }
+
+    /// Accounts what the last cycle delivered and gave up on.
+    fn account(&mut self, mut metrics: Option<&mut MetricsCollector>) {
+        for d in &self.core.deliveries {
+            let Some(&(gen, measured)) = self.gen_cycle.get(d.packet.0) else {
+                continue;
+            };
+            let latency = d.delivered_cycle.saturating_sub(gen);
+            if let Some(m) = metrics.as_deref_mut() {
+                m.on_delivered(latency);
+            }
+            if measured {
+                self.latency.record(latency);
+                // Throughput counts only deliveries inside the
+                // measurement window: a saturated network keeps
+                // delivering during the drain, but that is backlog,
+                // not sustained throughput.
+                if d.delivered_cycle < self.measure.end {
+                    self.delivered += 1;
+                }
+                self.measured_outstanding -= 1;
+            }
+        }
+        // Terminally-failed deliveries (retry cap under a fault plan)
+        // resolve their destination just like a delivery would —
+        // otherwise the drain would wait forever on packets that can
+        // never arrive.
+        for f in &self.core.failures {
+            self.undeliverable += 1;
+            if let Some(&(_, true)) = self.gen_cycle.get(f.packet.0) {
+                self.measured_outstanding -= 1;
+            }
         }
     }
 
@@ -413,14 +491,9 @@ impl SyntheticDrive {
         net: &mut N,
         metrics: Option<&mut MetricsCollector>,
     ) -> SyntheticResult {
-        if let Some(m) = metrics {
-            let st = net.stats();
-            let totals =
-                CycleTotals::from_stats(&st, net.in_flight() as u64, net.buffer_occupancy());
-            m.finish(self.rel.saturating_sub(1), totals);
-        }
         let energy_start = self.energy_start.unwrap_or_default();
-        let denom = (self.nodes as f64) * (self.opts.measure as f64);
+        let denom = self.nodes as f64 * (self.measure.end - self.measure.start) as f64;
+        let (perf, interrupt) = self.core.finish(net, metrics);
         SyntheticResult {
             latency: self.latency,
             offered_rate: self.offered as f64 / denom,
@@ -429,9 +502,8 @@ impl SyntheticDrive {
             energy: net.energy().delta_since(&energy_start),
             unfinished: self.measured_outstanding,
             undeliverable: self.undeliverable,
-            interrupt: self.interrupt,
-            perf: PerfProfile::new(self.rel, self.wall_start.elapsed())
-                .with_phases(net.take_phase_breakdown()),
+            interrupt,
+            perf,
         }
     }
 }
@@ -646,285 +718,317 @@ pub fn run_trace_guarded<N: Network + ?Sized>(
     trace: &Trace,
     opts: TraceOptions,
     mut metrics: Option<&mut MetricsCollector>,
-    mut watchdog: Option<Watchdog>,
+    watchdog: Option<Watchdog>,
 ) -> TraceResult {
-    trace.validate().expect("invalid trace");
-    let wall_start = Instant::now();
-    let energy_start = net.energy();
-    let base_cycle = net.cycle();
-
-    let n = trace.len();
-    let nodes = net.mesh().nodes();
-    let mut dep_remaining: Vec<u32> = Vec::with_capacity(n);
-    // Dependents waiting on a message's full delivery / on one
-    // destination of it.
-    let mut full_deps: HashMap<MsgId, Vec<usize>> = HashMap::new();
-    let mut dest_deps: HashMap<(MsgId, NodeId), Vec<usize>> = HashMap::new();
-    let mut dest_lists: HashMap<MsgId, Vec<NodeId>> = HashMap::with_capacity(n);
-    for m in &trace.messages {
-        dest_lists.insert(m.id, m.dests.expand(m.src, nodes));
+    let mut drive = TraceDrive::new(net, trace, opts, watchdog);
+    while !drive.done() {
+        drive.tick(net, metrics.as_deref_mut());
     }
-    for (i, m) in trace.messages.iter().enumerate() {
-        dep_remaining.push(m.deps.len() as u32);
-        for d in &m.deps {
-            match d.at {
-                None => full_deps.entry(d.msg).or_default().push(i),
-                Some(node) => {
-                    assert!(
-                        dest_lists[&d.msg].contains(&node),
-                        "message {:?} depends on {:?} at {node}, which is not a destination",
-                        m.id,
-                        d.msg
-                    );
-                    dest_deps.entry((d.msg, node)).or_default().push(i);
+    drive.finish(net, metrics)
+}
+
+/// The dependency graph of a trace under replay, as dense tables
+/// indexed by trace position (message ids are only looked up while
+/// building it), plus the packets in flight.
+struct DepGraph<'t> {
+    messages: &'t [TraceMessage],
+    /// Destinations each message has yet to reach or give up on. A
+    /// self-send owes none to begin with and never enters the network.
+    owed: Vec<u32>,
+    /// Dependencies each message still waits on.
+    unmet: Vec<u32>,
+    /// Cycle each message becomes eligible (final once `unmet` is 0):
+    /// `earliest`, pushed back as dependencies resolve.
+    ready_at: Vec<u64>,
+    /// Waiters on each message's full delivery, emptied when it
+    /// completes, and on its delivery at one destination.
+    on_full: Vec<Vec<usize>>,
+    on_dest: Vec<Vec<(NodeId, usize)>>,
+    /// Min-heap of `(ready_at, position)` over messages nothing holds
+    /// back any more.
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Packet id -> trace position of the message it carries.
+    in_flight: IdWindow<usize>,
+    /// Packets in `in_flight` that still owe a destination.
+    flying: usize,
+    completed: u64,
+    /// Cycle the latest message completed (network cycles).
+    completion_cycle: u64,
+}
+
+impl<'t> DepGraph<'t> {
+    /// Lays out the tables for `trace` replayed from `base_cycle` on a
+    /// mesh of `nodes` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dependency at a node its message never reaches.
+    fn new(trace: &'t Trace, nodes: usize, base_cycle: u64) -> Self {
+        let messages = &trace.messages[..];
+        let position: HashMap<MsgId, usize> = messages
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.id, i))
+            .collect();
+        let dests: Vec<Vec<NodeId>> = messages
+            .iter()
+            .map(|m| m.dests.expand(m.src, nodes))
+            .collect();
+        let mut on_full = vec![Vec::new(); messages.len()];
+        let mut on_dest = vec![Vec::new(); messages.len()];
+        for (i, m) in messages.iter().enumerate() {
+            for d in &m.deps {
+                let on = position[&d.msg];
+                match d.at {
+                    None => on_full[on].push(i),
+                    Some(node) => {
+                        assert!(
+                            dests[on].contains(&node),
+                            "message {:?} depends on {:?} at {node}, which is not a destination",
+                            m.id,
+                            d.msg
+                        );
+                        on_dest[on].push((node, i));
+                    }
                 }
             }
         }
-    }
-
-    // ready_at[i]: cycle at which message i becomes eligible (valid once
-    // dep_remaining[i] == 0). Initialized to `earliest`, bumped as deps
-    // deliver.
-    let mut ready_at: Vec<u64> = trace
-        .messages
-        .iter()
-        .map(|m| base_cycle + m.earliest)
-        .collect();
-    // Min-heap of (ready_at, index) for dependency-free messages.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-        std::collections::BinaryHeap::new();
-    for i in 0..n {
-        if dep_remaining[i] == 0 {
-            heap.push(std::cmp::Reverse((ready_at[i], i)));
+        let ready_at: Vec<u64> = messages.iter().map(|m| base_cycle + m.earliest).collect();
+        let ready = messages
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.deps.is_empty())
+            .map(|(i, _)| Reverse((ready_at[i], i)))
+            .collect();
+        DepGraph {
+            messages,
+            owed: dests.iter().map(|d| d.len() as u32).collect(),
+            unmet: messages.iter().map(|m| m.deps.len() as u32).collect(),
+            ready_at,
+            on_full,
+            on_dest,
+            ready,
+            in_flight: IdWindow::new(),
+            flying: 0,
+            completed: 0,
+            completion_cycle: base_cycle,
         }
     }
 
-    // Per-source stall queues for messages that found the NIC full.
-    let mut stalled: Vec<VecDeque<usize>> = vec![VecDeque::new(); nodes];
-    // In-flight tracking: PacketId -> (msg index, remaining dests, eligible cycle).
-    let mut in_flight: HashMap<PacketId, (usize, usize, u64)> = HashMap::new();
-    let mut latency = LatencyStats::new();
-    let mut completed = 0u64;
-    let mut undeliverable = 0u64;
-    let mut completion_cycle = base_cycle;
-    let mut timed_out = false;
-    let mut interrupt: Option<Interrupt> = None;
+    /// The next message eligible by `cycle`, earliest (then first in the
+    /// trace) first.
+    fn pop_ready(&mut self, cycle: u64) -> Option<usize> {
+        let &Reverse((at, msg)) = self.ready.peek()?;
+        (at <= cycle).then(|| {
+            self.ready.pop();
+            msg
+        })
+    }
 
-    let mut cycle = base_cycle;
-    while completed < n as u64 {
-        if cycle - base_cycle >= opts.max_cycles {
-            timed_out = true;
-            break;
+    /// One dependency of `waiter` resolved at `cycle`.
+    fn resolve(&mut self, waiter: usize, cycle: u64) {
+        let ready_at = &mut self.ready_at[waiter];
+        *ready_at = (*ready_at).max(cycle + self.messages[waiter].think);
+        self.unmet[waiter] -= 1;
+        if self.unmet[waiter] == 0 {
+            self.ready.push(Reverse((*ready_at, waiter)));
         }
-        // Progress this cycle (for livelock detection): any packet
-        // injected, delivered, or terminally failed.
-        let mut progress = false;
+    }
 
-        // Move newly-eligible messages into their source's stall queue.
-        while let Some(&std::cmp::Reverse((t, i))) = heap.peek() {
-            if t > cycle {
-                break;
+    /// `msg` reached (or gave up on) its last destination at `cycle`.
+    fn complete(&mut self, msg: usize, cycle: u64) {
+        self.completed += 1;
+        self.completion_cycle = self.completion_cycle.max(cycle);
+        for waiter in std::mem::take(&mut self.on_full[msg]) {
+            self.resolve(waiter, cycle);
+        }
+    }
+
+    /// The network accepted `msg` as `packet`.
+    fn launched(&mut self, packet: PacketId, msg: usize) {
+        self.in_flight.insert(packet.0, msg);
+        self.flying += 1;
+    }
+
+    /// One destination of `packet` resolved at `cycle` — delivered or
+    /// terminally failed, its waiters cannot tell: the depending core
+    /// observes a failed transaction and moves on, and the message still
+    /// counts toward completion, so the replay terminates instead of
+    /// spinning. Returns the cycle the message became eligible (latency
+    /// is counted from it), or `None` for a packet this replay does not
+    /// have in flight.
+    fn settle(&mut self, packet: PacketId, dest: NodeId, cycle: u64) -> Option<u64> {
+        let msg = *self.in_flight.get(packet.0)?;
+        if self.owed[msg] == 0 {
+            return None;
+        }
+        self.owed[msg] -= 1;
+        for k in 0..self.on_dest[msg].len() {
+            let (node, waiter) = self.on_dest[msg][k];
+            if node == dest {
+                self.resolve(waiter, cycle);
             }
-            heap.pop();
-            stalled[trace.messages[i].src.index()].push_back(i);
+        }
+        if self.owed[msg] == 0 {
+            self.flying -= 1;
+            self.complete(msg, cycle);
+        }
+        Some(self.ready_at[msg])
+    }
+}
+
+/// The per-cycle state machine behind [`run_trace_guarded`].
+struct TraceDrive<'t> {
+    core: Stepper,
+    graph: DepGraph<'t>,
+    max_cycles: u64,
+    energy_start: EnergyReport,
+    /// Eligible messages waiting for their source's NIC, in the order
+    /// they became eligible.
+    stalled: Vec<VecDeque<usize>>,
+    latency: LatencyStats,
+    undeliverable: u64,
+}
+
+impl<'t> TraceDrive<'t> {
+    /// Prepares the replay of `trace` on `net` and starts its wall clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace fails [`Trace::validate`].
+    fn new<N: Network + ?Sized>(
+        net: &N,
+        trace: &'t Trace,
+        opts: TraceOptions,
+        watchdog: Option<Watchdog>,
+    ) -> Self {
+        trace.validate().expect("invalid trace");
+        let core = Stepper::new(net, watchdog);
+        let nodes = net.mesh().nodes();
+        TraceDrive {
+            graph: DepGraph::new(trace, nodes, core.base_cycle),
+            core,
+            max_cycles: opts.max_cycles,
+            energy_start: net.energy(),
+            stalled: vec![VecDeque::new(); nodes],
+            latency: LatencyStats::new(),
+            undeliverable: 0,
+        }
+    }
+
+    /// Whether the replay is over: every message completed, the cycle
+    /// limit was reached, or a watchdog stopped it.
+    fn done(&self) -> bool {
+        self.graph.completed == self.graph.messages.len() as u64
+            || self.core.interrupt.is_some()
+            || self.core.rel >= self.max_cycles
+    }
+
+    /// Advances the replay by one cycle: queue what became eligible,
+    /// inject, step the network, settle deliveries and failures.
+    fn tick<N: Network + ?Sized>(
+        &mut self,
+        net: &mut N,
+        mut metrics: Option<&mut MetricsCollector>,
+    ) {
+        debug_assert!(!self.done(), "tick called on a finished drive");
+        let cycle = net.cycle();
+        while let Some(msg) = self.graph.pop_ready(cycle) {
+            self.stalled[self.graph.messages[msg].src.index()].push_back(msg);
             if let Some(m) = metrics.as_deref_mut() {
                 m.on_offered(1);
             }
         }
+        let mut progress = self.inject(net, cycle, metrics.as_deref_mut());
+        self.core.advance(net);
 
-        // Try to inject stalled messages in FIFO order per source.
-        for q in &mut stalled {
-            while let Some(&i) = q.front() {
-                let m = &trace.messages[i];
-                let ndests = dest_lists[&m.id].len();
-                if ndests == 0 {
-                    // Degenerate self-send: treat as immediately delivered.
+        for d in &self.core.deliveries {
+            let Some(eligible) = self.graph.settle(d.packet, d.dest, d.delivered_cycle) else {
+                continue;
+            };
+            progress = true;
+            let latency = d.delivered_cycle.saturating_sub(eligible);
+            self.latency.record(latency);
+            if let Some(m) = metrics.as_deref_mut() {
+                m.on_delivered(latency);
+            }
+        }
+        for f in &self.core.failures {
+            if self.graph.settle(f.packet, f.dest, f.cycle).is_some() {
+                progress = true;
+                self.undeliverable += 1;
+            }
+        }
+
+        let (graph, stalled) = (&self.graph, &self.stalled);
+        self.core.end_cycle(&*net, metrics, progress, || {
+            graph.flying > 0 || stalled.iter().any(|q| !q.is_empty())
+        });
+    }
+
+    /// Injects queued messages in FIFO order per source until its NIC
+    /// refuses. A degenerate self-send completes on the spot, without
+    /// the network — once it is at the head of its queue. Returns
+    /// whether any packet was accepted.
+    fn inject<N: Network + ?Sized>(
+        &mut self,
+        net: &mut N,
+        cycle: u64,
+        mut metrics: Option<&mut MetricsCollector>,
+    ) -> bool {
+        let mut injected = false;
+        for q in &mut self.stalled {
+            while let Some(&msg) = q.front() {
+                if self.graph.owed[msg] == 0 {
                     q.pop_front();
-                    completed += 1;
-                    completion_cycle = completion_cycle.max(cycle);
-                    for &dep_i in full_deps.get(&m.id).map(Vec::as_slice).unwrap_or(&[]) {
-                        resolve_dep(
-                            dep_i,
-                            cycle,
-                            &trace.messages,
-                            &mut dep_remaining,
-                            &mut ready_at,
-                            &mut heap,
-                        );
-                    }
+                    self.graph.complete(msg, cycle);
                     continue;
                 }
-                let p = NewPacket {
+                let m = &self.graph.messages[msg];
+                let packet = NewPacket {
                     src: m.src,
                     dests: m.dests.clone(),
                     kind: m.kind,
                 };
-                match net.inject(p) {
-                    Some(id) => {
-                        q.pop_front();
-                        progress = true;
-                        in_flight.insert(id, (i, ndests, ready_at[i]));
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.on_accepted(1);
-                        }
+                let Some(id) = net.inject(packet) else {
+                    if let Some(m) = metrics.as_deref_mut() {
+                        m.on_rejected(1);
                     }
-                    None => {
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.on_rejected(1);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-
-        net.step();
-        cycle = net.cycle();
-
-        for d in net.drain_deliveries() {
-            if let Some(entry) = in_flight.get_mut(&d.packet) {
-                entry.1 -= 1;
-                progress = true;
-                latency.record(d.delivered_cycle.saturating_sub(entry.2));
+                    break;
+                };
+                q.pop_front();
+                injected = true;
+                self.graph.launched(id, msg);
                 if let Some(m) = metrics.as_deref_mut() {
-                    m.on_delivered(d.delivered_cycle.saturating_sub(entry.2));
-                }
-                let msg_id = trace.messages[entry.0].id;
-                for &dep_i in dest_deps
-                    .get(&(msg_id, d.dest))
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[])
-                {
-                    resolve_dep(
-                        dep_i,
-                        d.delivered_cycle,
-                        &trace.messages,
-                        &mut dep_remaining,
-                        &mut ready_at,
-                        &mut heap,
-                    );
-                }
-                if entry.1 == 0 {
-                    let (i, _, _) = in_flight.remove(&d.packet).expect("entry exists");
-                    completed += 1;
-                    completion_cycle = completion_cycle.max(d.delivered_cycle);
-                    let id = trace.messages[i].id;
-                    for &dep_i in full_deps.get(&id).map(Vec::as_slice).unwrap_or(&[]) {
-                        resolve_dep(
-                            dep_i,
-                            d.delivered_cycle,
-                            &trace.messages,
-                            &mut dep_remaining,
-                            &mut ready_at,
-                            &mut heap,
-                        );
-                    }
+                    m.on_accepted(1);
                 }
             }
         }
-
-        // A terminally-failed destination resolves its waiters exactly as
-        // a delivery would (the depending core observes a failed
-        // transaction and moves on); the message still counts toward
-        // completion so the replay terminates instead of spinning.
-        for f in net.drain_failures() {
-            if let Some(entry) = in_flight.get_mut(&f.packet) {
-                entry.1 -= 1;
-                progress = true;
-                undeliverable += 1;
-                let msg_id = trace.messages[entry.0].id;
-                for &dep_i in dest_deps
-                    .get(&(msg_id, f.dest))
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[])
-                {
-                    resolve_dep(
-                        dep_i,
-                        f.cycle,
-                        &trace.messages,
-                        &mut dep_remaining,
-                        &mut ready_at,
-                        &mut heap,
-                    );
-                }
-                if entry.1 == 0 {
-                    let (i, _, _) = in_flight.remove(&f.packet).expect("entry exists");
-                    completed += 1;
-                    completion_cycle = completion_cycle.max(f.cycle);
-                    let id = trace.messages[i].id;
-                    for &dep_i in full_deps.get(&id).map(Vec::as_slice).unwrap_or(&[]) {
-                        resolve_dep(
-                            dep_i,
-                            f.cycle,
-                            &trace.messages,
-                            &mut dep_remaining,
-                            &mut ready_at,
-                            &mut heap,
-                        );
-                    }
-                }
-            }
-        }
-
-        if let Some(m) = metrics.as_deref_mut() {
-            let rel = cycle - base_cycle;
-            if rel > 0 && m.at_boundary(rel - 1) {
-                let st = net.stats();
-                let totals =
-                    CycleTotals::from_stats(&st, net.in_flight() as u64, net.buffer_occupancy());
-                m.end_cycle(rel - 1, totals);
-            }
-        }
-
-        // Supervision: one branch when no watchdog is attached.
-        if let Some(wd) = watchdog.as_mut() {
-            let rel = cycle - base_cycle;
-            if progress {
-                wd.note_progress(rel);
-            }
-            let verdict = wd.check(rel, || {
-                !in_flight.is_empty() || stalled.iter().any(|q| !q.is_empty())
-            });
-            if let Some(v) = verdict {
-                timed_out = true;
-                interrupt = Some(v);
-                break;
-            }
-        }
+        injected
     }
 
-    if let Some(m) = metrics {
-        let st = net.stats();
-        let totals = CycleTotals::from_stats(&st, net.in_flight() as u64, net.buffer_occupancy());
-        m.finish((cycle - base_cycle).saturating_sub(1), totals);
-    }
-
-    TraceResult {
-        completion_cycle: completion_cycle - base_cycle,
-        latency,
-        energy: net.energy().delta_since(&energy_start),
-        completed,
-        undeliverable,
-        timed_out,
-        interrupt,
-        perf: PerfProfile::new(cycle - base_cycle, wall_start.elapsed())
-            .with_phases(net.take_phase_breakdown()),
-    }
-}
-
-fn resolve_dep(
-    dep_i: usize,
-    delivered_cycle: u64,
-    messages: &[TraceMessage],
-    dep_remaining: &mut [u32],
-    ready_at: &mut [u64],
-    heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-) {
-    let m = &messages[dep_i];
-    ready_at[dep_i] = ready_at[dep_i].max(delivered_cycle + m.think);
-    dep_remaining[dep_i] -= 1;
-    if dep_remaining[dep_i] == 0 {
-        heap.push(std::cmp::Reverse((ready_at[dep_i], dep_i)));
+    /// Closes the replay and summarizes it.
+    fn finish<N: Network + ?Sized>(
+        self,
+        net: &mut N,
+        metrics: Option<&mut MetricsCollector>,
+    ) -> TraceResult {
+        let completed = self.graph.completed;
+        let unfinished = completed < self.graph.messages.len() as u64;
+        let completion_cycle = self.graph.completion_cycle - self.core.base_cycle;
+        let (perf, interrupt) = self.core.finish(net, metrics);
+        TraceResult {
+            completion_cycle,
+            latency: self.latency,
+            energy: net.energy().delta_since(&self.energy_start),
+            completed,
+            undeliverable: self.undeliverable,
+            // A verdict on the very cycle the last message completed
+            // still reads as a timeout.
+            timed_out: unfinished || interrupt.is_some(),
+            interrupt,
+            perf,
+        }
     }
 }
 

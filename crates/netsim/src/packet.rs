@@ -107,6 +107,16 @@ impl DestSet {
         }
     }
 
+    /// How many deliveries (or terminal failures) a packet from `src`
+    /// to this set ends in: one per expanded destination, and the one
+    /// local delivery a degenerate self-send still reports.
+    pub fn deliveries(&self, src: NodeId, nodes: usize) -> usize {
+        match self {
+            DestSet::Unicast(_) => 1,
+            _ => self.expand(src, nodes).len().max(1),
+        }
+    }
+
     /// Whether this is a multi-destination set.
     pub fn is_multi(&self) -> bool {
         match self {
@@ -335,6 +345,19 @@ mod tests {
         assert_eq!(d.expand(NodeId(0), 64), vec![NodeId(5)]);
         // Self-send collapses to nothing.
         assert!(d.expand(NodeId(5), 64).is_empty());
+    }
+
+    #[test]
+    fn deliveries_counts_destinations_and_the_local_self_send() {
+        let (n0, n1, n5) = (NodeId(0), NodeId(1), NodeId(5));
+        assert_eq!(DestSet::Unicast(n5).deliveries(n0, 64), 1);
+        assert_eq!(DestSet::Unicast(n5).deliveries(n5, 64), 1);
+        assert_eq!(DestSet::Broadcast.deliveries(n0, 64), 63);
+        assert_eq!(
+            DestSet::Multicast(vec![n1, n5, n1, n0]).deliveries(n0, 64),
+            2
+        );
+        assert_eq!(DestSet::Multicast(vec![n0]).deliveries(n0, 64), 1);
     }
 
     #[test]

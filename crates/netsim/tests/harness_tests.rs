@@ -34,6 +34,33 @@ fn synthetic_run_measures_exact_latency() {
 }
 
 #[test]
+fn synthetic_run_waits_for_every_destination_of_a_broadcast() {
+    // One broadcast from node 0 every 10 cycles: the 10 inside the
+    // measurement window owe 63 deliveries each, and the run is drained
+    // — early — only once all 630 landed: the last one, sent at cycle
+    // 100, reaches the far corner 2 + 14 cycles later. (Counting one per
+    // packet, the first broadcast used to underflow the outstanding
+    // count.)
+    let mut net = ideal();
+    let mut workload = |cycle: u64| {
+        if cycle % 10 == 0 {
+            vec![NewPacket::broadcast(NodeId(0), PacketKind::ReadRequest)]
+        } else {
+            Vec::new()
+        }
+    };
+    let opts = SyntheticOptions {
+        warmup: 10,
+        measure: 100,
+        drain: 100,
+    };
+    let result = run_synthetic(&mut net, &mut workload, opts);
+    assert_eq!(result.unfinished, 0);
+    assert_eq!(result.latency.count(), 630);
+    assert_eq!(result.perf.cycles, 100 + 2 + 14, "early exit");
+}
+
+#[test]
 fn trace_chain_timing_is_exact() {
     // A three-message chain on the ideal network:
     //   m0: n0 -> n1 at earliest 5           (delivers at 5 + 3 = 8)
