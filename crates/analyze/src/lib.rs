@@ -20,6 +20,7 @@
 //! * [`srclint`] — determinism-hygiene lint over the workspace sources.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod cdg;
 pub mod lablint;

@@ -39,7 +39,9 @@ fn main() {
     let widths = [14, 20, 12, 12, 10, 8];
 
     for bench in ["FFT", "Ocean"] {
-        let profile = phastlane_bench::scaled_profile(&splash2::benchmark(bench).unwrap(), scale);
+        let profile = splash2::benchmark(bench)
+            .unwrap()
+            .scaled(scale, Mesh::PAPER);
         let trace = generate_trace(Mesh::PAPER, &profile);
         println!("=== {} (scale {scale}) ===", profile.name);
         print_row(
@@ -81,7 +83,9 @@ fn main() {
     // 10-per-buffer partition — same storage either way.
     for bench in ["FFT", "Ocean"] {
         println!("=== buffer management ({bench}, scale {scale}) ===");
-        let profile = phastlane_bench::scaled_profile(&splash2::benchmark(bench).unwrap(), scale);
+        let profile = splash2::benchmark(bench)
+            .unwrap()
+            .scaled(scale, Mesh::PAPER);
         let trace = generate_trace(Mesh::PAPER, &profile);
         let widths2 = [16usize, 14, 12, 10];
         print_row(

@@ -30,7 +30,7 @@ fn main() {
             .chain(configs.iter().map(|c| c.label().to_string())),
     );
     for profile in splash2::all_benchmarks() {
-        let profile = phastlane_bench::scaled_profile(&profile, scale);
+        let profile = profile.scaled(scale, Mesh::PAPER);
         let trace = generate_trace(Mesh::PAPER, &profile);
         let baseline = run_on(Config::Electrical3, &trace);
         let base_cycles = baseline.result.completion_cycle.max(1);

@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p phastlane-bench --bin fig11_power
 //! [--quick]`
 
-use phastlane_bench::{print_row, quick_flag, run_on, scaled_profile, Config};
+use phastlane_bench::{print_row, quick_flag, run_on, Config};
 use phastlane_netsim::geometry::Mesh;
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
@@ -24,7 +24,7 @@ fn main() {
     let mut sums = vec![0.0f64; configs.len()];
     let mut count = 0usize;
     for profile in splash2::all_benchmarks() {
-        let profile = scaled_profile(&profile, scale);
+        let profile = profile.scaled(scale, Mesh::PAPER);
         let trace = generate_trace(Mesh::PAPER, &profile);
         let mut cells = vec![profile.name.to_string()];
         let mut electrical3_mw = None;

@@ -2,97 +2,92 @@
 //! the Bit Comp, Bit Reverse, Shuffle, and Transpose synthetic patterns,
 //! comparing the optical configurations against the electrical baselines.
 //!
+//! The experiment is `results/specs/fig9.lab`; this binary runs it on
+//! every available core and prints the report pivoted into the figure's
+//! tables (`phastlane lab run results/specs/fig9.lab` lists the same
+//! jobs one per line).
+//!
 //! Usage: `cargo run --release -p phastlane-bench --bin fig9_synthetic
-//! [--quick]`
+//! [--quick] [--chart]`
 
 use phastlane_bench::chart::{render_log_y, Series};
-use phastlane_bench::{print_row, quick_flag, Config};
-use phastlane_netsim::geometry::Mesh;
-use phastlane_netsim::harness::SyntheticOptions;
-use phastlane_netsim::sweep::{latency_sweep, saturation, Saturation, SweepPoint};
-use phastlane_traffic::patterns::Pattern;
-use phastlane_traffic::synthetic::BernoulliTraffic;
+use phastlane_bench::{print_row, quick_flag};
+use phastlane_lab::scheduler::run_lab;
+use phastlane_lab::LabSpec;
+use phastlane_netsim::Saturation;
+
+const MARKERS: [char; 5] = ['o', '4', '8', 'x', '#'];
 
 fn main() {
-    let quick = quick_flag();
     let draw_charts = std::env::args().any(|a| a == "--chart");
-    let opts = if quick {
-        SyntheticOptions {
-            warmup: 300,
-            measure: 1_000,
-            drain: 3_000,
-        }
-    } else {
-        SyntheticOptions {
-            warmup: 1_000,
-            measure: 4_000,
-            drain: 12_000,
-        }
-    };
-    let rates: Vec<f64> = if quick {
-        vec![0.02, 0.06, 0.10, 0.16, 0.22, 0.30]
-    } else {
-        vec![
-            0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.13, 0.16, 0.20, 0.24, 0.28, 0.34, 0.40,
-        ]
-    };
+    let mut spec = LabSpec::parse(include_str!("../../../../results/specs/fig9.lab"))
+        .expect("results/specs/fig9.lab parses");
+    if quick_flag() {
+        spec.rates = vec![0.02, 0.06, 0.10, 0.16, 0.22, 0.30];
+        (spec.warmup, spec.measure, spec.drain) = (300, 1_000, 3_000);
+    }
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let report = run_lab(&spec, workers).expect("the Figure 9 matrix runs");
 
     println!("Figure 9: average packet latency (cycles) vs injection rate");
     println!("(packets/node/cycle; '-' marks saturated points)\n");
 
-    for pattern in Pattern::FIGURE9 {
+    for pattern in &spec.patterns {
         println!("--- {} ---", pattern.label());
         let widths: Vec<usize> = std::iter::once(7)
-            .chain(Config::FIGURE9.iter().map(|c| c.label().len().max(8)))
+            .chain(spec.nets.iter().map(|n| n.len().max(8)))
             .collect();
         let mut header = vec!["rate".to_string()];
-        header.extend(Config::FIGURE9.iter().map(|c| c.label().to_string()));
+        header.extend(spec.nets.iter().cloned());
         print_row(&header, &widths);
 
-        let mut curves: Vec<Vec<SweepPoint>> = Vec::new();
-        for &cfg in &Config::FIGURE9 {
-            let points = latency_sweep(
-                &rates,
-                || cfg.build(),
-                |rate| BernoulliTraffic::new(Mesh::PAPER, pattern, rate, 0x51CA + cfg as u64),
-                opts,
-            );
-            curves.push(points);
-        }
-        for (ri, &rate) in rates.iter().enumerate() {
+        // The stable mean latency of one cell of the matrix.
+        let latency = |net: &str, rate: f64| {
+            report
+                .jobs
+                .iter()
+                .find(|j| {
+                    j.net == net
+                        && j.pattern.as_deref() == Some(pattern.name())
+                        && j.rate == Some(rate)
+                })
+                .filter(|j| j.stable == Some(true))
+                .and_then(|j| j.latency.mean())
+        };
+        for &rate in &spec.rates {
             let mut cells = vec![format!("{rate:.2}")];
-            for curve in &curves {
-                let p = &curve[ri];
-                if p.is_stable() {
-                    cells.push(format!("{:.1}", p.mean_latency()));
-                } else {
-                    cells.push("-".to_string());
-                }
-            }
+            cells.extend(
+                spec.nets
+                    .iter()
+                    .map(|net| latency(net, rate).map_or("-".to_string(), |l| format!("{l:.1}"))),
+            );
             print_row(&cells, &widths);
         }
         let mut cells = vec!["sat.".to_string()];
-        for curve in &curves {
-            match saturation(curve) {
-                Saturation::Stable(r) => cells.push(format!("{r:.2}")),
-                Saturation::SaturatedFromStart(low) => cells.push(format!("<{low:.2}")),
-                Saturation::NotSwept => cells.push("?".to_string()),
-            }
+        for net in &spec.nets {
+            let curve = report
+                .saturations
+                .iter()
+                .find(|s| s.net == *net && s.pattern == pattern.name());
+            cells.push(match curve.map(|s| s.saturation) {
+                Some(Saturation::Stable(r)) => format!("{r:.2}"),
+                Some(Saturation::SaturatedFromStart(low)) => format!("<{low:.2}"),
+                Some(Saturation::NotSwept) | None => "?".to_string(),
+            });
         }
         print_row(&cells, &widths);
         if draw_charts {
-            let markers = ['o', '4', '8', 'x', '#'];
-            let series: Vec<Series> = Config::FIGURE9
+            let series: Vec<Series> = spec
+                .nets
                 .iter()
-                .zip(markers)
-                .zip(&curves)
-                .map(|((cfg, marker), curve)| Series {
-                    label: cfg.label().to_string(),
+                .zip(MARKERS.iter().cycle())
+                .map(|(net, &marker)| Series {
+                    label: net.clone(),
                     marker,
-                    points: curve
+                    points: spec
+                        .rates
                         .iter()
-                        .filter(|p| p.is_stable())
-                        .map(|p| (p.offered_rate, p.mean_latency()))
+                        .filter_map(|&rate| Some((rate, latency(net, rate)?)))
                         .collect(),
                 })
                 .collect();

@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p phastlane-bench --bin heatmap
 //! [--quick]`
 
-use phastlane_bench::{quick_flag, run_on, scaled_profile, Config};
+use phastlane_bench::{quick_flag, Config};
 use phastlane_netsim::geometry::Mesh;
 use phastlane_netsim::harness::{run_trace, TraceOptions};
 use phastlane_netsim::network::Network;
@@ -14,7 +14,9 @@ use phastlane_traffic::splash2;
 
 fn main() {
     let scale = if quick_flag() { 0.1 } else { 0.3 };
-    let profile = scaled_profile(&splash2::benchmark("Ocean").unwrap(), scale);
+    let profile = splash2::benchmark("Ocean")
+        .unwrap()
+        .scaled(scale, Mesh::PAPER);
     let trace = generate_trace(Mesh::PAPER, &profile);
     println!("link-load heatmaps for {} (scale {scale})\n", profile.name);
 
@@ -35,7 +37,6 @@ fn main() {
         }
         println!();
     }
-    let _ = run_on; // shared harness kept for symmetry with other bins
     println!("Phastlane's load concentrates on row ports near broadcast");
     println!("sources (16 multicast launches each) and the hot coordinator");
     println!("column; the electrical VCTM tree spreads the same broadcast");

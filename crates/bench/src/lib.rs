@@ -5,6 +5,8 @@
 //! see `DESIGN.md` for the index and `EXPERIMENTS.md` for recorded
 //! results.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod chart;
 pub mod report;
 
@@ -46,15 +48,6 @@ impl Config {
         Config::Optical4B32,
         Config::Optical4B64,
         Config::Optical4IB,
-        Config::Electrical2,
-        Config::Electrical3,
-    ];
-
-    /// The configurations swept in Figure 9.
-    pub const FIGURE9: [Config; 5] = [
-        Config::Optical4,
-        Config::Optical5,
-        Config::Optical8,
         Config::Electrical2,
         Config::Electrical3,
     ];
@@ -110,16 +103,6 @@ pub fn run_on(config: Config, trace: &Trace) -> RunOutcome {
         result,
         stats: net.stats(),
     }
-}
-
-/// Scales a benchmark's size for quick runs: `1.0` is the full trace.
-pub fn scaled_profile(
-    profile: &phastlane_traffic::BenchmarkProfile,
-    scale: f64,
-) -> phastlane_traffic::BenchmarkProfile {
-    let mut p = profile.clone();
-    p.misses_per_core = ((p.misses_per_core as f64 * scale).round() as usize).max(2);
-    p
 }
 
 /// Parses the common `--quick` flag used by the figure binaries.

@@ -136,29 +136,87 @@ fn parse_obs(p: &Parsed) -> Result<ObsArgs, ArgError> {
 }
 
 impl ObsArgs {
-    fn make_buffer(&self) -> TraceBuffer {
-        let b = match self.ring {
-            Some(n) => TraceBuffer::ring(n),
-            None => TraceBuffer::new(),
-        };
-        b.with_min_severity(self.severity)
-    }
-
-    fn make_metrics(&self, nodes: usize) -> Option<MetricsCollector> {
-        self.metrics_out
-            .as_ref()
-            .map(|_| MetricsCollector::new(self.sample_interval, nodes))
-    }
-
-    /// Attaches the profiler and (seeded) flight recorder to a freshly
-    /// built network, per the parsed flags.
-    fn instrument(&self, net: &mut dyn Network, seed: u64) {
+    /// Attaches every instrument the flags ask for to a freshly built
+    /// network — event trace, phase profiler, flight recorder (its
+    /// sampling seeded with `seed`) — and returns the metrics collector
+    /// for the run to feed, when `--metrics-out` asks for one.
+    fn attach(&self, net: &mut dyn Network, seed: u64) -> Option<MetricsCollector> {
+        if self.trace_out.is_some() {
+            let buffer = match self.ring {
+                Some(n) => TraceBuffer::ring(n),
+                None => TraceBuffer::new(),
+            };
+            net.set_trace(buffer.with_min_severity(self.severity));
+        }
         if self.profile {
             net.set_phase_profiler(PhaseProfiler::enabled(self.profile_sample));
         }
         if self.flight_out.is_some() {
             net.set_flight_recorder(FlightRecorder::new(seed, self.flight_sample));
         }
+        self.metrics_out
+            .as_ref()
+            .map(|_| MetricsCollector::new(self.sample_interval, net.mesh().nodes()))
+    }
+
+    /// Takes the instruments back off `net` and writes every export the
+    /// flags ask for — flight recorder, trace, metrics, `report` —
+    /// returning one console line per file, each behind `indent`. A run
+    /// that is one `point` of several (a rate of a sweep, an intensity of
+    /// a soak) gets `-r<point>` before each file's extension, so the
+    /// points do not overwrite one another.
+    fn export(
+        &self,
+        net: &mut dyn Network,
+        metrics: Option<MetricsCollector>,
+        point: Option<f64>,
+        indent: &str,
+        report: RunReport,
+    ) -> Result<String, ArgError> {
+        let at = |path: &str| match (point, path.rsplit_once('.')) {
+            (None, _) => path.to_string(),
+            (Some(p), Some((stem, ext))) => format!("{stem}-r{p}.{ext}"),
+            (Some(p), None) => format!("{path}-r{p}"),
+        };
+        let mut out = String::new();
+        if let (Some(path), Some(fr)) = (&self.flight_out, net.take_flight_recorder()) {
+            let (path, json) = (at(path), fr.to_json());
+            // The dump has no CSV form.
+            write_export(&path, &json, || pretty(&json))?;
+            out.push_str(&format!(
+                "{indent}flight recorder: {} journeys of {} packets seen -> {path}\n",
+                fr.pinned(),
+                json.get("packets_seen")
+                    .and_then(JsonValue::as_u64)
+                    .unwrap_or(0),
+            ));
+        }
+        if let Some(path) = &self.trace_out {
+            let path = at(path);
+            let tb = net.take_trace().unwrap_or_default();
+            write_export(&path, &tb.to_json(), || tb.to_csv())?;
+            out.push_str(&format!(
+                "{indent}trace: {} events ({} evicted, {} filtered) -> {path}\n",
+                tb.len(),
+                tb.evicted(),
+                tb.filtered()
+            ));
+        }
+        if let (Some(path), Some(m)) = (&self.metrics_out, metrics) {
+            let path = at(path);
+            let series = m.into_series();
+            write_export(&path, &series.to_json(), || series.to_csv())?;
+            out.push_str(&format!(
+                "{indent}metrics: {} samples -> {path}\n",
+                series.samples.len()
+            ));
+        }
+        if let Some(path) = &self.report_out {
+            let path = at(path);
+            write_export(&path, &report.to_json(), || report.to_csv())?;
+            out.push_str(&format!("{indent}report -> {path}\n"));
+        }
+        Ok(out)
     }
 }
 
@@ -177,23 +235,6 @@ fn phase_table(b: &PhaseBreakdown) -> String {
         ));
     }
     out
-}
-
-/// Writes a flight-recorder dump as pretty JSON and returns the summary
-/// line for the console.
-fn write_flight(path: &str, fr: &FlightRecorder) -> Result<String, ArgError> {
-    let json = fr.to_json();
-    let mut body = json.to_string_pretty();
-    if !body.ends_with('\n') {
-        body.push('\n');
-    }
-    std::fs::write(path, body).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-    let stat = |k: &str| json.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-    Ok(format!(
-        "flight recorder: {} journeys of {} packets seen -> {path}\n",
-        fr.pinned(),
-        stat("packets_seen"),
-    ))
 }
 
 /// Fault-injection options shared by `simulate`, `sweep`, and `chaos`:
@@ -246,6 +287,15 @@ fn parse_fault(p: &Parsed, mesh: Mesh) -> Result<Option<FaultArgs>, ArgError> {
     }))
 }
 
+/// Pretty JSON with its trailing newline.
+fn pretty(json: &JsonValue) -> String {
+    let mut s = json.to_string_pretty();
+    if !s.ends_with('\n') {
+        s.push('\n');
+    }
+    s
+}
+
 /// Writes a JSON or CSV export, picked by the `.csv` extension.
 fn write_export(
     path: &str,
@@ -255,25 +305,9 @@ fn write_export(
     let body = if path.ends_with(".csv") {
         csv()
     } else {
-        let mut s = json.to_string_pretty();
-        if !s.ends_with('\n') {
-            s.push('\n');
-        }
-        s
+        pretty(json)
     };
     std::fs::write(path, body).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
-}
-
-/// Derives a per-rate output path when a sweep covers several rates
-/// (so exports do not overwrite each other).
-fn rate_path(path: &str, rate: f64, multi: bool) -> String {
-    if !multi {
-        return path.to_string();
-    }
-    match path.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}-r{rate}.{ext}"),
-        None => format!("{path}-r{rate}"),
-    }
 }
 
 fn load_benchmark_trace(p: &Parsed, mesh: Mesh) -> Result<(String, Trace), ArgError> {
@@ -284,12 +318,9 @@ fn load_benchmark_trace(p: &Parsed, mesh: Mesh) -> Result<(String, Trace), ArgEr
             "--scale must be a positive finite number, got {scale}"
         )));
     }
-    let mut profile = splash2::benchmark(name)
-        .ok_or_else(|| ArgError(format!("unknown benchmark {name:?} (see Table 3)")))?;
-    profile.misses_per_core = ((profile.misses_per_core as f64 * scale).round() as usize).max(2);
-    if mesh != Mesh::PAPER {
-        profile.active_cores = profile.active_cores.min(mesh.nodes());
-    }
+    let profile = splash2::benchmark(name)
+        .ok_or_else(|| ArgError(format!("unknown benchmark {name:?} (see Table 3)")))?
+        .scaled(scale, mesh);
     Ok((profile.name.to_string(), generate_trace(mesh, &profile)))
 }
 
@@ -309,14 +340,9 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
         net.set_fault_plan(f.plan.clone(), f.seed);
     }
     let max_cycles: u64 = p.get_parsed("max-cycles", 10_000_000)?;
-    if obs.trace_out.is_some() {
-        net.set_trace(obs.make_buffer());
-    }
     // The trace itself is deterministic, so the flight recorder's
     // sampling seed is the only knob --seed turns here.
-    let seed: u64 = p.get_parsed("seed", 7)?;
-    obs.instrument(net.as_mut(), seed);
-    let mut metrics = obs.make_metrics(mesh.nodes());
+    let mut metrics = obs.attach(net.as_mut(), p.get_parsed("seed", 7)?);
     let r = run_trace_observed(
         &mut net,
         &trace,
@@ -373,52 +399,26 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     if let Some(b) = &r.perf.phases {
         out.push_str(&phase_table(b));
     }
-    if let (Some(path), Some(fr)) = (&obs.flight_out, net.take_flight_recorder()) {
-        out.push_str(&write_flight(path, &fr)?);
+    let mut extra = vec![
+        ("benchmark".into(), JsonValue::Str(name)),
+        ("messages".into(), JsonValue::Uint(trace.len() as u64)),
+    ];
+    if let Some(f) = &fault {
+        extra.push(("faults".into(), JsonValue::Uint(f.plan.len() as u64)));
+        extra.push(("fault_seed".into(), JsonValue::Uint(f.seed)));
     }
-    if let Some(path) = &obs.trace_out {
-        let tb = net.take_trace().unwrap_or_default();
-        write_export(path, &tb.to_json(), || tb.to_csv())?;
-        out.push_str(&format!(
-            "trace: {} events ({} evicted, {} filtered) -> {path}\n",
-            tb.len(),
-            tb.evicted(),
-            tb.filtered()
-        ));
-    }
-    if let (Some(path), Some(m)) = (&obs.metrics_out, metrics) {
-        let series = m.into_series();
-        write_export(path, &series.to_json(), || series.to_csv())?;
-        out.push_str(&format!(
-            "metrics: {} samples -> {path}\n",
-            series.samples.len()
-        ));
-    }
-    if let Some(path) = &obs.report_out {
-        let report = RunReport {
-            network: net.name(),
-            width: mesh.width(),
-            height: mesh.height(),
-            seed: None,
-            cycles: r.completion_cycle,
-            stats,
-            energy: r.energy,
-            perf: r.perf,
-            extra: {
-                let mut extra = vec![
-                    ("benchmark".into(), JsonValue::Str(name)),
-                    ("messages".into(), JsonValue::Uint(trace.len() as u64)),
-                ];
-                if let Some(f) = &fault {
-                    extra.push(("faults".into(), JsonValue::Uint(f.plan.len() as u64)));
-                    extra.push(("fault_seed".into(), JsonValue::Uint(f.seed)));
-                }
-                extra
-            },
-        };
-        write_export(path, &report.to_json(), || report.to_csv())?;
-        out.push_str(&format!("report -> {path}\n"));
-    }
+    let report = RunReport {
+        network: net.name(),
+        width: mesh.width(),
+        height: mesh.height(),
+        seed: None,
+        cycles: r.completion_cycle,
+        stats,
+        energy: r.energy,
+        perf: r.perf,
+        extra,
+    };
+    out.push_str(&obs.export(net.as_mut(), metrics, None, "", report)?);
     Ok(out)
 }
 
@@ -501,11 +501,7 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         if let Some(f) = &fault {
             net.set_fault_plan(f.plan.clone(), f.seed);
         }
-        if obs.trace_out.is_some() {
-            net.set_trace(obs.make_buffer());
-        }
-        obs.instrument(net.as_mut(), seed);
-        let mut metrics = obs.make_metrics(mesh.nodes());
+        let mut metrics = obs.attach(net.as_mut(), seed);
         let mut w = BernoulliTraffic::new(mesh, pattern, rate, seed);
         let r = run_synthetic_observed(
             &mut net,
@@ -535,49 +531,26 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         if let Some(b) = &r.perf.phases {
             out.push_str(&phase_table(b));
         }
-        if let (Some(path), Some(fr)) = (&obs.flight_out, net.take_flight_recorder()) {
-            let path = rate_path(path, rate, multi);
-            out.push_str("  ");
-            out.push_str(&write_flight(&path, &fr)?);
-        }
-        if let Some(path) = &obs.trace_out {
-            let path = rate_path(path, rate, multi);
-            let tb = net.take_trace().unwrap_or_default();
-            write_export(&path, &tb.to_json(), || tb.to_csv())?;
-            out.push_str(&format!("  trace: {} events -> {path}\n", tb.len()));
-        }
-        if let (Some(path), Some(m)) = (&obs.metrics_out, metrics) {
-            let path = rate_path(path, rate, multi);
-            let series = m.into_series();
-            write_export(&path, &series.to_json(), || series.to_csv())?;
-            out.push_str(&format!(
-                "  metrics: {} samples -> {path}\n",
-                series.samples.len()
-            ));
-        }
-        if let Some(path) = &obs.report_out {
-            let path = rate_path(path, rate, multi);
-            let report = RunReport {
-                network: net.name(),
-                width: mesh.width(),
-                height: mesh.height(),
-                seed: Some(seed),
-                cycles: r.perf.cycles,
-                stats: net.stats(),
-                energy: r.energy,
-                perf: r.perf,
-                extra: vec![
-                    (
-                        "pattern".into(),
-                        JsonValue::Str(pattern.label().to_string()),
-                    ),
-                    ("offered_rate".into(), JsonValue::Num(rate)),
-                    ("delivered_rate".into(), JsonValue::Num(r.delivered_rate)),
-                ],
-            };
-            write_export(&path, &report.to_json(), || report.to_csv())?;
-            out.push_str(&format!("  report -> {path}\n"));
-        }
+        let report = RunReport {
+            network: net.name(),
+            width: mesh.width(),
+            height: mesh.height(),
+            seed: Some(seed),
+            cycles: r.perf.cycles,
+            stats: net.stats(),
+            energy: r.energy,
+            perf: r.perf,
+            extra: vec![
+                (
+                    "pattern".into(),
+                    JsonValue::Str(pattern.label().to_string()),
+                ),
+                ("offered_rate".into(), JsonValue::Num(rate)),
+                ("delivered_rate".into(), JsonValue::Num(r.delivered_rate)),
+            ],
+        };
+        let point = multi.then_some(rate);
+        out.push_str(&obs.export(net.as_mut(), metrics, point, "  ", report)?);
     }
     Ok(out)
 }
@@ -838,11 +811,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
         if !plan.is_empty() {
             net.set_fault_plan(plan.clone(), fault_seed);
         }
-        if obs.trace_out.is_some() {
-            net.set_trace(obs.make_buffer());
-        }
-        obs.instrument(net.as_mut(), seed);
-        let mut metrics = obs.make_metrics(mesh.nodes());
+        let mut metrics = obs.attach(net.as_mut(), seed);
         let mut w = BernoulliTraffic::new(mesh, Pattern::Uniform, rate, seed);
         let r = run_synthetic_observed(&mut net, &mut w, opts, metrics.as_mut());
         let stats = net.stats();
@@ -878,49 +847,26 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
         if let Some(b) = &r.perf.phases {
             out.push_str(&phase_table(b));
         }
-        if let (Some(path), Some(fr)) = (&obs.flight_out, net.take_flight_recorder()) {
-            let path = rate_path(path, intensity, intensities.len() > 1);
-            out.push_str("  ");
-            out.push_str(&write_flight(&path, &fr)?);
-        }
-        if let Some(path) = &obs.trace_out {
-            let path = rate_path(path, intensity, intensities.len() > 1);
-            let tb = net.take_trace().unwrap_or_default();
-            write_export(&path, &tb.to_json(), || tb.to_csv())?;
-            out.push_str(&format!("  trace: {} events -> {path}\n", tb.len()));
-        }
-        if let (Some(path), Some(m)) = (&obs.metrics_out, metrics) {
-            let path = rate_path(path, intensity, intensities.len() > 1);
-            let series = m.into_series();
-            write_export(&path, &series.to_json(), || series.to_csv())?;
-            out.push_str(&format!(
-                "  metrics: {} samples -> {path}\n",
-                series.samples.len()
-            ));
-        }
-        if let Some(path) = &obs.report_out {
-            let path = rate_path(path, intensity, intensities.len() > 1);
-            let report = RunReport {
-                network: net.name(),
-                width: mesh.width(),
-                height: mesh.height(),
-                seed: Some(seed),
-                cycles: r.perf.cycles,
-                stats,
-                energy: r.energy,
-                perf: r.perf,
-                extra: vec![
-                    ("intensity".into(), JsonValue::Num(intensity)),
-                    ("faults".into(), JsonValue::Uint(plan.len() as u64)),
-                    ("fault_seed".into(), JsonValue::Uint(fault_seed)),
-                    ("fault_plan".into(), JsonValue::Str(plan.encode())),
-                    ("delivered_fraction".into(), JsonValue::Num(delivered_frac)),
-                    ("unresolved".into(), JsonValue::Uint(r.unfinished)),
-                ],
-            };
-            write_export(&path, &report.to_json(), || report.to_csv())?;
-            out.push_str(&format!("  report -> {path}\n"));
-        }
+        let report = RunReport {
+            network: net.name(),
+            width: mesh.width(),
+            height: mesh.height(),
+            seed: Some(seed),
+            cycles: r.perf.cycles,
+            stats,
+            energy: r.energy,
+            perf: r.perf,
+            extra: vec![
+                ("intensity".into(), JsonValue::Num(intensity)),
+                ("faults".into(), JsonValue::Uint(plan.len() as u64)),
+                ("fault_seed".into(), JsonValue::Uint(fault_seed)),
+                ("fault_plan".into(), JsonValue::Str(plan.encode())),
+                ("delivered_fraction".into(), JsonValue::Num(delivered_frac)),
+                ("unresolved".into(), JsonValue::Uint(r.unfinished)),
+            ],
+        };
+        let point = (intensities.len() > 1).then_some(intensity);
+        out.push_str(&obs.export(net.as_mut(), metrics, point, "  ", report)?);
     }
     Ok(out)
 }

@@ -77,6 +77,43 @@ fn parse_progress(p: &Parsed) -> Result<Option<(EventSink, String)>, ArgError> {
     }
 }
 
+/// The per-job table of a finished run, one line per job in matrix
+/// order.
+fn job_table(report: &LabReport) -> String {
+    let mut out = format!(
+        "{:>4} {:>12} {:>10} {:>6} {:>9} {:>8} {:>7} {:>9}\n",
+        "job", "net", "work", "rate", "latency", "p99", "stable", "outcome"
+    );
+    for j in &report.jobs {
+        let work = j
+            .pattern
+            .clone()
+            .or_else(|| j.benchmark.clone())
+            .unwrap_or_default();
+        out.push_str(&format!(
+            "{:>4} {:>12} {:>10} {:>6} {:>9} {:>8} {:>7} {:>9}\n",
+            j.index,
+            j.net,
+            work,
+            j.rate.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
+            j.latency
+                .mean()
+                .map(|m| format!("{m:.2}"))
+                .unwrap_or_else(|| "-".into()),
+            (j.latency.count() > 0)
+                .then(|| j.latency.percentile(99.0))
+                .flatten()
+                .map(|v| v.to_string())
+                .unwrap_or_else(|| "-".into()),
+            j.stable
+                .map(|s| if s { "yes" } else { "NO" }.to_string())
+                .unwrap_or_else(|| "-".into()),
+            j.outcome.label(),
+        ));
+    }
+    out
+}
+
 fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> {
     let workers: usize = p.get_parsed("workers", 1)?;
     let mut spec = spec.clone();
@@ -173,37 +210,7 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
     );
     out.push_str(&preflight_note);
     out.push_str(&resume_note);
-    out.push_str(&format!(
-        "{:>4} {:>12} {:>10} {:>6} {:>9} {:>8} {:>7} {:>9}\n",
-        "job", "net", "work", "rate", "latency", "p99", "stable", "outcome"
-    ));
-    for j in &report.jobs {
-        let work = j
-            .pattern
-            .clone()
-            .or_else(|| j.benchmark.clone())
-            .unwrap_or_default();
-        out.push_str(&format!(
-            "{:>4} {:>12} {:>10} {:>6} {:>9} {:>8} {:>7} {:>9}\n",
-            j.index,
-            j.net,
-            work,
-            j.rate.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
-            j.latency
-                .mean()
-                .map(|m| format!("{m:.2}"))
-                .unwrap_or_else(|| "-".into()),
-            (j.latency.count() > 0)
-                .then(|| j.latency.percentile(99.0))
-                .flatten()
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".into()),
-            j.stable
-                .map(|s| if s { "yes" } else { "NO" }.to_string())
-                .unwrap_or_else(|| "-".into()),
-            j.outcome.label(),
-        ));
-    }
+    out.push_str(&job_table(&report));
     out.push_str(&format!(
         "wall: {:.3} s  serial est: {:.3} s  speedup: {:.2}x  {:.0} cycles/s\n",
         report.wall_seconds,

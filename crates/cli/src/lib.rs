@@ -5,6 +5,8 @@
 //! The binary in `main.rs` is a thin wrapper; everything lives here so
 //! integration tests can drive the real command path in-process.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod analyze;
 pub mod args;
 pub mod commands;

@@ -36,6 +36,7 @@
 //!   durable artifacts, with quarantine for corrupt files.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod baseline;
 pub mod journal;

@@ -167,10 +167,17 @@ pub fn watchdog_for(
     wd.is_armed().then_some(wd)
 }
 
+/// Whether the network kept up with the offered load — the one
+/// stability rule behind every saturation curve: deliveries tracked
+/// offered packets and nothing was left stranded.
+fn kept_up(r: &SyntheticResult) -> bool {
+    r.unfinished == 0 && r.delivered_rate >= 0.90 * r.offered_rate
+}
+
 /// Summarizes one synthetic run as its job's record (wall clock still
 /// zero; the caller attributes it).
 fn synthetic_record(job: &JobSpec, pattern: &Pattern, rate: f64, r: SyntheticResult) -> JobRecord {
-    let stable = r.unfinished == 0 && r.delivered_rate >= 0.90 * r.offered_rate;
+    let stable = kept_up(&r);
     // A watchdog interrupt makes the metrics partial: the job is marked
     // timed out, carries the verdict as its outcome, and abstains from
     // the stability vote (so saturation curves only see full runs).
@@ -260,12 +267,8 @@ pub fn run_job_watched(
         }
         Work::Replay { benchmark } => {
             let mut profile = splash2::benchmark(benchmark)
-                .ok_or_else(|| format!("unknown benchmark {benchmark:?}"))?;
-            profile.misses_per_core =
-                ((profile.misses_per_core as f64 * spec.scale).round() as usize).max(2);
-            if spec.mesh != Mesh::PAPER {
-                profile.active_cores = profile.active_cores.min(spec.mesh.nodes());
-            }
+                .ok_or_else(|| format!("unknown benchmark {benchmark:?}"))?
+                .scaled(spec.scale, spec.mesh);
             profile.seed = job.seed;
             let trace = generate_trace(spec.mesh, &profile);
             let r = run_trace_guarded(
@@ -330,6 +333,24 @@ mod tests {
         assert!(!known_network("warp-drive"));
         assert!(build_network("warp-drive", Mesh::new(4, 4), None).is_err());
         assert!(optical_config("warp-drive").is_err());
+    }
+
+    #[test]
+    fn unstable_when_unfinished() {
+        let run = |delivered_rate: f64, unfinished: u64| SyntheticResult {
+            latency: Default::default(),
+            offered_rate: 0.1,
+            accepted_rate: 0.1,
+            delivered_rate,
+            energy: Default::default(),
+            unfinished,
+            undeliverable: 0,
+            interrupt: None,
+            perf: Default::default(),
+        };
+        assert!(!kept_up(&run(0.1, 1)));
+        assert!(kept_up(&run(0.095, 0)));
+        assert!(!kept_up(&run(0.05, 0)));
     }
 
     #[test]

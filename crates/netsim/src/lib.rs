@@ -23,7 +23,7 @@
 //!   harness fixture);
 //! * [`harness`] — open-loop synthetic runs and dependency-aware trace
 //!   replay;
-//! * [`sweep`] — injection-rate sweeps and saturation extraction;
+//! * [`sweep`] — saturation extraction from an injection-rate sweep;
 //! * [`stats`] — latency/energy accounting;
 //! * [`rng`] — the in-tree deterministic PRNG (no external crates);
 //! * [`obs`] — the observability layer: event traces, time-series
@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod ecc;
 pub mod fastmap;

@@ -1,117 +1,11 @@
-//! Injection-rate sweeps: the latency-vs-load curves of Figure 9 and
-//! saturation-bandwidth extraction.
-
-use crate::harness::{run_synthetic, SyntheticOptions, SyntheticResult, SyntheticWorkload};
-use crate::network::Network;
-use crate::stats::{EnergyReport, LatencyStats};
-
-/// One point of a latency-vs-injection-rate curve.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Offered load (packets per node per cycle).
-    pub offered_rate: f64,
-    /// Measured result at this load.
-    pub result: SyntheticResult,
-    /// True when the point was *not* simulated: the sweep had already
-    /// seen two consecutive unstable points at lower rates, so this
-    /// higher rate was synthesized as saturated (see [`latency_sweep`]).
-    pub synthesized: bool,
-}
-
-impl SweepPoint {
-    /// Mean packet latency, or `f64::INFINITY` if nothing was delivered.
-    pub fn mean_latency(&self) -> f64 {
-        self.result.latency.mean().unwrap_or(f64::INFINITY)
-    }
-
-    /// Whether the network kept up with the offered load: deliveries
-    /// tracked offered packets and nothing was left stranded.
-    /// Synthesized points are never stable.
-    pub fn is_stable(&self) -> bool {
-        !self.synthesized
-            && self.result.unfinished == 0
-            && self.result.delivered_rate >= 0.90 * self.result.offered_rate
-    }
-
-    /// A placeholder point for a rate the sweep skipped because lower
-    /// rates had already saturated: nothing delivered, nothing measured.
-    fn saturated_placeholder(rate: f64) -> SweepPoint {
-        SweepPoint {
-            offered_rate: rate,
-            result: SyntheticResult {
-                latency: LatencyStats::new(),
-                offered_rate: rate,
-                accepted_rate: 0.0,
-                delivered_rate: 0.0,
-                energy: EnergyReport::default(),
-                unfinished: 0,
-                undeliverable: 0,
-                interrupt: None,
-                perf: Default::default(),
-            },
-            synthesized: true,
-        }
-    }
-}
-
-/// Runs a fresh network at each requested injection rate.
-///
-/// `make_net` builds a new network per rate; `make_workload` builds the
-/// per-rate traffic source (e.g. a Bernoulli process over a permutation
-/// pattern).
-///
-/// # Early abort past saturation
-///
-/// Latency-vs-load curves are overwhelmingly dominated by the points
-/// *past* saturation: each one runs its full warmup + measure + drain
-/// budget only to report "unstable". Once two **consecutive** points
-/// have come back unstable, any remaining rate at or above the last
-/// unstable rate is not simulated at all — it is synthesized as a
-/// saturated [`SweepPoint`] (`synthesized == true`, never
-/// [`is_stable`](SweepPoint::is_stable), empty latency). Rates *below*
-/// the last unstable rate (an unsorted sweep) are still simulated, so
-/// out-of-order sweeps lose no information.
-pub fn latency_sweep<N, W>(
-    rates: &[f64],
-    mut make_net: impl FnMut() -> N,
-    mut make_workload: impl FnMut(f64) -> W,
-    opts: SyntheticOptions,
-) -> Vec<SweepPoint>
-where
-    N: Network,
-    W: SyntheticWorkload,
-{
-    let mut points = Vec::with_capacity(rates.len());
-    let mut consecutive_unstable = 0u32;
-    let mut last_unstable_rate = f64::INFINITY;
-    for &rate in rates {
-        if consecutive_unstable >= 2 && rate >= last_unstable_rate {
-            points.push(SweepPoint::saturated_placeholder(rate));
-            continue;
-        }
-        let mut net = make_net();
-        let mut workload = make_workload(rate);
-        let result = run_synthetic(&mut net, &mut workload, opts);
-        let point = SweepPoint {
-            offered_rate: rate,
-            result,
-            synthesized: false,
-        };
-        if point.is_stable() {
-            consecutive_unstable = 0;
-        } else {
-            consecutive_unstable += 1;
-            last_unstable_rate = rate;
-        }
-        points.push(point);
-    }
-    points
-}
+//! Saturation extraction from an injection-rate sweep: the highest
+//! offered load a network still keeps up with (Figure 9's knee). The
+//! sweeps themselves are lab specs (`results/specs/fig9.lab`); whether a
+//! point kept up is the lab runner's verdict.
 
 /// Outcome of saturation extraction from a sweep: distinguishes "the
 /// network saturated at the very first measured rate" from "nothing was
-/// swept at all", which the bare `Option<f64>` of
-/// [`saturation_rate`] cannot.
+/// swept at all", which a bare `Option<f64>` cannot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Saturation {
     /// The highest offered rate whose point was still stable.
@@ -151,205 +45,29 @@ impl Saturation {
     }
 }
 
-/// Extracts the saturation outcome from a sweep: the highest offered
-/// rate whose point is still [`stable`](SweepPoint::is_stable), or one
-/// of the two explicit degenerate cases.
-pub fn saturation(points: &[SweepPoint]) -> Saturation {
-    Saturation::classify(points.iter().map(|p| (p.offered_rate, p.is_stable())))
-}
-
-/// The saturation throughput as a bare `Option`: `Some(rate)` for
-/// [`Saturation::Stable`], `None` otherwise.
-///
-/// `None` conflates "saturated at the first measured rate" with "the
-/// sweep was empty"; callers that care about the difference should use
-/// [`saturation`] instead.
-pub fn saturation_rate(points: &[SweepPoint]) -> Option<f64> {
-    saturation(points).rate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::SyntheticResult;
-    use crate::packet::{Delivery, NewPacket, PacketId};
-    use crate::stats::{EnergyReport, LatencyStats, NetworkStats};
-    use crate::{Mesh, Network};
-
-    fn point(rate: f64, delivered: f64, unfinished: u64) -> SweepPoint {
-        SweepPoint {
-            offered_rate: rate,
-            result: SyntheticResult {
-                latency: LatencyStats::new(),
-                offered_rate: rate,
-                accepted_rate: rate,
-                delivered_rate: delivered,
-                energy: EnergyReport::default(),
-                unfinished,
-                undeliverable: 0,
-                perf: Default::default(),
-                interrupt: None,
-            },
-            synthesized: false,
-        }
-    }
 
     #[test]
     fn saturation_is_last_stable_rate() {
-        let pts = vec![
-            point(0.1, 0.1, 0),
-            point(0.2, 0.2, 0),
-            point(0.3, 0.15, 500), // saturated
-        ];
-        assert_eq!(saturation_rate(&pts), Some(0.2));
-        assert_eq!(saturation(&pts), Saturation::Stable(0.2));
+        // In any order; the unstable tail does not count.
+        let pts = [(0.3, false), (0.1, true), (0.2, true)];
+        assert_eq!(Saturation::classify(pts), Saturation::Stable(0.2));
+        assert_eq!(Saturation::classify(pts).rate(), Some(0.2));
     }
 
     #[test]
     fn saturated_from_start_vs_not_swept() {
-        // The Option contract conflates these two...
-        let unstable = vec![point(0.5, 0.1, 100), point(0.7, 0.1, 200)];
-        assert_eq!(saturation_rate(&unstable), None);
-        assert_eq!(saturation_rate(&[]), None);
+        // As a bare rate the two read the same...
+        let unstable = [(0.7, false), (0.5, false)];
+        assert_eq!(Saturation::classify(unstable).rate(), None);
+        assert_eq!(Saturation::classify([]).rate(), None);
         // ...the enum distinguishes them.
-        assert_eq!(saturation(&unstable), Saturation::SaturatedFromStart(0.5));
-        assert_eq!(saturation(&[]), Saturation::NotSwept);
-        assert_eq!(saturation(&unstable).rate(), None);
-        assert_eq!(saturation(&[]).rate(), None);
-    }
-
-    #[test]
-    fn unstable_when_unfinished() {
-        assert!(!point(0.1, 0.1, 1).is_stable());
-        assert!(point(0.1, 0.095, 0).is_stable());
-        assert!(!point(0.1, 0.05, 0).is_stable());
-    }
-
-    #[test]
-    fn synthesized_points_are_never_stable() {
-        let p = SweepPoint::saturated_placeholder(0.3);
-        assert!(p.synthesized);
-        assert!(!p.is_stable());
-        assert!(p.mean_latency().is_infinite());
-    }
-
-    #[test]
-    fn empty_latency_is_infinite() {
-        assert!(point(0.1, 0.1, 0).mean_latency().is_infinite());
-    }
-
-    /// A network that accepts everything and never delivers: every
-    /// sweep point is maximally unstable.
-    struct BlackHole {
-        cycle: u64,
-        accepted: usize,
-    }
-
-    impl Network for BlackHole {
-        fn name(&self) -> String {
-            "BlackHole".into()
-        }
-        fn mesh(&self) -> Mesh {
-            Mesh::new(2, 2)
-        }
-        fn cycle(&self) -> u64 {
-            self.cycle
-        }
-        fn inject(&mut self, _packet: NewPacket) -> Option<PacketId> {
-            self.accepted += 1;
-            Some(PacketId(self.accepted as u64))
-        }
-        fn step(&mut self) {
-            self.cycle += 1;
-        }
-        fn drain_deliveries(&mut self) -> Vec<Delivery> {
-            Vec::new()
-        }
-        fn in_flight(&self) -> usize {
-            self.accepted
-        }
-        fn energy(&self) -> EnergyReport {
-            EnergyReport::default()
-        }
-        fn stats(&self) -> NetworkStats {
-            NetworkStats::default()
-        }
-    }
-
-    #[test]
-    fn sweep_aborts_after_two_consecutive_unstable_points() {
-        use crate::geometry::NodeId;
-        use crate::packet::{DestSet, PacketKind};
-        let opts = SyntheticOptions {
-            warmup: 2,
-            measure: 8,
-            drain: 8,
-        };
-        let mut nets_built = 0;
-        let rates = [0.1, 0.2, 0.3, 0.4, 0.5];
-        let points = latency_sweep(
-            &rates,
-            || {
-                nets_built += 1;
-                BlackHole {
-                    cycle: 0,
-                    accepted: 0,
-                }
-            },
-            |_rate| {
-                |_cycle: u64| {
-                    vec![NewPacket {
-                        src: NodeId(0),
-                        dests: DestSet::Unicast(NodeId(1)),
-                        kind: PacketKind::Data,
-                    }]
-                }
-            },
-            opts,
+        assert_eq!(
+            Saturation::classify(unstable),
+            Saturation::SaturatedFromStart(0.5)
         );
-        // Only the first two (unstable) points simulate; the remaining
-        // three are synthesized as saturated.
-        assert_eq!(nets_built, 2);
-        assert_eq!(points.len(), rates.len());
-        assert!(points.iter().take(2).all(|p| !p.synthesized));
-        assert!(points.iter().skip(2).all(|p| p.synthesized));
-        assert!(points.iter().all(|p| !p.is_stable()));
-        assert_eq!(saturation(&points), Saturation::SaturatedFromStart(0.1));
-    }
-
-    #[test]
-    fn sweep_still_simulates_lower_out_of_order_rates() {
-        let opts = SyntheticOptions {
-            warmup: 2,
-            measure: 8,
-            drain: 8,
-        };
-        let mut nets_built = 0;
-        // Descending rates: the early-abort guard must not skip rates
-        // below the last unstable one.
-        let rates = [0.5, 0.4, 0.3];
-        let _ = latency_sweep(
-            &rates,
-            || {
-                nets_built += 1;
-                BlackHole {
-                    cycle: 0,
-                    accepted: 0,
-                }
-            },
-            |_rate| {
-                |_cycle: u64| {
-                    use crate::geometry::NodeId;
-                    use crate::packet::{DestSet, PacketKind};
-                    vec![NewPacket {
-                        src: NodeId(0),
-                        dests: DestSet::Unicast(NodeId(1)),
-                        kind: PacketKind::Data,
-                    }]
-                }
-            },
-            opts,
-        );
-        assert_eq!(nets_built, 3, "descending rates are all simulated");
+        assert_eq!(Saturation::classify([]), Saturation::NotSwept);
     }
 }

@@ -43,7 +43,7 @@ fn synthetic_run_waits_for_every_destination_of_a_broadcast() {
     // count.)
     let mut net = ideal();
     let mut workload = |cycle: u64| {
-        if cycle % 10 == 0 {
+        if cycle.is_multiple_of(10) {
             vec![NewPacket::broadcast(NodeId(0), PacketKind::ReadRequest)]
         } else {
             Vec::new()

@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod area;
 pub mod delay;

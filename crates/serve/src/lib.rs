@@ -33,6 +33,7 @@
 //! pool, and route table.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod client;
 pub mod http;

@@ -187,49 +187,27 @@ pub fn generate_cache_trace(mesh: Mesh, w: &CacheWorkload) -> (Trace, CacheSimRe
             let shared = rng.gen_bool(w.shared_fraction);
             let write = rng.gen_bool(w.write_fraction);
 
-            // Next address: sequential with probability `locality`.
+            // The shared region lives above every private region.
             let addr = if shared {
                 let cur = &mut cursor_shared[core_idx];
-                if rng.gen_bool(w.locality) {
-                    *cur = (*cur + 8) % w.shared_bytes;
-                } else {
-                    *cur = rng.gen_range(0..w.shared_bytes / 8) * 8;
-                }
-                // Shared region lives above every private region.
-                (nodes as u64) * w.private_bytes + *cur
+                (nodes as u64) * w.private_bytes
+                    + advance(cur, w.shared_bytes, w.locality, &mut rng)
             } else {
                 let cur = &mut cursor_priv[core_idx];
-                if rng.gen_bool(w.locality) {
-                    *cur = (*cur + 8) % w.private_bytes;
-                } else {
-                    *cur = rng.gen_range(0..w.private_bytes / 8) * 8;
-                }
-                (core_idx as u64) * w.private_bytes + *cur
+                (core_idx as u64) * w.private_bytes
+                    + advance(cur, w.private_bytes, w.locality, &mut rng)
             };
 
             let block = crate::cache::CacheConfig::L2_SIM.block_of(addr);
             let outcome = hierarchies[core_idx].access(addr, write);
             match outcome {
-                HierarchyOutcome::L1Hit => {
-                    gap[core_idx] += w.compute_per_access + L1_HIT_CYCLES;
-                    if write {
-                        upgrade_if_shared(
-                            mesh,
-                            core,
-                            block,
-                            &mut lines,
-                            &mut hierarchies,
-                            &mut messages,
-                            &mut next_id,
-                            &mut report,
-                            &responses[core_idx],
-                            w,
-                            gap[core_idx],
-                        );
-                    }
-                }
-                HierarchyOutcome::L2Hit => {
-                    gap[core_idx] += w.compute_per_access + L2_HIT_CYCLES;
+                hit @ (HierarchyOutcome::L1Hit | HierarchyOutcome::L2Hit) => {
+                    let hit_cycles = if hit == HierarchyOutcome::L1Hit {
+                        L1_HIT_CYCLES
+                    } else {
+                        L2_HIT_CYCLES
+                    };
+                    gap[core_idx] += w.compute_per_access + hit_cycles;
                     if write {
                         upgrade_if_shared(
                             mesh,
@@ -331,6 +309,18 @@ pub fn generate_cache_trace(mesh: Mesh, w: &CacheWorkload) -> (Trace, CacheSimRe
     let trace = Trace { messages };
     debug_assert!(trace.validate().is_ok());
     (trace, report)
+}
+
+/// Moves an address cursor within its `bytes`-sized region — on to the
+/// next word with probability `locality`, else to a random one — and
+/// returns the new offset.
+fn advance(cursor: &mut u64, bytes: u64, locality: f64, rng: &mut SimRng) -> u64 {
+    *cursor = if rng.gen_bool(locality) {
+        (*cursor + 8) % bytes
+    } else {
+        rng.gen_range(0..bytes / 8) * 8
+    };
+    *cursor
 }
 
 /// Home memory controller of a block (cache-line interleaved, §2).

@@ -70,6 +70,18 @@ pub struct BenchmarkProfile {
 }
 
 impl BenchmarkProfile {
+    /// This profile sized for a run at `scale` on `mesh`: `scale` of its
+    /// misses per core (`1.0` is the full trace; never fewer than two,
+    /// so every core still has a miss to chain on) and no more active
+    /// cores than the mesh has nodes.
+    pub fn scaled(&self, scale: f64, mesh: Mesh) -> BenchmarkProfile {
+        BenchmarkProfile {
+            misses_per_core: ((self.misses_per_core as f64 * scale).round() as usize).max(2),
+            active_cores: self.active_cores.min(mesh.nodes()),
+            ..self.clone()
+        }
+    }
+
     /// Total misses across all cores for a mesh.
     pub fn total_misses(&self, mesh: Mesh) -> usize {
         self.misses_per_core * mesh.nodes()
@@ -336,6 +348,25 @@ mod tests {
             active_cores: 64,
             seed: 11,
         }
+    }
+
+    #[test]
+    fn scaled_sizes_misses_and_clamps_cores_to_the_mesh() {
+        let p = profile();
+        let half = p.scaled(0.5, Mesh::PAPER);
+        assert_eq!((half.misses_per_core, half.active_cores), (10, 64));
+        // Rounded, never below two; only the two sizes change.
+        assert_eq!(p.scaled(0.33, Mesh::PAPER).misses_per_core, 7);
+        assert_eq!(p.scaled(0.001, Mesh::PAPER).misses_per_core, 2);
+        let small = p.scaled(1.0, Mesh::new(4, 4));
+        assert_eq!(small.active_cores, 16);
+        assert_eq!(
+            BenchmarkProfile {
+                active_cores: 64,
+                ..small
+            },
+            p
+        );
     }
 
     #[test]

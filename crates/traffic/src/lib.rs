@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod cache;
 pub mod cachegen;

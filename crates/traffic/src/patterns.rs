@@ -35,14 +35,6 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// The four patterns of Figure 9, in the paper's order.
-    pub const FIGURE9: [Pattern; 4] = [
-        Pattern::BitComplement,
-        Pattern::BitReverse,
-        Pattern::Shuffle,
-        Pattern::Transpose,
-    ];
-
     /// Computes the destination for a packet from `src`.
     ///
     /// Permutation patterns may map a node to itself (e.g. the diagonal

@@ -10,6 +10,8 @@
 //! - [`optical`] — the Phastlane optical network (paper §2)
 //! - [`electrical`] — the baseline electrical virtual-channel network
 
+#![warn(clippy::too_many_lines)]
+
 pub use phastlane_core as optical;
 pub use phastlane_electrical as electrical;
 pub use phastlane_netsim as netsim;

@@ -17,9 +17,8 @@ use phastlane_repro::traffic::coherence::generate_trace;
 use phastlane_repro::traffic::splash2;
 
 fn scaled(name: &str, scale: f64) -> phastlane_repro::netsim::harness::Trace {
-    let mut profile = splash2::benchmark(name).expect("known benchmark");
-    profile.misses_per_core = ((profile.misses_per_core as f64 * scale).round() as usize).max(2);
-    generate_trace(Mesh::PAPER, &profile)
+    let profile = splash2::benchmark(name).expect("known benchmark");
+    generate_trace(Mesh::PAPER, &profile.scaled(scale, Mesh::PAPER))
 }
 
 fn optical_completion(trace: &phastlane_repro::netsim::harness::Trace) -> u64 {
