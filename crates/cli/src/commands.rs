@@ -21,17 +21,9 @@ use phastlane_traffic::splash2;
 use phastlane_traffic::synthetic::BernoulliTraffic;
 use phastlane_traffic::Pattern;
 
-/// Builds a network from its `--net` name.
-///
-/// # Errors
-///
-/// Errors on an unknown name.
-pub fn build_network(name: &str, mesh: Mesh) -> Result<Box<dyn Network>, ArgError> {
-    build_network_with(name, mesh, None)
-}
-
-/// [`build_network`] with an optional retry-limit override (the fault
-/// subsystem's livelock guard; only meaningful for the optical configs).
+/// Builds a network from its `--net` name, with an optional retry-limit
+/// override (the fault subsystem's livelock guard; only meaningful for
+/// the optical configs).
 ///
 /// Delegates to the lab runner's builder — one network registry for the
 /// whole workspace — and forgets the `Send` bound the lab's worker pool
@@ -40,7 +32,7 @@ pub fn build_network(name: &str, mesh: Mesh) -> Result<Box<dyn Network>, ArgErro
 /// # Errors
 ///
 /// Errors on an unknown name.
-pub fn build_network_with(
+pub fn build_network(
     name: &str,
     mesh: Mesh,
     retry_limit: Option<u32>,
@@ -74,6 +66,14 @@ pub fn parse_mesh(p: &Parsed) -> Result<Mesh, ArgError> {
             Ok(Mesh::new(w, h))
         }
     }
+}
+
+/// Parses a comma-separated list of numbers; `what` names one of them in
+/// the error.
+fn parse_list(list: &str, what: &str) -> Result<Vec<f64>, ArgError> {
+    list.split(',')
+        .map(|s| s.parse().map_err(|_| ArgError(format!("bad {what} {s:?}"))))
+        .collect()
 }
 
 /// Observability options shared by `simulate` and `sweep`: where to
@@ -161,10 +161,10 @@ impl ObsArgs {
 
     /// Takes the instruments back off `net` and writes every export the
     /// flags ask for — flight recorder, trace, metrics, `report` —
-    /// returning one console line per file, each behind `indent`. A run
-    /// that is one `point` of several (a rate of a sweep, an intensity of
-    /// a soak) gets `-r<point>` before each file's extension, so the
-    /// points do not overwrite one another.
+    /// returning the `--profile` table and one console line per file,
+    /// each behind `indent`. A run that is one `point` of several (a rate
+    /// of a sweep, an intensity of a soak) gets `-r<point>` before each
+    /// file's extension, so the points do not overwrite one another.
     fn export(
         &self,
         net: &mut dyn Network,
@@ -178,7 +178,11 @@ impl ObsArgs {
             (Some(p), Some((stem, ext))) => format!("{stem}-r{p}.{ext}"),
             (Some(p), None) => format!("{path}-r{p}"),
         };
-        let mut out = String::new();
+        let mut out = report
+            .perf
+            .phases
+            .as_ref()
+            .map_or(String::new(), phase_table);
         if let (Some(path), Some(fr)) = (&self.flight_out, net.take_flight_recorder()) {
             let (path, json) = (at(path), fr.to_json());
             // The dump has no CSV form.
@@ -335,7 +339,7 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     let fault = parse_fault(p, mesh)?;
     let (name, trace) = load_benchmark_trace(p, mesh)?;
     let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
-    let mut net = build_network_with(p.get("net").unwrap_or("optical4"), mesh, retry_limit)?;
+    let mut net = build_network(p.get("net").unwrap_or("optical4"), mesh, retry_limit)?;
     if let Some(f) = &fault {
         net.set_fault_plan(f.plan.clone(), f.seed);
     }
@@ -396,9 +400,6 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
         r.perf.cycles_per_sec(),
         r.perf.wall_seconds
     ));
-    if let Some(b) = &r.perf.phases {
-        out.push_str(&phase_table(b));
-    }
     let mut extra = vec![
         ("benchmark".into(), JsonValue::Str(name)),
         ("messages".into(), JsonValue::Uint(trace.len() as u64)),
@@ -433,7 +434,7 @@ pub fn cmd_compare(p: &Parsed) -> Result<String, ArgError> {
     let mut out = format!("{name}: {} messages\n", trace.len());
     let mut base: Option<u64> = None;
     for net_name in ["electrical3", p.get("net").unwrap_or("optical4")] {
-        let mut net = build_network(net_name, mesh)?;
+        let mut net = build_network(net_name, mesh, None)?;
         let r = run_trace(&mut net, &trace, TraceOptions::default());
         out.push_str(&format!(
             "{:12} {:>9} cycles  {:>8.0} mW\n",
@@ -464,13 +465,7 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown pattern {pattern_name:?}")))?;
     let rates: Vec<f64> = match p.get("rates") {
         None => vec![p.get_parsed("rate", 0.05)?],
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.parse::<f64>()
-                    .map_err(|_| ArgError(format!("bad rate {s:?}")))
-            })
-            .collect::<Result<_, _>>()?,
+        Some(list) => parse_list(list, "rate")?,
     };
     if let Some(bad) = rates
         .iter()
@@ -496,8 +491,7 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         "rate", "latency", "p99", "delivered"
     ));
     for rate in rates {
-        let mut net =
-            build_network_with(net_name, mesh, fault.as_ref().and_then(|f| f.retry_limit))?;
+        let mut net = build_network(net_name, mesh, fault.as_ref().and_then(|f| f.retry_limit))?;
         if let Some(f) = &fault {
             net.set_fault_plan(f.plan.clone(), f.seed);
         }
@@ -527,9 +521,6 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
                 r.undeliverable,
                 net.stats().rerouted
             ));
-        }
-        if let Some(b) = &r.perf.phases {
-            out.push_str(&phase_table(b));
         }
         let report = RunReport {
             network: net.name(),
@@ -599,7 +590,7 @@ pub fn cmd_trace(p: &Parsed) -> Result<String, ArgError> {
             let trace =
                 phastlane_traffic::codec::decode(&text).map_err(|e| ArgError(e.to_string()))?;
             let mesh = parse_mesh(p)?;
-            let mut net = build_network(p.get("net").unwrap_or("optical4"), mesh)?;
+            let mut net = build_network(p.get("net").unwrap_or("optical4"), mesh, None)?;
             let r = run_trace(&mut net, &trace, TraceOptions::default());
             Ok(format!(
                 "{path} on {}: {} cycles, latency[{}]\n",
@@ -774,13 +765,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     let retry_limit: u32 = p.get_parsed("retry-limit", 50)?;
     let intensities: Vec<f64> = match p.get("intensities") {
         None => vec![0.0, 0.1, 0.25, 0.5],
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.parse::<f64>()
-                    .map_err(|_| ArgError(format!("bad intensity {s:?}")))
-            })
-            .collect::<Result<_, _>>()?,
+        Some(list) => parse_list(list, "intensity")?,
     };
     if intensities.iter().any(|i| !(0.0..=1.0).contains(i)) {
         return Err(ArgError("intensities must be in [0, 1]".into()));
@@ -807,7 +792,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     let mut baseline_p99: Option<u64> = None;
     for &intensity in &intensities {
         let plan = FaultPlan::random(mesh, fault_seed, intensity);
-        let mut net = build_network_with(net_name, mesh, Some(retry_limit))?;
+        let mut net = build_network(net_name, mesh, Some(retry_limit))?;
         if !plan.is_empty() {
             net.set_fault_plan(plan.clone(), fault_seed);
         }
@@ -843,9 +828,6 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
                 "  UNRESOLVED: {} accepted packets neither delivered nor undeliverable\n",
                 r.unfinished
             ));
-        }
-        if let Some(b) = &r.perf.phases {
-            out.push_str(&phase_table(b));
         }
         let report = RunReport {
             network: net.name(),
@@ -1022,7 +1004,7 @@ mod tests {
 
     #[test]
     fn unknown_network_is_an_error() {
-        match build_network("warp-drive", Mesh::PAPER) {
+        match build_network("warp-drive", Mesh::PAPER, None) {
             Err(e) => assert!(e.to_string().contains("unknown network")),
             Ok(_) => panic!("bogus network accepted"),
         }
@@ -1030,18 +1012,8 @@ mod tests {
 
     #[test]
     fn every_advertised_network_builds() {
-        for n in [
-            "optical4",
-            "optical5",
-            "optical8",
-            "optical4b32",
-            "optical4b64",
-            "optical4ib",
-            "optical4sp50",
-            "electrical2",
-            "electrical3",
-        ] {
-            assert!(build_network(n, Mesh::PAPER).is_ok(), "{n}");
+        for n in phastlane_lab::runner::NETWORKS {
+            assert!(build_network(n, Mesh::PAPER, None).is_ok(), "{n}");
         }
     }
 

@@ -377,7 +377,18 @@ impl SyntheticDrive {
         // Generate only until the measurement window closes; afterwards
         // we just drain.
         if cycle < self.measure.end {
-            self.generate(workload, cycle, metrics.as_deref_mut());
+            self.gen_buf.clear();
+            workload.generate_into(cycle, &mut self.gen_buf);
+            for p in self.gen_buf.drain(..) {
+                if cycle >= self.measure.start {
+                    self.offered += 1;
+                }
+                if let Some(m) = metrics.as_deref_mut() {
+                    m.on_offered(1);
+                }
+                self.source_queues[p.src.index()].push_back((p, cycle));
+                self.queued += 1;
+            }
         }
         let injected = self.inject(net, metrics.as_deref_mut());
         self.core.advance(net);
@@ -392,29 +403,6 @@ impl SyntheticDrive {
         let (net, queued) = (&*net, self.queued);
         self.core
             .end_cycle(net, metrics, progress, || queued > 0 || net.in_flight() > 0);
-    }
-
-    /// Moves this cycle's packets from the workload to their source
-    /// queues, stamped with the cycle they were generated in.
-    fn generate<W: SyntheticWorkload>(
-        &mut self,
-        workload: &mut W,
-        cycle: u64,
-        mut metrics: Option<&mut MetricsCollector>,
-    ) {
-        let measuring = self.measure.contains(&cycle);
-        self.gen_buf.clear();
-        workload.generate_into(cycle, &mut self.gen_buf);
-        for p in self.gen_buf.drain(..) {
-            if measuring {
-                self.offered += 1;
-            }
-            if let Some(m) = metrics.as_deref_mut() {
-                m.on_offered(1);
-            }
-            self.source_queues[p.src.index()].push_back((p, cycle));
-            self.queued += 1;
-        }
     }
 
     /// Injects from each source queue, in order, until its NIC refuses
@@ -815,16 +803,6 @@ impl<'t> DepGraph<'t> {
         }
     }
 
-    /// The next message eligible by `cycle`, earliest (then first in the
-    /// trace) first.
-    fn pop_ready(&mut self, cycle: u64) -> Option<usize> {
-        let &Reverse((at, msg)) = self.ready.peek()?;
-        (at <= cycle).then(|| {
-            self.ready.pop();
-            msg
-        })
-    }
-
     /// One dependency of `waiter` resolved at `cycle`.
     fn resolve(&mut self, waiter: usize, cycle: u64) {
         let ready_at = &mut self.ready_at[waiter];
@@ -842,12 +820,6 @@ impl<'t> DepGraph<'t> {
         for waiter in std::mem::take(&mut self.on_full[msg]) {
             self.resolve(waiter, cycle);
         }
-    }
-
-    /// The network accepted `msg` as `packet`.
-    fn launched(&mut self, packet: PacketId, msg: usize) {
-        self.in_flight.insert(packet.0, msg);
-        self.flying += 1;
     }
 
     /// One destination of `packet` resolved at `cycle` — delivered or
@@ -933,7 +905,11 @@ impl<'t> TraceDrive<'t> {
     ) {
         debug_assert!(!self.done(), "tick called on a finished drive");
         let cycle = net.cycle();
-        while let Some(msg) = self.graph.pop_ready(cycle) {
+        while let Some(&Reverse((at, msg))) = self.graph.ready.peek() {
+            if at > cycle {
+                break;
+            }
+            self.graph.ready.pop();
             self.stalled[self.graph.messages[msg].src.index()].push_back(msg);
             if let Some(m) = metrics.as_deref_mut() {
                 m.on_offered(1);
@@ -998,7 +974,8 @@ impl<'t> TraceDrive<'t> {
                 };
                 q.pop_front();
                 injected = true;
-                self.graph.launched(id, msg);
+                self.graph.in_flight.insert(id.0, msg);
+                self.graph.flying += 1;
                 if let Some(m) = metrics.as_deref_mut() {
                     m.on_accepted(1);
                 }
