@@ -439,7 +439,11 @@ impl SyntheticDrive {
         injected
     }
 
-    /// Accounts what the last cycle delivered and gave up on.
+    /// Accounts what the last cycle delivered and gave up on. The one
+    /// step of a tick that is not generic over the network, so without
+    /// the hint it stays out of line in this crate (≈ 1 % of a synthetic
+    /// job).
+    #[inline]
     fn account(&mut self, mut metrics: Option<&mut MetricsCollector>) {
         for d in &self.core.deliveries {
             let Some(&(gen, measured)) = self.gen_cycle.get(d.packet.0) else {
