@@ -22,7 +22,7 @@
 
 use crate::cdg::Cdg;
 use crate::reach::{optical_envelope, residual_connectivity};
-use phastlane_lab::spec::{derive_seed, LabSpec};
+use phastlane_lab::spec::{fault_seed, LabSpec};
 use phastlane_netsim::fault::FaultPlan;
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_netsim::rng::SimRng;
@@ -193,8 +193,7 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
             continue;
         }
         for replica in 0..spec.replicas {
-            let fault_seed = derive_seed(spec.seed, 0xFA17_0000 + u64::from(replica));
-            let plan = FaultPlan::random(mesh, fault_seed, intensity);
+            let plan = slice_plan(spec, intensity, replica);
             let slice =
                 |extra: &str| Some(format!("intensity={intensity} replica={replica}{extra}"));
 
@@ -275,6 +274,12 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
     findings
 }
 
+/// The fault plan the lab runner installs for the jobs of one faulted
+/// (intensity, replica) slice of the matrix.
+fn slice_plan(spec: &LabSpec, intensity: f64, replica: u32) -> FaultPlan {
+    FaultPlan::random(spec.mesh, fault_seed(spec.seed, replica), intensity)
+}
+
 /// The preflight gate behind `lab run --preflight`: lints the spec and
 /// refuses to run when any finding is an error.
 ///
@@ -322,6 +327,26 @@ mod tests {
              patterns uniform transpose\nrates 0.02 0.1\nreplicas 2\n",
         );
         assert!(preflight(&spec).is_ok());
+    }
+
+    /// The linter inspects the fault plans the runner installs, slice by
+    /// slice: one shared seed derivation, not two that happen to agree.
+    #[test]
+    fn linted_plans_are_the_plans_the_runner_installs() {
+        let spec = parse(
+            "mesh 4x4\nseed 11\nnets optical4\npatterns transpose\nrates 0.05\n\
+             intensities 0 0.3\nreplicas 2\n",
+        );
+        for job in &phastlane_lab::spec::expand(&spec) {
+            let linted =
+                (job.intensity > 0.0).then(|| slice_plan(&spec, job.intensity, job.replica));
+            assert_eq!(linted, phastlane_lab::runner::job_fault_plan(&spec, job));
+        }
+        assert_ne!(
+            slice_plan(&spec, 0.3, 0),
+            slice_plan(&spec, 0.3, 1),
+            "replicas run under different faults"
+        );
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! Usage: `cargo run --release -p phastlane-bench --bin ablations [--quick]`
 
-use phastlane_bench::{print_row, quick_flag, CLOCK_GHZ};
+use phastlane_bench::{print_row, quick_flag};
 use phastlane_core::{ArbitrationPolicy, PathPriority, PhastlaneConfig, PhastlaneNetwork};
 use phastlane_netsim::harness::{run_trace, TraceOptions};
 use phastlane_netsim::{Mesh, Network};
+use phastlane_photonics::delay::CLOCK_GHZ;
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
 

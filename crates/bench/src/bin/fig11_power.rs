@@ -4,21 +4,21 @@
 //! Usage: `cargo run --release -p phastlane-bench --bin fig11_power
 //! [--quick]`
 
-use phastlane_bench::{print_row, quick_flag, run_on, Config};
+use phastlane_bench::{print_row, quick_flag, run_on, FIGURE_NETWORKS};
 use phastlane_netsim::geometry::Mesh;
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
 
 fn main() {
     let scale = if quick_flag() { 0.1 } else { 1.0 };
-    let configs = Config::FIGURE10;
+    let configs = FIGURE_NETWORKS;
     let widths: Vec<usize> = std::iter::once(14)
-        .chain(configs.iter().map(|c| c.label().len().max(8)))
+        .chain(configs.iter().map(|c| c.len().max(8)))
         .collect();
 
     println!("Figure 11: average network power in mW (lower is better; scale = {scale})\n");
     let mut header = vec!["benchmark".to_string()];
-    header.extend(configs.iter().map(|c| c.label().to_string()));
+    header.extend(configs.iter().map(|c| c.to_string()));
     print_row(&header, &widths);
 
     let mut sums = vec![0.0f64; configs.len()];
@@ -33,10 +33,10 @@ fn main() {
             let out = run_on(cfg, &trace);
             let mw = out.average_power_mw();
             sums[i] += mw;
-            if cfg == Config::Electrical3 {
+            if cfg == "Electrical3" {
                 electrical3_mw = Some(mw);
             }
-            if cfg == Config::Optical4 {
+            if cfg == "Optical4" {
                 optical4_mw = Some(mw);
             }
             cells.push(format!("{mw:.1}"));

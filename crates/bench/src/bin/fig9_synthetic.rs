@@ -12,9 +12,9 @@
 
 use phastlane_bench::chart::{render_log_y, Series};
 use phastlane_bench::{print_row, quick_flag};
+use phastlane_lab::report::Saturation;
 use phastlane_lab::scheduler::run_lab;
 use phastlane_lab::LabSpec;
-use phastlane_netsim::Saturation;
 
 const MARKERS: [char; 5] = ['o', '4', '8', 'x', '#'];
 

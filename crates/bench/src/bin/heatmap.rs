@@ -5,7 +5,8 @@
 //! Usage: `cargo run --release -p phastlane-bench --bin heatmap
 //! [--quick]`
 
-use phastlane_bench::{quick_flag, Config};
+use phastlane_bench::quick_flag;
+use phastlane_lab::runner::build_network;
 use phastlane_netsim::geometry::Mesh;
 use phastlane_netsim::harness::{run_trace, TraceOptions};
 use phastlane_netsim::network::Network;
@@ -20,13 +21,12 @@ fn main() {
     let trace = generate_trace(Mesh::PAPER, &profile);
     println!("link-load heatmaps for {} (scale {scale})\n", profile.name);
 
-    for cfg in [Config::Optical4, Config::Electrical3] {
-        let mut net = cfg.build();
+    for cfg in ["Optical4", "Electrical3"] {
+        let mut net = build_network(cfg, Mesh::PAPER, None).expect("a lab network name");
         let r = run_trace(&mut net, &trace, TraceOptions::default());
         let links = net.link_counters();
         println!(
-            "=== {} ({} cycles, {} link traversals) ===",
-            cfg.label(),
+            "=== {cfg} ({} cycles, {} link traversals) ===",
             r.completion_cycle,
             links.total()
         );

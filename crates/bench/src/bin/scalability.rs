@@ -5,11 +5,12 @@
 //!
 //! Usage: `cargo run --release -p phastlane-bench --bin scalability [--quick]`
 
-use phastlane_bench::{print_row, quick_flag, CLOCK_GHZ};
+use phastlane_bench::{print_row, quick_flag};
 use phastlane_core::{PhastlaneConfig, PhastlaneNetwork};
 use phastlane_electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_netsim::harness::{run_synthetic, run_trace, SyntheticOptions, TraceOptions};
 use phastlane_netsim::{Mesh, Network};
+use phastlane_photonics::delay::CLOCK_GHZ;
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
 use phastlane_traffic::synthetic::BernoulliTraffic;

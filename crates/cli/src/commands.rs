@@ -12,7 +12,7 @@ use phastlane_netsim::obs::{
     TraceBuffer,
 };
 use phastlane_netsim::Mesh;
-use phastlane_photonics::delay::RouterDesign;
+use phastlane_photonics::delay::{RouterDesign, CLOCK_GHZ};
 use phastlane_photonics::power::PowerPoint;
 use phastlane_photonics::scaling::Scaling;
 use phastlane_photonics::wdm::WdmConfig;
@@ -389,7 +389,8 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     }
     out.push_str(&format!(
         "power: {:.0} mW ({:.0} pJ dynamic, {:.0} pJ laser, {:.0} pJ link, {:.0} pJ leakage)\n",
-        r.energy.average_power_mw(r.completion_cycle.max(1), 4.0),
+        r.energy
+            .average_power_mw(r.completion_cycle.max(1), CLOCK_GHZ),
         r.energy.dynamic_pj,
         r.energy.laser_pj,
         r.energy.link_pj,
@@ -440,7 +441,8 @@ pub fn cmd_compare(p: &Parsed) -> Result<String, ArgError> {
             "{:12} {:>9} cycles  {:>8.0} mW\n",
             net.name(),
             r.completion_cycle,
-            r.energy.average_power_mw(r.completion_cycle.max(1), 4.0)
+            r.energy
+                .average_power_mw(r.completion_cycle.max(1), CLOCK_GHZ)
         ));
         match base {
             None => base = Some(r.completion_cycle),

@@ -56,7 +56,7 @@ impl ControlGroup {
 
     /// The five bits in wire order (Straight, Left, Right, Local,
     /// Multicast).
-    pub fn bits(&self) -> [bool; 5] {
+    pub fn wire_bits(&self) -> [bool; 5] {
         [
             self.straight,
             self.left,
@@ -242,7 +242,7 @@ impl RouteControl {
             .take(GROUPS_PER_WAVEGUIDE)
             .enumerate()
         {
-            out[slot * 5..slot * 5 + 5].copy_from_slice(&g.bits());
+            out[slot * 5..slot * 5 + 5].copy_from_slice(&g.wire_bits());
         }
         out
     }

@@ -70,6 +70,7 @@ use phastlane_netsim::ecc::{self, Decoded};
 use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
+use phastlane_netsim::mask::set_bits;
 use phastlane_netsim::network::Network;
 use phastlane_netsim::nic::Nic;
 use phastlane_netsim::obs::{
@@ -180,21 +181,6 @@ fn set_bit(mask: &mut [u64], i: usize) {
     mask[i / 64] |= 1 << (i % 64);
 }
 
-/// The set bits of `word`, ascending. The sweeps run it over a *copy*
-/// of each mask word, inside a loop over the words; keep that two-level
-/// form — a flat cursor walk over the live mask changed what LLVM
-/// inlines into `step` and gave back most of the worklist's gain
-/// (EXPERIMENTS.md "Optical core: busy-router worklist").
-fn bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            bit
-        })
-    })
-}
-
 /// Output-port claims for the current cycle, indexed by directed link
 /// (`router * 4 + direction`, matching [`Port::index`] order).
 ///
@@ -272,9 +258,9 @@ pub struct PhastlaneNetwork {
     /// entry reaches an idle router (`inject`, `block_flight`), cleared
     /// by the arbitrate sweep.
     busy: Vec<u64>,
-    next_packet_id: u64,
     next_uid: u64,
-    /// Owed destination copies, deliveries, terminal failures, stats.
+    /// Packet ids, owed destination copies, deliveries, terminal
+    /// failures, stats.
     ledger: DeliveryLedger,
     /// Drop signals travelling the return path, indexed by the launching
     /// cycle's flight index: `Some(targets still owed)` when that flight
@@ -328,7 +314,6 @@ impl PhastlaneNetwork {
             routers,
             nics,
             busy: vec![0; nodes.div_ceil(64)],
-            next_packet_id: 0,
             next_uid: 0,
             ledger: DeliveryLedger::new(),
             drop_slots: Vec::new(),
@@ -538,7 +523,7 @@ impl PhastlaneNetwork {
     fn confirm_launches(&mut self, now: u64) {
         let mut scratch = std::mem::take(&mut self.confirm_scratch);
         for w in 0..self.busy.len() {
-            for bit in bits(self.busy[w]) {
+            for bit in set_bits(self.busy[w]) {
                 let r_idx = w * 64 + bit;
                 let state = &mut self.routers[r_idx];
                 if !state.has_launched() {
@@ -585,7 +570,7 @@ impl PhastlaneNetwork {
         let local_q = RouterState::local_queue();
         let mut route_work = 0u64;
         for w in 0..self.busy.len() {
-            for bit in bits(self.busy[w]) {
+            for bit in set_bits(self.busy[w]) {
                 let r_idx = w * 64 + bit;
                 let nic = &mut self.nics[r_idx];
                 if nic.is_empty() {
@@ -616,7 +601,7 @@ impl PhastlaneNetwork {
         self.n_flights = 0;
         self.drop_slots.clear();
         for w in 0..self.busy.len() {
-            for bit in bits(self.busy[w]) {
+            for bit in set_bits(self.busy[w]) {
                 let r_idx = w * 64 + bit;
                 if self.routers[r_idx].waiting() > 0 {
                     self.arbitrate_router(NodeId(r_idx as u16), now, hops);
@@ -998,7 +983,7 @@ impl Network for PhastlaneNetwork {
 
     fn inject(&mut self, packet: NewPacket) -> Option<PacketId> {
         let nodes = self.cfg.mesh.nodes();
-        let id = PacketId(self.next_packet_id);
+        let id = self.ledger.next_id();
 
         // Unicast fast path: synthetic sweeps inject thousands of
         // single-destination packets per run, none of which need the
@@ -1031,7 +1016,6 @@ impl Network for PhastlaneNetwork {
                 set_bit(&mut self.busy, packet.src.index());
                 self.ledger
                     .accept(&mut self.obs, self.cycle, id, packet.src, 1);
-                self.next_packet_id += 1;
                 return Some(id);
             }
         }
@@ -1040,7 +1024,6 @@ impl Network for PhastlaneNetwork {
 
         if dests.is_empty() {
             // Degenerate self-send: delivered locally without the network.
-            self.next_packet_id += 1;
             self.ledger
                 .self_send(&mut self.obs, self.cycle, id, packet.src);
             return Some(id);
@@ -1083,7 +1066,6 @@ impl Network for PhastlaneNetwork {
         set_bit(&mut self.busy, packet.src.index());
         self.ledger
             .accept(&mut self.obs, self.cycle, id, packet.src, dests.len());
-        self.next_packet_id += 1;
         Some(id)
     }
 

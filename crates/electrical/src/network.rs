@@ -56,6 +56,7 @@ use crate::vctm::{mask_of, tree_fork, TargetMask, TreeRegions};
 use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
+use phastlane_netsim::mask::set_bits;
 use phastlane_netsim::network::Network;
 use phastlane_netsim::nic::Nic;
 use phastlane_netsim::obs::{
@@ -72,17 +73,6 @@ const MAX_VCS: usize = 16;
 /// The mask of a port's `vcs_per_port` VCs.
 fn vc_mask(vcs_per_port: usize) -> u16 {
     u16::MAX >> (MAX_VCS - vcs_per_port)
-}
-
-/// The set bits of `mask`, ascending.
-fn bits(mut mask: u16) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let bit = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            bit
-        })
-    })
 }
 
 /// Routing state a flit carries.
@@ -225,9 +215,9 @@ pub struct ElectricalNetwork {
     dead_outputs: Vec<u8>,
     /// VCTM subtree regions of this mesh.
     regions: TreeRegions,
-    /// Owed destination copies, deliveries, terminal failures, stats.
+    /// Packet ids, owed destination copies, deliveries, terminal
+    /// failures, stats.
     ledger: DeliveryLedger,
-    next_id: u64,
     /// Sources whose VCTM tree is already installed (dense, per node).
     warm_trees: Vec<bool>,
     energy: EnergyLedger,
@@ -291,7 +281,6 @@ impl ElectricalNetwork {
             dead_outputs: vec![0; nodes],
             regions: TreeRegions::new(mesh),
             ledger: DeliveryLedger::new(),
-            next_id: 0,
             warm_trees: vec![false; nodes],
             energy,
             links: LinkCounters::for_mesh(mesh),
@@ -436,7 +425,7 @@ impl ElectricalNetwork {
                 continue; // a stuck router cannot even eject
             }
             for port in 0..5 {
-                for vc in bits(self.routers[r_idx].occupied[port]) {
+                for vc in set_bits(u64::from(self.routers[r_idx].occupied[port])) {
                     let slot = self.slot(r_idx, port, vc);
                     let flit = self.slots[slot].as_mut().expect("occupied VC holds a flit");
                     if flit.eject_at.is_some_and(|t| t <= now) {
@@ -540,7 +529,7 @@ impl ElectricalNetwork {
     fn vc_requesters(&self, r_idx: usize, now: u64) -> [u128; 4] {
         let mut requesters = [0u128; 4];
         for (port, &occupied) in self.routers[r_idx].occupied.iter().enumerate() {
-            for vc in bits(occupied) {
+            for vc in set_bits(u64::from(occupied)) {
                 let flit = self.slots[self.slot(r_idx, port, vc)]
                     .as_ref()
                     .expect("occupied VC holds a flit");
@@ -615,7 +604,7 @@ impl ElectricalNetwork {
         let mut candidate = [[0usize; 4]; 5];
         for (port, &occupied) in router.occupied.iter().enumerate() {
             let mut ready = [0u16; 4];
-            for vc in bits(occupied) {
+            for vc in set_bits(u64::from(occupied)) {
                 let flit = self.slots[self.slot(r_idx, port, vc)]
                     .as_ref()
                     .expect("occupied VC holds a flit");
@@ -699,7 +688,7 @@ impl ElectricalNetwork {
             }
             let here = NodeId(r_idx as u16);
             for port in 0..5 {
-                for vc in bits(self.routers[r_idx].occupied[port]) {
+                for vc in set_bits(u64::from(self.routers[r_idx].occupied[port])) {
                     let slot = self.slot(r_idx, port, vc);
                     let f = self.slots[slot].as_ref().expect("occupied VC holds a flit");
                     let finished = f.finished();
@@ -777,13 +766,12 @@ impl Network for ElectricalNetwork {
     }
 
     fn inject(&mut self, packet: NewPacket) -> Option<PacketId> {
-        let id = PacketId(self.next_id);
+        let id = self.ledger.next_id();
         // Unicast fast path: no destination list per packet.
         let (route, copies) = match packet.dests {
             DestSet::Unicast(dest) if dest != packet.src => (Route::Unicast(dest), 1),
             ref dests => match *dests.expand(packet.src, self.cfg.mesh.nodes()) {
                 [] => {
-                    self.next_id += 1;
                     self.ledger
                         .self_send(&mut self.obs, self.cycle, id, packet.src);
                     return Some(id);
@@ -808,7 +796,6 @@ impl Network for ElectricalNetwork {
         }
         self.ledger
             .accept(&mut self.obs, self.cycle, id, packet.src, copies);
-        self.next_id += 1;
         Some(id)
     }
 

@@ -16,9 +16,8 @@
 //! and gated only by the same-host A/B of `benchmark/`. Baselines
 //! recorded before that split carry a `perf` object; it is ignored.
 
-use crate::report::LabReport;
+use crate::report::{LabReport, Saturation};
 use phastlane_netsim::obs::json::JsonValue;
-use phastlane_netsim::sweep::Saturation;
 
 /// Slack before a metric movement counts as a regression.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -101,16 +101,9 @@ pub fn build_network(
     Ok(Box::new(ElectricalNetwork::new(cfg)))
 }
 
-/// Builds one job's network with the spec's retry policy and fault plan
-/// applied: faulted jobs default to the chaos soak's tight retry cap so
-/// the drain phase terminates; fault-free jobs run uncapped. When the
-/// spec asks for profiling, a [`PhaseProfiler`] is attached — pure
-/// observation, so the canonical results are unchanged.
-fn build_job_network(spec: &LabSpec, job: &JobSpec) -> Result<Box<dyn Network + Send>, String> {
-    let retry_limit = spec
-        .retry_limit
-        .or_else(|| (job.intensity > 0.0).then_some(50));
-    let mut net = build_network(&job.net, spec.mesh, retry_limit)?;
+/// The fault plan one job runs under, if any: the replica's random plan
+/// at the job's intensity, unless the job is sabotaged.
+pub fn job_fault_plan(spec: &LabSpec, job: &JobSpec) -> Option<FaultPlan> {
     if spec.sabotage_for(job.index) == Some(SabotageKind::Livelock) {
         // Deliberate livelock (harness testing): every router wedges
         // permanently, so packets queue but never move and the
@@ -122,9 +115,22 @@ fn build_job_network(spec: &LabSpec, job: &JobSpec) -> Result<Box<dyn Network + 
                 node: NodeId(node as u16),
             }));
         }
-        net.set_fault_plan(plan, job.fault_seed);
-    } else if job.intensity > 0.0 {
-        let plan = FaultPlan::random(spec.mesh, job.fault_seed, job.intensity);
+        return Some(plan);
+    }
+    (job.intensity > 0.0).then(|| FaultPlan::random(spec.mesh, job.fault_seed, job.intensity))
+}
+
+/// Builds one job's network with the spec's retry policy and fault plan
+/// applied: faulted jobs default to the chaos soak's tight retry cap so
+/// the drain phase terminates; fault-free jobs run uncapped. When the
+/// spec asks for profiling, a [`PhaseProfiler`] is attached — pure
+/// observation, so the canonical results are unchanged.
+fn build_job_network(spec: &LabSpec, job: &JobSpec) -> Result<Box<dyn Network + Send>, String> {
+    let retry_limit = spec
+        .retry_limit
+        .or_else(|| (job.intensity > 0.0).then_some(50));
+    let mut net = build_network(&job.net, spec.mesh, retry_limit)?;
+    if let Some(plan) = job_fault_plan(spec, job) {
         net.set_fault_plan(plan, job.fault_seed);
     }
     if spec.profile > 0 {

@@ -482,6 +482,12 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
     phastlane_netsim::rng::derive_stream(base, stream)
 }
 
+/// The seed of a replica's random fault plan: replicas differ, every
+/// job of one replica runs under the same faults.
+pub fn fault_seed(seed: u64, replica: u32) -> u64 {
+    derive_seed(seed, 0xFA17_0000 + u64::from(replica))
+}
+
 /// Expands a spec into its ordered job list: synthetic cells first
 /// (nets × patterns × rates × intensities × replicas, inner-to-outer in
 /// that reading order), then replay cells (nets × benchmarks ×
@@ -497,7 +503,7 @@ pub fn expand(spec: &LabSpec) -> Vec<JobSpec> {
             intensity,
             replica,
             seed: derive_seed(spec.seed, index as u64),
-            fault_seed: derive_seed(spec.seed, 0xFA17_0000 + u64::from(replica)),
+            fault_seed: fault_seed(spec.seed, replica),
         });
     };
     for net in &spec.nets {

@@ -17,6 +17,7 @@
 
 use crate::fault::FailedDelivery;
 use crate::geometry::NodeId;
+use crate::idwindow::IdWindow;
 use crate::network::Network;
 use crate::obs::{CycleTotals, MetricsCollector, PerfProfile};
 use crate::packet::{Delivery, DestSet, NewPacket, PacketId, PacketKind};
@@ -149,55 +150,6 @@ pub fn run_synthetic_guarded<N: Network + ?Sized, W: SyntheticWorkload>(
         drive.tick(net, workload, metrics.as_deref_mut());
     }
     drive.finish(net, metrics)
-}
-
-/// A `packet id -> V` table for the ids one run sees, stored densely:
-/// slot `id - first id seen`. Every network hands out consecutive ids
-/// ([`Network::inject`]), so a run's ids are one contiguous window —
-/// shifted from zero when the network was used before — and recording
-/// the next one is a `push`. Entries are never removed: a late delivery
-/// may still ask for any of them.
-#[derive(Debug)]
-struct IdWindow<V> {
-    first: u64,
-    slots: Vec<Option<V>>,
-}
-
-impl<V: Clone> IdWindow<V> {
-    fn new() -> Self {
-        IdWindow {
-            first: 0,
-            slots: Vec::new(),
-        }
-    }
-
-    /// Records `id -> value`. An id past the next consecutive one leaves
-    /// unknown slots behind it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is below the first id recorded.
-    fn insert(&mut self, id: u64, value: V) {
-        if self.slots.is_empty() {
-            self.first = id;
-        }
-        let slot =
-            id.checked_sub(self.first)
-                .expect("packet ids never fall below the first one a run saw") as usize;
-        if slot < self.slots.len() {
-            self.slots[slot] = Some(value);
-        } else {
-            self.slots.resize(slot, None);
-            self.slots.push(Some(value));
-        }
-    }
-
-    /// Looks up an id; `None` for one never recorded.
-    #[inline]
-    fn get(&self, id: u64) -> Option<&V> {
-        let slot = id.checked_sub(self.first)?;
-        self.slots.get(slot as usize)?.as_ref()
-    }
 }
 
 /// The cumulative counters and gauges a metrics window closes on.
@@ -336,7 +288,7 @@ impl SyntheticDrive {
             core: Stepper::new(net, watchdog),
             nodes,
             source_queues: vec![VecDeque::new(); nodes],
-            gen_cycle: IdWindow::new(),
+            gen_cycle: IdWindow::default(),
             gen_buf: Vec::new(),
             latency: LatencyStats::new(),
             offered: 0,
@@ -800,7 +752,7 @@ impl<'t> DepGraph<'t> {
             on_full,
             on_dest,
             ready,
-            in_flight: IdWindow::new(),
+            in_flight: IdWindow::default(),
             flying: 0,
             completed: 0,
             completion_cycle: base_cycle,
@@ -1016,20 +968,19 @@ impl<'t> TraceDrive<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastmap::FastMap;
     use crate::geometry::Mesh;
     use crate::ideal::IdealNetwork;
     use crate::rng::SimRng;
 
-    /// The window against the map it replaced: consecutive ids from an
-    /// arbitrary first one (with the odd gap), then every id around the
-    /// window looked up in scrambled order.
+    /// The window against a map: consecutive ids from an arbitrary first
+    /// one (with the odd gap), then every id around the window looked up
+    /// in scrambled order.
     #[test]
     fn id_window_answers_like_the_map_it_replaced() {
         let mut rng = SimRng::seed_from_u64(0x1D0F_F5E7);
         for first in [0u64, 1, 977, u64::from(u32::MAX) + 3] {
-            let mut window = IdWindow::new();
-            let mut map = FastMap::new();
+            let mut window = IdWindow::default();
+            let mut map = HashMap::new();
             let mut id = first;
             for n in 0..500u64 {
                 window.insert(id, (n, n % 3 == 0));
@@ -1042,16 +993,16 @@ mod tests {
                 probes.swap(i, rng.gen_range(0..i + 1));
             }
             for probe in probes {
-                assert_eq!(window.get(probe), map.get(probe), "id {probe}");
+                assert_eq!(window.get(probe), map.get(&probe), "id {probe}");
             }
         }
-        assert_eq!(IdWindow::<(u64, bool)>::new().get(0), None);
+        assert_eq!(IdWindow::<(u64, bool)>::default().get(0), None);
     }
 
     #[test]
     #[should_panic(expected = "never fall below")]
     fn id_window_rejects_an_id_below_its_first() {
-        let mut window = IdWindow::new();
+        let mut window = IdWindow::default();
         window.insert(10, ());
         window.insert(9, ());
     }
@@ -1074,7 +1025,7 @@ mod tests {
 
     /// A network used before hands this run ids that do not start at 0,
     /// and the ideal network delivers by distance, not in id order. The
-    /// literals were recorded with the `FastMap` this window replaced.
+    /// literals were recorded with the hash map this window replaced.
     #[test]
     fn reused_network_measures_what_a_fresh_one_does() {
         let opts = SyntheticOptions {

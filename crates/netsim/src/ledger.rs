@@ -4,10 +4,15 @@
 //! each copy ends as exactly one [`Delivery`] or one [`FailedDelivery`].
 //! [`DeliveryLedger`] is the only place that rule is written down: the
 //! only decrement of the owed count, and the only push of either record.
+//!
+//! It is also where packet identity lives. The ledger issues the ids —
+//! consecutive, one per accepted packet — so the owed counts need no
+//! map: they sit in a dense window at slot `id - oldest live id`, and a
+//! packet's slot is retired with its last terminal record.
 
-use crate::fastmap::FastMap;
 use crate::fault::FailedDelivery;
 use crate::geometry::NodeId;
+use crate::idwindow::IdWindow;
 use crate::obs::{EventKind, Obs};
 use crate::packet::{Delivery, PacketId, PacketKind};
 use crate::stats::NetworkStats;
@@ -29,9 +34,13 @@ pub struct PacketOrigin {
 /// The delivery accounting of one network.
 #[derive(Debug, Default)]
 pub struct DeliveryLedger {
-    /// Destination copies still owed per packet id (keyed by the raw id —
-    /// sequential, so the open-addressing map probes are short).
-    outstanding: FastMap<usize>,
+    /// The id the next accepted packet gets.
+    next_id: u64,
+    /// Destination copies still owed per live packet id; a settled
+    /// packet (and a self-send, settled at birth) has no entry.
+    outstanding: IdWindow<u32>,
+    /// Packets in `outstanding`.
+    in_flight: usize,
     deliveries: Vec<Delivery>,
     failures: Vec<FailedDelivery>,
     /// Destination copies accepted so far, and how many are still owed.
@@ -49,12 +58,27 @@ impl DeliveryLedger {
         Self::default()
     }
 
-    /// Accepts packet `id` from `src` into the network, owing `copies`
-    /// destination copies.
+    /// The id the next accepted packet must carry. Peeking does not
+    /// consume it, so a packet the NIC turns away costs no id.
+    pub fn next_id(&self) -> PacketId {
+        PacketId(self.next_id)
+    }
+
+    /// Consumes the next id, which must be `id`.
+    fn issue(&mut self, id: PacketId) {
+        assert_eq!(id.0, self.next_id, "packet ids are issued consecutively");
+        self.next_id += 1;
+    }
+
+    /// Accepts packet `id` (the ledger's [`next_id`](Self::next_id)) from
+    /// `src` into the network, owing `copies` destination copies.
     pub fn accept(&mut self, obs: &mut Obs, now: u64, id: PacketId, src: NodeId, copies: usize) {
+        self.issue(id);
+        let copies = u32::try_from(copies).expect("a packet owes at most one copy per node");
         self.outstanding.insert(id.0, copies);
-        self.accepted += copies as u64;
-        self.owed += copies as u64;
+        self.in_flight += 1;
+        self.accepted += u64::from(copies);
+        self.owed += u64::from(copies);
         self.stats.injected += 1;
         obs.emit(now, EventKind::Inject, src, None, Some(id));
     }
@@ -62,6 +86,7 @@ impl DeliveryLedger {
     /// The degenerate self-send: accepted and delivered locally in the
     /// same cycle, never entering the network (and never owed).
     pub fn self_send(&mut self, obs: &mut Obs, now: u64, id: PacketId, src: NodeId) {
+        self.issue(id);
         self.accepted += 1;
         self.stats.injected += 1;
         self.stats.delivered += 1;
@@ -133,6 +158,7 @@ impl DeliveryLedger {
         *rem -= 1;
         if *rem == 0 {
             self.outstanding.remove(id.0);
+            self.in_flight -= 1;
         }
         self.owed -= 1;
         debug_assert_eq!(
@@ -140,12 +166,12 @@ impl DeliveryLedger {
             self.stats.delivered + self.stats.undeliverable + self.owed,
             "accepted copies = delivered + failed + still owed"
         );
-        debug_assert_eq!(self.owed == 0, self.outstanding.is_empty());
+        debug_assert_eq!(self.owed == 0, self.outstanding.len() == 0);
     }
 
     /// Packets accepted but still owing at least one destination copy.
     pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
+        self.in_flight
     }
 
     /// Deliveries recorded since the last drain.
@@ -178,6 +204,8 @@ impl DeliveryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use std::collections::HashMap;
 
     fn packet(id: u64) -> PacketOrigin {
         PacketOrigin {
@@ -192,13 +220,16 @@ mod tests {
     fn a_packet_leaves_flight_with_its_last_terminal_record() {
         let mut obs = Obs::off();
         let mut ledger = DeliveryLedger::new();
-        ledger.accept(&mut obs, 3, PacketId(7), NodeId(0), 2);
-        ledger.self_send(&mut obs, 3, PacketId(8), NodeId(4));
+        assert_eq!(ledger.next_id(), PacketId(0));
+        ledger.accept(&mut obs, 3, PacketId(0), NodeId(0), 2);
+        assert_eq!(ledger.next_id(), PacketId(1), "accepting consumes the id");
+        ledger.self_send(&mut obs, 3, PacketId(1), NodeId(4));
+        assert_eq!(ledger.next_id(), PacketId(2), "so does a self-send");
         assert_eq!(ledger.in_flight(), 1, "a self-send is never owed");
 
-        ledger.deliver(&mut obs, packet(7), NodeId(5), 9, 10);
+        ledger.deliver(&mut obs, packet(0), NodeId(5), 9, 10);
         assert_eq!(ledger.in_flight(), 1);
-        ledger.fail(&mut obs, packet(7), NodeId(6), NodeId(2), 11);
+        ledger.fail(&mut obs, packet(0), NodeId(6), NodeId(2), 11);
         assert_eq!(ledger.in_flight(), 0);
 
         let delivered = ledger.drain_deliveries();
@@ -213,12 +244,108 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "issued consecutively")]
+    fn only_the_next_id_is_accepted() {
+        let mut ledger = DeliveryLedger::new();
+        ledger.accept(&mut Obs::off(), 0, PacketId(1), NodeId(0), 1);
+    }
+
+    /// The packet's slot was retired with its only copy.
+    #[test]
     #[should_panic(expected = "nobody owes")]
     fn a_copy_cannot_end_twice() {
         let mut obs = Obs::off();
         let mut ledger = DeliveryLedger::new();
+        ledger.accept(&mut obs, 0, PacketId(0), NodeId(0), 1);
+        ledger.deliver(&mut obs, packet(0), NodeId(5), 4, 5);
+        ledger.deliver(&mut obs, packet(0), NodeId(5), 4, 5);
+    }
+
+    /// The packet's slot is still in the window — an older packet holds
+    /// the front — but owes nothing.
+    #[test]
+    #[should_panic(expected = "nobody owes")]
+    fn a_copy_cannot_end_twice_behind_a_live_packet() {
+        let mut obs = Obs::off();
+        let mut ledger = DeliveryLedger::new();
+        ledger.accept(&mut obs, 0, PacketId(0), NodeId(0), 1);
         ledger.accept(&mut obs, 0, PacketId(1), NodeId(0), 1);
         ledger.deliver(&mut obs, packet(1), NodeId(5), 4, 5);
         ledger.deliver(&mut obs, packet(1), NodeId(5), 4, 5);
+    }
+
+    /// The ledger against a `HashMap` of owed counts, on a network whose
+    /// ids start at `first` (a reused one's do not start at 0). With
+    /// `hold`, the first packet is never settled, so the window's front
+    /// cannot retire for the whole run.
+    fn owed_counts_match_a_map(first: u64, hold: bool, rng: &mut SimRng) {
+        let mut obs = Obs::off();
+        let mut ledger = DeliveryLedger::new();
+        ledger.next_id = first;
+        let mut model: HashMap<u64, u32> = HashMap::new();
+        // Ids free to settle, and the newest id that went into the window.
+        let (mut live, mut newest) = (Vec::new(), first);
+        if hold {
+            ledger.accept(&mut obs, 0, PacketId(first), NodeId(0), 2);
+            model.insert(first, 2);
+        }
+        let (mut longest, mut capacity) = (0, 0);
+        // A step is also the cycle it happens in; `packet()` entered at 3.
+        for step in 3..2_003u64 {
+            let roll = rng.gen_range(0..100u32);
+            let next = ledger.next_id();
+            if live.len() >= 48 || (roll >= 45 && !live.is_empty()) {
+                let pick = rng.gen_range(0..live.len());
+                let id: u64 = live[pick];
+                if roll.is_multiple_of(2) {
+                    ledger.deliver(&mut obs, packet(id), NodeId(1), step, step + 1);
+                } else {
+                    ledger.fail(&mut obs, packet(id), NodeId(1), NodeId(2), step);
+                }
+                let owed = model.get_mut(&id).unwrap();
+                *owed -= 1;
+                if *owed == 0 {
+                    model.remove(&id);
+                    live.swap_remove(pick);
+                    assert_eq!(ledger.outstanding.get(id), None, "settled id {id}");
+                }
+            } else if roll < 5 {
+                ledger.self_send(&mut obs, step, next, NodeId(3));
+                assert_eq!(ledger.outstanding.get(next.0), None, "self-send {next:?}");
+            } else {
+                let copies = if roll < 25 { rng.gen_range(1..64) } else { 1 };
+                ledger.accept(&mut obs, step, next, NodeId(3), copies as usize);
+                model.insert(next.0, copies);
+                live.push(next.0);
+                newest = next.0;
+            }
+
+            assert_eq!(ledger.in_flight(), model.len());
+            for (&id, owed) in &model {
+                assert_eq!(ledger.outstanding.get(id), Some(owed), "live id {id}");
+            }
+            let window = &ledger.outstanding;
+            assert_eq!(window.get(first.wrapping_sub(1)), None);
+            // Oldest live id to newest accepted; empty when nothing is owed.
+            let span = model.keys().min().map_or(0, |oldest| newest - oldest + 1);
+            assert_eq!(window.len() as u64, span, "step {step}");
+            // It allocates only to hold a span longer than any before.
+            if window.len() <= longest {
+                assert_eq!(window.capacity(), capacity, "step {step}");
+            }
+            longest = longest.max(window.len());
+            capacity = window.capacity();
+        }
+        assert_eq!(model.contains_key(&first), hold);
+    }
+
+    #[test]
+    fn owed_counts_match_a_map_over_random_runs() {
+        let mut rng = SimRng::seed_from_u64(0x001E_D6E4);
+        for first in [0, 977, (1u64 << 32) + 2] {
+            for hold in [false, true] {
+                owed_counts_match_a_map(first, hold, &mut rng);
+            }
+        }
     }
 }

@@ -11,19 +11,17 @@
 //!   deliveries;
 //! * [`nic`] — the 50-entry network-interface buffer;
 //! * [`ecc`] — SECDED protection for the 64-byte payload;
-//! * [`fastmap`] — the deterministic open-addressing map used on the
-//!   simulator hot path;
 //! * [`fault`] — deterministic fault injection (dead links, stuck
 //!   routers, laser droop, bit errors) and terminal delivery failures;
 //! * [`ledger`] — the per-destination delivery accounting both
-//!   simulators share (owed copies, deliveries, terminal failures);
+//!   simulators share: it issues the consecutive packet ids and keeps
+//!   owed copies, deliveries and terminal failures;
 //! * [`mask`] — 256-node bitsets for multicast target tracking;
 //! * [`network`] — the [`network::Network`] trait;
 //! * [`ideal`] — a contention-free reference network (lower bound and
 //!   harness fixture);
 //! * [`harness`] — open-loop synthetic runs and dependency-aware trace
 //!   replay;
-//! * [`sweep`] — saturation extraction from an injection-rate sweep;
 //! * [`stats`] — latency/energy accounting;
 //! * [`rng`] — the in-tree deterministic PRNG (no external crates);
 //! * [`obs`] — the observability layer: event traces, time-series
@@ -46,11 +44,11 @@
 #![warn(clippy::too_many_lines)]
 
 pub mod ecc;
-pub mod fastmap;
 pub mod fault;
 pub mod geometry;
 pub mod harness;
 pub mod ideal;
+mod idwindow;
 pub mod ledger;
 pub mod mask;
 pub mod network;
@@ -60,7 +58,6 @@ pub mod packet;
 pub mod rng;
 pub mod routing;
 pub mod stats;
-pub mod sweep;
 pub mod telemetry;
 pub mod watchdog;
 
@@ -68,7 +65,6 @@ pub use fault::{FailedDelivery, Fault, FaultKind, FaultPlan};
 pub use geometry::{Direction, Mesh, NodeId, Port};
 pub use network::Network;
 pub use packet::{Delivery, DestSet, NewPacket, PacketId, PacketKind};
-pub use sweep::Saturation;
 pub use watchdog::{CancelToken, Interrupt, Watchdog};
 
 // Compile-time `Send` guarantees: everything the `phastlane-lab`

@@ -9,6 +9,22 @@ use std::fmt;
 pub const MASK_CAPACITY: usize = 256;
 const WORDS: usize = MASK_CAPACITY / 64;
 
+/// The set bits of `word`, ascending. Callers with a multi-word mask run
+/// it over a *copy* of each word inside a loop over the words; keep that
+/// two-level form — a flat cursor walk over the live mask changed what
+/// LLVM inlines into the optical `step` and gave back most of the busy
+/// worklist's gain (EXPERIMENTS.md "Optical core: busy-router worklist").
+#[inline]
+pub fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// A set of nodes as a 256-bit mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeMask {
@@ -105,15 +121,7 @@ impl NodeMask {
     /// Iterates the nodes in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..WORDS).flat_map(move |w| {
-            let mut bits = self.words[w];
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some(NodeId((w * 64 + b as usize) as u16))
-            })
+            set_bits(self.words[w]).map(move |bit| NodeId((w * 64 + bit) as u16))
         })
     }
 }

@@ -10,6 +10,7 @@ use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_repro::netsim::harness::{run_trace, TraceOptions};
 use phastlane_repro::netsim::{Mesh, Network};
 use phastlane_repro::optical::{PhastlaneConfig, PhastlaneNetwork};
+use phastlane_repro::photonics::delay::CLOCK_GHZ;
 use phastlane_repro::traffic::cachegen::{generate_cache_trace, CacheWorkload};
 
 fn main() {
@@ -51,7 +52,9 @@ fn main() {
     println!(
         "network speedup {:.2}x; power {:.0} mW vs {:.0} mW",
         e.completion_cycle as f64 / o.completion_cycle.max(1) as f64,
-        o.energy.average_power_mw(o.completion_cycle.max(1), 4.0),
-        e.energy.average_power_mw(e.completion_cycle.max(1), 4.0),
+        o.energy
+            .average_power_mw(o.completion_cycle.max(1), CLOCK_GHZ),
+        e.energy
+            .average_power_mw(e.completion_cycle.max(1), CLOCK_GHZ),
     );
 }
