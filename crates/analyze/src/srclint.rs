@@ -10,8 +10,8 @@
 //! the code paths where they matter:
 //!
 //! * `wall-clock` — `Instant::now` / `SystemTime::now` anywhere except
-//!   the observability layer (`obs/`), the watchdog and supervision
-//!   modules (whose whole job is wall time), and the bench crate.
+//!   the observability layer (`obs/`) and the watchdog and supervision
+//!   modules (whose whole job is wall time).
 //! * `hash-iteration` — `HashMap` / `HashSet` in the canonical-report
 //!   paths (`crates/lab`, `crates/netsim/src/obs`), where unordered
 //!   iteration order could leak into encoded output.
@@ -44,10 +44,7 @@ struct Rule {
 }
 
 fn wall_clock_scope(path: &str) -> bool {
-    !(path.contains("/obs/")
-        || path.ends_with("watchdog.rs")
-        || path.ends_with("supervise.rs")
-        || path.starts_with("crates/bench/"))
+    !(path.contains("/obs/") || path.ends_with("watchdog.rs") || path.ends_with("supervise.rs"))
 }
 
 fn hash_iteration_scope(path: &str) -> bool {
@@ -311,7 +308,6 @@ mod tests {
             "crates/netsim/src/obs/phase.rs",
             "crates/lab/src/watchdog.rs",
             "crates/lab/src/supervise.rs",
-            "crates/bench/src/lib.rs",
         ] {
             assert_eq!(scan_source(ok, src), Vec::new(), "{ok}");
         }

@@ -24,6 +24,13 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// So a command that `writeln!`s its text into a `String` can use `?`.
+impl From<fmt::Error> for ArgError {
+    fn from(e: fmt::Error) -> Self {
+        ArgError(e.to_string())
+    }
+}
+
 /// Option keys that take a value.
 pub const VALUE_KEYS: &[&str] = &[
     "net",
@@ -74,17 +81,20 @@ pub const VALUE_KEYS: &[&str] = &[
     "addr",
     "queue-depth",
     "state-dir",
+    "csv",
 ];
 
 /// Boolean flags (`progress` doubles as `--progress=FILE`).
 pub const FLAG_KEYS: &[&str] = &[
     "allow-shutdown",
+    "chart",
     "counts",
     "help",
     "json",
     "preflight",
     "profile",
     "progress",
+    "quick",
     "src",
     "wait",
 ];

@@ -1,4 +1,4 @@
-//! Minimal ASCII chart rendering for the figure binaries: log-scale
+//! Minimal ASCII chart rendering for `phastlane figure 9 --chart`: log-scale
 //! scatter/line plots that make the latency-vs-load knees visible in a
 //! terminal.
 

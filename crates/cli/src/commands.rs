@@ -4,6 +4,7 @@ use crate::args::{ArgError, Parsed};
 use phastlane_netsim::fault::FaultPlan;
 use phastlane_netsim::harness::{
     run_synthetic_observed, run_trace, run_trace_observed, SyntheticOptions, Trace, TraceOptions,
+    TraceResult,
 };
 use phastlane_netsim::network::Network;
 use phastlane_netsim::obs::json::JsonValue;
@@ -40,6 +41,24 @@ pub fn build_network(
     phastlane_lab::runner::build_network(name, mesh, retry_limit)
         .map(|n| n as Box<dyn Network>)
         .map_err(ArgError)
+}
+
+/// Replays `trace` on a fresh network of the lab configuration `name`;
+/// the network comes back for its label, counters and link loads.
+pub(crate) fn replay_on(
+    name: &str,
+    mesh: Mesh,
+    trace: &Trace,
+) -> Result<(TraceResult, Box<dyn Network>), ArgError> {
+    let mut net = build_network(name, mesh, None)?;
+    let result = run_trace(&mut net, trace, TraceOptions::default());
+    Ok((result, net))
+}
+
+/// Average network power over a replay, in milliwatts.
+pub(crate) fn average_power_mw(r: &TraceResult) -> f64 {
+    r.energy
+        .average_power_mw(r.completion_cycle.max(1), CLOCK_GHZ)
 }
 
 /// Parses `--mesh WxH` (default 8x8).
@@ -389,8 +408,7 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     }
     out.push_str(&format!(
         "power: {:.0} mW ({:.0} pJ dynamic, {:.0} pJ laser, {:.0} pJ link, {:.0} pJ leakage)\n",
-        r.energy
-            .average_power_mw(r.completion_cycle.max(1), CLOCK_GHZ),
+        average_power_mw(&r),
         r.energy.dynamic_pj,
         r.energy.laser_pj,
         r.energy.link_pj,
@@ -435,14 +453,12 @@ pub fn cmd_compare(p: &Parsed) -> Result<String, ArgError> {
     let mut out = format!("{name}: {} messages\n", trace.len());
     let mut base: Option<u64> = None;
     for net_name in ["electrical3", p.get("net").unwrap_or("optical4")] {
-        let mut net = build_network(net_name, mesh, None)?;
-        let r = run_trace(&mut net, &trace, TraceOptions::default());
+        let (r, net) = replay_on(net_name, mesh, &trace)?;
         out.push_str(&format!(
             "{:12} {:>9} cycles  {:>8.0} mW\n",
             net.name(),
             r.completion_cycle,
-            r.energy
-                .average_power_mw(r.completion_cycle.max(1), CLOCK_GHZ)
+            average_power_mw(&r)
         ));
         match base {
             None => base = Some(r.completion_cycle),
@@ -592,8 +608,7 @@ pub fn cmd_trace(p: &Parsed) -> Result<String, ArgError> {
             let trace =
                 phastlane_traffic::codec::decode(&text).map_err(|e| ArgError(e.to_string()))?;
             let mesh = parse_mesh(p)?;
-            let mut net = build_network(p.get("net").unwrap_or("optical4"), mesh, None)?;
-            let r = run_trace(&mut net, &trace, TraceOptions::default());
+            let (r, net) = replay_on(p.get("net").unwrap_or("optical4"), mesh, &trace)?;
             Ok(format!(
                 "{path} on {}: {} cycles, latency[{}]\n",
                 net.name(),
@@ -856,8 +871,8 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
 }
 
 /// Usage text.
-pub fn usage() -> &'static str {
-    "phastlane — Phastlane (ISCA 2009) reproduction CLI
+pub fn usage() -> String {
+    let text = "phastlane — Phastlane (ISCA 2009) reproduction CLI
 
 USAGE:
   phastlane simulate [--net N] [--benchmark B] [--scale S] [--mesh WxH]
@@ -888,6 +903,7 @@ USAGE:
   phastlane trace replay FILE [--net N]
   phastlane trace-dump FILE.json [--kind K] [--node N] [--limit L] [--counts]
   phastlane design   [--wavelengths W] [--hops H] [--efficiency E]
+  phastlane figure   [NAME] [--quick] [--csv FILE] [--chart]
 
 observability (simulate, sweep, chaos):
   --trace-out FILE      export the cycle-accurate event trace (.json or .csv)
@@ -970,7 +986,8 @@ event kinds: inject nic_retry optical_transit link_traversal
              electrical_fallback buffer_overflow drop_return retransmit eject
              fault_injected fault_cleared fault_reroute fault_stall
              ecc_corrected ecc_uncorrectable undeliverable
-"
+";
+    format!("{text}figures: {}\n", crate::figures::names().join(" "))
 }
 
 /// Dispatches a parsed command line.
@@ -991,7 +1008,8 @@ pub fn dispatch(p: &Parsed) -> Result<String, ArgError> {
         Some("trace") => cmd_trace(p),
         Some("trace-dump") => cmd_trace_dump(p),
         Some("design") => cmd_design(p),
-        Some("help") | None => Ok(usage().to_string()),
+        Some("figure") => crate::figures::cmd_figure(p),
+        Some("help") | None => Ok(usage()),
         Some(other) => Err(ArgError(format!("unknown command {other:?}"))),
     }
 }

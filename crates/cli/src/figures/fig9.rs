@@ -2,44 +2,45 @@
 //! the Bit Comp, Bit Reverse, Shuffle, and Transpose synthetic patterns,
 //! comparing the optical configurations against the electrical baselines.
 //!
-//! The experiment is `results/specs/fig9.lab`; this binary runs it on
-//! every available core and prints the report pivoted into the figure's
-//! tables (`phastlane lab run results/specs/fig9.lab` lists the same
-//! jobs one per line).
-//!
-//! Usage: `cargo run --release -p phastlane-bench --bin fig9_synthetic
-//! [--quick] [--chart]`
+//! The experiment is `results/specs/fig9.lab`; this runs it on every
+//! available core and pivots the report into the figure's tables
+//! (`phastlane lab run results/specs/fig9.lab` lists the same jobs one
+//! per line).
 
-use phastlane_bench::chart::{render_log_y, Series};
-use phastlane_bench::{print_row, quick_flag};
+use super::row;
+use crate::args::{ArgError, Parsed};
+use crate::chart::{render_log_y, Series};
 use phastlane_lab::report::Saturation;
 use phastlane_lab::scheduler::run_lab;
 use phastlane_lab::LabSpec;
+use std::fmt::Write as _;
 
 const MARKERS: [char; 5] = ['o', '4', '8', 'x', '#'];
 
-fn main() {
-    let draw_charts = std::env::args().any(|a| a == "--chart");
+pub(super) fn fig9(p: &Parsed) -> Result<String, ArgError> {
     let mut spec = LabSpec::parse(include_str!("../../../../results/specs/fig9.lab"))
         .expect("results/specs/fig9.lab parses");
-    if quick_flag() {
+    if p.flag("quick") {
         spec.rates = vec![0.02, 0.06, 0.10, 0.16, 0.22, 0.30];
         (spec.warmup, spec.measure, spec.drain) = (300, 1_000, 3_000);
     }
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    let report = run_lab(&spec, workers).expect("the Figure 9 matrix runs");
+    let report = run_lab(&spec, workers).map_err(ArgError)?;
 
-    println!("Figure 9: average packet latency (cycles) vs injection rate");
-    println!("(packets/node/cycle; '-' marks saturated points)\n");
+    let mut out = String::new();
+    out.push_str(
+        "Figure 9: average packet latency (cycles) vs injection rate\n\
+         (packets/node/cycle; '-' marks saturated points)\n\n",
+    );
 
     for pattern in &spec.patterns {
-        println!("--- {} ---", pattern.label());
+        writeln!(out, "--- {} ---", pattern.label())?;
         let widths: Vec<usize> = std::iter::once(7)
             .chain(spec.nets.iter().map(|n| n.len().max(8)))
             .collect();
         let mut header = vec!["rate".to_string()];
         header.extend(spec.nets.iter().cloned());
-        print_row(&header, &widths);
+        row(&mut out, &header, &widths);
 
         // The stable mean latency of one cell of the matrix.
         let latency = |net: &str, rate: f64| {
@@ -61,7 +62,7 @@ fn main() {
                     .iter()
                     .map(|net| latency(net, rate).map_or("-".to_string(), |l| format!("{l:.1}"))),
             );
-            print_row(&cells, &widths);
+            row(&mut out, &cells, &widths);
         }
         let mut cells = vec!["sat.".to_string()];
         for net in &spec.nets {
@@ -75,8 +76,8 @@ fn main() {
                 Some(Saturation::NotSwept) | None => "?".to_string(),
             });
         }
-        print_row(&cells, &widths);
-        if draw_charts {
+        row(&mut out, &cells, &widths);
+        if p.flag("chart") {
             let series: Vec<Series> = spec
                 .nets
                 .iter()
@@ -91,10 +92,13 @@ fn main() {
                         .collect(),
                 })
                 .collect();
-            println!("\n{}", render_log_y(&series, 56, 12));
+            writeln!(out, "\n{}", render_log_y(&series, 56, 12))?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("paper: optical ~5-10x lower latency than electrical, with");
-    println!("slightly better saturation bandwidth.");
+    out.push_str(
+        "paper: optical ~5-10x lower latency than electrical, with\n\
+         slightly better saturation bandwidth.\n",
+    );
+    Ok(out)
 }

@@ -564,9 +564,8 @@ mod tests {
         .expect("records");
 
         // Inject a regression: halve every baseline latency so the fresh
-        // (unchanged) run looks twice as slow. Read through the
-        // checksum layer and write back headerless (the legacy format,
-        // still accepted).
+        // (unchanged) run looks twice as slow. Read and write back through
+        // the checksum layer, so the doctored file still verifies.
         let bpath = bdir.join("cmd-test.json");
         let text = store::read_checksummed(&bpath).unwrap();
         let mut recorded = json::parse(&text).unwrap();
@@ -601,7 +600,7 @@ mod tests {
             }
         }
         halve_latencies(&mut recorded);
-        std::fs::write(&bpath, recorded.to_string_pretty()).unwrap();
+        store::write_checksummed(&bpath, &recorded.to_string_pretty()).unwrap();
 
         let err = cmd_lab(&parsed(&[
             "lab",

@@ -9,6 +9,9 @@
 
 pub mod analyze;
 pub mod args;
+mod chart;
 pub mod commands;
+mod figures;
 pub mod lab;
+mod report;
 pub mod serve_cmd;

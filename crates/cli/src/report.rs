@@ -1,6 +1,5 @@
-//! CSV export for the figure binaries (`--csv <path>`): machine-readable
-//! copies of the tables the binaries print, for plotting outside the
-//! terminal.
+//! CSV export for `phastlane figure` (`--csv <path>`): a machine-readable
+//! copy of the table a figure prints, for plotting outside the terminal.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -30,16 +29,6 @@ impl CsvTable {
         let row: Vec<String> = row.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.header.len(), "row width must match header");
         self.rows.push(row);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Serializes to CSV text (RFC-4180-style quoting where needed).
@@ -74,17 +63,6 @@ fn quote(cell: &str) -> String {
     }
 }
 
-/// Parses the `--csv <path>` argument pair from the process arguments.
-pub fn csv_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--csv" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +73,7 @@ mod tests {
         t.push(["1", "2"]);
         t.push(["x", "y"]);
         assert_eq!(t.to_csv(), "a,b\n1,2\nx,y\n");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -230,13 +230,6 @@ impl RouterState {
     pub fn is_empty(&self) -> bool {
         self.waiting == 0 && self.launched.is_empty()
     }
-
-    /// Iterates every entry buffered in one queue, front to back: the
-    /// parked (launched, unconfirmed) prefix first, then the waiting
-    /// ones.
-    pub fn iter_queue(&self, queue: usize) -> impl Iterator<Item = &Entry> {
-        self.queues[queue].iter()
-    }
 }
 
 /// The queue visit order of the rotating-priority arbiter in `cycle`.

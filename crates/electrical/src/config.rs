@@ -2,6 +2,14 @@
 
 use phastlane_netsim::geometry::Mesh;
 
+/// Flit entries per VC (Table 2: 1, with wait-for-tail credit). A fact of
+/// the model, not a knob: every VC slot holds one flit.
+pub const ENTRIES_PER_VC: usize = 1;
+
+/// Crossbar output speedup (Table 2: 1). Likewise fixed: one flit leaves
+/// an output port per cycle.
+pub const OUTPUT_SPEEDUP: usize = 1;
+
 /// Configuration of the baseline electrical virtual-channel network.
 ///
 /// The paper's baseline is "an aggressive router optimized for both
@@ -16,16 +24,11 @@ pub struct ElectricalConfig {
     /// Virtual channels per input port (10; the simulator takes 1 to 16,
     /// the width of its per-port VC masks).
     pub vcs_per_port: usize,
-    /// Flit entries per VC (1, with wait-for-tail credit).
-    pub entries_per_vc: usize,
     /// Total router pipeline delay in cycles (3 baseline, 2 aggressive).
     pub router_delay: u64,
     /// Crossbar input speedup: flits that may leave one input port per
     /// cycle (4; at least 1).
     pub input_speedup: usize,
-    /// Crossbar output speedup (1, the only value the simulator
-    /// implements; it refuses any other rather than ignore it).
-    pub output_speedup: usize,
     /// iSLIP iterations for the VC and switch allocators.
     pub islip_iterations: usize,
     /// NIC injection-queue depth (50).
@@ -58,10 +61,8 @@ impl ElectricalConfig {
         ElectricalConfig {
             mesh: Mesh::PAPER,
             vcs_per_port: 10,
-            entries_per_vc: 1,
             router_delay,
             input_speedup: 4,
-            output_speedup: 1,
             islip_iterations: 2,
             nic_entries: phastlane_netsim::nic::NIC_ENTRIES,
             vctm_setup_penalty: 0,
@@ -89,10 +90,8 @@ mod tests {
     fn defaults_match_table2() {
         let c = ElectricalConfig::default();
         assert_eq!(c.vcs_per_port, 10);
-        assert_eq!(c.entries_per_vc, 1);
         assert_eq!(c.router_delay, 3);
         assert_eq!(c.input_speedup, 4);
-        assert_eq!(c.output_speedup, 1);
         assert_eq!(c.nic_entries, 50);
     }
 

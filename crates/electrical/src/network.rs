@@ -242,14 +242,9 @@ impl ElectricalNetwork {
     ///
     /// # Panics
     ///
-    /// Panics on a configuration this model does not implement: more
-    /// than one entry per VC, no VCs or more than 16 per port, an input
-    /// speedup of zero, or an output speedup other than 1.
+    /// Panics on a configuration this model does not implement: no VCs
+    /// or more than 16 per port, or an input speedup of zero.
     pub fn new(cfg: ElectricalConfig) -> Self {
-        assert_eq!(
-            cfg.entries_per_vc, 1,
-            "this model implements the paper's 1-entry-per-VC configuration"
-        );
         assert!(
             (1..=MAX_VCS).contains(&cfg.vcs_per_port),
             "vcs_per_port must be 1 to {MAX_VCS} (the VC mask width), not {}",
@@ -258,10 +253,6 @@ impl ElectricalNetwork {
         assert!(
             cfg.input_speedup >= 1,
             "input_speedup must be at least 1: at 0 no flit ever crosses a switch"
-        );
-        assert_eq!(
-            cfg.output_speedup, 1,
-            "this model implements crossbar output_speedup 1 only"
         );
         let mesh = cfg.mesh;
         let nodes = cfg.mesh.nodes();

@@ -264,11 +264,3 @@ fn zero_input_speedup_rejected() {
     cfg.input_speedup = 0;
     let _ = ElectricalNetwork::new(cfg);
 }
-
-#[test]
-#[should_panic(expected = "output_speedup 1 only")]
-fn unmodelled_output_speedup_rejected() {
-    let mut cfg = ElectricalConfig::electrical3();
-    cfg.output_speedup = 2;
-    let _ = ElectricalNetwork::new(cfg);
-}

@@ -129,15 +129,14 @@ pub fn write_checksummed(path: &Path, payload: &str) -> Result<(), StoreError> {
 }
 
 /// Reads a file written by [`write_checksummed`] and verifies the
-/// checksum. A headerless file is accepted as a legacy artifact and
-/// returned whole (pre-checksum baselines keep working); a file *with*
-/// a header whose digest does not match its payload is
-/// [`StoreError::Corrupt`].
+/// checksum. A file without the header is as unverified as one whose
+/// digest does not match its payload: both are [`StoreError::Corrupt`].
 ///
 /// # Errors
 ///
 /// [`StoreError::Missing`] if absent, [`StoreError::Corrupt`] on a
-/// malformed header or checksum mismatch, [`StoreError::Io`] otherwise.
+/// missing or malformed header or a checksum mismatch,
+/// [`StoreError::Io`] otherwise.
 pub fn read_checksummed(path: &Path) -> Result<String, StoreError> {
     let bytes = fs::read(path).map_err(|e| io_error(path, e))?;
     let corrupt = |why: String| StoreError::Corrupt(path.to_path_buf(), why);
@@ -146,7 +145,7 @@ pub fn read_checksummed(path: &Path) -> Result<String, StoreError> {
     let raw = String::from_utf8(bytes)
         .map_err(|e| corrupt(format!("not valid UTF-8 ({e}) — bit rot or a binary file")))?;
     let Some(rest) = raw.strip_prefix(HEADER_PREFIX) else {
-        return Ok(raw);
+        return Err(corrupt("no checksum header".into()));
     };
     let Some((digest, payload)) = rest.split_once('\n') else {
         return Err(corrupt("checksum header line is unterminated".into()));
@@ -232,11 +231,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_files_read_whole() {
-        let dir = tmp_dir("legacy");
-        let path = dir.join("old.json");
-        fs::write(&path, "{\"legacy\": true}").unwrap();
-        assert_eq!(read_checksummed(&path).unwrap(), "{\"legacy\": true}");
+    fn headerless_files_are_rejected() {
+        let dir = tmp_dir("headerless");
+        let path = dir.join("stripped.json");
+        fs::write(&path, "{\"x\": 1}\n").unwrap();
+        let err = read_checksummed(&path).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        assert!(err.to_string().contains("no checksum header"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -73,11 +73,6 @@ impl Direction {
             Direction::West => Direction::East,
         }
     }
-
-    /// Whether this direction moves along the X dimension.
-    pub fn is_horizontal(self) -> bool {
-        matches!(self, Direction::East | Direction::West)
-    }
 }
 
 impl fmt::Display for Direction {

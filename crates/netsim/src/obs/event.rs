@@ -231,17 +231,6 @@ pub fn direction_name(d: Direction) -> &'static str {
     }
 }
 
-/// Parses a [`direction_name`] back.
-pub fn direction_from_name(s: &str) -> Option<Direction> {
-    match s {
-        "north" => Some(Direction::North),
-        "south" => Some(Direction::South),
-        "east" => Some(Direction::East),
-        "west" => Some(Direction::West),
-        _ => None,
-    }
-}
-
 /// A bounded or unbounded event trace with severity filtering.
 ///
 /// In ring mode the buffer keeps the **latest** `capacity` events and
@@ -338,15 +327,6 @@ impl TraceBuffer {
     /// Events rejected by the severity filter.
     pub fn filtered(&self) -> u64 {
         self.filtered
-    }
-
-    /// Per-kind counts over the retained events.
-    pub fn counts_by_kind(&self) -> Vec<(EventKind, u64)> {
-        EventKind::ALL
-            .into_iter()
-            .map(|k| (k, self.events.iter().filter(|e| e.kind == k).count() as u64))
-            .filter(|&(_, c)| c > 0)
-            .collect()
     }
 
     /// The full trace as one JSON document:

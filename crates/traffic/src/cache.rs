@@ -251,11 +251,6 @@ impl CacheHierarchy {
     pub fn snoop(&self, addr: u64) -> bool {
         self.l2.contains(addr)
     }
-
-    /// The L2 miss ratio so far.
-    pub fn l2_miss_ratio(&self) -> f64 {
-        self.l2.miss_ratio()
-    }
 }
 
 #[cfg(test)]

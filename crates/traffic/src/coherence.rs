@@ -81,11 +81,6 @@ impl BenchmarkProfile {
             ..self.clone()
         }
     }
-
-    /// Total misses across all cores for a mesh.
-    pub fn total_misses(&self, mesh: Mesh) -> usize {
-        self.misses_per_core * mesh.nodes()
-    }
 }
 
 /// Generates a coherence trace for `profile` on `mesh`.
