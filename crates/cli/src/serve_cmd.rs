@@ -21,9 +21,11 @@ use std::time::Duration;
 /// Default bind address for `serve` and target for `client`.
 const DEFAULT_ADDR: &str = "127.0.0.1:7690";
 
-/// How often the serve main loop re-checks the shutdown flags, and how
-/// often `client submit --wait` polls job status.
-const POLL: Duration = Duration::from_millis(200);
+/// How often the serve main loop re-checks the shutdown flags. The one
+/// timer the serving path keeps: a signal handler can only flip an
+/// atomic, so some thread has to look at it, and this loop is on no
+/// request's path.
+const SIGNAL_POLL: Duration = Duration::from_millis(200);
 
 /// Set by the SIGINT/SIGTERM handler; polled by the serve main loop.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -34,9 +36,9 @@ extern "C" fn on_signal(_signum: i32) {
 
 /// Installs the async-signal-safe handlers. The handler only flips an
 /// atomic; all real shutdown work happens on the main thread. (glibc's
-/// `signal()` installs with `SA_RESTART`, which is why the server's
-/// accept loop polls a nonblocking listener instead of counting on an
-/// interrupted `accept`.)
+/// `signal()` installs with `SA_RESTART`, which is why shutdown wakes
+/// the server's blocked `accept` with a connection instead of counting
+/// on the signal to interrupt it.)
 #[cfg(unix)]
 fn install_signal_handlers() {
     extern "C" {
@@ -73,7 +75,7 @@ pub fn cmd_serve(p: &Parsed) -> Result<String, ArgError> {
     // prints at exit); scripts wait for this line.
     eprintln!("phastlane-serve listening on {}", handle.local_addr());
     while !SIGNALLED.load(Ordering::Acquire) && !handle.shutdown_requested() {
-        std::thread::sleep(POLL);
+        std::thread::sleep(SIGNAL_POLL);
     }
     eprintln!("phastlane-serve: shutting down");
     let summary = handle.join();
@@ -101,12 +103,17 @@ fn http_error(context: &str, status: u16, body: &[u8]) -> ArgError {
 }
 
 /// Blocks until the job reaches a terminal status; returns that status.
+/// The server ends a job's event stream when the job turns terminal, so
+/// this follows the stream to its end and then reads the status once.
+/// Only a stream cut short — the client's idle read timeout on a job
+/// silent for minutes — finds the job still live, and follows it again.
 fn wait_for_terminal(addr: &str, id: u64) -> Result<String, ArgError> {
     loop {
+        let followed = client::stream(addr, &format!("/jobs/{id}/events"), |_| {});
         let (status, body) =
             client::request(addr, "GET", &format!("/jobs/{id}"), None).map_err(ArgError)?;
         if status != 200 {
-            return Err(http_error("status poll failed", status, &body));
+            return Err(http_error("status fetch failed", status, &body));
         }
         let v = json::parse(std::str::from_utf8(&body).unwrap_or(""))
             .map_err(|e| ArgError(format!("bad status JSON: {e}")))?;
@@ -115,9 +122,14 @@ fn wait_for_terminal(addr: &str, id: u64) -> Result<String, ArgError> {
             .and_then(JsonValue::as_str)
             .unwrap_or("?")
             .to_string();
-        match state.as_str() {
-            "done" | "failed" | "cancelled" => return Ok(state),
-            _ => std::thread::sleep(POLL),
+        match (state.as_str(), followed) {
+            ("done" | "failed" | "cancelled", _) => return Ok(state),
+            (_, Err(_)) => {}
+            (_, Ok(code)) => {
+                return Err(ArgError(format!(
+                    "event stream of job {id} ended (HTTP {code}) with the job still {state}"
+                )))
+            }
         }
     }
 }

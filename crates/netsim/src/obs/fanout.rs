@@ -18,16 +18,19 @@
 //!   reported when the stream ends, never inflicted on the producer or
 //!   on other subscribers;
 //! * [`close`](EventFanout::close) marks the stream complete; drained
-//!   subscribers then observe [`FanoutPoll::Closed`] with their final
-//!   drop accounting.
+//!   subscribers then observe [`FanoutClosed`] with their final drop
+//!   accounting.
 //!
-//! Consumers *poll*: the fan-out never blocks anyone, in either
-//! direction. The serving layer's event threads sleep between polls and
-//! do their socket writes outside the fan-out lock.
+//! Consumers *block*: [`FanoutSubscriber::wait`] sleeps on a condvar
+//! that `publish` and `close` notify, so a line reaches its watchers
+//! when it is published, not at the next tick of a timer. Producers
+//! still never block: a notify is not a hand-off, and the serving
+//! layer's event threads do their socket writes outside the fan-out
+//! lock.
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Default bound on replayable history lines.
 pub const DEFAULT_HISTORY_CAPACITY: usize = 4096;
@@ -55,25 +58,21 @@ struct FanoutState {
     closed: bool,
 }
 
-/// A bounded, poll-driven broadcast hub for NDJSON event lines. See the
-/// module docs for the contract.
+/// A bounded broadcast hub for NDJSON event lines. See the module docs
+/// for the contract.
 pub struct EventFanout {
     state: Mutex<FanoutState>,
+    /// Notified by `publish` and `close`; subscribers sleep on it.
+    wake: Condvar,
     sub_capacity: usize,
 }
 
-/// One `poll` result on a [`FanoutSubscriber`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FanoutPoll {
-    /// Lines published since the last poll (possibly empty — the stream
-    /// is still open, try again later).
-    Lines(Vec<Arc<str>>),
-    /// The stream is closed and this subscriber has consumed everything
-    /// it was queued; `dropped` is how many lines this subscriber shed.
-    Closed {
-        /// Lines this subscriber lost to its own queue bound.
-        dropped: u64,
-    },
+/// The end of a subscriber's stream: the fan-out is closed and this
+/// subscriber has consumed everything it was queued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FanoutClosed {
+    /// Lines this subscriber lost to its own queue bound.
+    pub dropped: u64,
 }
 
 impl EventFanout {
@@ -90,6 +89,7 @@ impl EventFanout {
                 published: 0,
                 closed: false,
             }),
+            wake: Condvar::new(),
             sub_capacity: sub_capacity.max(1),
         })
     }
@@ -118,12 +118,15 @@ impl EventFanout {
                 sub.queue.push_back(Arc::clone(&line));
             }
         }
+        drop(s);
+        self.wake.notify_all();
     }
 
     /// Marks the stream complete. Idempotent; subscribers drain what
-    /// they have queued and then observe [`FanoutPoll::Closed`].
+    /// they have queued and then observe [`FanoutClosed`].
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
+        self.wake.notify_all();
     }
 
     /// Whether [`close`](EventFanout::close) has been called.
@@ -188,25 +191,32 @@ pub struct FanoutSubscriber {
 }
 
 impl FanoutSubscriber {
-    /// Takes every queued line. Returns [`FanoutPoll::Closed`] once the
-    /// stream is closed *and* the queue is empty.
-    pub fn poll(&self) -> FanoutPoll {
-        let mut s = self.fanout.state.lock().unwrap();
-        let closed = s.closed;
-        let sub = s
-            .subscribers
-            .iter_mut()
-            .find(|sub| sub.id == self.id)
-            .expect("subscriber still registered");
-        if sub.queue.is_empty() {
-            if closed {
-                return FanoutPoll::Closed {
-                    dropped: sub.dropped,
-                };
+    /// Sleeps until this subscriber has lines queued and takes them all
+    /// (never an empty batch).
+    ///
+    /// # Errors
+    ///
+    /// [`FanoutClosed`] once the stream is closed *and* the queue is
+    /// empty.
+    pub fn wait(&self) -> Result<Vec<Arc<str>>, FanoutClosed> {
+        let mut s = self.fanout.state.lock().expect("fan-out lock");
+        loop {
+            let closed = s.closed;
+            let sub = s
+                .subscribers
+                .iter_mut()
+                .find(|sub| sub.id == self.id)
+                .expect("subscriber still registered");
+            if !sub.queue.is_empty() {
+                return Ok(sub.queue.drain(..).collect());
             }
-            return FanoutPoll::Lines(Vec::new());
+            if closed {
+                return Err(FanoutClosed {
+                    dropped: sub.dropped,
+                });
+            }
+            s = self.fanout.wake.wait(s).expect("fan-out lock");
         }
-        FanoutPoll::Lines(sub.queue.drain(..).collect())
     }
 
     /// Lines this subscriber has shed so far.
@@ -255,12 +265,17 @@ mod tests {
     use super::*;
     use crate::obs::json::JsonValue;
     use crate::obs::EventSink;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    fn lines_of(poll: FanoutPoll) -> Vec<String> {
-        match poll {
-            FanoutPoll::Lines(v) => v.iter().map(|l| l.to_string()).collect(),
-            FanoutPoll::Closed { .. } => panic!("unexpected close"),
-        }
+    /// A batch from a stream that must still be open. Only call `wait`
+    /// where lines are queued or the stream is closed: it blocks.
+    fn lines_of(batch: Result<Vec<Arc<str>>, FanoutClosed>) -> Vec<String> {
+        batch
+            .expect("stream still open")
+            .iter()
+            .map(|l| l.to_string())
+            .collect()
     }
 
     #[test]
@@ -270,11 +285,11 @@ mod tests {
         f.publish("one");
         let b = f.subscribe(); // late: replays history
         f.publish("two");
-        assert_eq!(lines_of(a.poll()), vec!["one", "two"]);
-        assert_eq!(lines_of(b.poll()), vec!["one", "two"]);
+        assert_eq!(lines_of(a.wait()), vec!["one", "two"]);
+        assert_eq!(lines_of(b.wait()), vec!["one", "two"]);
         f.close();
-        assert_eq!(a.poll(), FanoutPoll::Closed { dropped: 0 });
-        assert_eq!(b.poll(), FanoutPoll::Closed { dropped: 0 });
+        assert_eq!(a.wait(), Err(FanoutClosed { dropped: 0 }));
+        assert_eq!(b.wait(), Err(FanoutClosed { dropped: 0 }));
     }
 
     #[test]
@@ -285,15 +300,15 @@ mod tests {
             f.publish(&format!("l{i}"));
         }
         // The slow consumer kept the oldest two and shed three...
-        assert_eq!(lines_of(slow.poll()), vec!["l0", "l1"]);
+        assert_eq!(lines_of(slow.wait()), vec!["l0", "l1"]);
         assert_eq!(slow.dropped(), 3);
         // ...while a fresh subscriber replays from history untouched
         // (its own bound permitting).
         let fresh = f.subscribe();
-        assert_eq!(lines_of(fresh.poll()).len(), 2);
+        assert_eq!(lines_of(fresh.wait()).len(), 2);
         assert_eq!(fresh.dropped(), 3, "over its own 2-line bound");
         f.close();
-        assert_eq!(slow.poll(), FanoutPoll::Closed { dropped: 3 });
+        assert_eq!(slow.wait(), Err(FanoutClosed { dropped: 3 }));
         assert_eq!(f.published(), 5);
     }
 
@@ -303,8 +318,8 @@ mod tests {
         f.publish("only");
         f.close();
         let late = f.subscribe();
-        assert_eq!(lines_of(late.poll()), vec!["only"]);
-        assert_eq!(late.poll(), FanoutPoll::Closed { dropped: 0 });
+        assert_eq!(lines_of(late.wait()), vec!["only"]);
+        assert_eq!(late.wait(), Err(FanoutClosed { dropped: 0 }));
     }
 
     #[test]
@@ -315,11 +330,11 @@ mod tests {
         }
         assert_eq!(f.dropped(), 3, "history evictions");
         let sub = f.subscribe();
-        assert_eq!(lines_of(sub.poll()), vec!["l3", "l4"]);
+        assert_eq!(lines_of(sub.wait()), vec!["l3", "l4"]);
         f.close();
         assert_eq!(
-            sub.poll(),
-            FanoutPoll::Closed { dropped: 3 },
+            sub.wait(),
+            Err(FanoutClosed { dropped: 3 }),
             "a late subscriber inherits the eviction count so its \
              consumer knows the stream is lossy"
         );
@@ -335,7 +350,7 @@ mod tests {
         let report = sink.finish();
         assert_eq!(report.emitted, 3);
         let sub = f.subscribe();
-        let lines = lines_of(sub.poll());
+        let lines = lines_of(sub.wait());
         assert_eq!(lines.len(), 3);
         for (i, line) in lines.iter().enumerate() {
             let v = crate::obs::json::parse(line).expect("whole JSON lines");
@@ -343,38 +358,93 @@ mod tests {
         }
     }
 
+    /// A consumer parked in `wait` is woken by each `publish` and by
+    /// `close`. The consumer goes back to `wait` as soon as it has
+    /// handed a batch over, so across the rounds the publisher finds it
+    /// parked as well as still on its way there; a wake-up lost either
+    /// way ends in the `recv_timeout`, not in a hung suite.
+    #[test]
+    fn blocked_wait_is_woken_by_publish_and_by_close() {
+        const ROUNDS: usize = 200;
+        let f = EventFanout::new(64, 64);
+        let sub = f.subscribe();
+        let (tx, rx) = mpsc::channel();
+        let consumer = std::thread::spawn(move || loop {
+            let batch = sub.wait();
+            let ended = batch.is_err();
+            tx.send(batch).expect("the test is still listening");
+            if ended {
+                return;
+            }
+        });
+        assert!(rx.try_recv().is_err(), "nothing published, nothing seen");
+        for i in 0..ROUNDS {
+            let line = format!("l{i}");
+            f.publish(&line);
+            let batch = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("publish wakes the waiter");
+            assert_eq!(lines_of(batch), vec![line]);
+        }
+        f.close();
+        let end = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("close wakes the waiter");
+        assert_eq!(end, Err(FanoutClosed { dropped: 0 }));
+        consumer.join().expect("consumer thread");
+    }
+
     #[test]
     fn concurrent_publishers_never_tear_lines() {
         let f = EventFanout::new(10_000, 10_000);
-        let sub = f.subscribe();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let f = Arc::clone(&f);
-                scope.spawn(move || {
-                    let mut w = f.writer();
-                    for i in 0..100u64 {
-                        w.write_all(format!("{{\"v\": {}}}\n", t * 1000 + i).as_bytes())
-                            .unwrap();
-                    }
-                });
+        let subs: Vec<_> = (0..4).map(|_| f.subscribe()).collect();
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            // Consumers block in `wait` while the publishers write.
+            let consumers: Vec<_> = subs
+                .iter()
+                .map(|sub| {
+                    scope.spawn(move || {
+                        let mut seen = 0;
+                        loop {
+                            match sub.wait() {
+                                Ok(lines) => {
+                                    assert!(!lines.is_empty(), "wait never returns empty");
+                                    for line in &lines {
+                                        crate::obs::json::parse(line)
+                                            .expect("interleaving never tears a line");
+                                    }
+                                    seen += lines.len();
+                                }
+                                Err(FanoutClosed { dropped }) => {
+                                    assert_eq!(dropped, 0);
+                                    return seen;
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let publishers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let f = Arc::clone(&f);
+                    scope.spawn(move || {
+                        let mut w = f.writer();
+                        for i in 0..100u64 {
+                            w.write_all(format!("{{\"v\": {}}}\n", t * 1000 + i).as_bytes())
+                                .unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for p in publishers {
+                p.join().expect("publisher thread");
             }
+            f.close();
+            consumers
+                .into_iter()
+                .map(|c| c.join().expect("consumer thread"))
+                .collect()
         });
-        f.close();
-        let mut seen = 0;
-        loop {
-            match sub.poll() {
-                FanoutPoll::Lines(lines) => {
-                    for line in &lines {
-                        crate::obs::json::parse(line).expect("interleaving never tears a line");
-                    }
-                    seen += lines.len();
-                }
-                FanoutPoll::Closed { dropped } => {
-                    assert_eq!(dropped, 0);
-                    break;
-                }
-            }
-        }
-        assert_eq!(seen, 400);
+        assert_eq!(seen, vec![400; 4]);
     }
 }

@@ -28,9 +28,9 @@
 //!    trace buffer;
 //! 6. [`sink`] — a bounded, backpressure-aware NDJSON [`EventSink`] the
 //!    lab worker pool streams per-job lifecycle events through;
-//! 7. [`fanout`] — a poll-driven broadcast hub ([`EventFanout`])
-//!    multiplying one sink's NDJSON stream to any number of subscribers
-//!    (each with its own bounded queue and drop accounting), the
+//! 7. [`fanout`] — a broadcast hub ([`EventFanout`]) multiplying one
+//!    sink's NDJSON stream to any number of subscribers (each blocking
+//!    on its own bounded queue, with its own drop accounting), the
 //!    junction the `phastlane-serve` event endpoints hang off.
 //!
 //! # Cost model
@@ -54,7 +54,7 @@ pub mod report;
 pub mod sink;
 
 pub use event::{EventKind, Obs, Severity, SimEvent, TraceBuffer};
-pub use fanout::{EventFanout, FanoutPoll, FanoutSubscriber};
+pub use fanout::{EventFanout, FanoutClosed, FanoutSubscriber};
 pub use flight::{FlightRecorder, FlightStep, Journey};
 pub use metrics::{CycleTotals, MetricSample, MetricsCollector, MetricsSeries};
 pub use phase::{Phase, PhaseBreakdown, PhaseProfiler};

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 /// Per-request socket timeout. Individual requests are short — long
-/// work is polled via repeated status calls, not one long request.
+/// work is followed on its event stream, not held in one long request.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Read timeout while watching an event stream: lifecycle events can be

@@ -175,12 +175,11 @@ impl Registry {
     /// Registers a new job as queued, persisting its spec and status.
     /// Returns the assigned id.
     pub fn submit(&self, spec: LabSpec, workers: usize) -> u64 {
-        let id = {
-            let mut next = self.next_id.lock().expect("id lock");
-            let id = *next;
-            *next += 1;
-            id
-        };
+        // Held until the push, so ids enter `jobs` in ascending order
+        // (what `slot` searches by) whoever the callers are.
+        let mut next = self.next_id.lock().expect("id lock");
+        let id = *next;
+        *next += 1;
         let job = Job {
             id,
             spec_text: spec.encode(),
@@ -204,7 +203,8 @@ impl Registry {
     /// (e.g. cancelled while waiting).
     pub fn start(&self, id: u64) -> Option<WorkItem> {
         let mut jobs = self.jobs.lock().expect("registry lock");
-        let job = jobs.iter_mut().find(|j| j.id == id)?;
+        let at = slot(&jobs, id)?;
+        let job = &mut jobs[at];
         if job.status != JobStatus::Queued {
             return None;
         }
@@ -232,9 +232,10 @@ impl Registry {
     pub fn finish(&self, id: u64, outcome: Result<String, String>, cancelled: bool) {
         let report_path = self.report_path(id);
         let mut jobs = self.jobs.lock().expect("registry lock");
-        let Some(job) = jobs.iter_mut().find(|j| j.id == id) else {
+        let Some(at) = slot(&jobs, id) else {
             return;
         };
+        let job = &mut jobs[at];
         match outcome {
             Ok(canonical) => {
                 if let Some(path) = &report_path {
@@ -270,7 +271,8 @@ impl Registry {
     /// unknown id.
     pub fn cancel(&self, id: u64) -> Option<JobStatus> {
         let mut jobs = self.jobs.lock().expect("registry lock");
-        let job = jobs.iter_mut().find(|j| j.id == id)?;
+        let at = slot(&jobs, id)?;
+        let job = &mut jobs[at];
         job.cancel.cancel();
         if job.status == JobStatus::Queued {
             job.status = JobStatus::Cancelled;
@@ -304,7 +306,7 @@ impl Registry {
     /// Status JSON for one job — the same shape that gets persisted.
     pub fn status_json(&self, id: u64) -> Option<JsonValue> {
         let jobs = self.jobs.lock().expect("registry lock");
-        jobs.iter().find(|j| j.id == id).map(status_json_of)
+        slot(&jobs, id).map(|at| status_json_of(&jobs[at]))
     }
 
     /// Status JSON for every job, ascending id.
@@ -325,18 +327,14 @@ impl Registry {
     /// The finished job's canonical report bytes, if it has one.
     pub fn report(&self, id: u64) -> Option<Arc<String>> {
         let jobs = self.jobs.lock().expect("registry lock");
-        jobs.iter()
-            .find(|j| j.id == id)
-            .and_then(|j| j.report.clone())
+        jobs[slot(&jobs, id)?].report.clone()
     }
 
     /// Subscribes to a job's event stream (replays buffered history).
     /// Returns `None` for an unknown id.
     pub fn subscribe(&self, id: u64) -> Option<FanoutSubscriber> {
         let jobs = self.jobs.lock().expect("registry lock");
-        jobs.iter()
-            .find(|j| j.id == id)
-            .map(|j| j.events.subscribe())
+        slot(&jobs, id).map(|at| jobs[at].events.subscribe())
     }
 
     /// Jobs currently waiting for a worker (the bounded-queue measure
@@ -407,6 +405,13 @@ impl Registry {
     fn persist_status(&self, job: &Job) {
         persist_json(self.status_path(job.id), &status_json_of(job));
     }
+}
+
+/// Where job `id` sits in `jobs`. Ids enter in ascending order —
+/// recovery sorts them, `submit` issues them under the lock it pushes
+/// under — so no request scans every job the server has ever seen.
+fn slot(jobs: &[Job], id: u64) -> Option<usize> {
+    jobs.binary_search_by_key(&id, |j| j.id).ok()
 }
 
 fn persist_json(path: Option<PathBuf>, json: &JsonValue) {

@@ -1,20 +1,23 @@
-//! The job server: a nonblocking accept loop, a bounded job queue, a
+//! The job server: a blocking accept loop, a bounded job queue, a
 //! persistent worker pool, and the route table tying HTTP paths to the
 //! registry, the event fan-outs, and the baseline store.
 //!
-//! Threading model (documented in DESIGN.md §Serving layer):
+//! Threading model (documented in DESIGN.md §Serving layer). Every
+//! thread sleeps in a blocking wait that the event it is waiting for —
+//! or shutdown — ends; none wakes on a timer:
 //!
-//! * **accept thread** — polls a nonblocking listener, spawns one
-//!   short-lived handler thread per connection (one request per
-//!   connection, so there is no keep-alive state to manage);
+//! * **accept thread** — blocks in `accept()`, spawns one short-lived
+//!   handler thread per connection (one request per connection, so
+//!   there is no keep-alive state to manage); shutdown wakes it with a
+//!   loopback connection to its own port;
 //! * **worker pool** — `workers` threads blocking on a condvar'd
 //!   `VecDeque<job id>`; each pops an id, runs the lab through the
 //!   exact same `run_lab_opts` entry point the CLI uses, and records
 //!   the canonical result;
 //! * **handler threads** — parse, route, respond, exit. Event-stream
-//!   handlers live as long as their subscriber but only ever *poll*
-//!   the fan-out; a slow or wedged consumer sheds events in its own
-//!   bounded queue and never blocks a worker.
+//!   handlers live as long as their subscriber, blocked in the
+//!   fan-out's `wait`; a slow or wedged consumer sheds events in its
+//!   own bounded queue and never blocks a worker.
 //!
 //! Determinism contract: the canonical report served for a job is the
 //! byte-for-byte output of `LabReport::canonical_json().to_string_pretty()`
@@ -28,25 +31,19 @@ use phastlane_lab::scheduler::{run_lab_opts, RunOptions};
 use phastlane_lab::spec::LabSpec;
 use phastlane_lab::store::{self, StoreError};
 use phastlane_netsim::obs::json::{self, JsonValue};
-use phastlane_netsim::obs::{EventSink, FanoutPoll, EVENT_SCHEMA_VERSION};
+use phastlane_netsim::obs::{EventSink, FanoutClosed, EVENT_SCHEMA_VERSION};
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// How long a worker waits on the queue condvar before re-checking the
-/// shutdown flag.
-const QUEUE_POLL: Duration = Duration::from_millis(100);
-
-/// How long an event-stream handler sleeps between fan-out polls.
-const EVENT_POLL: Duration = Duration::from_millis(25);
+/// How long the accept loop backs off after `accept()` itself fails
+/// (out of descriptors, say), so a persistent error cannot spin it.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Server socket read timeout (a stalled peer cannot pin a handler).
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -94,7 +91,13 @@ struct Shared {
     queue_depth: usize,
     baseline_dir: PathBuf,
     allow_shutdown: bool,
+    /// Only ever set while holding `queue`: a worker that found the
+    /// queue empty and the flag clear is inside `queue_cv.wait` before
+    /// the flag can flip, so the notify cannot slip past it, and a
+    /// submission that saw it clear was queued before any worker left.
     shutdown: AtomicBool,
+    /// Where a loopback connection reaches the listener.
+    wake_addr: SocketAddr,
     rejected: AtomicU64,
 }
 
@@ -103,9 +106,24 @@ impl Shared {
         self.shutdown.load(Ordering::Acquire)
     }
 
+    /// Stops admissions, wakes every parked thread, and cancels every
+    /// live job (which closes its fan-out, ending its event streams).
+    /// Idempotent.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.queue_cv.notify_all();
+        let first = {
+            let _q = self.queue.lock().expect("queue lock");
+            let first = !self.shutdown.swap(true, Ordering::AcqRel);
+            self.queue_cv.notify_all();
+            first
+        };
+        if first {
+            // The accept thread is parked in `accept()`: hand it a
+            // connection. It carries no bytes, so its handler reads EOF
+            // and answers nothing. A failed dial is fine — see
+            // `accept_loop`.
+            let _ = TcpStream::connect(self.wake_addr);
+        }
+        self.registry.cancel_all();
     }
 }
 
@@ -138,7 +156,6 @@ impl ServerHandle {
     /// are cancelled, and in-flight runs are cancelled cooperatively.
     pub fn request_shutdown(&self) {
         self.shared.request_shutdown();
-        self.shared.registry.cancel_all();
     }
 
     /// Whether a shutdown was requested (by signal, endpoint, or
@@ -175,13 +192,18 @@ impl ServerHandle {
 pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set nonblocking: {e}"))?;
-    let local_addr = listener
+    let bound = listener
         .local_addr()
-        .map_err(|e| format!("cannot read bound address: {e}"))?
-        .to_string();
+        .map_err(|e| format!("cannot read bound address: {e}"))?;
+    let local_addr = bound.to_string();
+    // A listener on the unspecified address is dialled through loopback.
+    let mut wake_addr = bound;
+    if bound.ip().is_unspecified() {
+        wake_addr.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let (registry, requeue) = Registry::open(config.state_dir.as_deref())?;
     let shared = Arc::new(Shared {
@@ -192,6 +214,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
         baseline_dir: config.baseline_dir.clone(),
         allow_shutdown: config.allow_shutdown,
         shutdown: AtomicBool::new(false),
+        wake_addr,
         rejected: AtomicU64::new(0),
     });
 
@@ -214,25 +237,27 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     })
 }
 
-/// Polls the nonblocking listener, handing each connection to its own
-/// short-lived thread. Polling (instead of a blocking accept) is what
-/// lets a signal-initiated shutdown take effect promptly: glibc
-/// installs signal handlers with `SA_RESTART`, so a blocking `accept`
-/// would simply resume after the handler ran.
+/// Blocks in `accept()`, handing each connection to its own short-lived
+/// thread. A signal cannot end the wait — glibc installs handlers with
+/// `SA_RESTART`, so `accept` simply resumes after the handler ran — so
+/// the call that flips the shutdown flag dials the listener instead.
+/// The flag is re-checked after *every* accept, never before one: the
+/// dial only has to succeed while this thread is parked, which is while
+/// the backlog is empty; if the backlog is so full that the dial is
+/// refused, the accepts draining it see the flag on their own. And the
+/// connection just accepted is always handled first, so a real client
+/// that raced the wake-up is answered, not reset.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        if shared.shutting_down() {
-            return;
-        }
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || handle_connection(&shared, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+        if shared.shutting_down() {
+            return;
         }
     }
 }
@@ -249,11 +274,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutting_down() {
                     break None;
                 }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, QUEUE_POLL)
-                    .expect("queue lock");
-                q = guard;
+                q = shared.queue_cv.wait(q).expect("queue lock");
             }
         };
         match id {
@@ -313,7 +334,6 @@ fn run_job(shared: &Shared, id: u64) {
 
 /// Reads, routes, and answers one request, then closes the connection.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(mut writer) = stream.try_clone() else {
@@ -422,7 +442,6 @@ fn route(shared: &Arc<Shared>, req: &http::Request, w: &mut impl Write) {
         ("POST", ["shutdown"]) => {
             if shared.allow_shutdown {
                 shared.request_shutdown();
-                shared.registry.cancel_all();
                 respond_json(
                     w,
                     200,
@@ -478,13 +497,17 @@ fn submit_job(shared: &Shared, body: &[u8], w: &mut impl Write) {
     if let Err(e) = phastlane_analyze::preflight(&spec) {
         return respond_error(w, 400, &format!("preflight failed: {e}"));
     }
-    if shared.shutting_down() {
-        return respond_error(w, 503, "server is shutting down");
-    }
-    // Depth check and submit under the queue lock so concurrent
-    // submissions cannot both squeeze into the last slot.
+    // Shutdown check, depth check and submit under the queue lock:
+    // concurrent submissions cannot both squeeze into the last slot, and
+    // one admitted here is in the registry before shutdown's
+    // `cancel_all` and in the queue before any worker leaves, so every
+    // 202'd id is run or cancelled.
     let id = {
         let mut q = shared.queue.lock().expect("queue lock");
+        if shared.shutting_down() {
+            drop(q);
+            return respond_error(w, 503, "server is shutting down");
+        }
         if shared.registry.queued_count() >= shared.queue_depth {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             drop(q);
@@ -510,7 +533,7 @@ fn submit_job(shared: &Shared, body: &[u8], w: &mut impl Write) {
 }
 
 /// `GET /jobs/<id>/events`: a chunked NDJSON stream. The handler only
-/// ever polls the subscriber's own bounded queue — backpressure from
+/// ever waits on the subscriber's own bounded queue — backpressure from
 /// this socket sheds events for this subscriber alone and is reported
 /// in the terminal `stream_end` line.
 fn stream_events(shared: &Shared, id: Option<u64>, w: &mut impl Write) {
@@ -521,12 +544,8 @@ fn stream_events(shared: &Shared, id: Option<u64>, w: &mut impl Write) {
         return;
     }
     loop {
-        match sub.poll() {
-            FanoutPoll::Lines(lines) => {
-                if lines.is_empty() {
-                    std::thread::sleep(EVENT_POLL);
-                    continue;
-                }
+        match sub.wait() {
+            Ok(lines) => {
                 let mut chunk = String::new();
                 for line in lines {
                     chunk.push_str(&line);
@@ -536,7 +555,7 @@ fn stream_events(shared: &Shared, id: Option<u64>, w: &mut impl Write) {
                     return; // peer went away; subscriber drops on return
                 }
             }
-            FanoutPoll::Closed { dropped } => {
+            Err(FanoutClosed { dropped }) => {
                 let end = JsonValue::Obj(vec![
                     ("event".into(), JsonValue::Str("stream_end".into())),
                     (
@@ -647,9 +666,46 @@ fn stats_json(shared: &Shared) -> JsonValue {
 mod tests {
     use super::*;
     use crate::client;
+    use std::io::Read;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// How long a test waits for something that must happen at once; a
+    /// lost wake-up fails here instead of hanging the suite.
+    const PROMPT: Duration = Duration::from_secs(5);
+
+    /// One optical cell on a 4x4 mesh: a few milliseconds of work.
+    const SMALL_SPEC: &str = "name serve-small\nmesh 4x4\nseed 7\nnets optical4\n\
+                              patterns uniform\nrates 0.02\nwarmup 50\nmeasure 100\ndrain 500\n";
 
     fn test_server(config: ServerConfig) -> ServerHandle {
         start(config).expect("server starts")
+    }
+
+    /// `join`, failing the test if it does not return promptly.
+    fn join_promptly(handle: ServerHandle) -> ServeSummary {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(handle.join()));
+        rx.recv_timeout(PROMPT)
+            .expect("join returns: every parked thread was woken")
+    }
+
+    /// Follows a job's event stream; whether it ended in `stream_end`.
+    fn follow_to_stream_end(addr: &str, id: u64) -> bool {
+        let mut ended = false;
+        let status = client::stream(addr, &format!("/jobs/{id}/events"), |line| {
+            ended |= line.contains("\"stream_end\"");
+        })
+        .expect("event stream");
+        status == 200 && ended
+    }
+
+    fn id_of(body: &[u8]) -> u64 {
+        json::parse(std::str::from_utf8(body).expect("utf-8 body"))
+            .expect("json body")
+            .get("id")
+            .and_then(JsonValue::as_u64)
+            .expect("job id")
     }
 
     #[test]
@@ -724,5 +780,177 @@ mod tests {
             client::request(&addr, "GET", "/baselines/definitely-missing", None).unwrap();
         assert_eq!(status, 404);
         handle.join();
+    }
+
+    /// The behavioural guard against a poll timer on any request path:
+    /// at 20 ms per accept the first loop alone took a second.
+    #[test]
+    fn no_request_waits_out_a_timer() {
+        let handle = test_server(ServerConfig::default());
+        let addr = handle.local_addr().to_string();
+
+        let t = Instant::now();
+        for _ in 0..50 {
+            let (status, _) = client::request(&addr, "GET", "/healthz", None).unwrap();
+            assert_eq!(status, 200);
+        }
+        let healthz = t.elapsed();
+        assert!(
+            healthz < Duration::from_millis(500),
+            "50 x /healthz: {healthz:?}"
+        );
+
+        let t = Instant::now();
+        for _ in 0..10 {
+            let (status, body) =
+                client::request(&addr, "POST", "/jobs", Some(SMALL_SPEC.as_bytes())).unwrap();
+            assert_eq!(status, 202);
+            let id = id_of(&body);
+            assert!(follow_to_stream_end(&addr, id));
+            let (status, _) =
+                client::request(&addr, "GET", &format!("/jobs/{id}/report"), None).unwrap();
+            assert_eq!(status, 200, "the report is there when the stream ends");
+        }
+        let jobs = t.elapsed();
+        assert!(jobs < Duration::from_secs(1), "10 round trips: {jobs:?}");
+        join_promptly(handle);
+    }
+
+    #[test]
+    fn idle_start_then_join_always_returns() {
+        let t = Instant::now();
+        for _ in 0..200 {
+            join_promptly(test_server(ServerConfig::default()));
+        }
+        assert!(t.elapsed() < PROMPT, "200 idle joins: {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_still_shut_down() {
+        for (bind, loopback) in [("0.0.0.0:0", "127.0.0.1"), ("[::]:0", "[::1]")] {
+            let config = ServerConfig {
+                addr: bind.into(),
+                ..ServerConfig::default()
+            };
+            let handle = match start(config) {
+                Ok(h) => h,
+                // A host without IPv6 cannot bind `[::]`.
+                Err(_) if bind.starts_with('[') => continue,
+                Err(e) => panic!("{bind}: {e}"),
+            };
+            let port = handle.local_addr().rsplit(':').next().unwrap().to_string();
+            let (status, _) =
+                client::request(&format!("{loopback}:{port}"), "GET", "/healthz", None).unwrap();
+            assert_eq!(status, 200, "{bind}");
+            join_promptly(handle);
+        }
+    }
+
+    #[test]
+    fn parked_worker_is_woken_by_submit_and_by_shutdown() {
+        let handle = test_server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr().to_string();
+        // Two jobs in turn: the worker is back on the condvar for the
+        // second, whatever it was doing when the first arrived.
+        for _ in 0..2 {
+            let (status, body) =
+                client::request(&addr, "POST", "/jobs", Some(SMALL_SPEC.as_bytes())).unwrap();
+            assert_eq!(status, 202);
+            let id = id_of(&body);
+            let (tx, rx) = mpsc::channel();
+            let addr = addr.clone();
+            std::thread::spawn(move || tx.send(follow_to_stream_end(&addr, id)));
+            assert!(
+                rx.recv_timeout(PROMPT).expect("submit wakes the worker"),
+                "job {id} ran to stream_end"
+            );
+        }
+        let summary = join_promptly(handle);
+        assert_eq!(summary.jobs[3], 2, "both done");
+    }
+
+    /// One `POST /jobs` over a bare socket, without the client's connect
+    /// retries: the status and body, or `None` once the server is gone.
+    fn raw_post(addr: &str, spec: &str) -> Option<(u16, String)> {
+        let mut s = TcpStream::connect(addr).ok()?;
+        s.set_read_timeout(Some(PROMPT)).ok()?;
+        write!(
+            s,
+            "POST /jobs HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{spec}",
+            spec.len()
+        )
+        .ok()?;
+        let mut text = String::new();
+        s.read_to_string(&mut text).ok()?;
+        let status = text.split_ascii_whitespace().nth(1)?.parse().ok()?;
+        let body = text.split_once("\r\n\r\n")?.1.to_string();
+        Some((status, body))
+    }
+
+    /// Posters keep submitting across the instant shutdown is requested.
+    /// Each submission is refused (503, or the listener is gone) or
+    /// admitted; an admitted one must end terminal with its stream
+    /// closed — never sit `queued` behind workers that already left.
+    #[test]
+    fn submissions_racing_shutdown_are_refused_or_cancelled() {
+        for round in 0..20 {
+            let handle = test_server(ServerConfig {
+                workers: 1,
+                queue_depth: 4096,
+                ..ServerConfig::default()
+            });
+            let addr = handle.local_addr().to_string();
+            let (admitted_tx, admitted_rx) = mpsc::channel();
+            let posters: Vec<_> = (0..4)
+                .map(|_| {
+                    let addr = addr.clone();
+                    let admitted_tx = admitted_tx.clone();
+                    std::thread::spawn(move || {
+                        let mut ids = Vec::new();
+                        while let Some((status, body)) = raw_post(&addr, SMALL_SPEC) {
+                            match status {
+                                202 => {
+                                    ids.push(id_of(body.as_bytes()));
+                                    if ids.len() == 1 {
+                                        admitted_tx.send(()).expect("the test is listening");
+                                    }
+                                }
+                                503 => break,
+                                other => panic!("round {round}: POST answered {other}: {body}"),
+                            }
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            // Every poster is mid-loop before the flag flips.
+            for _ in 0..posters.len() {
+                admitted_rx.recv_timeout(PROMPT).expect("a first 202");
+            }
+            handle.request_shutdown();
+            let ids: Vec<u64> = posters
+                .into_iter()
+                .flat_map(|p| p.join().expect("poster thread"))
+                .collect();
+
+            // Before `join`, whose own `cancel_all` would sweep up a job
+            // admitted behind the first one's back.
+            let shared = Arc::clone(&handle.shared);
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                for id in ids {
+                    let sub = shared.registry.subscribe(id).expect("admitted id is known");
+                    while sub.wait().is_ok() {}
+                }
+                tx.send(())
+            });
+            rx.recv_timeout(PROMPT)
+                .expect("every admitted job's event stream is closed");
+            let summary = join_promptly(handle);
+            assert_eq!(summary.jobs[1] + summary.jobs[2], 0, "round {round}");
+        }
     }
 }

@@ -4,15 +4,16 @@
 #
 #   scripts/perf-ab.sh BASE
 #
-# Hard gate: on one traced pass per simulator workload, every sim.* value
-# and `failed` must be identical on both sides, and no pass may report a
+# Hard gate: on one traced pass per workload, every sim.* value, the
+# server's rejected / events_published / events_dropped counters and
+# `failed` must be identical on both sides, and no pass may report a
 # failed operation. The identity half is skipped only when the diff
 # against BASE itself re-records the simulated behaviour: it removes or
 # changes a line of tests/step_digest.rs or crates/lab/tests/golden/.
 # A diff that only adds lines there (new digest cells) keeps the gate on.
 # Soft gate: over alternating untraced pairs, a median end-to-end metric
 # may be worse than the parent's by at most its bound in BENCHMARK.json.
-# The table also prints the parent's Q1 - Q3 and in how many pairs the
+# The table also prints each side's Q1 - Q3 and in how many pairs the
 # change read better, which is what a speed claim is judged on
 # (benchmark/README.md: >= 10 pairs of --seconds 10; raise PAIRS and
 # SECONDS_PER_PASS here for that).
@@ -23,9 +24,13 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 SEED=2009
 SECONDS_PER_PASS=3
 PAIRS=3
-SIM_WORKLOADS="optical-stable optical-saturated optical-faulted electrical-baseline splash2-replay"
-# optical-saturated is the busy side of any quiet-path change to core.
-TIMED_WORKLOADS="optical-stable optical-saturated electrical-baseline"
+IDENTITY_WORKLOADS="optical-stable optical-saturated optical-faulted electrical-baseline splash2-replay lab-smalljobs serve-smalljobs"
+# optical-saturated is the busy side of any quiet-path change to core;
+# serve-smalljobs is the only workload the serving layer runs in. Its
+# closed loop is work-bound (fsyncs and a 4 ms run, no sleeps), so it
+# spreads with the host: read wall_s beside jobs_per_s, each against its
+# own Q1 - Q3.
+TIMED_WORKLOADS="optical-stable optical-saturated electrical-baseline serve-smalljobs"
 
 base=$(git rev-parse --verify "$1^{commit}")
 work=$(mktemp -d)
@@ -50,7 +55,7 @@ for side in parent change; do
     CARGO_TARGET_DIR="$work/target-$side" cargo build --release --offline --quiet \
         --manifest-path "$(root "$side")/benchmark/Cargo.toml"
 done
-for w in $SIM_WORKLOADS; do
+for w in $IDENTITY_WORKLOADS; do
     pass parent "$w" 1 traced
     pass change "$w" 1 traced
 done
@@ -68,12 +73,17 @@ else
     identity=1
 fi
 
-python3 - "$work" "$identity" "$PAIRS" "$SIM_WORKLOADS" "$TIMED_WORKLOADS" <<'EOF'
+python3 - "$work" "$identity" "$PAIRS" "$IDENTITY_WORKLOADS" "$TIMED_WORKLOADS" <<'EOF'
 import json, statistics, sys
 
 work, identity, pairs = sys.argv[1], sys.argv[2] == "1", int(sys.argv[3])
-sim_workloads, timed_workloads = sys.argv[4].split(), sys.argv[5].split()
+identity_workloads, timed_workloads = sys.argv[4].split(), sys.argv[5].split()
 problems = []
+
+
+def spread(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{statistics.median(values):.6g} ({q1:.6g} - {q3:.6g})"
 
 
 def result(side, workload, tag):
@@ -84,12 +94,12 @@ def result(side, workload, tag):
 
 
 print(f"\n{'workload':<20} {'exact value':<26} {'parent':>22} {'change':>22}")
-for w in sim_workloads:
+for w in identity_workloads:
     parent, change = result("parent", w, "traced"), result("change", w, "traced")
     rows = [("failed", parent["failed"], change["failed"])] + [
         (k, v["value"], change["metrics"].get(k, {}).get("value"))
         for k, v in parent["metrics"].items()
-        if k.startswith("sim.")
+        if k.startswith("sim.") or k in ("serve.rejected", "serve.events_published", "serve.events_dropped")
     ]
     for name, p, c in rows:
         differs = repr(p) != repr(c)
@@ -97,18 +107,16 @@ for w in sim_workloads:
         if differs and identity:
             problems.append(f"{w}: {name} is {c!r}, parent has {p!r}")
 
-print(f"\n{'workload':<20} {'median of ' + str(pairs):<18} {'parent (Q1 - Q3)':>36} {'change':>12} {'worse by':>9} {'bound':>6} {'change wins':>12}")
+print(f"\n{'workload':<20} {'median of ' + str(pairs):<18} {'parent (Q1 - Q3)':>36} {'change (Q1 - Q3)':>36} {'worse by':>9} {'bound':>6} {'change wins':>12}")
 for w in timed_workloads:
     runs = {s: [result(s, w, t)["metrics"] for t in range(1, pairs + 1)] for s in ("parent", "change")}
     for m in json.load(open("BENCHMARK.json"))["end_to_end"]:
         lower = m["better"] == "lower"
         ps, cs = ([r[m["name"]]["value"] for r in runs[s]] for s in ("parent", "change"))
         p, c = statistics.median(ps), statistics.median(cs)
-        q1, _, q3 = statistics.quantiles(ps, n=4, method="inclusive")
         wins = sum((b < a) if lower else (b > a) for a, b in zip(ps, cs))
         worse = (c - p) / p if lower else (p - c) / p
-        spread = f"{p:.6g} ({q1:.6g} - {q3:.6g})"
-        print(f"{w:<20} {m['name']:<18} {spread:>36} {c:>12.6g} {worse:>+9.1%} {m['bound']:>6.0%} {wins:>9}/{pairs}")
+        print(f"{w:<20} {m['name']:<18} {spread(ps):>36} {spread(cs):>36} {worse:>+9.1%} {m['bound']:>6.0%} {wins:>9}/{pairs}")
         if worse > m["bound"]:
             problems.append(f"{w}: {m['name']} median is {worse:.1%} worse than the parent's (bound {m['bound']:.0%})")
 
