@@ -927,7 +927,7 @@ lab progress (lab run):
 serving (serve, client):
   --addr A              bind/target address (default 127.0.0.1:7690)
   --queue-depth D       queued jobs beyond D are rejected with HTTP 429
-  --state-dir DIR       persist job specs/status/reports/journals so a
+  --state-dir DIR       keep a job log, reports and journals so a
                         restarted server recovers finished results and
                         resumes interrupted runs from their journals
   --allow-shutdown      honour POST /shutdown (otherwise signals only)

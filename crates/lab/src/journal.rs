@@ -24,6 +24,9 @@
 //!
 //! Appends are best-effort by design: a full disk degrades the journal
 //! (counted in [`Journal::write_errors`]), never the run itself.
+//!
+//! The line framing — [`frame`] / [`unframe`] — is the repository's one
+//! self-checking record format; the job server's log uses it too.
 
 use crate::report::JobRecord;
 use crate::spec::LabSpec;
@@ -84,13 +87,9 @@ impl Journal {
     /// failures bump [`Journal::write_errors`] and the run continues —
     /// a sick disk must never take the science down with it.
     pub fn append(&self, rec: &JobRecord) {
-        let body = rec.to_json().to_string_compact();
-        let line = JsonValue::Obj(vec![
-            ("crc".into(), JsonValue::Uint(crc32(body.as_bytes()) as u64)),
-            ("record".into(), rec.to_json()),
-        ]);
+        let line = frame("record", &rec.to_json());
         let mut w = self.file.lock().expect("journal lock");
-        let wrote = writeln!(w, "{}", line.to_string_compact()).and_then(|()| w.flush());
+        let wrote = writeln!(w, "{line}").and_then(|()| w.flush());
         if wrote.is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -181,17 +180,33 @@ pub fn load(path: &Path) -> Result<Recovered, String> {
     })
 }
 
-/// Parses one record line, returning `None` for anything torn: bad
-/// JSON, missing fields, or a CRC that does not match the record body.
-fn parse_record_line(line: &str) -> Option<JobRecord> {
-    let v = json::parse(line).ok()?;
-    let expected = v.get("crc")?.as_u64()?;
-    let record = v.get("record")?;
-    let body = record.to_string_compact();
-    if crc32(body.as_bytes()) as u64 != expected {
+/// Frames `body` as one self-checking line (no newline):
+/// `{"crc":<CRC-32 of the body's compact JSON>,"<key>":<body>}`.
+pub fn frame(key: &str, body: &JsonValue) -> String {
+    let body = body.to_string_compact();
+    let key = JsonValue::Str(key.into()).to_string_compact();
+    format!("{{\"crc\":{},{key}:{body}}}", crc32(body.as_bytes()))
+}
+
+/// The key and body of a line [`frame`] wrote, or `None` for anything
+/// torn: bad JSON, another shape, or a CRC that does not match the body.
+pub fn unframe(line: &str) -> Option<(String, JsonValue)> {
+    let JsonValue::Obj(pairs) = json::parse(line).ok()? else {
         return None;
+    };
+    let [(crc_key, crc), (key, body)] = <[_; 2]>::try_from(pairs).ok()?;
+    let intact = crc_key == "crc"
+        && crc.as_u64() == Some(u64::from(crc32(body.to_string_compact().as_bytes())));
+    intact.then_some((key, body))
+}
+
+/// Parses one record line, returning `None` for anything torn or for a
+/// well-framed line that is not a job record.
+fn parse_record_line(line: &str) -> Option<JobRecord> {
+    match unframe(line)? {
+        (key, record) if key == "record" => JobRecord::from_json(&record).ok(),
+        _ => None,
     }
-    JobRecord::from_json(record).ok()
 }
 
 #[cfg(test)]
@@ -300,6 +315,19 @@ mod tests {
         assert_eq!(rec.records.len(), 1);
         assert!(rec.records[0].outcome.is_completed(), "retry wins");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn framed_lines_round_trip_and_torn_ones_do_not() {
+        let body = record(3).to_json();
+        let line = frame("record", &body);
+        assert_eq!(unframe(&line), Some(("record".into(), body)));
+        // Every strict prefix is torn, and so is a flipped body byte.
+        for cut in 0..line.len() {
+            assert_eq!(unframe(&line[..cut]), None, "cut at {cut}");
+        }
+        let flipped = line.replacen("optical4", "optical5", 1);
+        assert_eq!(unframe(&flipped), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! | route                    | meaning                                   |
 //! |--------------------------|-------------------------------------------|
-//! | `POST /jobs`             | submit a lab spec (raw text or `{"spec", "workers"}`); preflighted, then queued. `400` malformed, `429` queue full, `503` shutting down |
+//! | `POST /jobs`             | submit a lab spec (raw text or `{"spec", "workers"}`); preflighted, then queued. `400` malformed, `429` queue full, `500` cannot persist, `503` shutting down |
 //! | `GET /jobs`              | all jobs' status JSON                     |
 //! | `GET /jobs/<id>`         | one job's status JSON                     |
 //! | `GET /jobs/<id>/report`  | the canonical report, byte-identical to `lab run --report-out` |
@@ -16,7 +16,7 @@
 //! | `GET /baselines`         | recorded baseline names                   |
 //! | `GET /baselines/<name>`  | one checksum-verified baseline payload    |
 //! | `GET /healthz`           | liveness probe                            |
-//! | `GET /statsz`            | queue/job/rejection/event counters        |
+//! | `GET /statsz`            | queue/job/rejection/event/job-log counters |
 //! | `POST /shutdown`         | graceful stop (only with `--allow-shutdown`) |
 //!
 //! The acceptance bar for the whole crate is the **determinism
@@ -28,8 +28,8 @@
 //! that cannot change a canonical bit.
 //!
 //! Module map: [`http`] is the wire codec, [`client`] the matching
-//! client used by the CLI and CI, [`registry`] the job table with
-//! crash-safe persistence, and [`server`] the accept loop, worker
+//! client used by the CLI and CI, [`registry`] the job table and its
+//! crash-safe job log, and [`server`] the accept loop, worker
 //! pool, and route table.
 
 #![warn(missing_docs)]

@@ -167,8 +167,8 @@ impl ServerHandle {
     /// Stops the server (idempotent with
     /// [`request_shutdown`](ServerHandle::request_shutdown)), waits for
     /// the accept loop and every worker to exit, and returns the final
-    /// accounting. Job state was persisted at every transition, so
-    /// nothing extra needs flushing here.
+    /// accounting. Every transition was appended to the job log as it
+    /// happened, so nothing extra needs flushing here.
     pub fn join(self) -> ServeSummary {
         self.request_shutdown();
         let _ = self.accept.join();
@@ -508,12 +508,19 @@ fn submit_job(shared: &Shared, body: &[u8], w: &mut impl Write) {
             drop(q);
             return respond_error(w, 503, "server is shutting down");
         }
-        if shared.registry.queued_count() >= shared.queue_depth {
+        let [_, queued, ..] = shared.registry.counts();
+        if queued >= shared.queue_depth as u64 {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             drop(q);
             return respond_error(w, 429, "job queue is full, retry later");
         }
-        let id = shared.registry.submit(spec, workers.max(1));
+        let id = match shared.registry.submit(spec, workers.max(1)) {
+            Ok(id) => id,
+            Err(e) => {
+                drop(q);
+                return respond_error(w, 500, &e);
+            }
+        };
         q.push_back(id);
         shared.queue_cv.notify_one();
         id
@@ -620,10 +627,12 @@ fn read_baseline(shared: &Shared, name: &str, w: &mut impl Write) {
     }
 }
 
-/// `GET /statsz`: queue, job, rejection, and event-delivery counters.
+/// `GET /statsz`: queue, job, rejection, event-delivery and job-log
+/// counters.
 fn stats_json(shared: &Shared) -> JsonValue {
     let [total, queued, running, done, failed, cancelled] = shared.registry.counts();
     let (published, dropped) = shared.registry.event_totals();
+    let [records, syncs, write_errors] = shared.registry.log_counts();
     JsonValue::Obj(vec![
         (
             "schema_version".into(),
@@ -653,6 +662,14 @@ fn stats_json(shared: &Shared) -> JsonValue {
             JsonValue::Obj(vec![
                 ("published".into(), JsonValue::Uint(published)),
                 ("dropped".into(), JsonValue::Uint(dropped)),
+            ]),
+        ),
+        (
+            "log".into(),
+            JsonValue::Obj(vec![
+                ("records".into(), JsonValue::Uint(records)),
+                ("syncs".into(), JsonValue::Uint(syncs)),
+                ("write_errors".into(), JsonValue::Uint(write_errors)),
             ]),
         ),
         (
@@ -870,6 +887,75 @@ mod tests {
         }
         let summary = join_promptly(handle);
         assert_eq!(summary.jobs[3], 2, "both done");
+    }
+
+    fn state_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("phastlane-server-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("state dir");
+        dir
+    }
+
+    fn statsz(addr: &str) -> JsonValue {
+        let (status, body) = client::request(addr, "GET", "/statsz", None).unwrap();
+        assert_eq!(status, 200);
+        json::parse(std::str::from_utf8(&body).unwrap()).unwrap()
+    }
+
+    /// Fsyncs per job read end to end: the submission and the report.
+    #[test]
+    fn statsz_counts_two_syncs_per_done_job() {
+        let dir = state_dir("syncs");
+        let handle = test_server(ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr().to_string();
+        for _ in 0..5 {
+            let (status, body) =
+                client::request(&addr, "POST", "/jobs", Some(SMALL_SPEC.as_bytes())).unwrap();
+            assert_eq!(status, 202);
+            assert!(follow_to_stream_end(&addr, id_of(&body)));
+        }
+        let stats = statsz(&addr);
+        let count = |block: &str, key: &str| stats.get(block).unwrap().get(key).unwrap().as_u64();
+        assert_eq!(count("jobs", "done"), Some(5));
+        assert_eq!(count("log", "syncs"), Some(10), "2 x done");
+        assert_eq!(count("log", "write_errors"), Some(0));
+        join_promptly(handle);
+        // The `finished` records are appended after the stream closes.
+        let log = std::fs::read_to_string(dir.join("jobs.log")).unwrap();
+        assert_eq!(log.lines().count(), 15, "submitted, running, finished x 5");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn log_write_failure_refuses_the_submission() {
+        let dir = state_dir("dev-full");
+        std::os::unix::fs::symlink("/dev/full", dir.join("jobs.log")).unwrap();
+        let handle = test_server(ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr().to_string();
+        let (status, body) =
+            client::request(&addr, "POST", "/jobs", Some(SMALL_SPEC.as_bytes())).unwrap();
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("cannot persist job: "), "{body}");
+        assert!(body.contains("jobs.log"), "{body}");
+        let (status, body) = client::request(&addr, "GET", "/jobs", None).unwrap();
+        assert_eq!(status, 200);
+        let list = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        assert_eq!(list.get("jobs").unwrap().as_arr().map(<[_]>::len), Some(0));
+        let stats = statsz(&addr);
+        let log = stats.get("log").unwrap();
+        assert_eq!(log.get("write_errors").unwrap().as_u64(), Some(1));
+        assert_eq!(log.get("records").unwrap().as_u64(), Some(0));
+        join_promptly(handle);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One `POST /jobs` over a bare socket, without the client's connect

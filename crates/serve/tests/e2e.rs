@@ -218,8 +218,9 @@ fn event_stream_is_versioned_ndjson_with_clean_end() {
 }
 
 /// Graceful shutdown mid-job: the in-flight run is cancelled
-/// cooperatively, every persisted file is whole (atomic writes — old
-/// or new, never torn), and a restarted registry recovers the state.
+/// cooperatively, every job-log record is whole (CRC-framed lines, the
+/// file ending on a line boundary), and a restarted registry recovers
+/// the state.
 #[test]
 fn shutdown_mid_job_leaves_no_torn_state() {
     let dir = scratch("shutdown");
@@ -241,13 +242,25 @@ fn shutdown_mid_job_leaves_no_torn_state() {
     let summary = handle.join();
     assert_eq!(summary.jobs[0], 1, "one job seen");
 
-    // Every persisted artifact parses whole.
-    let spec_text = std::fs::read_to_string(dir.join("job-1.spec")).expect("spec persisted");
-    LabSpec::parse(&spec_text).expect("persisted spec re-parses");
-    let status_text =
-        std::fs::read_to_string(dir.join("job-1.status.json")).expect("status persisted");
-    let status_json = json::parse(&status_text).expect("status is whole JSON");
-    let state = status_json
+    // Every job-log line is whole and passes its CRC; the first
+    // submits job 1 and the last records its terminal state.
+    let log = std::fs::read_to_string(dir.join("jobs.log")).expect("job log persisted");
+    assert!(log.ends_with('\n'), "the log ends on a line boundary");
+    let records: Vec<(String, JsonValue)> = log
+        .lines()
+        .map(|line| journal::unframe(line).expect("every record is intact"))
+        .collect();
+    let (kind, submitted) = &records[0];
+    assert_eq!(kind, "submitted");
+    assert_eq!(submitted.get("id").and_then(JsonValue::as_u64), Some(1));
+    let spec_text = submitted
+        .get("spec")
+        .and_then(JsonValue::as_str)
+        .expect("spec persisted");
+    LabSpec::parse(spec_text).expect("persisted spec re-parses");
+    let (kind, finished) = records.last().expect("records");
+    assert_eq!(kind, "finished");
+    let state = finished
         .get("status")
         .and_then(JsonValue::as_str)
         .expect("status field");
