@@ -21,8 +21,19 @@
 //! rewrite touches and the 24 original electrical cells never reach —
 //! 2 and 16 VCs per port, one iSLIP iteration, input speedup 1, a
 //! saturated mesh whose NICs refuse injections, and a non-square mesh.
+//!
+//! `OPTICAL_AXES` was added later still and recorded at commit f4349dc,
+//! before broadcast injection memoised its column split: broadcast-only
+//! storms that fill the source NICs, so refused broadcasts (`inject`
+//! answering `None`, a `NicRetry` event) occur in every cell, on 8x8,
+//! 8x4, 5x3 and 16x16 (whose column messages spill past the eight inline
+//! targets), at fault intensity 0 and 0.3. Each storm runs twice on the
+//! same seed: once as `DestSet::Broadcast` and once as the explicit
+//! all-but-source `DestSet::Multicast` list, the same packets by another
+//! path — the two digests of a pair must also agree with each other.
 
 use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
+use phastlane_repro::netsim;
 use phastlane_repro::netsim::fault::{Fault, FaultKind, FaultPlan};
 use phastlane_repro::netsim::obs::TraceBuffer;
 use phastlane_repro::netsim::packet::PacketKind;
@@ -357,6 +368,120 @@ fn electrical_axis_cells() -> Vec<(String, u64)> {
     cells
 }
 
+/// An optical network whose every injection is a broadcast: `offered`'s
+/// unicast draws pick the sources, kinds and RNG stream, and the
+/// destination becomes every node but the source — `DestSet::Broadcast`,
+/// or with `explicit` the same nodes as a `DestSet::Multicast` list.
+/// Counts the injections the source NIC refused.
+struct Storm {
+    net: PhastlaneNetwork,
+    explicit: bool,
+    refused: u64,
+}
+
+impl Network for Storm {
+    fn name(&self) -> String {
+        self.net.name()
+    }
+    fn mesh(&self) -> Mesh {
+        self.net.mesh()
+    }
+    fn cycle(&self) -> u64 {
+        self.net.cycle()
+    }
+    fn inject(&mut self, packet: NewPacket) -> Option<netsim::PacketId> {
+        let src = packet.src;
+        let dests = if self.explicit {
+            DestSet::Multicast(self.mesh().iter_nodes().filter(|&n| n != src).collect())
+        } else {
+            DestSet::Broadcast
+        };
+        let id = self.net.inject(NewPacket { dests, ..packet });
+        self.refused += u64::from(id.is_none());
+        id
+    }
+    fn step(&mut self) {
+        self.net.step();
+    }
+    fn drain_deliveries(&mut self) -> Vec<netsim::Delivery> {
+        self.net.drain_deliveries()
+    }
+    fn drain_failures(&mut self) -> Vec<netsim::FailedDelivery> {
+        self.net.drain_failures()
+    }
+    fn in_flight(&self) -> usize {
+        self.net.in_flight()
+    }
+    fn energy(&self) -> netsim::stats::EnergyReport {
+        self.net.energy()
+    }
+    fn stats(&self) -> netsim::stats::NetworkStats {
+        self.net.stats()
+    }
+    fn link_counters(&self) -> netsim::telemetry::LinkCounters {
+        self.net.link_counters()
+    }
+    fn set_trace(&mut self, trace: TraceBuffer) {
+        self.net.set_trace(trace);
+    }
+    fn take_trace(&mut self) -> Option<TraceBuffer> {
+        self.net.take_trace()
+    }
+    fn set_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
+        self.net.set_fault_plan(plan, seed);
+    }
+}
+
+/// Optical4 broadcast storms, as `(label, digest, refused injections)`:
+/// per mesh a rate at which the source NICs fill, fault intensity 0 and
+/// 0.3, and each seed once per destination spelling.
+fn optical_axis_runs() -> Vec<(String, u64, u64)> {
+    let meshes = [(8, 8, 0.1), (8, 4, 0.15), (5, 3, 0.2), (16, 16, 0.03)];
+    let mut runs = Vec::new();
+    let mut seed = 0x57E9_1000u64;
+    for (w, hgt, rate) in meshes {
+        for intensity in [0.0, 0.3] {
+            seed += 1;
+            for explicit in [false, true] {
+                let mesh = Mesh::new(w, hgt);
+                let mut cfg = PhastlaneConfig::optical4();
+                cfg.mesh = mesh;
+                cfg.retry_limit = 8;
+                cfg.seed ^= seed;
+                let mut storm = Storm {
+                    net: PhastlaneNetwork::new(cfg),
+                    explicit,
+                    refused: 0,
+                };
+                let drive = Drive {
+                    seed,
+                    rate,
+                    mixed: false,
+                    inject_cycles: 120,
+                    total_cycles: 400,
+                };
+                let digest = run_cell(&mut storm, plan_for(mesh, seed, intensity), &drive);
+                let spelling = if explicit {
+                    "all-but-source"
+                } else {
+                    "broadcast"
+                };
+                runs.push((
+                    format!("Optical4/storm/{w}x{hgt}/f{intensity}/{spelling}"),
+                    digest,
+                    storm.refused,
+                ));
+            }
+        }
+    }
+    runs
+}
+
+fn optical_axis_cells() -> Vec<(String, u64)> {
+    let runs = optical_axis_runs().into_iter();
+    runs.map(|(label, digest, _)| (label, digest)).collect()
+}
+
 fn check(fresh: &[(String, u64)], recorded: &[(&str, u64)]) {
     assert_eq!(fresh.len(), recorded.len(), "cell count changed");
     let moved: Vec<String> = fresh
@@ -390,12 +515,26 @@ fn electrical_axis_digests_match_the_recorded_ones() {
 }
 
 #[test]
+fn optical_axis_digests_match_the_recorded_ones() {
+    let runs = optical_axis_runs();
+    for (label, _, refused) in &runs {
+        assert!(*refused > 0, "{label}: no NIC refused a broadcast");
+    }
+    for pair in runs.chunks(2) {
+        assert_eq!(pair[0].1, pair[1].1, "{} != {}", pair[0].0, pair[1].0);
+    }
+    let cells: Vec<(String, u64)> = runs.into_iter().map(|(l, d, _)| (l, d)).collect();
+    check(&cells, OPTICAL_AXES);
+}
+
+#[test]
 #[ignore = "prints the digest tables in source form"]
 fn print_digest_table() {
     for (name, cells) in [
         ("OPTICAL", optical_cells()),
         ("ELECTRICAL", electrical_cells()),
         ("ELECTRICAL_AXES", electrical_axis_cells()),
+        ("OPTICAL_AXES", optical_axis_cells()),
     ] {
         println!("#[rustfmt::skip]\nconst {name}: &[(&str, u64)] = &[");
         for (label, digest) in cells {
@@ -751,4 +890,24 @@ const ELECTRICAL_AXES: &[(&str, u64)] = &[
     ("Electrical3/8x4/f0/mixed", 0x1d151975942fa6e2),
     ("Electrical3/8x4/f0.3/unicast", 0xd99f93987ff6987f),
     ("Electrical3/8x4/f0.3/mixed", 0x84b873bd3cc81aca),
+];
+
+#[rustfmt::skip]
+const OPTICAL_AXES: &[(&str, u64)] = &[
+    ("Optical4/storm/8x8/f0/broadcast", 0x04297eb9fd89e780),
+    ("Optical4/storm/8x8/f0/all-but-source", 0x04297eb9fd89e780),
+    ("Optical4/storm/8x8/f0.3/broadcast", 0x9d6f69708ecfd712),
+    ("Optical4/storm/8x8/f0.3/all-but-source", 0x9d6f69708ecfd712),
+    ("Optical4/storm/8x4/f0/broadcast", 0x8a846e53e2189fac),
+    ("Optical4/storm/8x4/f0/all-but-source", 0x8a846e53e2189fac),
+    ("Optical4/storm/8x4/f0.3/broadcast", 0x73153c088675aa4b),
+    ("Optical4/storm/8x4/f0.3/all-but-source", 0x73153c088675aa4b),
+    ("Optical4/storm/5x3/f0/broadcast", 0x173dda1a61651d5c),
+    ("Optical4/storm/5x3/f0/all-but-source", 0x173dda1a61651d5c),
+    ("Optical4/storm/5x3/f0.3/broadcast", 0x762d8afeadf7960c),
+    ("Optical4/storm/5x3/f0.3/all-but-source", 0x762d8afeadf7960c),
+    ("Optical4/storm/16x16/f0/broadcast", 0x8cf9fa00560c92ae),
+    ("Optical4/storm/16x16/f0/all-but-source", 0x8cf9fa00560c92ae),
+    ("Optical4/storm/16x16/f0.3/broadcast", 0x96a34b335f426d93),
+    ("Optical4/storm/16x16/f0.3/all-but-source", 0x96a34b335f426d93),
 ];
