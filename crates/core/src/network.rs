@@ -57,6 +57,20 @@
 //!    accept, unless SECDED rejects the copy; interim stops buffer the
 //!    packet for the next segment (§2.1.3).
 //! 6. **End of cycle** — leakage accrues and the clock advances.
+//!
+//! `inject` sits outside the cycle: it turns a packet into the NIC
+//! entries of its messages, and tests the NIC before it builds
+//! anything. A unicast takes its own fast path to one inline target
+//! list. A broadcast is its source's column split (§2.1.4, at most 16
+//! messages on 8x8), which depends on the mesh and the source only, so
+//! `split_multicast` runs on a source's first broadcast and
+//! `broadcast_splits` keeps the result: a refused broadcast — the replay
+//! retries one every cycle — costs one capacity test and its `NicRetry`
+//! event, an accepted one copies inline lists. An explicit `Multicast`
+//! list is expanded and split per call. The two share one capacity test
+//! and one push loop, and a split that even an empty NIC cannot hold (an
+//! interior broadcast on 32x32 is 64 messages) panics with its size
+//! rather than being refused forever.
 
 use crate::config::PhastlaneConfig;
 use crate::control::RouteControl;
@@ -259,6 +273,12 @@ pub struct PhastlaneNetwork {
     /// by the arbitrate sweep.
     busy: Vec<u64>,
     next_uid: u64,
+    /// Per source, the column messages of its broadcast (§2.1.4):
+    /// `split_multicast` of every node but the source, which depends on
+    /// the mesh and the source only. Empty until the first broadcast,
+    /// then one slot per node, each filled on its source's first
+    /// broadcast.
+    broadcast_splits: Vec<Vec<TargetList>>,
     /// Packet ids, owed destination copies, deliveries, terminal
     /// failures, stats.
     ledger: DeliveryLedger,
@@ -315,6 +335,7 @@ impl PhastlaneNetwork {
             nics,
             busy: vec![0; nodes.div_ceil(64)],
             next_uid: 0,
+            broadcast_splits: Vec::new(),
             ledger: DeliveryLedger::new(),
             drop_slots: Vec::new(),
             flights: Vec::new(),
@@ -982,7 +1003,9 @@ impl Network for PhastlaneNetwork {
     }
 
     fn inject(&mut self, packet: NewPacket) -> Option<PacketId> {
-        let nodes = self.cfg.mesh.nodes();
+        let mesh = self.cfg.mesh;
+        let nodes = mesh.nodes();
+        let src = packet.src;
         let id = self.ledger.next_id();
 
         // Unicast fast path: synthetic sweeps inject thousands of
@@ -1020,52 +1043,80 @@ impl Network for PhastlaneNetwork {
             }
         }
 
-        let dests = packet.dests.expand(packet.src, nodes);
-
-        if dests.is_empty() {
-            // Degenerate self-send: delivered locally without the network.
-            self.ledger
-                .self_send(&mut self.obs, self.cycle, id, packet.src);
-            return Some(id);
-        }
-
-        let multicast = dests.len() > 1;
-        let messages: Vec<TargetList> = if multicast {
-            split_multicast(self.cfg.mesh, packet.src, &dests)
-        } else {
-            vec![dests.as_slice().into()]
+        // The messages this packet enters the NIC as, and the destination
+        // copies it owes. A broadcast is its source's memoised split, so
+        // nothing is built before the capacity test; an explicit list is
+        // expanded and split.
+        let split;
+        let (messages, copies): (&[TargetList], usize) = match &packet.dests {
+            DestSet::Broadcast if nodes > 1 => {
+                if self.broadcast_splits.is_empty() {
+                    self.broadcast_splits = vec![Vec::new(); nodes];
+                }
+                let memo = &mut self.broadcast_splits[src.index()];
+                if memo.is_empty() {
+                    *memo = split_multicast(mesh, src, &packet.dests.expand(src, nodes));
+                }
+                (memo, nodes - 1)
+            }
+            dests => {
+                let dests = dests.expand(src, nodes);
+                if dests.is_empty() {
+                    // Degenerate self-send: delivered locally without the network.
+                    self.ledger.self_send(&mut self.obs, self.cycle, id, src);
+                    return Some(id);
+                }
+                split = if dests.len() > 1 {
+                    split_multicast(mesh, src, &dests)
+                } else {
+                    vec![dests.as_slice().into()]
+                };
+                (&split, dests.len())
+            }
         };
         debug_assert!(!messages.is_empty());
 
-        // All multicast messages of a broadcast enter the NIC atomically.
-        let nic = &self.nics[packet.src.index()];
+        // All multicast messages of a broadcast enter the NIC atomically;
+        // a split that an empty NIC cannot hold would be refused forever.
+        let nic = &mut self.nics[src.index()];
+        assert!(
+            messages.len() <= nic.capacity(),
+            "{} from {src} splits into {} messages; the NIC holds {}",
+            if packet.dests == DestSet::Broadcast {
+                "broadcast"
+            } else {
+                "multicast"
+            },
+            messages.len(),
+            nic.capacity()
+        );
         if nic.len() + messages.len() > nic.capacity() {
             self.obs
-                .emit(self.cycle, EventKind::NicRetry, packet.src, None, None);
+                .emit(self.cycle, EventKind::NicRetry, src, None, None);
             return None;
         }
         let core = PacketCore {
             id,
-            src: packet.src,
+            src,
             kind: packet.kind,
-            multicast,
+            multicast: copies > 1,
             injected_cycle: self.cycle,
         };
         for targets in messages {
-            let uid = self.fresh_uid();
             let entry = Entry {
-                uid,
+                uid: self.next_uid,
                 core,
-                targets,
+                targets: targets.clone(),
                 ready_at: self.cycle,
                 attempts: 0,
             };
-            let pushed = self.nics[packet.src.index()].try_push(entry);
+            self.next_uid += 1;
+            let pushed = nic.try_push(entry);
             assert!(pushed.is_ok(), "capacity verified above");
         }
-        set_bit(&mut self.busy, packet.src.index());
+        set_bit(&mut self.busy, src.index());
         self.ledger
-            .accept(&mut self.obs, self.cycle, id, packet.src, dests.len());
+            .accept(&mut self.obs, self.cycle, id, src, copies);
         Some(id)
     }
 

@@ -240,6 +240,34 @@ fn nic_backpressure_rejects_when_full() {
     assert_eq!(net.drain_deliveries().len(), 63 * 3);
 }
 
+fn optical4_32x32() -> PhastlaneNetwork {
+    let mut cfg = PhastlaneConfig::optical4();
+    cfg.mesh = Mesh::new(32, 32);
+    PhastlaneNetwork::new(cfg)
+}
+
+/// On 32x32 an interior source's broadcast splits into 64 column
+/// messages (two per column), more than an empty 50-entry NIC holds:
+/// refusing it would have the caller retry it forever.
+#[test]
+#[should_panic(expected = "broadcast from n528 splits into 64 messages; the NIC holds 50")]
+fn a_broadcast_no_nic_can_hold_is_named_not_refused() {
+    let mut net = optical4_32x32();
+    let src = net.mesh().node_at(Coord { x: 16, y: 16 });
+    net.inject(NewPacket::broadcast(src, PacketKind::ReadRequest));
+}
+
+/// A top-row source needs one message per column: 32 fit the NIC.
+#[test]
+fn a_top_row_broadcast_on_32x32_fits_the_nic() {
+    let mut net = optical4_32x32();
+    let src = net.mesh().node_at(Coord { x: 16, y: 0 });
+    net.inject(NewPacket::broadcast(src, PacketKind::ReadRequest))
+        .expect("32 messages fit an empty 50-entry NIC");
+    run_until_idle(&mut net, 5_000);
+    assert_eq!(net.drain_deliveries().len(), 32 * 32 - 1);
+}
+
 #[test]
 fn energy_accrues_with_traffic() {
     let mut idle = PhastlaneNetwork::new(PhastlaneConfig::optical4());

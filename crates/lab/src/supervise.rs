@@ -189,6 +189,32 @@ mod tests {
         assert!(matches!(rec.outcome, JobOutcome::Panicked { .. }));
     }
 
+    /// On 32x32 an interior broadcast splits into more messages than
+    /// the NIC holds; the replay used to retry it every cycle until its
+    /// cycle budget ran out. `inject` now panics with the reason, and
+    /// the record carries it.
+    #[test]
+    fn a_broadcast_no_nic_can_hold_is_a_named_panic() {
+        let spec = LabSpec::parse(
+            "mesh 32x32\nnets optical4\npatterns uniform\nrates 0.02\n\
+             benchmarks FFT\nscale 0.02\nwarmup 10\nmeasure 10\ndrain 100\n\
+             retry-backoff-ms 1\n",
+        )
+        .unwrap();
+        let job = expand(&spec)
+            .into_iter()
+            .find(|j| matches!(j.work, crate::spec::Work::Replay { .. }))
+            .expect("replay job exists");
+        let rec = run_one_supervised(&spec, &job, None).unwrap();
+        match &rec.outcome {
+            JobOutcome::Panicked { message } => assert!(
+                message.contains("splits into 64 messages; the NIC holds 50"),
+                "{message}"
+            ),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+    }
+
     #[test]
     fn healthy_supervised_run_matches_unsupervised() {
         let spec = base_spec("");
