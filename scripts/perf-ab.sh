@@ -29,8 +29,10 @@ IDENTITY_WORKLOADS="optical-stable optical-saturated optical-faulted electrical-
 # serve-smalljobs is the only workload the serving layer runs in. Its
 # closed loop is work-bound (fsyncs and a 4 ms run, no sleeps), so it
 # spreads with the host: read wall_s beside jobs_per_s, each against its
-# own Q1 - Q3.
-TIMED_WORKLOADS="optical-stable optical-saturated electrical-baseline serve-smalljobs"
+# own Q1 - Q3. splash2-replay is the dearest cycle of the reproduction
+# (every router busy under a broadcast storm) and the only optical
+# workload that broadcasts, so inject's broadcast path is timed only here.
+TIMED_WORKLOADS="optical-stable optical-saturated electrical-baseline splash2-replay serve-smalljobs"
 
 base=$(git rev-parse --verify "$1^{commit}")
 work=$(mktemp -d)
