@@ -17,7 +17,10 @@
 //! * [`reach`] — per-pair reachability under worst-case faults and the
 //!   optical envelope (effective hops under laser droop).
 //! * [`lablint`] — `.lab` spec lint and the `lab run --preflight` gate.
-//! * [`srclint`] — determinism-hygiene lint over the workspace sources.
+//!
+//! The determinism hazards in the sources themselves (wall clocks,
+//! unordered hash containers, ambient process state) are clippy's job:
+//! the workspace `clippy.toml` disallows them.
 
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
@@ -25,9 +28,7 @@
 pub mod cdg;
 pub mod lablint;
 pub mod reach;
-pub mod srclint;
 
 pub use cdg::{Cdg, Channel, Walk};
 pub use lablint::{lint_spec, preflight, Level, SpecFinding};
 pub use reach::{optical_envelope, residual_connectivity, OpticalEnvelope, Residual};
-pub use srclint::{scan_workspace, SrcFinding};

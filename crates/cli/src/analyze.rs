@@ -1,9 +1,9 @@
 //! The `phastlane analyze` subcommand: static verification with no
 //! simulation — channel-dependency deadlock analysis, residual
 //! connectivity under a fault plan, the optical loss-budget envelope,
-//! lab-spec preflight, and the determinism-hygiene source lint.
+//! and lab-spec preflight.
 //!
-//! Four modes:
+//! Three modes:
 //!
 //! * `phastlane analyze [--net N] [--mesh WxH] [--fault-plan F |
 //!   --fault-rate R] [--fault-seed S] [--json] [--out FILE]` — analyze
@@ -14,42 +14,15 @@
 //!   concrete witness cycle.
 //! * `phastlane analyze --spec FILE [--json]` — lint a lab spec;
 //!   errors (statically doomed matrix) exit non-zero.
-//! * `phastlane analyze --src [--root DIR] [--allow FILE]
-//!   [--emit-allow FILE]` — scan workspace sources for determinism
-//!   hazards; violations or stale allowlist entries exit non-zero.
 
 use crate::args::{ArgError, Parsed};
-use crate::commands::parse_mesh;
+use crate::commands::{parse_fault, parse_mesh};
 use phastlane_analyze::cdg::Cdg;
 use phastlane_analyze::lablint::{lint_spec, Level};
 use phastlane_analyze::reach::{optical_envelope, residual_connectivity, OpticalEnvelope};
-use phastlane_analyze::srclint;
 use phastlane_lab::LabSpec;
 use phastlane_netsim::fault::FaultPlan;
-use phastlane_netsim::geometry::Mesh;
 use phastlane_netsim::obs::json::JsonValue;
-use std::path::Path;
-
-fn parse_plan(p: &Parsed, mesh: Mesh) -> Result<FaultPlan, ArgError> {
-    match (p.get("fault-plan"), p.get("fault-rate")) {
-        (Some(_), Some(_)) => Err(ArgError(
-            "--fault-plan and --fault-rate are mutually exclusive".into(),
-        )),
-        (Some(path), None) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-            FaultPlan::parse(&text).map_err(|e| ArgError(format!("{path}: {e}")))
-        }
-        (None, Some(rate)) => {
-            let rate: f64 = rate
-                .parse()
-                .map_err(|_| ArgError(format!("invalid value for --fault-rate: {rate:?}")))?;
-            let seed: u64 = p.get_parsed("fault-seed", 1)?;
-            Ok(FaultPlan::random(mesh, seed, rate))
-        }
-        (None, None) => Ok(FaultPlan::new()),
-    }
-}
 
 fn witness_json(witness: &Option<Vec<phastlane_analyze::Channel>>) -> JsonValue {
     match witness {
@@ -139,7 +112,7 @@ fn analyze_ring(p: &Parsed) -> Result<String, ArgError> {
 fn analyze_network(p: &Parsed) -> Result<String, ArgError> {
     let net = p.get("net").unwrap_or("optical4");
     let mesh = parse_mesh(p)?;
-    let plan = parse_plan(p, mesh)?;
+    let plan = parse_fault(p, mesh)?.map_or_else(FaultPlan::new, |f| f.plan);
     let cdg = Cdg::of_mesh_xy(mesh, &plan);
     let witness = cdg.shortest_cycle();
     let envelope = optical_envelope(net, mesh, &plan).map_err(ArgError)?;
@@ -312,55 +285,13 @@ fn analyze_spec(p: &Parsed, path: &str) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn analyze_src(p: &Parsed) -> Result<String, ArgError> {
-    let root = p.get("root").unwrap_or(".");
-    let findings = srclint::scan_workspace(Path::new(root))
-        .map_err(|e| ArgError(format!("cannot scan {root}: {e}")))?;
-    let allow_text = match p.get("allow") {
-        None => String::new(),
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?,
-    };
-    let allow = srclint::parse_allowlist(&allow_text).map_err(ArgError)?;
-    if let Some(path) = p.get("emit-allow") {
-        let out = srclint::emit_allow(&findings, &allow_text);
-        std::fs::write(path, &out).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        return Ok(format!(
-            "srclint: {} finding(s) -> allowlist {path}\n",
-            findings.len()
-        ));
-    }
-    let verdict = srclint::apply_allowlist(&findings, &allow);
-    if verdict.clean() {
-        return Ok(format!(
-            "srclint: clean ({} finding(s), all allowlisted)\n",
-            findings.len()
-        ));
-    }
-    let mut msg = format!(
-        "srclint: {} violation(s), {} stale allowlist entr(ies)\n",
-        verdict.violations.len(),
-        verdict.stale.len()
-    );
-    for v in &verdict.violations {
-        msg.push_str(&format!("  {v}\n"));
-    }
-    for s in &verdict.stale {
-        msg.push_str(&format!("  stale allowlist entry: {s}\n"));
-    }
-    Err(ArgError(msg))
-}
-
 /// `phastlane analyze`.
 ///
 /// # Errors
 ///
-/// Argument/IO errors; `--spec` errors on a statically doomed matrix;
-/// `--src` errors on lint violations or stale allowlist entries.
+/// Argument/IO errors; `--spec` errors on a statically doomed matrix.
 pub fn cmd_analyze(p: &Parsed) -> Result<String, ArgError> {
-    if p.flag("src") {
-        analyze_src(p)
-    } else if let Some(path) = p.get("spec") {
+    if let Some(path) = p.get("spec") {
         let path = path.to_string();
         analyze_spec(p, &path)
     } else if p.get("ring").is_some() {
@@ -438,58 +369,6 @@ mod tests {
         let err = cmd_analyze(&parsed(&["analyze", "--spec", doomed.to_str().unwrap()]))
             .expect_err("doomed spec fails");
         assert!(err.to_string().contains("statically doomed"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn src_mode_round_trips_through_its_own_allowlist() {
-        let dir = scratch("src");
-        // A miniature workspace with one hazard.
-        let src = dir.join("crates/demo/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(
-            src.join("lib.rs"),
-            "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-        )
-        .unwrap();
-        let root = dir.to_str().unwrap();
-        // Unallowlisted: a violation, non-zero exit.
-        let err = cmd_analyze(&parsed(&["analyze", "--src", "--root", root]))
-            .expect_err("violation fails");
-        assert!(err.to_string().contains("wall-clock"), "{err}");
-        // Emit the allowlist, then the same scan passes.
-        let allow = dir.join("allow.txt");
-        cmd_analyze(&parsed(&[
-            "analyze",
-            "--src",
-            "--root",
-            root,
-            "--emit-allow",
-            allow.to_str().unwrap(),
-        ]))
-        .expect("emits");
-        let out = cmd_analyze(&parsed(&[
-            "analyze",
-            "--src",
-            "--root",
-            root,
-            "--allow",
-            allow.to_str().unwrap(),
-        ]))
-        .expect("allowlisted scan passes");
-        assert!(out.contains("clean"), "{out}");
-        // A stale entry (hazard removed, entry kept) fails the other way.
-        std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").unwrap();
-        let err = cmd_analyze(&parsed(&[
-            "analyze",
-            "--src",
-            "--root",
-            root,
-            "--allow",
-            allow.to_str().unwrap(),
-        ]))
-        .expect_err("stale entry fails");
-        assert!(err.to_string().contains("stale"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

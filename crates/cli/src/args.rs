@@ -1,11 +1,13 @@
 //! Tiny dependency-free argument parsing for the `phastlane` CLI.
 
+#[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
 use std::collections::HashMap;
 use std::fmt;
 
 /// A parsed command line: positional words plus `--key value` /
 /// `--flag` options.
 #[derive(Debug, Clone, Default, PartialEq)]
+#[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
 pub struct Parsed {
     positionals: Vec<String>,
     options: HashMap<String, String>,
@@ -35,7 +37,6 @@ impl From<fmt::Error> for ArgError {
 pub const VALUE_KEYS: &[&str] = &[
     "net",
     "benchmark",
-    "workload",
     "scale",
     "pattern",
     "rate",
@@ -43,7 +44,6 @@ pub const VALUE_KEYS: &[&str] = &[
     "out",
     "mesh",
     "hops",
-    "buffers",
     "seed",
     "wavelengths",
     "efficiency",
@@ -75,9 +75,6 @@ pub const VALUE_KEYS: &[&str] = &[
     "journal",
     "resume",
     "spec",
-    "allow",
-    "emit-allow",
-    "root",
     "addr",
     "queue-depth",
     "state-dir",
@@ -95,7 +92,6 @@ pub const FLAG_KEYS: &[&str] = &[
     "profile",
     "progress",
     "quick",
-    "src",
     "wait",
 ];
 
@@ -217,6 +213,18 @@ mod tests {
         for removed in [concat!("--bench", "-out"), concat!("--tol", "-throughput")] {
             let e = Parsed::parse([removed.to_string(), "x".to_string()]).unwrap_err();
             assert!(e.to_string().contains("unknown option"), "{e}");
+        }
+        // Options no command read, and those of the retired source lint.
+        for removed in [
+            concat!("--work", "load"),
+            concat!("--buf", "fers"),
+            concat!("--s", "rc"),
+            concat!("--ro", "ot"),
+            concat!("--al", "low"),
+            concat!("--emit", "-allow"),
+        ] {
+            let e = Parsed::parse([removed.to_string(), "x".to_string()]).unwrap_err();
+            assert!(e.to_string().contains("unknown option"), "{removed}: {e}");
         }
     }
 

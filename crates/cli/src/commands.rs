@@ -260,10 +260,10 @@ fn phase_table(b: &PhaseBreakdown) -> String {
     out
 }
 
-/// Fault-injection options shared by `simulate`, `sweep`, and `chaos`:
-/// the plan itself plus the seed for fault-path randomness.
-struct FaultArgs {
-    plan: FaultPlan,
+/// Fault-injection options shared by `simulate`, `sweep`, `chaos`, and
+/// `analyze`: the plan itself plus the seed for fault-path randomness.
+pub(crate) struct FaultArgs {
+    pub(crate) plan: FaultPlan,
     seed: u64,
     retry_limit: Option<u32>,
 }
@@ -271,7 +271,7 @@ struct FaultArgs {
 /// Parses `--fault-plan FILE` / `--fault-rate R` / `--fault-seed S` /
 /// `--retry-limit L`. Returns `None` when no fault source was given (the
 /// network then runs with the guaranteed-zero-effect empty plan).
-fn parse_fault(p: &Parsed, mesh: Mesh) -> Result<Option<FaultArgs>, ArgError> {
+pub(crate) fn parse_fault(p: &Parsed, mesh: Mesh) -> Result<Option<FaultArgs>, ArgError> {
     let seed: u64 = p.get_parsed("fault-seed", 1)?;
     let retry_limit = match p.get("retry-limit") {
         None => None,
@@ -897,7 +897,6 @@ USAGE:
   phastlane analyze  [--net N] [--mesh WxH] [--fault-plan F | --fault-rate R]
                      [--fault-seed S] [--json] [--out FILE]
   phastlane analyze  --ring LEN | --spec FILE [--json]
-  phastlane analyze  --src [--root DIR] [--allow FILE] [--emit-allow FILE]
   phastlane trace gen    [--benchmark B] [--scale S] [--out FILE]
   phastlane trace info   FILE
   phastlane trace replay FILE [--net N]
@@ -943,7 +942,7 @@ crash safety (lab run):
                         canonical report is byte-identical to an
                         uninterrupted run (requires the same spec + flags)
 
-fault injection (simulate, sweep, chaos):
+fault injection (simulate, sweep, chaos; analyze takes the plan):
   --fault-plan FILE     scheduled faults (link nX DIR / router nX / droop F /
                         biterr R lines, each with optional @start +duration)
   --fault-rate R        seeded random permanent faults of intensity R in [0,1]
@@ -960,9 +959,6 @@ static verification (analyze; no cycles simulated):
                         unidirectional torus ring, always yields a witness
   --spec FILE           lint a lab spec; statically doomed matrices exit
                         non-zero (same gate as `lab run --preflight`)
-  --src                 scan crates/*/src for determinism hazards
-                        (wall-clock, hash-iteration, ambient-env) against
-                        an allowlist of audited exceptions
 
 lab spec keys (one `key value...` per line, # comments):
   name mesh seed nets patterns rates intensities replicas
@@ -1196,6 +1192,25 @@ mod tests {
         }
         let e = dispatch(&parsed(&["sweep", "--rates", "0.02,-1"])).expect_err("negative rate");
         assert!(e.to_string().contains("[0, 1]"), "{e}");
+        // `analyze` reads its fault flags through the same parser.
+        for bad in ["-0.5", "NaN", "1.5", "inf"] {
+            let e = dispatch(&parsed(&["analyze", "--mesh", "4x4", "--fault-rate", bad]))
+                .expect_err(&format!("analyze fault rate {bad} accepted"));
+            assert!(e.to_string().contains("[0, 1]"), "{bad}: {e}");
+        }
+        let e = dispatch(&parsed(&["analyze", "--fault-rate", "abc"])).expect_err("non-number");
+        assert!(e.to_string().contains("--fault-rate"), "{e}");
+        // A droop the power model cannot take is refused by its line, not
+        // panicked on.
+        let path = std::env::temp_dir().join("phastlane_cli_droop0.plan");
+        std::fs::write(&path, "droop 0\n").unwrap();
+        let plan = path.to_str().unwrap();
+        for cmd in ["analyze", "simulate"] {
+            let e = dispatch(&parsed(&[cmd, "--fault-plan", plan]))
+                .expect_err(&format!("{cmd}: droop 0 accepted"));
+            assert!(e.to_string().contains("line 1"), "{cmd}: {e}");
+        }
+        let _ = std::fs::remove_file(&path);
         // Zero / NaN / negative --scale.
         for bad in ["0", "-1", "NaN"] {
             let e = dispatch(&parsed(&["simulate", "--benchmark", "LU", "--scale", bad]))

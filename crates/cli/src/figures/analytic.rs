@@ -7,6 +7,7 @@ use crate::args::{ArgError, Parsed};
 use phastlane_core::PhastlaneConfig;
 use phastlane_electrical::config::{ENTRIES_PER_VC, OUTPUT_SPEEDUP};
 use phastlane_electrical::ElectricalConfig;
+use phastlane_netsim::nic::NIC_ENTRIES;
 use phastlane_photonics::area::{
     area_sweet_spot, RouterArea, NODE_AREA_1CORE, NODE_AREA_2CORE, NODE_AREA_4CORE,
 };
@@ -35,7 +36,7 @@ pub(super) fn tables(_: &Parsed) -> Result<String, ArgError> {
     writeln!(out, "  Packet control bits         {CONTROL_BITS}")?;
     writeln!(out, "  Packet control WDM          {CONTROL_WDM}")?;
     writeln!(out, "  Packet control waveguides   {CONTROL_WAVEGUIDES}")?;
-    writeln!(out, "  Buffer entries in NIC       {}", o.nic_entries)?;
+    writeln!(out, "  Buffer entries in NIC       {NIC_ENTRIES}")?;
     writeln!(out, "  Max hops per cycle          4, 5, or 8")?;
     writeln!(out, "  Node transmit arbitration   Rotating Priority")?;
     writeln!(out, "  Network path arbitration    Fixed Priority")?;
@@ -53,7 +54,7 @@ pub(super) fn tables(_: &Parsed) -> Result<String, ArgError> {
     writeln!(out, "  Total router delay          2 or 3 cycles")?;
     writeln!(out, "  Input speedup               {}", e.input_speedup)?;
     writeln!(out, "  Output speedup              {OUTPUT_SPEEDUP}")?;
-    writeln!(out, "  Buffer entries in NIC       {}", e.nic_entries)?;
+    writeln!(out, "  Buffer entries in NIC       {NIC_ENTRIES}")?;
     Ok(out)
 }
 

@@ -196,6 +196,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "test: membership checks only")]
     fn payload_mapping_is_injective() {
         let m = map();
         let mut seen = std::collections::HashSet::new();

@@ -77,15 +77,13 @@ impl BackoffPolicy {
     }
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base: 1,
-            jitter: 4,
-            max_exponent: 5,
-        }
-    }
-}
+/// The backoff every source uses: one cycle plus a jitter drawn below a
+/// 4-cycle window that doubles with each consecutive drop, up to 128.
+pub const BACKOFF: BackoffPolicy = BackoffPolicy {
+    base: 1,
+    jitter: 4,
+    max_exponent: 5,
+};
 
 /// Full configuration of a Phastlane network.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,15 +97,11 @@ pub struct PhastlaneConfig {
     /// Electrical buffer depth at each input port and the local node
     /// (10 baseline; 32/64/infinite variants in §5).
     pub buffers: BufferDepth,
-    /// NIC injection-queue depth (50, Table 1).
-    pub nic_entries: usize,
     /// WDM packaging (64-way, Table 1); sets the optical power model.
     pub wdm: WdmConfig,
     /// Waveguide-crossing efficiency assumed for laser provisioning
     /// (98 %, §3.2).
     pub crossing_efficiency: f64,
-    /// Retransmission backoff policy.
-    pub backoff: BackoffPolicy,
     /// Maximum retransmission attempts per message before its remaining
     /// destinations are declared terminally `Undeliverable` (the livelock
     /// guard). Generous enough that congestion alone never trips it; under
@@ -172,10 +166,8 @@ impl PhastlaneConfig {
             mesh: Mesh::PAPER,
             max_hops,
             buffers,
-            nic_entries: phastlane_netsim::nic::NIC_ENTRIES,
             wdm: WdmConfig::PAPER,
             crossing_efficiency: 0.98,
-            backoff: BackoffPolicy::default(),
             retry_limit: 1_000,
             arbitration: ArbitrationPolicy::default(),
             path_priority: PathPriority::default(),
@@ -226,7 +218,6 @@ mod tests {
     fn defaults_match_table1() {
         let c = PhastlaneConfig::default();
         assert_eq!(c.mesh.nodes(), 64);
-        assert_eq!(c.nic_entries, 50);
         assert_eq!(c.wdm.payload_wdm, 64);
         assert_eq!(c.buffers, BufferDepth::Finite(10));
         assert!((c.crossing_efficiency - 0.98).abs() < 1e-12);

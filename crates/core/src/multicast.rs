@@ -74,6 +74,7 @@ mod tests {
         mesh.iter_nodes().filter(|&n| n != src).collect()
     }
 
+    #[expect(clippy::disallowed_types, reason = "test: membership checks only")]
     fn all_covered(messages: &[TargetList], targets: &[NodeId]) {
         let mut seen = std::collections::HashSet::new();
         for m in messages {

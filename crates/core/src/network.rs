@@ -72,7 +72,7 @@
 //! interior broadcast on 32x32 is 64 messages) panics with its size
 //! rather than being refused forever.
 
-use crate::config::PhastlaneConfig;
+use crate::config::{PhastlaneConfig, BACKOFF};
 use crate::control::RouteControl;
 use crate::dropnet::{ReturnPath, ReturnPathRegistry};
 use crate::multicast::split_multicast;
@@ -86,7 +86,7 @@ use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::set_bits;
 use phastlane_netsim::network::Network;
-use phastlane_netsim::nic::Nic;
+use phastlane_netsim::nic::{Nic, NIC_ENTRIES};
 use phastlane_netsim::obs::{
     EventKind, FlightRecorder, Obs, Phase, PhaseBreakdown, PhaseProfiler, TraceBuffer,
 };
@@ -325,7 +325,7 @@ impl PhastlaneNetwork {
         let mesh = cfg.mesh;
         let nodes = cfg.mesh.nodes();
         let routers = (0..nodes).map(|_| RouterState::new(cfg.buffers)).collect();
-        let nics = (0..nodes).map(|_| Nic::new(cfg.nic_entries)).collect();
+        let nics = (0..nodes).map(|_| Nic::new(NIC_ENTRIES)).collect();
         let energy = EnergyLedger::new(nodes, cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
         let rng = SimRng::seed_from_u64(cfg.seed);
         PhastlaneNetwork {
@@ -569,7 +569,7 @@ impl PhastlaneNetwork {
                         continue;
                     }
                     let roll = self.rng.gen_u64();
-                    entry.ready_at = now + self.cfg.backoff.delay(entry.attempts, roll);
+                    entry.ready_at = now + BACKOFF.delay(entry.attempts, roll);
                     entry.attempts += 1;
                     self.ledger.stats.retransmitted += 1;
                     self.obs

@@ -155,6 +155,7 @@ fn full_buffers_drop_and_retransmit() {
 }
 
 #[test]
+#[expect(clippy::disallowed_types, reason = "test: membership checks only")]
 fn concurrent_same_cycle_drops_account_exactly_once() {
     // Two opposite-corner hotspots with 1-entry buffers force drops at
     // distinct routers in the same cycle. Accounting must stay exact:

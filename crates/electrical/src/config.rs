@@ -31,8 +31,6 @@ pub struct ElectricalConfig {
     pub input_speedup: usize,
     /// iSLIP iterations for the VC and switch allocators.
     pub islip_iterations: usize,
-    /// NIC injection-queue depth (50).
-    pub nic_entries: usize,
     /// One-time extra pipeline latency the first multicast from each
     /// source pays while its VCTM tree is installed (0 = pre-warmed
     /// trees, which favours the baseline).
@@ -64,7 +62,6 @@ impl ElectricalConfig {
             router_delay,
             input_speedup: 4,
             islip_iterations: 2,
-            nic_entries: phastlane_netsim::nic::NIC_ENTRIES,
             vctm_setup_penalty: 0,
         }
     }
@@ -92,7 +89,6 @@ mod tests {
         assert_eq!(c.vcs_per_port, 10);
         assert_eq!(c.router_delay, 3);
         assert_eq!(c.input_speedup, 4);
-        assert_eq!(c.nic_entries, 50);
     }
 
     #[test]

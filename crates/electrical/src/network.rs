@@ -58,7 +58,7 @@ use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::set_bits;
 use phastlane_netsim::network::Network;
-use phastlane_netsim::nic::Nic;
+use phastlane_netsim::nic::{Nic, NIC_ENTRIES};
 use phastlane_netsim::obs::{
     EventKind, FlightRecorder, Obs, Phase, PhaseBreakdown, PhaseProfiler, TraceBuffer,
 };
@@ -260,7 +260,7 @@ impl ElectricalNetwork {
             .iter_nodes()
             .map(|here| Router::new(mesh, here, vc_mask(cfg.vcs_per_port)))
             .collect();
-        let nics = (0..nodes).map(|_| Nic::new(cfg.nic_entries)).collect();
+        let nics = (0..nodes).map(|_| Nic::new(NIC_ENTRIES)).collect();
         let energy = EnergyLedger::new(nodes);
         ElectricalNetwork {
             routers,

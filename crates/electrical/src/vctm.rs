@@ -181,6 +181,7 @@ mod tests {
 
     /// Walks the whole tree, asserting every target is delivered exactly
     /// once and branches never revisit nodes.
+    #[expect(clippy::disallowed_types, reason = "test: membership checks only")]
     fn walk(mesh: Mesh, src: NodeId, mask: TargetMask) -> Vec<NodeId> {
         let regions = TreeRegions::new(mesh);
         let mut delivered = Vec::new();

@@ -250,6 +250,10 @@ pub fn run_job(spec: &LabSpec, job: &JobSpec) -> Result<JobRecord, String> {
 /// # Errors
 ///
 /// Same as [`run_job`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "watchdog wall-budget and per-job wall timing; perf layer only"
+)]
 pub fn run_job_watched(
     spec: &LabSpec,
     job: &JobSpec,

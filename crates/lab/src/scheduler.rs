@@ -41,6 +41,10 @@ struct Progress<'a> {
 }
 
 impl<'a> Progress<'a> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall/speedup metrics for the perf layer; excluded from the canonical report"
+    )]
     fn new(sink: &'a EventSink, total_jobs: usize, resumed: usize) -> Self {
         Progress {
             sink,
@@ -197,6 +201,10 @@ pub struct RunOptions<'a> {
 ///
 /// If the spec expands to no jobs, a resumed record's index is out of
 /// range, or any job fails structurally (unknown network/benchmark).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall/speedup metrics for the perf layer; excluded from the canonical report"
+)]
 pub fn run_lab_opts(spec: &LabSpec, opts: RunOptions<'_>) -> Result<LabReport, String> {
     let jobs = expand(spec);
     if jobs.is_empty() {

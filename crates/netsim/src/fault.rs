@@ -239,7 +239,8 @@ impl FaultPlan {
     /// biterr 0.001               # 0.1% per-delivery bit-error rate
     /// ```
     ///
-    /// `@start` defaults to 0 and `+duration` to permanent.
+    /// `@start` defaults to 0 and `+duration` to permanent. A `droop`
+    /// factor must lie in (0, 1] and a `biterr` rate in [0, 1].
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for (ln, raw) in text.lines().enumerate() {
@@ -274,10 +275,18 @@ impl FaultPlan {
                 },
                 ["router", n] => FaultKind::RouterStuck { node: node(n)? },
                 ["droop", f] => FaultKind::LaserDroop {
-                    factor: f.parse().map_err(|_| err("bad factor"))?,
+                    factor: f
+                        .parse()
+                        .ok()
+                        .filter(|f: &f64| *f > 0.0 && *f <= 1.0)
+                        .ok_or_else(|| err("bad factor, want (0, 1]"))?,
                 },
                 ["biterr", r] => FaultKind::BitError {
-                    rate: r.parse().map_err(|_| err("bad rate"))?,
+                    rate: r
+                        .parse()
+                        .ok()
+                        .filter(|r: &f64| (0.0..=1.0).contains(r))
+                        .ok_or_else(|| err("bad rate, want [0, 1]"))?,
                 },
                 _ => return Err(err("expected link/router/droop/biterr")),
             };
@@ -539,12 +548,22 @@ biterr 0.001
     fn parse_errors_name_the_line_and_the_problem() {
         // Every malformed token class produces a clear, located error —
         // a fat-fingered plan file must never panic or half-apply.
-        let cases: [(&str, &str); 7] = [
+        let cases: [(&str, &str); 17] = [
             ("router nX", "bad node"),
             ("router n-1", "bad node"),
             ("link n3 sideways", "bad direction"),
             ("droop fast", "bad factor"),
+            ("droop 0", "bad factor, want (0, 1]"),
+            ("droop -1", "bad factor"),
+            ("droop NaN", "bad factor"),
+            ("droop inf", "bad factor"),
+            ("droop 2", "bad factor"),
+            ("droop 1.0000001", "bad factor"),
             ("biterr lots", "bad rate"),
+            ("biterr 2", "bad rate, want [0, 1]"),
+            ("biterr -0.5", "bad rate"),
+            ("biterr NaN", "bad rate"),
+            ("biterr inf", "bad rate"),
             ("router n3 +forever", "bad +duration"),
             ("droop", "expected link/router/droop/biterr"),
         ];
@@ -553,6 +572,9 @@ biterr 0.001
             assert!(err.contains(want), "{text:?}: {err}");
             assert!(err.contains("line 1"), "{text:?}: {err}");
         }
+        // The closed ends of both ranges are valid.
+        let ends = FaultPlan::parse("droop 1\nbiterr 0\nbiterr 1\n").unwrap();
+        assert_eq!(ends.len(), 3);
         // The reported line number accounts for comments and blanks.
         let err =
             FaultPlan::parse("# header\n\nrouter n1\nlink n2 north\nbiterr much\n").unwrap_err();

@@ -24,6 +24,7 @@ use crate::packet::{Delivery, DestSet, NewPacket, PacketId, PacketKind};
 use crate::stats::{EnergyReport, LatencyStats};
 use crate::watchdog::{Interrupt, Watchdog};
 use std::cmp::Reverse;
+#[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::ops::Range;
 use std::time::Instant;
@@ -177,6 +178,10 @@ impl Stepper {
     /// Starts the wall clock at `net`'s current cycle. An unarmed
     /// watchdog is dropped, so the supervision cost without one is a
     /// single branch per cycle.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "run wall_seconds for the perf layer; excluded from the canonical report"
+    )]
     fn new<N: Network + ?Sized>(net: &N, watchdog: Option<Watchdog>) -> Self {
         Stepper {
             wall_start: Instant::now(),
@@ -569,6 +574,7 @@ impl Trace {
     /// # Errors
     ///
     /// Returns a description of the first violation found.
+    #[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         for m in &self.messages {
@@ -707,6 +713,7 @@ impl<'t> DepGraph<'t> {
     /// # Panics
     ///
     /// Panics on a dependency at a node its message never reaches.
+    #[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
     fn new(trace: &'t Trace, nodes: usize, base_cycle: u64) -> Self {
         let messages = &trace.messages[..];
         let position: HashMap<MsgId, usize> = messages
@@ -976,6 +983,7 @@ mod tests {
     /// one (with the odd gap), then every id around the window looked up
     /// in scrambled order.
     #[test]
+    #[expect(clippy::disallowed_types, reason = "test: the reference model")]
     fn id_window_answers_like_the_map_it_replaced() {
         let mut rng = SimRng::seed_from_u64(0x1D0F_F5E7);
         for first in [0u64, 1, 977, u64::from(u32::MAX) + 3] {

@@ -101,6 +101,7 @@ impl Network for IdealNetwork {
         Some(id)
     }
 
+    #[expect(clippy::disallowed_types, reason = "iteration order reaches no output")]
     fn step(&mut self) {
         self.cycle += 1;
         // Deliver everything due by the new cycle.

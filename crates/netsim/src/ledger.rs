@@ -205,6 +205,7 @@ impl DeliveryLedger {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    #[expect(clippy::disallowed_types, reason = "test: the reference model")]
     use std::collections::HashMap;
 
     fn packet(id: u64) -> PacketOrigin {
@@ -278,6 +279,7 @@ mod tests {
     /// ids start at `first` (a reused one's do not start at 0). With
     /// `hold`, the first packet is never settled, so the window's front
     /// cannot retire for the whole run.
+    #[expect(clippy::disallowed_types, reason = "test: the reference model")]
     fn owed_counts_match_a_map(first: u64, hold: bool, rng: &mut SimRng) {
         let mut obs = Obs::off();
         let mut ledger = DeliveryLedger::new();

@@ -24,6 +24,11 @@
 //! truncations are counted in the dump header so a bounded capture never
 //! masquerades as a complete one.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "journeys keyed by packet id; the dump sorts by packet id before emitting"
+)]
+
 use crate::obs::event::{direction_name, EventKind, SimEvent};
 use crate::obs::json::JsonValue;
 use std::collections::HashMap;

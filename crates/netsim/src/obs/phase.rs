@@ -22,6 +22,8 @@
 //!
 //! [`PerfProfile`]: crate::obs::PerfProfile
 
+#![expect(clippy::disallowed_methods, reason = "perf layer: sampled wall time")]
+
 use crate::obs::json::JsonValue;
 use std::time::Instant;
 

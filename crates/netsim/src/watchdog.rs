@@ -18,6 +18,8 @@
 //! inherently machine-dependent; they exist as safety valves, not as
 //! reproducible measurements.
 
+#![expect(clippy::disallowed_methods, reason = "wall budget: a safety valve")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

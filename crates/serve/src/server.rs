@@ -802,6 +802,7 @@ mod tests {
     /// The behavioural guard against a poll timer on any request path:
     /// at 20 ms per accept the first loop alone took a second.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test: asserts on wall time")]
     fn no_request_waits_out_a_timer() {
         let handle = test_server(ServerConfig::default());
         let addr = handle.local_addr().to_string();
@@ -834,6 +835,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test: asserts on wall time")]
     fn idle_start_then_join_always_returns() {
         let t = Instant::now();
         for _ in 0..200 {

@@ -155,6 +155,7 @@ impl CacheSimReport {
 /// # Panics
 ///
 /// Panics on a degenerate workload (zero accesses, cores, or window).
+#[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
 pub fn generate_cache_trace(mesh: Mesh, w: &CacheWorkload) -> (Trace, CacheSimReport) {
     assert!(w.accesses_per_core > 0, "workload performs no accesses");
     assert!(w.outstanding > 0, "outstanding window must be positive");
@@ -382,6 +383,7 @@ fn home_or_other(mesh: Mesh, requester: NodeId, block: u64) -> NodeId {
 }
 
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::disallowed_types, reason = "lookup-only: never iterated")]
 fn upgrade_if_shared(
     _mesh: Mesh,
     core: NodeId,
@@ -531,6 +533,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "test: only the count is read")]
     fn home_interleaving_covers_nodes() {
         let homes: std::collections::HashSet<u16> =
             (0..64u64).map(|i| home_of(Mesh::PAPER, i * 64).0).collect();

@@ -384,6 +384,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "test: lookups only")]
     fn responses_depend_on_their_requests() {
         let t = generate_trace(Mesh::PAPER, &profile());
         let by_id: std::collections::HashMap<_, _> = t.messages.iter().map(|m| (m.id, m)).collect();
@@ -432,6 +433,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "test: membership checks only")]
     fn post_barrier_misses_gate_on_release() {
         let mut p = profile();
         p.barrier_every = 5;

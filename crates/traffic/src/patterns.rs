@@ -210,6 +210,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "test: membership checks only")]
     fn permutations_are_bijections() {
         let m = Mesh::PAPER;
         let mut r = rng();

@@ -92,6 +92,7 @@ fn generation_deterministic() {
 /// The Figure 9 permutation patterns stay bijective on any power-of-two
 /// square mesh.
 #[test]
+#[expect(clippy::disallowed_types, reason = "test: membership checks only")]
 fn patterns_bijective() {
     let mut seeder = SimRng::seed_from_u64(0x0C0D_EC04);
     for pow in 1u32..4 {
