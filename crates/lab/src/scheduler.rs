@@ -17,7 +17,7 @@ use crate::report::{JobRecord, LabReport};
 use crate::spec::{expand, JobSpec, LabSpec};
 use crate::supervise;
 use phastlane_netsim::obs::json::JsonValue;
-use phastlane_netsim::obs::EventSink;
+use phastlane_netsim::obs::{stamped, EventSink};
 use phastlane_netsim::watchdog::CancelToken;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -56,21 +56,9 @@ impl<'a> Progress<'a> {
         }
     }
 
-    fn event(kind: &str, mut fields: Vec<(String, JsonValue)>) -> JsonValue {
-        let mut pairs = vec![
-            ("event".into(), JsonValue::Str(kind.into())),
-            (
-                "schema_version".into(),
-                JsonValue::Uint(phastlane_netsim::obs::EVENT_SCHEMA_VERSION),
-            ),
-        ];
-        pairs.append(&mut fields);
-        JsonValue::Obj(pairs)
-    }
-
     fn lab_started(&self, spec: &LabSpec, to_run: usize, workers: usize) {
-        self.sink.emit(&Self::event(
-            "lab_started",
+        self.sink.emit(&stamped(
+            Some("lab_started"),
             vec![
                 ("name".into(), JsonValue::Str(spec.name.clone())),
                 ("jobs".into(), JsonValue::Uint(self.total_jobs as u64)),
@@ -81,8 +69,8 @@ impl<'a> Progress<'a> {
     }
 
     fn job_started(&self, job: &JobSpec) {
-        self.sink.emit(&Self::event(
-            "job_started",
+        self.sink.emit(&stamped(
+            Some("job_started"),
             vec![
                 ("job".into(), JsonValue::Uint(job.index as u64)),
                 ("net".into(), JsonValue::Str(job.net.clone())),
@@ -105,8 +93,8 @@ impl<'a> Progress<'a> {
         };
         let remaining = self.total_jobs.saturating_sub(finished);
         let eta = elapsed / ran as f64 * remaining as f64;
-        self.sink.emit(&Self::event(
-            "job_finished",
+        self.sink.emit(&stamped(
+            Some("job_finished"),
             vec![
                 ("job".into(), JsonValue::Uint(rec.index as u64)),
                 ("cycles".into(), JsonValue::Uint(rec.cycles)),
@@ -120,8 +108,8 @@ impl<'a> Progress<'a> {
     }
 
     fn lab_finished(&self, ok: bool) {
-        self.sink.emit(&Self::event(
-            "lab_finished",
+        self.sink.emit(&stamped(
+            Some("lab_finished"),
             vec![
                 ("ok".into(), JsonValue::Bool(ok)),
                 (

@@ -1,15 +1,13 @@
 //! Multi-subscriber fan-out for NDJSON event streams.
 //!
-//! The [`EventSink`](crate::obs::EventSink) writes one JSON line per
-//! lifecycle event to a single writer. A job service needs the opposite
-//! cardinality: one producing run, any number of watching HTTP clients,
-//! each arriving and leaving at its own pace. [`EventFanout`] is that
-//! junction:
+//! One producing run, any number of readers, each arriving and leaving
+//! at its own pace. [`EventFanout`] is that junction, and the one event
+//! queue in the workspace: an [`EventSink`](crate::obs::EventSink)
+//! publishes into a fan-out, and its writer, when it has one, is just
+//! another subscriber.
 //!
-//! * the producer side is an ordinary [`Write`] handle
-//!   ([`EventFanout::writer`]), so an existing `EventSink` plugs in
-//!   unchanged — workers keep the sink's never-block contract because
-//!   publishing is a short mutex push, never I/O;
+//! * [`publish`](EventFanout::publish) is a short mutex push, never I/O,
+//!   so a producer never blocks on a consumer;
 //! * every line is appended to a bounded replay **history**, so a
 //!   subscriber that connects late (or after the run finished) still
 //!   sees the whole stream up to the history cap;
@@ -21,15 +19,14 @@
 //!   subscribers then observe [`FanoutClosed`] with their final drop
 //!   accounting.
 //!
-//! Consumers *block*: [`FanoutSubscriber::wait`] sleeps on a condvar
-//! that `publish` and `close` notify, so a line reaches its watchers
-//! when it is published, not at the next tick of a timer. Producers
-//! still never block: a notify is not a hand-off, and the serving
-//! layer's event threads do their socket writes outside the fan-out
-//! lock.
+//! Consumers either *block* or *take*: [`FanoutSubscriber::wait`]
+//! sleeps on a condvar that `publish` and `close` notify, so a line
+//! reaches its watchers when it is published, not at the next tick of a
+//! timer; [`FanoutSubscriber::take`] empties the queue without waiting,
+//! which is how a sink drains into its writer. The serving layer's
+//! event threads do their socket writes outside the fan-out lock.
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Default bound on replayable history lines.
@@ -56,6 +53,16 @@ struct FanoutState {
     next_sub: u64,
     published: u64,
     closed: bool,
+}
+
+impl FanoutState {
+    /// Subscriber `id`, registered until its handle drops.
+    fn sub(&mut self, id: u64) -> &mut SubState {
+        self.subscribers
+            .iter_mut()
+            .find(|sub| sub.id == id)
+            .expect("subscriber still registered")
+    }
 }
 
 /// A bounded broadcast hub for NDJSON event lines. See the module docs
@@ -129,11 +136,6 @@ impl EventFanout {
         self.wake.notify_all();
     }
 
-    /// Whether [`close`](EventFanout::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-
     /// Total lines published so far.
     pub fn published(&self) -> u64 {
         self.state.lock().unwrap().published
@@ -172,16 +174,6 @@ impl EventFanout {
             id,
         }
     }
-
-    /// A [`Write`] adapter feeding complete lines into the fan-out —
-    /// hand it to [`EventSink::new`](crate::obs::EventSink::new) as the
-    /// sink's writer.
-    pub fn writer(self: &Arc<Self>) -> FanoutWriter {
-        FanoutWriter {
-            fanout: Arc::clone(self),
-            partial: Vec::new(),
-        }
-    }
 }
 
 /// One consumer's handle; drop it to unsubscribe.
@@ -202,11 +194,7 @@ impl FanoutSubscriber {
         let mut s = self.fanout.state.lock().expect("fan-out lock");
         loop {
             let closed = s.closed;
-            let sub = s
-                .subscribers
-                .iter_mut()
-                .find(|sub| sub.id == self.id)
-                .expect("subscriber still registered");
+            let sub = s.sub(self.id);
             if !sub.queue.is_empty() {
                 return Ok(sub.queue.drain(..).collect());
             }
@@ -219,13 +207,16 @@ impl FanoutSubscriber {
         }
     }
 
+    /// Takes whatever this subscriber has queued without waiting: an
+    /// empty batch when nothing is.
+    pub fn take(&self) -> Vec<Arc<str>> {
+        let mut s = self.fanout.state.lock().expect("fan-out lock");
+        s.sub(self.id).queue.drain(..).collect()
+    }
+
     /// Lines this subscriber has shed so far.
     pub fn dropped(&self) -> u64 {
-        let s = self.fanout.state.lock().unwrap();
-        s.subscribers
-            .iter()
-            .find(|sub| sub.id == self.id)
-            .map_or(0, |sub| sub.dropped)
+        self.fanout.state.lock().unwrap().sub(self.id).dropped
     }
 }
 
@@ -233,30 +224,6 @@ impl Drop for FanoutSubscriber {
     fn drop(&mut self) {
         let mut s = self.fanout.state.lock().unwrap();
         s.subscribers.retain(|sub| sub.id != self.id);
-    }
-}
-
-/// [`Write`] adapter buffering bytes into complete `\n`-terminated
-/// lines and publishing each to the fan-out.
-pub struct FanoutWriter {
-    fanout: Arc<EventFanout>,
-    partial: Vec<u8>,
-}
-
-impl Write for FanoutWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.partial.extend_from_slice(buf);
-        while let Some(pos) = self.partial.iter().position(|&b| b == b'\n') {
-            let rest = self.partial.split_off(pos + 1);
-            let mut line = std::mem::replace(&mut self.partial, rest);
-            line.pop(); // the newline
-            self.fanout.publish(&String::from_utf8_lossy(&line));
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -290,6 +257,22 @@ mod tests {
         f.close();
         assert_eq!(a.wait(), Err(FanoutClosed { dropped: 0 }));
         assert_eq!(b.wait(), Err(FanoutClosed { dropped: 0 }));
+    }
+
+    #[test]
+    fn take_never_waits() {
+        let f = EventFanout::new(64, 64);
+        let sub = f.subscribe();
+        assert!(sub.take().is_empty(), "nothing queued, nothing taken");
+        f.publish("one");
+        f.publish("two");
+        let taken: Vec<String> = sub.take().iter().map(|l| l.to_string()).collect();
+        assert_eq!(taken, vec!["one", "two"]);
+        f.close();
+        assert!(
+            sub.take().is_empty(),
+            "a closed, drained stream takes nothing"
+        );
     }
 
     #[test]
@@ -341,14 +324,16 @@ mod tests {
     }
 
     #[test]
-    fn event_sink_plugs_into_the_writer_side() {
+    fn event_sink_publishes_into_the_fanout() {
         let f = EventFanout::with_defaults();
-        let sink = EventSink::new(Box::new(f.writer()), 64);
+        let sink = EventSink::publishing(Arc::clone(&f));
         for i in 0..3u64 {
             sink.emit(&JsonValue::Obj(vec![("i".to_string(), JsonValue::Uint(i))]));
         }
         let report = sink.finish();
         assert_eq!(report.emitted, 3);
+        assert_eq!(report.dropped, 0);
+        assert_eq!(f.published(), 3, "one publish per event, nothing re-split");
         let sub = f.subscribe();
         let lines = lines_of(sub.wait());
         assert_eq!(lines.len(), 3);
@@ -428,10 +413,8 @@ mod tests {
                 .map(|t| {
                     let f = Arc::clone(&f);
                     scope.spawn(move || {
-                        let mut w = f.writer();
                         for i in 0..100u64 {
-                            w.write_all(format!("{{\"v\": {}}}\n", t * 1000 + i).as_bytes())
-                                .unwrap();
+                            f.publish(&format!("{{\"v\": {}}}", t * 1000 + i));
                         }
                     })
                 })

@@ -26,11 +26,14 @@
 //!    journeys (seeded sample + every Undeliverable packet) for
 //!    post-mortem diagnosis, riding the same [`Obs::emit`] path as the
 //!    trace buffer;
-//! 6. [`sink`] — a bounded, backpressure-aware NDJSON [`EventSink`] the
-//!    lab worker pool streams per-job lifecycle events through;
-//! 7. [`fanout`] — a broadcast hub ([`EventFanout`]) multiplying one
-//!    sink's NDJSON stream to any number of subscribers (each blocking
-//!    on its own bounded queue, with its own drop accounting), the
+//! 6. [`sink`] — the NDJSON [`EventSink`] the lab worker pool streams
+//!    per-job lifecycle events through, stamped by [`stamped`]: a
+//!    publisher into a fan-out whose one subscriber, when it has one,
+//!    is a writer (`lab run --progress`);
+//! 7. [`fanout`] — the one event queue: a broadcast hub
+//!    ([`EventFanout`]) handing each published line to any number of
+//!    subscribers (each on its own bounded queue, with its own drop
+//!    accounting, blocking in `wait` or draining with `take`), the
 //!    junction the `phastlane-serve` event endpoints hang off.
 //!
 //! # Cost model
@@ -59,4 +62,4 @@ pub use flight::{FlightRecorder, FlightStep, Journey};
 pub use metrics::{CycleTotals, MetricSample, MetricsCollector, MetricsSeries};
 pub use phase::{Phase, PhaseBreakdown, PhaseProfiler};
 pub use report::{PerfProfile, RunReport};
-pub use sink::{EventSink, SinkReport, EVENT_SCHEMA_VERSION};
+pub use sink::{stamped, EventSink, SinkReport, EVENT_SCHEMA_VERSION};

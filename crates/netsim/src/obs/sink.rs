@@ -1,32 +1,39 @@
 //! Bounded, backpressure-aware NDJSON event sink for streaming
 //! progress.
 //!
-//! The lab worker pool (and, later, `phastlane-serve`) needs to stream
-//! lifecycle events to an observer *without* perturbing the run: a slow
-//! or blocked consumer must never stall a worker thread, and the
-//! canonical results must stay byte-identical whether or not anyone is
-//! watching. [`EventSink`] provides that contract:
+//! The lab worker pool streams lifecycle events to an observer
+//! *without* perturbing the run: a slow or blocked consumer must never
+//! stall a worker thread, and the canonical results must stay
+//! byte-identical whether or not anyone is watching. An [`EventSink`]
+//! keeps that contract by publishing into an [`EventFanout`], the one
+//! event queue there is:
 //!
-//! * [`emit`](EventSink::emit) appends one JSON line to a bounded
-//!   in-memory queue under a short lock. When the queue is full the
-//!   event is **dropped and counted** — backpressure sheds load instead
-//!   of propagating into the simulation;
-//! * after enqueueing, the emitter *opportunistically* flushes: it
-//!   `try_lock`s the writer and drains the queue if no one else is
-//!   writing. If another thread holds the writer, the line simply rides
-//!   along with that thread's drain — nobody ever blocks on I/O except
-//!   the final [`finish`](EventSink::finish);
+//! * [`emit`](EventSink::emit) serialises the event once and publishes
+//!   the compact line — a short mutex push, never I/O;
+//! * a sink made by [`new`](EventSink::new) owns a fan-out with one
+//!   subscriber, its writer. That subscriber's bounded queue is the
+//!   sink's bound: when it is full the event is **dropped and counted**
+//!   — backpressure sheds load instead of propagating into the
+//!   simulation. After publishing, the emitter *opportunistically*
+//!   `try_lock`s the writer and drains the queue into it; if another
+//!   thread holds the writer, the line rides along with that thread's
+//!   drain — nobody ever blocks on I/O except the final
+//!   [`finish`](EventSink::finish);
+//! * a sink made by [`publishing`](EventSink::publishing) has no writer:
+//!   its lines go straight to a fan-out whose subscribers read at their
+//!   own pace (the serving layer's event streams);
 //! * [`finish`](EventSink::finish) performs one blocking drain and
 //!   returns the delivery accounting ([`SinkReport`]), so a lossy
-//!   stream is always visible as such.
+//!   stream is always visible as such. It never closes the fan-out:
+//!   whoever owns the stream decides when it is complete.
 //!
 //! Events are NDJSON: one compact JSON object per line, each carrying an
-//! `"event"` discriminator key.
+//! `"event"` discriminator key and a `schema_version` ([`stamped`]).
 
+use crate::obs::fanout::{EventFanout, FanoutSubscriber};
 use crate::obs::json::JsonValue;
-use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Version stamp carried by every NDJSON lifecycle event and by the
 /// `phastlane-serve` job-status JSON as a `schema_version` field, so
@@ -35,45 +42,63 @@ use std::sync::Mutex;
 /// fields is backward-compatible and does not require a bump.
 pub const EVENT_SCHEMA_VERSION: u64 = 1;
 
+/// A schema-stamped JSON object: `event` first when given (a lifecycle
+/// line), then `schema_version`, then `fields` in their order.
+pub fn stamped(event: Option<&str>, fields: Vec<(String, JsonValue)>) -> JsonValue {
+    let event = event.map(|kind| ("event".to_string(), JsonValue::Str(kind.into())));
+    let version = (
+        "schema_version".to_string(),
+        JsonValue::Uint(EVENT_SCHEMA_VERSION),
+    );
+    JsonValue::Obj(event.into_iter().chain([version]).chain(fields).collect())
+}
+
 /// Delivery accounting returned by [`EventSink::finish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SinkReport {
-    /// Events accepted into the queue and written (or pending write
-    /// errors).
+    /// Events accepted into the writer's queue and written (or pending
+    /// write errors); every event, for a sink without a writer.
     pub emitted: u64,
-    /// Events shed because the queue was full.
+    /// Events shed because the writer's queue was full.
     pub dropped: u64,
     /// Lines whose write failed (stream kept going).
     pub write_errors: u64,
 }
 
-/// Queue half of the sink (events waiting for a writer).
-#[derive(Debug)]
-struct SinkQueue {
-    lines: VecDeque<String>,
-    capacity: usize,
-    emitted: u64,
-    dropped: u64,
-    write_errors: u64,
+/// The writer subscriber of a sink made by [`EventSink::new`].
+struct WriterEnd {
+    sub: FanoutSubscriber,
+    /// The writer and the count of lines it failed to take.
+    out: Mutex<(Box<dyn Write + Send>, u64)>,
 }
 
-/// A thread-safe bounded NDJSON writer. See the module docs for the
+impl WriterEnd {
+    /// Writes every line queued for the writer, one batch per `take`,
+    /// so publishers are never held up behind I/O.
+    fn drain(&self, (w, write_errors): &mut (Box<dyn Write + Send>, u64)) {
+        loop {
+            let lines = self.sub.take();
+            if lines.is_empty() {
+                break;
+            }
+            let mut batch = String::new();
+            for line in &lines {
+                batch.push_str(line);
+                batch.push('\n');
+            }
+            if w.write_all(batch.as_bytes()).is_err() {
+                *write_errors += lines.len() as u64;
+            }
+        }
+        let _ = w.flush();
+    }
+}
+
+/// A thread-safe NDJSON event publisher. See the module docs for the
 /// backpressure contract.
 pub struct EventSink {
-    queue: Mutex<SinkQueue>,
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for EventSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let q = self.queue.lock().unwrap();
-        f.debug_struct("EventSink")
-            .field("pending", &q.lines.len())
-            .field("capacity", &q.capacity)
-            .field("emitted", &q.emitted)
-            .field("dropped", &q.dropped)
-            .finish()
-    }
+    fanout: Arc<EventFanout>,
+    writer: Option<WriterEnd>,
 }
 
 impl EventSink {
@@ -83,67 +108,55 @@ impl EventSink {
     /// A sink writing NDJSON lines to `writer`, queueing at most
     /// `capacity` unwritten events (clamped to ≥ 1).
     pub fn new(writer: Box<dyn Write + Send>, capacity: usize) -> Self {
+        // The writer is the only reader: nobody replays the history.
+        let fanout = EventFanout::new(1, capacity);
+        let sub = fanout.subscribe();
         EventSink {
-            queue: Mutex::new(SinkQueue {
-                lines: VecDeque::new(),
-                capacity: capacity.max(1),
-                emitted: 0,
-                dropped: 0,
-                write_errors: 0,
+            fanout,
+            writer: Some(WriterEnd {
+                sub,
+                out: Mutex::new((writer, 0)),
             }),
-            writer: Mutex::new(writer),
         }
     }
 
-    /// Enqueues one event as a compact JSON line and opportunistically
-    /// drains the queue. Never blocks on the writer; sheds the event
-    /// (counted) if the queue is full.
+    /// A sink publishing straight into `fanout`, for its subscribers to
+    /// read; it has no writer and no bound of its own.
+    pub fn publishing(fanout: Arc<EventFanout>) -> Self {
+        EventSink {
+            fanout,
+            writer: None,
+        }
+    }
+
+    /// Publishes one event as a compact JSON line and opportunistically
+    /// drains the writer's queue. Never blocks on the writer; the
+    /// writer's queue sheds the event (counted) if it is full.
     pub fn emit(&self, event: &JsonValue) {
-        {
-            let mut q = self.queue.lock().unwrap();
-            if q.lines.len() >= q.capacity {
-                q.dropped += 1;
-                return;
-            }
-            let mut line = event.to_string_compact();
-            line.push('\n');
-            q.lines.push_back(line);
-            q.emitted += 1;
-        }
-        if let Ok(mut w) = self.writer.try_lock() {
-            self.drain(&mut w);
-        }
-    }
-
-    /// Writes every queued line through `w`, re-locking the queue per
-    /// line so emitters are never blocked behind I/O.
-    fn drain(&self, w: &mut Box<dyn Write + Send>) {
-        loop {
-            let line = {
-                let mut q = self.queue.lock().unwrap();
-                match q.lines.pop_front() {
-                    Some(line) => line,
-                    None => break,
-                }
-            };
-            if w.write_all(line.as_bytes()).is_err() {
-                self.queue.lock().unwrap().write_errors += 1;
+        self.fanout.publish(&event.to_string_compact());
+        if let Some(end) = &self.writer {
+            if let Ok(mut out) = end.out.try_lock() {
+                end.drain(&mut out);
             }
         }
-        let _ = w.flush();
     }
 
     /// Final blocking drain; returns the delivery accounting.
     pub fn finish(&self) -> SinkReport {
-        {
-            let mut w = self.writer.lock().unwrap();
-            self.drain(&mut w);
-        }
-        let q = self.queue.lock().unwrap();
+        let Some(end) = &self.writer else {
+            return SinkReport {
+                emitted: self.fanout.published(),
+                ..SinkReport::default()
+            };
+        };
+        let mut out = end.out.lock().unwrap();
+        end.drain(&mut out);
+        // A line is shed as it is published, so read the drops first.
+        let dropped = end.sub.dropped();
         SinkReport {
-            emitted: q.emitted,
-            dropped: q.dropped,
-            write_errors: q.write_errors,
+            emitted: self.fanout.published() - dropped,
+            dropped,
+            write_errors: out.1,
         }
     }
 }
@@ -209,7 +222,7 @@ mod tests {
         }
         // Hold the writer lock so emits cannot drain.
         let sink = EventSink::new(Box::new(Broken), 2);
-        let guard = sink.writer.lock().unwrap();
+        let guard = sink.writer.as_ref().unwrap().out.lock().unwrap();
         for i in 0..5 {
             sink.emit(&event(i));
         }

@@ -25,7 +25,7 @@ use phastlane_lab::report::JobRecord;
 use phastlane_lab::spec::LabSpec;
 use phastlane_lab::store;
 use phastlane_netsim::obs::json::JsonValue;
-use phastlane_netsim::obs::{EventFanout, FanoutSubscriber, EVENT_SCHEMA_VERSION};
+use phastlane_netsim::obs::{stamped, EventFanout, FanoutSubscriber};
 use phastlane_netsim::watchdog::CancelToken;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -350,16 +350,13 @@ impl Registry {
     /// Status JSON for every job, ascending id.
     pub fn list_json(&self) -> JsonValue {
         let jobs = self.jobs.lock().expect("registry lock");
-        JsonValue::Obj(vec![
-            (
-                "schema_version".into(),
-                JsonValue::Uint(EVENT_SCHEMA_VERSION),
-            ),
-            (
+        stamped(
+            None,
+            vec![(
                 "jobs".into(),
                 JsonValue::Arr(jobs.iter().map(status_json_of).collect()),
-            ),
-        ])
+            )],
+        )
     }
 
     /// The finished job's canonical report bytes, if it has one.
@@ -430,18 +427,17 @@ fn slot(jobs: &[Job], id: u64) -> Option<usize> {
 }
 
 fn status_json_of(job: &Job) -> JsonValue {
-    JsonValue::Obj(vec![
-        (
-            "schema_version".into(),
-            JsonValue::Uint(EVENT_SCHEMA_VERSION),
-        ),
-        ("id".into(), JsonValue::Uint(job.id)),
-        ("name".into(), JsonValue::Str(job.spec.name.clone())),
-        ("status".into(), JsonValue::Str(job.status.label().into())),
-        ("workers".into(), JsonValue::Uint(job.workers as u64)),
-        ("error".into(), job.error_json()),
-        ("has_report".into(), JsonValue::Bool(job.report.is_some())),
-    ])
+    stamped(
+        None,
+        vec![
+            ("id".into(), JsonValue::Uint(job.id)),
+            ("name".into(), JsonValue::Str(job.spec.name.clone())),
+            ("status".into(), JsonValue::Str(job.status.label().into())),
+            ("workers".into(), JsonValue::Uint(job.workers as u64)),
+            ("error".into(), job.error_json()),
+            ("has_report".into(), JsonValue::Bool(job.report.is_some())),
+        ],
+    )
 }
 
 /// Replays the log's whole, intact lines into jobs and returns them with
@@ -516,6 +512,7 @@ fn recover(jobs: &mut [Job], dir: &Path) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phastlane_netsim::obs::EVENT_SCHEMA_VERSION;
     use phastlane_netsim::rng::SimRng;
 
     fn spec() -> LabSpec {

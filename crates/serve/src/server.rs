@@ -31,7 +31,7 @@ use phastlane_lab::scheduler::{run_lab_opts, RunOptions};
 use phastlane_lab::spec::LabSpec;
 use phastlane_lab::store::{self, StoreError};
 use phastlane_netsim::obs::json::{self, JsonValue};
-use phastlane_netsim::obs::{EventSink, FanoutClosed, EVENT_SCHEMA_VERSION};
+use phastlane_netsim::obs::{stamped, EventSink, FanoutClosed};
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -285,9 +285,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Runs one job through the same entry point the CLI uses. Progress
-/// flows through an [`EventSink`] writing into the job's fan-out;
-/// none of the attached plumbing (sink, journal, cancel token) can
-/// change a canonical bit of the report.
+/// flows through an [`EventSink`] publishing straight into the job's
+/// fan-out, so each line is serialised once and queued once per
+/// watcher; the registry, not the sink, closes the fan-out once the
+/// status is terminal. None of the attached plumbing (sink, journal,
+/// cancel token) can change a canonical bit of the report.
 fn run_job(shared: &Shared, id: u64) {
     // A job cancelled while queued answers `start` with None.
     let Some(item) = shared.registry.start(id) else {
@@ -303,7 +305,7 @@ fn run_job(shared: &Shared, id: u64) {
         ..
     } = item;
 
-    let sink = EventSink::new(Box::new(events.writer()), EventSink::DEFAULT_CAPACITY);
+    let sink = EventSink::publishing(events);
     let journal = journal_path
         .as_deref()
         .and_then(|p| Journal::create(p, &spec).ok());
@@ -325,7 +327,6 @@ fn run_job(shared: &Shared, id: u64) {
             cancel: Some(&cancel),
         },
     );
-    sink.finish();
 
     let cancelled = cancel.is_cancelled();
     let outcome = result.map(|report| report.canonical_json().to_string_pretty());
@@ -356,14 +357,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
 
 /// A one-field JSON error payload.
 fn error_body(message: &str) -> String {
-    JsonValue::Obj(vec![
-        (
-            "schema_version".into(),
-            JsonValue::Uint(EVENT_SCHEMA_VERSION),
-        ),
-        ("error".into(), JsonValue::Str(message.into())),
-    ])
-    .to_string_pretty()
+    stamped(None, vec![("error".into(), JsonValue::Str(message.into()))]).to_string_pretty()
 }
 
 fn respond_json(w: &mut impl Write, status: u16, body: &JsonValue) {
@@ -413,14 +407,13 @@ fn route(shared: &Arc<Shared>, req: &http::Request, w: &mut impl Write) {
                 Some((id, status)) => respond_json(
                     w,
                     200,
-                    &JsonValue::Obj(vec![
-                        (
-                            "schema_version".into(),
-                            JsonValue::Uint(EVENT_SCHEMA_VERSION),
-                        ),
-                        ("id".into(), JsonValue::Uint(id)),
-                        ("status".into(), JsonValue::Str(status.label().into())),
-                    ]),
+                    &stamped(
+                        None,
+                        vec![
+                            ("id".into(), JsonValue::Uint(id)),
+                            ("status".into(), JsonValue::Str(status.label().into())),
+                        ],
+                    ),
                 ),
                 None => respond_error(w, 404, "no such job"),
             }
@@ -430,13 +423,7 @@ fn route(shared: &Arc<Shared>, req: &http::Request, w: &mut impl Write) {
         ("GET", ["healthz"]) => respond_json(
             w,
             200,
-            &JsonValue::Obj(vec![
-                (
-                    "schema_version".into(),
-                    JsonValue::Uint(EVENT_SCHEMA_VERSION),
-                ),
-                ("status".into(), JsonValue::Str("ok".into())),
-            ]),
+            &stamped(None, vec![("status".into(), JsonValue::Str("ok".into()))]),
         ),
         ("GET", ["statsz"]) => respond_json(w, 200, &stats_json(shared)),
         ("POST", ["shutdown"]) => {
@@ -445,13 +432,10 @@ fn route(shared: &Arc<Shared>, req: &http::Request, w: &mut impl Write) {
                 respond_json(
                     w,
                     200,
-                    &JsonValue::Obj(vec![
-                        (
-                            "schema_version".into(),
-                            JsonValue::Uint(EVENT_SCHEMA_VERSION),
-                        ),
-                        ("status".into(), JsonValue::Str("shutting_down".into())),
-                    ]),
+                    &stamped(
+                        None,
+                        vec![("status".into(), JsonValue::Str("shutting_down".into()))],
+                    ),
                 );
             } else {
                 respond_error(w, 403, "shutdown endpoint disabled; send SIGTERM instead");
@@ -528,14 +512,13 @@ fn submit_job(shared: &Shared, body: &[u8], w: &mut impl Write) {
     respond_json(
         w,
         202,
-        &JsonValue::Obj(vec![
-            (
-                "schema_version".into(),
-                JsonValue::Uint(EVENT_SCHEMA_VERSION),
-            ),
-            ("id".into(), JsonValue::Uint(id)),
-            ("status".into(), JsonValue::Str("queued".into())),
-        ]),
+        &stamped(
+            None,
+            vec![
+                ("id".into(), JsonValue::Uint(id)),
+                ("status".into(), JsonValue::Str("queued".into())),
+            ],
+        ),
     );
 }
 
@@ -563,14 +546,10 @@ fn stream_events(shared: &Shared, id: Option<u64>, w: &mut impl Write) {
                 }
             }
             Err(FanoutClosed { dropped }) => {
-                let end = JsonValue::Obj(vec![
-                    ("event".into(), JsonValue::Str("stream_end".into())),
-                    (
-                        "schema_version".into(),
-                        JsonValue::Uint(EVENT_SCHEMA_VERSION),
-                    ),
-                    ("dropped".into(), JsonValue::Uint(dropped)),
-                ]);
+                let end = stamped(
+                    Some("stream_end"),
+                    vec![("dropped".into(), JsonValue::Uint(dropped))],
+                );
                 let mut line = end.to_string_compact();
                 line.push('\n');
                 let _ = http::write_chunk(w, line.as_bytes());
@@ -597,16 +576,13 @@ fn list_baselines(shared: &Shared, w: &mut impl Write) {
     respond_json(
         w,
         200,
-        &JsonValue::Obj(vec![
-            (
-                "schema_version".into(),
-                JsonValue::Uint(EVENT_SCHEMA_VERSION),
-            ),
-            (
+        &stamped(
+            None,
+            vec![(
                 "baselines".into(),
                 JsonValue::Arr(names.into_iter().map(JsonValue::Str).collect()),
-            ),
-        ]),
+            )],
+        ),
     );
 }
 
@@ -633,56 +609,56 @@ fn stats_json(shared: &Shared) -> JsonValue {
     let [total, queued, running, done, failed, cancelled] = shared.registry.counts();
     let (published, dropped) = shared.registry.event_totals();
     let [records, syncs, write_errors] = shared.registry.log_counts();
-    JsonValue::Obj(vec![
-        (
-            "schema_version".into(),
-            JsonValue::Uint(EVENT_SCHEMA_VERSION),
-        ),
-        (
-            "jobs".into(),
-            JsonValue::Obj(vec![
-                ("total".into(), JsonValue::Uint(total)),
-                ("queued".into(), JsonValue::Uint(queued)),
-                ("running".into(), JsonValue::Uint(running)),
-                ("done".into(), JsonValue::Uint(done)),
-                ("failed".into(), JsonValue::Uint(failed)),
-                ("cancelled".into(), JsonValue::Uint(cancelled)),
-            ]),
-        ),
-        (
-            "queue_depth".into(),
-            JsonValue::Uint(shared.queue_depth as u64),
-        ),
-        (
-            "rejected".into(),
-            JsonValue::Uint(shared.rejected.load(Ordering::Relaxed)),
-        ),
-        (
-            "events".into(),
-            JsonValue::Obj(vec![
-                ("published".into(), JsonValue::Uint(published)),
-                ("dropped".into(), JsonValue::Uint(dropped)),
-            ]),
-        ),
-        (
-            "log".into(),
-            JsonValue::Obj(vec![
-                ("records".into(), JsonValue::Uint(records)),
-                ("syncs".into(), JsonValue::Uint(syncs)),
-                ("write_errors".into(), JsonValue::Uint(write_errors)),
-            ]),
-        ),
-        (
-            "shutting_down".into(),
-            JsonValue::Bool(shared.shutting_down()),
-        ),
-    ])
+    stamped(
+        None,
+        vec![
+            (
+                "jobs".into(),
+                JsonValue::Obj(vec![
+                    ("total".into(), JsonValue::Uint(total)),
+                    ("queued".into(), JsonValue::Uint(queued)),
+                    ("running".into(), JsonValue::Uint(running)),
+                    ("done".into(), JsonValue::Uint(done)),
+                    ("failed".into(), JsonValue::Uint(failed)),
+                    ("cancelled".into(), JsonValue::Uint(cancelled)),
+                ]),
+            ),
+            (
+                "queue_depth".into(),
+                JsonValue::Uint(shared.queue_depth as u64),
+            ),
+            (
+                "rejected".into(),
+                JsonValue::Uint(shared.rejected.load(Ordering::Relaxed)),
+            ),
+            (
+                "events".into(),
+                JsonValue::Obj(vec![
+                    ("published".into(), JsonValue::Uint(published)),
+                    ("dropped".into(), JsonValue::Uint(dropped)),
+                ]),
+            ),
+            (
+                "log".into(),
+                JsonValue::Obj(vec![
+                    ("records".into(), JsonValue::Uint(records)),
+                    ("syncs".into(), JsonValue::Uint(syncs)),
+                    ("write_errors".into(), JsonValue::Uint(write_errors)),
+                ]),
+            ),
+            (
+                "shutting_down".into(),
+                JsonValue::Bool(shared.shutting_down()),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client;
+    use phastlane_netsim::obs::EVENT_SCHEMA_VERSION;
     use std::io::Read;
     use std::sync::mpsc;
     use std::time::Instant;
