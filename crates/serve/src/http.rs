@@ -49,7 +49,7 @@ impl Request {
 }
 
 /// Reads one line up to CRLF/LF, rejecting lines over [`MAX_LINE`].
-fn read_line(r: &mut impl BufRead) -> Result<String, String> {
+pub(crate) fn read_line(r: &mut impl BufRead) -> Result<String, String> {
     let mut buf = Vec::new();
     let mut byte = [0u8; 1];
     loop {
@@ -93,20 +93,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, String> {
     if !version.starts_with("HTTP/1.") {
         return Err(format!("unsupported protocol {version:?}"));
     }
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err("too many headers".into());
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| format!("malformed header {line:?}"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
+    let headers = read_headers(r)?;
     let length: usize = match headers.iter().find(|(n, _)| n == "content-length") {
         None => 0,
         Some((_, v)) => v.parse().map_err(|_| format!("bad content-length {v:?}"))?,
@@ -123,6 +110,29 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, String> {
         headers,
         body,
     }))
+}
+
+/// Reads header lines up to the blank line that ends them, rejecting
+/// more than [`MAX_HEADERS`]; names are lowercased.
+///
+/// # Errors
+///
+/// A malformed or oversized line, too many headers, or an I/O failure.
+pub(crate) fn read_headers(r: &mut impl BufRead) -> Result<Vec<(String, String)>, String> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(r)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err("too many headers".into());
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| format!("malformed header {line:?}"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
 }
 
 /// Canonical reason phrase for the status codes this service emits.
