@@ -153,6 +153,11 @@ impl Sabotage {
     }
 }
 
+/// Most jobs a parsed spec may expand to. Far above every committed
+/// spec (the largest, `lab-smalljobs`, has 384 jobs), and far below a
+/// matrix whose expansion alone would exhaust memory.
+pub const MAX_JOBS: usize = 1 << 20;
+
 impl Default for LabSpec {
     fn default() -> Self {
         LabSpec {
@@ -333,6 +338,13 @@ impl LabSpec {
                 }
                 _ => return Err(err("unknown key")),
             }
+            // Every key only grows the matrix, so the first line past
+            // the limit is the one to blame.
+            if spec.job_count() > MAX_JOBS {
+                return Err(err(&format!(
+                    "the matrix expands to more than {MAX_JOBS} jobs"
+                )));
+            }
         }
         Ok(spec)
     }
@@ -408,11 +420,17 @@ impl LabSpec {
             .map(|s| s.kind)
     }
 
-    /// Number of jobs the matrix expands to.
+    /// Number of jobs the matrix expands to, saturating at
+    /// `usize::MAX` (a parsed spec stays within [`MAX_JOBS`]).
     pub fn job_count(&self) -> usize {
-        let cells = self.nets.len() * self.patterns.len() * self.rates.len();
-        let replays = self.nets.len() * self.benchmarks.len();
-        (cells + replays) * self.intensities.len() * self.replicas as usize
+        let nets = self.nets.len();
+        let cells = nets
+            .saturating_mul(self.patterns.len())
+            .saturating_mul(self.rates.len());
+        cells
+            .saturating_add(nets.saturating_mul(self.benchmarks.len()))
+            .saturating_mul(self.intensities.len())
+            .saturating_mul(self.replicas as usize)
     }
 }
 
@@ -675,6 +693,7 @@ max-cycles 500000
             "seed",                     // missing value
             "seed 1 2",                 // too many values
             "seed 1\nseed 2",           // duplicate
+            "replicas 4294967295",      // past MAX_JOBS
         ] {
             assert!(LabSpec::parse(bad).is_err(), "{bad:?} accepted");
         }
@@ -683,6 +702,23 @@ max-cycles 500000
             err.contains("line 2") && err.contains("unknown key"),
             "{err}"
         );
+        // The limit names the line that crossed it; the overflowing
+        // product saturates instead of wrapping back under the limit.
+        let err = LabSpec::parse("nets optical4 electrical3\nreplicas 524289\n").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("more than 1048576 jobs"),
+            "{err}"
+        );
+        let wide = LabSpec {
+            patterns: vec![Pattern::Uniform; 1 << 11],
+            rates: vec![0.5; 1 << 11],
+            intensities: vec![0.0; 1 << 11],
+            replicas: u32::MAX,
+            ..LabSpec::default()
+        };
+        assert_eq!(wide.job_count(), usize::MAX, "2^65 jobs saturate");
+        let spec = LabSpec::parse("nets optical4 electrical3\nreplicas 524288\n").unwrap();
+        assert_eq!(spec.job_count(), MAX_JOBS);
     }
 
     #[test]

@@ -741,6 +741,18 @@ mod tests {
             text.contains("line 2") && text.contains("unknown key"),
             "{text}"
         );
+        // A matrix of 4.3e9 jobs is refused at the door: the worker's
+        // expansion alone would exhaust memory and kill the server.
+        let (status, body) = client::request(
+            &addr,
+            "POST",
+            "/jobs",
+            Some(b"mesh 4x4\nintensities 0.1\nreplicas 4294967295\n"),
+        )
+        .unwrap();
+        assert_eq!(status, 400);
+        let text = String::from_utf8(body).unwrap();
+        assert!(text.contains("line 3") && text.contains("jobs"), "{text}");
         handle.join();
     }
 
