@@ -4,11 +4,13 @@
 //! state.
 
 use phastlane_lab::spec::LabSpec;
-use phastlane_lab::{journal, run_lab};
+use phastlane_lab::{journal, run_lab, run_lab_with};
 use phastlane_netsim::obs::json::{self, JsonValue};
-use phastlane_netsim::obs::EVENT_SCHEMA_VERSION;
+use phastlane_netsim::obs::{EventSink, EVENT_SCHEMA_VERSION};
 use phastlane_serve::{client, server, ServerConfig};
+use std::io::Write;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A small but non-trivial matrix (4 jobs), quick enough to run twice.
@@ -215,6 +217,76 @@ fn event_stream_is_versioned_ndjson_with_clean_end() {
     let status = client::stream(&addr, "/jobs/99/events", |_| {}).expect("stream call");
     assert_eq!(status, 404);
     handle.join();
+}
+
+/// A lifecycle line with its wall-clock fields masked.
+fn masked(line: &str) -> String {
+    let Ok(JsonValue::Obj(pairs)) = json::parse(line) else {
+        panic!("not one JSON object: {line}");
+    };
+    let pairs = pairs.into_iter().map(|(key, value)| match key.as_str() {
+        "wall_seconds" | "cycles_per_sec" | "eta_seconds" => (key, JsonValue::Null),
+        _ => (key, value),
+    });
+    JsonValue::Obj(pairs.collect()).to_string_compact()
+}
+
+/// Shared-buffer writer so the test can read back what the sink wrote.
+struct Capture(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Capture {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Both readers of a run — a writer sink (`lab run --progress`) and a
+/// served event stream — see the same lines in the same order; the
+/// served stream only appends `stream_end`.
+#[test]
+fn progress_sink_and_served_stream_carry_the_same_lines() {
+    let spec = LabSpec::parse(QUICK_SPEC).expect("spec parses");
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let sink = EventSink::new(
+        Box::new(Capture(Arc::clone(&buf))),
+        EventSink::DEFAULT_CAPACITY,
+    );
+    run_lab_with(&spec, 1, Some(&sink)).expect("local run");
+    assert_eq!(sink.finish().dropped, 0);
+    let local: Vec<String> = String::from_utf8(buf.lock().unwrap().clone())
+        .expect("utf-8 stream")
+        .lines()
+        .map(masked)
+        .collect();
+
+    let handle = server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.local_addr().to_string();
+    let (status, v) = submit(&addr, QUICK_SPEC, 1);
+    assert_eq!(status, 202, "{v:?}");
+    let id = v.get("id").and_then(JsonValue::as_u64).expect("job id");
+    let mut served = Vec::new();
+    let status = client::stream(&addr, &format!("/jobs/{id}/events"), |line| {
+        served.push(masked(line));
+    })
+    .expect("stream");
+    assert_eq!(status, 200);
+    handle.join();
+
+    let end = served.pop().expect("a served stream is never empty");
+    assert_eq!(
+        end,
+        r#"{"event":"stream_end","schema_version":1,"dropped":0}"#
+    );
+    assert_eq!(local.len(), 10, "lab_started + 4 x 2 + lab_finished");
+    assert_eq!(served, local);
 }
 
 /// Graceful shutdown mid-job: the in-flight run is cancelled
