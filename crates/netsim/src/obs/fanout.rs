@@ -260,22 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn take_never_waits() {
-        let f = EventFanout::new(64, 64);
-        let sub = f.subscribe();
-        assert!(sub.take().is_empty(), "nothing queued, nothing taken");
-        f.publish("one");
-        f.publish("two");
-        let taken: Vec<String> = sub.take().iter().map(|l| l.to_string()).collect();
-        assert_eq!(taken, vec!["one", "two"]);
-        f.close();
-        assert!(
-            sub.take().is_empty(),
-            "a closed, drained stream takes nothing"
-        );
-    }
-
-    #[test]
     fn slow_subscriber_sheds_alone_with_accounting() {
         let f = EventFanout::new(64, 2);
         let slow = f.subscribe();
