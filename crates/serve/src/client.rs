@@ -53,12 +53,9 @@ fn send_request(
     .map_err(|e| format!("write to server failed: {e}"))
 }
 
-/// Response header name/value pairs; names lowercased.
-type Headers = Vec<(String, String)>;
-
 /// Reads the status line + headers; returns (status, headers). Lines
 /// and header count are bounded as on the server side.
-fn read_head(r: &mut impl BufRead) -> Result<(u16, Headers), String> {
+fn read_head(r: &mut impl BufRead) -> Result<(u16, Vec<(String, String)>), String> {
     let line = http::read_line(r)?;
     let status: u16 = line
         .split_ascii_whitespace()
@@ -77,6 +74,12 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 
 fn is_chunked(headers: &[(String, String)]) -> bool {
     header(headers, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
+}
+
+fn content_length(headers: &[(String, String)]) -> Result<Option<u64>, String> {
+    header(headers, "content-length")
+        .map(|v| v.parse().map_err(|_| format!("bad content-length {v:?}")))
+        .transpose()
 }
 
 /// Reads `len` bytes, or to EOF when `len` is `None`. The buffer grows
@@ -108,26 +111,6 @@ fn read_chunk(r: &mut impl BufRead) -> Result<Option<Vec<u8>>, String> {
     Ok(Some(chunk))
 }
 
-/// Opens a connection with both socket timeouts set and sends one
-/// request; returns the reader positioned after the response head.
-fn exchange(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&[u8]>,
-    read_timeout: Duration,
-) -> Result<(BufReader<TcpStream>, u16, Headers), String> {
-    let mut stream = connect(addr)?;
-    stream
-        .set_read_timeout(Some(read_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(REQUEST_TIMEOUT)))
-        .map_err(|e| format!("socket setup failed: {e}"))?;
-    send_request(&mut stream, method, path, body)?;
-    let mut r = BufReader::new(stream);
-    let (status, headers) = read_head(&mut r)?;
-    Ok((r, status, headers))
-}
-
 /// One complete HTTP exchange: connect (with retries), send, read the
 /// whole response. Returns `(status, body)`.
 ///
@@ -141,7 +124,14 @@ pub fn request(
     path: &str,
     body: Option<&[u8]>,
 ) -> Result<(u16, Vec<u8>), String> {
-    let (mut r, status, headers) = exchange(addr, method, path, body, REQUEST_TIMEOUT)?;
+    let mut stream = connect(addr)?;
+    stream
+        .set_read_timeout(Some(REQUEST_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(REQUEST_TIMEOUT)))
+        .map_err(|e| format!("socket setup failed: {e}"))?;
+    send_request(&mut stream, method, path, body)?;
+    let mut r = BufReader::new(stream);
+    let (status, headers) = read_head(&mut r)?;
     if !is_chunked(&headers) {
         return Ok((status, read_body(&mut r, content_length(&headers)?)?));
     }
@@ -152,12 +142,6 @@ pub fn request(
     Ok((status, out))
 }
 
-fn content_length(headers: &[(String, String)]) -> Result<Option<u64>, String> {
-    header(headers, "content-length")
-        .map(|v| v.parse().map_err(|_| format!("bad content-length {v:?}")))
-        .transpose()
-}
-
 /// Streams a chunked NDJSON response, invoking `on_line` per complete
 /// line as it arrives. Returns the HTTP status (lines are only
 /// delivered for 200s).
@@ -166,7 +150,14 @@ fn content_length(headers: &[(String, String)]) -> Result<Option<u64>, String> {
 ///
 /// Connection, protocol, or I/O failures.
 pub fn stream(addr: &str, path: &str, mut on_line: impl FnMut(&str)) -> Result<u16, String> {
-    let (mut r, status, headers) = exchange(addr, "GET", path, None, STREAM_TIMEOUT)?;
+    let mut stream = connect(addr)?;
+    stream
+        .set_read_timeout(Some(STREAM_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(REQUEST_TIMEOUT)))
+        .map_err(|e| format!("socket setup failed: {e}"))?;
+    send_request(&mut stream, "GET", path, None)?;
+    let mut r = BufReader::new(stream);
+    let (status, headers) = read_head(&mut r)?;
     if status != 200 {
         return Ok(status);
     }
@@ -198,14 +189,15 @@ pub fn stream(addr: &str, path: &str, mut on_line: impl FnMut(&str)) -> Result<u
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
     /// Serves `response` verbatim to `connections` clients in turn, each
     /// after reading its whole request head, so an error the client
     /// reports comes from the response and not from a reset socket.
-    fn serve_verbatim(response: Vec<u8>, connections: usize) -> String {
+    fn serve_verbatim(response: Vec<u8>, connections: usize) -> (String, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("bound address").to_string();
-        std::thread::spawn(move || {
+        let server = std::thread::spawn(move || {
             for _ in 0..connections {
                 let Ok((stream, _)) = listener.accept() else {
                     return;
@@ -219,7 +211,7 @@ mod tests {
                 let _ = w.read_to_end(&mut Vec::new());
             }
         });
-        addr
+        (addr, server)
     }
 
     #[test]
@@ -251,12 +243,13 @@ mod tests {
             ),
         ];
         for (response, expect) in cases {
-            let addr = serve_verbatim(response.clone().into_bytes(), 2);
+            let (addr, server) = serve_verbatim(response.clone().into_bytes(), 2);
             let head = &response[..response.len().min(60)];
             let err = request(&addr, "GET", "/x", None).expect_err(head);
             assert!(err.contains(expect), "request {head:?}: {err}");
             let err = stream(&addr, "/x", |_| {}).expect_err(head);
             assert!(err.contains(expect), "stream {head:?}: {err}");
+            server.join().expect("server thread");
         }
     }
 }
