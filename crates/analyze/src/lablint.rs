@@ -144,16 +144,8 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
         }
     }
 
-    if !spec.patterns.is_empty() && !mesh.nodes().is_power_of_two() {
-        findings.push(SpecFinding::error(
-            None,
-            format!(
-                "synthetic patterns need a power-of-two node count, mesh is {}x{} = {} nodes",
-                mesh.width(),
-                mesh.height(),
-                mesh.nodes()
-            ),
-        ));
+    if let Some(message) = spec.patterns.iter().find_map(|p| p.check_mesh(mesh).err()) {
+        findings.push(SpecFinding::error(None, message));
         // Everything below calls into the pattern machinery; stop here.
         return findings;
     }
@@ -366,6 +358,11 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].level, Level::Error);
         assert!(findings[0].message.contains("power-of-two"));
+        let spec = parse("mesh 8x4\npatterns uniform transpose\n");
+        let findings = lint_spec(&spec);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].level, Level::Error);
+        assert!(findings[0].message.contains("square"), "{findings:?}");
     }
 
     #[test]

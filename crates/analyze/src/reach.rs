@@ -116,7 +116,9 @@ pub fn worst_case_droop(plan: &FaultPlan) -> f64 {
 /// The provisioned power is the peak power of the *nominal* design
 /// point ([`PowerPoint::peak_optical_power`] at `max_hops` and the
 /// configured efficiency); the effective hop reach is the largest hop
-/// count whose drooped-efficiency peak power still fits under it.
+/// count whose drooped-efficiency peak power still fits under it —
+/// [`PowerPoint::reach_under`], the rule the optical core runs every
+/// cycle.
 ///
 /// # Errors
 ///
@@ -130,20 +132,8 @@ pub fn optical_envelope(
         return Ok(None);
     };
     let droop = worst_case_droop(plan);
-    let nominal = PowerPoint::new(cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
-    let provisioned = nominal.peak_optical_power().value();
-    let drooped_eff = (cfg.crossing_efficiency * droop).clamp(f64::MIN_POSITIVE, 1.0);
-    let mut effective_hops = 0;
-    for h in 1..=cfg.max_hops {
-        let p = PowerPoint::new(cfg.wdm, h, drooped_eff).peak_optical_power();
-        // A tiny tolerance keeps the droop-free case at exactly
-        // max_hops despite floating-point round-trips.
-        if p.value() <= provisioned * (1.0 + 1e-9) {
-            effective_hops = h;
-        } else {
-            break;
-        }
-    }
+    let effective_hops =
+        PowerPoint::new(cfg.wdm, cfg.max_hops, cfg.crossing_efficiency).reach_under(droop);
     let corner = NodeId(0);
     let far = NodeId((mesh.nodes() - 1) as u16);
     let diameter = mesh.distance(corner, far);

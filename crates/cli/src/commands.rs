@@ -65,26 +65,12 @@ pub(crate) fn average_power_mw(r: &TraceResult) -> f64 {
 ///
 /// # Errors
 ///
-/// Errors on malformed dimensions.
+/// Errors where [`Mesh::parse`] does: malformed or zero dimensions, or
+/// more nodes than a node id names.
 pub fn parse_mesh(p: &Parsed) -> Result<Mesh, ArgError> {
-    match p.get("mesh") {
-        None => Ok(Mesh::PAPER),
-        Some(s) => {
-            let (w, h) = s
-                .split_once('x')
-                .ok_or_else(|| ArgError(format!("--mesh expects WxH, got {s:?}")))?;
-            let w: u16 = w
-                .parse()
-                .map_err(|_| ArgError(format!("bad mesh width {w:?}")))?;
-            let h: u16 = h
-                .parse()
-                .map_err(|_| ArgError(format!("bad mesh height {h:?}")))?;
-            if w == 0 || h == 0 {
-                return Err(ArgError("mesh dimensions must be positive".into()));
-            }
-            Ok(Mesh::new(w, h))
-        }
-    }
+    p.get("mesh").map_or(Ok(Mesh::PAPER), |s| {
+        Mesh::parse(s).map_err(|e| ArgError(format!("--mesh: {e}")))
+    })
 }
 
 /// Parses a comma-separated list of numbers; `what` names one of them in
@@ -481,6 +467,7 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
     let pattern_name = p.get("pattern").unwrap_or("uniform");
     let pattern = Pattern::from_name(pattern_name)
         .ok_or_else(|| ArgError(format!("unknown pattern {pattern_name:?}")))?;
+    pattern.check_mesh(mesh).map_err(ArgError)?;
     let rates: Vec<f64> = match p.get("rates") {
         None => vec![p.get_parsed("rate", 0.05)?],
         Some(list) => parse_list(list, "rate")?,
@@ -768,6 +755,7 @@ pub fn cmd_design(p: &Parsed) -> Result<String, ArgError> {
 /// Propagates argument errors.
 pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     let mesh = parse_mesh(p)?;
+    Pattern::Uniform.check_mesh(mesh).map_err(ArgError)?;
     let net_name = p.get("net").unwrap_or("optical4");
     let rate: f64 = p.get_parsed("rate", 0.05)?;
     if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
@@ -963,15 +951,14 @@ static verification (analyze; no cycles simulated):
 lab spec keys (one `key value...` per line, # comments):
   name mesh seed nets patterns rates intensities replicas
   warmup measure drain retry-limit benchmarks scale max-cycles
-  profile cycle-budget livelock-window wall-budget retries
-  retry-backoff-ms sabotage
+  profile cycle-budget livelock-window wall-budget sabotage
   (profile C attaches the phase profiler timing one cycle in C; like
   --workers it never changes a canonical-report bit)
   (supervision: cycle-budget / livelock-window end runaway jobs with a
-  terminal timed_out outcome; wall-budget S caps wall seconds; retries N
-  re-runs panicked or wall-timed jobs with seeded backoff; sabotage
-  panic@I livelock@J deliberately breaks jobs I and J to exercise the
-  harness)
+  terminal timed_out outcome; wall-budget S caps wall seconds per job;
+  a panicking job records a terminal panicked outcome after its one
+  attempt; sabotage panic@I livelock@J deliberately breaks jobs I and J
+  to exercise the harness)
 
 networks: optical4 optical5 optical8 optical4b32 optical4b64 optical4ib
           optical4sp50 electrical2 electrical3
@@ -1042,6 +1029,7 @@ mod tests {
         );
         assert!(parse_mesh(&parsed(&["--mesh", "nope"])).is_err());
         assert!(parse_mesh(&parsed(&["--mesh", "0x4"])).is_err());
+        assert!(parse_mesh(&parsed(&["--mesh", "256x512"])).is_err());
     }
 
     #[test]
@@ -1211,6 +1199,55 @@ mod tests {
             assert!(e.to_string().contains("line 1"), "{cmd}: {e}");
         }
         let _ = std::fs::remove_file(&path);
+        // Two legal droops whose product underflows to zero: analyze
+        // calls the plan infeasible, and the core falls back to one hop
+        // per cycle instead of panicking in the power model.
+        let path = std::env::temp_dir().join("phastlane_cli_droop_underflow.plan");
+        std::fs::write(&path, "droop 1e-300\ndroop 1e-300\n").unwrap();
+        let plan = path.to_str().unwrap();
+        let out = dispatch(&parsed(&["analyze", "--mesh", "4x4", "--fault-plan", plan]))
+            .expect("analyze reports the plan");
+        assert!(
+            out.contains("effective 0 hops — OPTICALLY INFEASIBLE"),
+            "{out}"
+        );
+        let out = dispatch(&parsed(&[
+            "simulate",
+            "--mesh",
+            "4x4",
+            "--benchmark",
+            "LU",
+            "--scale",
+            "0.02",
+            "--fault-plan",
+            plan,
+        ]))
+        .expect("an underflowing droop simulates");
+        assert!(out.contains("completion:"), "{out}");
+        let _ = std::fs::remove_file(&path);
+        // A mesh the traffic patterns cannot address is refused by name.
+        for cmd in [&["sweep", "--mesh", "3x3"][..], &["chaos", "--mesh", "3x3"]] {
+            let e = dispatch(&parsed(cmd)).expect_err("3x3 accepted");
+            assert!(
+                e.to_string().contains("power-of-two node count"),
+                "{cmd:?}: {e}"
+            );
+        }
+        let e = dispatch(&parsed(&[
+            "sweep",
+            "--mesh",
+            "8x4",
+            "--pattern",
+            "transpose",
+        ]))
+        .expect_err("non-square transpose accepted");
+        assert!(e.to_string().contains("square mesh"), "{e}");
+        // More nodes than a u16 node id can name.
+        for cmd in ["sweep", "chaos", "simulate", "analyze"] {
+            let e = dispatch(&parsed(&[cmd, "--mesh", "256x512"]))
+                .expect_err(&format!("{cmd}: 256x512 accepted"));
+            assert!(e.to_string().contains("at most 65536"), "{cmd}: {e}");
+        }
         // Zero / NaN / negative --scale.
         for bad in ["0", "-1", "NaN"] {
             let e = dispatch(&parsed(&["simulate", "--benchmark", "LU", "--scale", bad]))

@@ -754,7 +754,7 @@ mod tests {
             &dir,
             "name sabotage-cli\nmesh 4x4\nnets optical4\npatterns uniform\n\
              rates 0.02 0.05 0.08\nwarmup 50\nmeasure 100\ndrain 400\n\
-             retry-backoff-ms 1\nsabotage panic@0 livelock@2\n",
+             sabotage panic@0 livelock@2\n",
         );
         let report = dir.join("report.json");
         let out = cmd_lab(&parsed(&[

@@ -476,28 +476,23 @@ impl PhastlaneNetwork {
         }
     }
 
-    /// Hop reach under the current laser-droop factor: the largest hop
-    /// count whose worst-case loss (at the degraded crossing efficiency)
-    /// still fits the power budget provisioned for the *nominal*
-    /// `max_hops` reach. Clamped to at least one hop.
+    /// Hop reach under the current laser-droop factor
+    /// ([`PowerPoint::reach_under`]): the largest hop count whose
+    /// worst-case loss (at the degraded crossing efficiency) still fits
+    /// the power budget provisioned for the *nominal* `max_hops` reach.
+    ///
+    /// Clamped to at least one hop. That is the modelled fallback: when
+    /// no hop closes the budget, packets still cross one router per
+    /// cycle, so the run drains instead of wedging. `analyze` reports
+    /// the same plan as optically infeasible.
     fn effective_max_hops(&self, now: u64) -> u32 {
-        let factor = self.fault_plan.efficiency_factor(now);
-        if factor >= 1.0 {
-            return self.cfg.max_hops;
-        }
-        let budget = PowerPoint::new(
+        PowerPoint::new(
             self.cfg.wdm,
             self.cfg.max_hops,
             self.cfg.crossing_efficiency,
         )
-        .peak_optical_power();
-        let degraded = self.cfg.crossing_efficiency * factor;
-        (1..=self.cfg.max_hops)
-            .take_while(|&h| {
-                PowerPoint::new(self.cfg.wdm, h, degraded).peak_optical_power() <= budget
-            })
-            .last()
-            .unwrap_or(1)
+        .reach_under(self.fault_plan.efficiency_factor(now))
+        .max(1)
     }
 
     /// Rolls for a transient bit error on one delivery and, when one

@@ -10,7 +10,9 @@
 //!   injection rates × fault intensities × seed replicas, plus optional
 //!   SPLASH2 replay jobs), expanded into an ordered job list;
 //! * [`runner`] — builds a network by name and executes one job
-//!   end-to-end on the current thread;
+//!   end-to-end on the current thread, under `catch_unwind`, so one
+//!   crashing simulation records a terminal `panicked` outcome instead
+//!   of killing the sweep;
 //! * [`scheduler`] — fans the job list out over a `std::thread` worker
 //!   pool. Every job's RNG seed is derived from the spec seed and the
 //!   job's matrix index via [`phastlane_netsim::rng::SimRng`], never
@@ -26,9 +28,6 @@
 //!   against a recorded baseline and reports regressions in mean/p99
 //!   latency and saturation rate — the deterministic metrics — beyond
 //!   configurable tolerances;
-//! * [`supervise`] — panic isolation and bounded seeded retry around
-//!   every job, so one crashing or livelocked simulation records a
-//!   terminal outcome instead of killing the sweep;
 //! * [`journal`] — an append-only NDJSON checkpoint of finished jobs;
 //!   `lab run --resume` replays it and re-runs only the remainder,
 //!   byte-identical to an uninterrupted run;
@@ -45,7 +44,6 @@ pub mod runner;
 pub mod scheduler;
 pub mod spec;
 pub mod store;
-pub mod supervise;
 
 pub use baseline::Tolerances;
 pub use report::{GroupSaturation, JobRecord, LabReport};

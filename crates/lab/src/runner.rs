@@ -1,4 +1,5 @@
-//! Builds networks by name and executes one lab job end-to-end.
+//! Builds networks by name and executes one lab job end-to-end, with
+//! panic isolation: [`run_job`] is the one way a job runs.
 //!
 //! A job runs entirely on the calling thread: the network is built,
 //! faulted, driven, and dropped here, so nothing but the plain-data
@@ -18,11 +19,13 @@ use phastlane_netsim::harness::{
 };
 use phastlane_netsim::network::Network;
 use phastlane_netsim::obs::PhaseProfiler;
+use phastlane_netsim::stats::LatencyStats;
 use phastlane_netsim::watchdog::{CancelToken, Watchdog};
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
 use phastlane_traffic::synthetic::BernoulliTraffic;
 use phastlane_traffic::Pattern;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Every network configuration name [`build_network`] accepts.
@@ -145,7 +148,7 @@ fn build_job_network(spec: &LabSpec, job: &JobSpec) -> Result<Box<dyn Network + 
 const SABOTAGE_LIVELOCK_WINDOW: u64 = 2_000;
 
 /// Builds one job's watchdog from the spec's supervision keys (plus the
-/// supervisor's cancellation token, when running supervised). Returns
+/// run's cancellation token, when it has one). Returns
 /// `None` when nothing is armed — the drive then pays only one branch
 /// per cycle.
 pub fn watchdog_for(
@@ -234,27 +237,90 @@ fn synthetic_opts(spec: &LabSpec, job: &JobSpec) -> SyntheticOptions {
     }
 }
 
-/// Runs one job of the expanded matrix and summarizes it.
+/// Runs one job of the expanded matrix and summarizes it: the one way
+/// a job runs, for the scheduler and every other caller.
+///
+/// The job runs once, under `catch_unwind`: a simulator panic (or a
+/// deliberate `sabotage panic@N`) becomes a terminal
+/// [`JobOutcome::Panicked`] record instead of unwinding through the
+/// worker pool and killing the rest of the matrix. There is no retry:
+/// a job is a pure function of (spec, job), so a second attempt would
+/// replay the same panic. A watchdog armed from the spec's supervision
+/// keys, plus `cancel` when given, ends a runaway job as `TimedOut`.
 ///
 /// # Errors
 ///
-/// Errors on an unknown network or benchmark name (normally caught at
-/// spec-parse time already).
-pub fn run_job(spec: &LabSpec, job: &JobSpec) -> Result<JobRecord, String> {
-    run_job_watched(spec, job, None)
+/// Structural failures only — an unknown network or benchmark name,
+/// normally caught at spec-parse time already. Panics and timeouts are
+/// outcomes, not errors.
+pub fn run_job(
+    spec: &LabSpec,
+    job: &JobSpec,
+    cancel: Option<&CancelToken>,
+) -> Result<JobRecord, String> {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        if spec.sabotage_for(job.index) == Some(SabotageKind::Panic) {
+            // Deliberate crash (harness testing): prove it is contained.
+            panic!("sabotage: deliberate panic in job {}", job.index);
+        }
+        simulate(spec, job, cancel)
+    }));
+    caught.unwrap_or_else(|payload| Ok(panicked_record(job, panic_message(payload))))
 }
 
-/// [`run_job`] with a watchdog armed from the spec's supervision keys
-/// (and the supervisor's cancellation token, if any).
-///
-/// # Errors
-///
-/// Same as [`run_job`].
+/// Extracts a human-readable message from a panic payload. Panics via
+/// `panic!("...")` carry `String` or `&str`; anything else gets a
+/// placeholder.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The terminal record for a job that panicked: zero cycles, empty
+/// latency, no stability vote — just the verdict.
+fn panicked_record(job: &JobSpec, message: String) -> JobRecord {
+    let (pattern, rate, benchmark) = match &job.work {
+        Work::Synthetic { pattern, rate } => (Some(pattern.name().to_string()), Some(*rate), None),
+        Work::Replay { benchmark } => (None, None, Some(benchmark.clone())),
+    };
+    JobRecord {
+        index: job.index,
+        net: job.net.clone(),
+        pattern,
+        rate,
+        benchmark,
+        intensity: job.intensity,
+        replica: job.replica,
+        seed: job.seed,
+        cycles: 0,
+        latency: LatencyStats::new(),
+        energy_pj: 0.0,
+        offered_rate: None,
+        accepted_rate: None,
+        delivered_rate: None,
+        completion_cycle: None,
+        unfinished: 0,
+        undeliverable: 0,
+        timed_out: false,
+        stable: None,
+        outcome: JobOutcome::Panicked { message },
+        wall_seconds: 0.0,
+        phases: None,
+    }
+}
+
+/// Builds, drives and summarizes one job under its watchdog; the body
+/// [`run_job`] guards.
 #[expect(
     clippy::disallowed_methods,
     reason = "watchdog wall-budget and per-job wall timing; perf layer only"
 )]
-pub fn run_job_watched(
+fn simulate(
     spec: &LabSpec,
     job: &JobSpec,
     cancel: Option<&CancelToken>,
@@ -372,8 +438,8 @@ mod tests {
         .unwrap();
         let jobs = expand(&spec);
         assert_eq!(jobs.len(), 1);
-        let a = run_job(&spec, &jobs[0]).unwrap();
-        let b = run_job(&spec, &jobs[0]).unwrap();
+        let a = run_job(&spec, &jobs[0], None).unwrap();
+        let b = run_job(&spec, &jobs[0], None).unwrap();
         assert!(a.latency.count() > 0, "some packets measured");
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.delivered_rate, b.delivered_rate);
@@ -391,10 +457,76 @@ mod tests {
             .into_iter()
             .find(|j| matches!(j.work, Work::Replay { .. }))
             .expect("replay job exists");
-        let rec = run_job(&spec, &job).unwrap();
+        let rec = run_job(&spec, &job, None).unwrap();
         assert!(!rec.timed_out);
         assert!(rec.completion_cycle.unwrap() > 0);
         assert_eq!(rec.benchmark.as_deref(), Some("LU"));
+    }
+
+    fn base_spec(extra: &str) -> LabSpec {
+        LabSpec::parse(&format!(
+            "mesh 4x4\nnets optical4\npatterns uniform\nrates 0.02\n\
+             warmup 50\nmeasure 100\ndrain 400\n{extra}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn sabotaged_panic_becomes_a_terminal_outcome() {
+        let spec = base_spec("sabotage panic@0\n");
+        let jobs = expand(&spec);
+        let rec = run_job(&spec, &jobs[0], None).unwrap();
+        match &rec.outcome {
+            JobOutcome::Panicked { message } => {
+                assert!(message.contains("deliberate panic in job 0"), "{message}");
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        assert_eq!(rec.cycles, 0);
+        assert_eq!(rec.stable, None);
+    }
+
+    /// On 32x32 an interior broadcast splits into more messages than
+    /// the NIC holds; the replay used to retry it every cycle until its
+    /// cycle budget ran out. `inject` now panics with the reason, and
+    /// the record carries it.
+    #[test]
+    fn a_broadcast_no_nic_can_hold_is_a_named_panic() {
+        let spec = LabSpec::parse(
+            "mesh 32x32\nnets optical4\npatterns uniform\nrates 0.02\n\
+             benchmarks FFT\nscale 0.02\nwarmup 10\nmeasure 10\ndrain 100\n",
+        )
+        .unwrap();
+        let job = expand(&spec)
+            .into_iter()
+            .find(|j| matches!(j.work, Work::Replay { .. }))
+            .expect("replay job exists");
+        let rec = run_job(&spec, &job, None).unwrap();
+        match &rec.outcome {
+            JobOutcome::Panicked { message } => assert!(
+                message.contains("splits into 64 messages; the NIC holds 50"),
+                "{message}"
+            ),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sabotaged_livelock_times_out_deterministically() {
+        let spec = base_spec("sabotage livelock@0\n");
+        let jobs = expand(&spec);
+        let a = run_job(&spec, &jobs[0], None).unwrap();
+        let b = run_job(&spec, &jobs[0], None).unwrap();
+        match (&a.outcome, &b.outcome) {
+            (JobOutcome::TimedOut { reason: ra }, JobOutcome::TimedOut { reason: rb }) => {
+                assert!(ra.starts_with("livelock"), "{ra}");
+                assert_eq!(ra, rb, "livelock verdict is cycle-deterministic");
+            }
+            other => panic!("expected TimedOut pair, got {other:?}"),
+        }
+        assert!(a.timed_out);
+        assert_eq!(a.stable, None);
+        assert_eq!(a.cycles, b.cycles);
     }
 
     #[test]
@@ -405,7 +537,7 @@ mod tests {
         )
         .unwrap();
         let jobs = expand(&spec);
-        let rec = run_job(&spec, &jobs[0]).unwrap();
+        let rec = run_job(&spec, &jobs[0], None).unwrap();
         // Under a non-trivial plan the run still resolves every packet.
         assert_eq!(rec.unfinished, 0, "drain resolved all packets");
     }

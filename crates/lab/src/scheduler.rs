@@ -14,8 +14,8 @@
 
 use crate::journal::Journal;
 use crate::report::{JobRecord, LabReport};
+use crate::runner;
 use crate::spec::{expand, JobSpec, LabSpec};
-use crate::supervise;
 use phastlane_netsim::obs::json::JsonValue;
 use phastlane_netsim::obs::{stamped, EventSink};
 use phastlane_netsim::watchdog::CancelToken;
@@ -181,9 +181,9 @@ pub struct RunOptions<'a> {
 }
 
 /// The full-control entry point: [`run_lab_with`] plus journaling,
-/// resume, and cancellation. Every job runs supervised
-/// ([`supervise::run_one_supervised`]): a panicking job records a
-/// terminal outcome instead of killing the run.
+/// resume, and cancellation. Every job runs through
+/// [`runner::run_job`]: a panicking job records a terminal outcome
+/// instead of killing the run.
 ///
 /// # Errors
 ///
@@ -238,7 +238,7 @@ pub fn run_lab_opts(spec: &LabSpec, opts: RunOptions<'_>) -> Result<LabReport, S
                 if let Some(p) = &progress {
                     p.job_started(job);
                 }
-                let result = supervise::run_one_supervised(spec, job, opts.cancel);
+                let result = runner::run_job(spec, job, opts.cancel);
                 if let Ok(rec) = &result {
                     if let Some(j) = opts.journal {
                         j.append(rec);

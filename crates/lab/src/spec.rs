@@ -85,18 +85,10 @@ pub struct LabSpec {
     /// injected, delivered, or terminally failed for this many cycles is
     /// stopped with a `TimedOut` outcome. Cycle-deterministic.
     pub livelock_window: Option<u64>,
-    /// Watchdog wall-clock allowance per job attempt, in seconds. A
-    /// safety valve only — when it fires the partial record is
+    /// Watchdog wall-clock allowance per job, in seconds. A safety
+    /// valve only — when it fires the partial record is
     /// machine-dependent, unlike the cycle-based verdicts.
     pub wall_budget: Option<f64>,
-    /// Bounded retries for transiently-failed jobs (panics and
-    /// non-deterministic timeouts re-execute up to this many extra
-    /// times, with seeded backoff). Deterministic verdicts (cycle
-    /// budget, livelock) never retry — they would reproduce exactly.
-    pub retries: u32,
-    /// Base backoff between retries, milliseconds (doubled per attempt,
-    /// plus a seeded jitter below one base unit).
-    pub retry_backoff_ms: u64,
     /// Deliberate job failures for harness testing: the listed matrix
     /// indices panic or livelock on purpose, exercising the supervision
     /// path end-to-end. Changes outcomes, so (unlike `profile`)
@@ -180,8 +172,6 @@ impl Default for LabSpec {
             cycle_budget: None,
             livelock_window: None,
             wall_budget: None,
-            retries: 0,
-            retry_backoff_ms: 50,
             sabotage: Vec::new(),
         }
     }
@@ -223,16 +213,7 @@ impl LabSpec {
             };
             match key {
                 "name" => spec.name = one()?.to_string(),
-                "mesh" => {
-                    let v = one()?;
-                    let (w, h) = v.split_once('x').ok_or_else(|| err("mesh expects WxH"))?;
-                    let w: u16 = w.parse().map_err(|_| err("bad mesh width"))?;
-                    let h: u16 = h.parse().map_err(|_| err("bad mesh height"))?;
-                    if w == 0 || h == 0 {
-                        return Err(err("mesh dimensions must be positive"));
-                    }
-                    spec.mesh = Mesh::new(w, h);
-                }
+                "mesh" => spec.mesh = Mesh::parse(one()?).map_err(|m| err(&m))?,
                 "seed" => spec.seed = one()?.parse().map_err(|_| err("bad seed"))?,
                 "nets" => {
                     for v in &values {
@@ -323,13 +304,6 @@ impl LabSpec {
                     }
                     spec.wall_budget = Some(s);
                 }
-                "retries" => {
-                    spec.retries = one()?.parse().map_err(|_| err("bad retries"))?;
-                }
-                "retry-backoff-ms" => {
-                    spec.retry_backoff_ms =
-                        one()?.parse().map_err(|_| err("bad retry-backoff-ms"))?;
-                }
                 "sabotage" => {
                     spec.sabotage = values
                         .iter()
@@ -398,12 +372,6 @@ impl LabSpec {
         }
         if let Some(s) = self.wall_budget {
             out.push_str(&format!("wall-budget {s}\n"));
-        }
-        if self.retries > 0 {
-            out.push_str(&format!("retries {}\n", self.retries));
-        }
-        if self.retry_backoff_ms != 50 {
-            out.push_str(&format!("retry-backoff-ms {}\n", self.retry_backoff_ms));
         }
         if !self.sabotage.is_empty() {
             let tokens: Vec<String> = self.sabotage.iter().map(Sabotage::encode).collect();
@@ -624,27 +592,17 @@ max-cycles 500000
         // Defaults leave the encoding untouched: committed baselines
         // recorded before these keys existed must keep their identity.
         let plain = LabSpec::parse("mesh 4x4\n").unwrap();
-        for key in [
-            "cycle-budget",
-            "livelock-window",
-            "wall-budget",
-            "retries",
-            "retry-backoff-ms",
-            "sabotage",
-        ] {
+        for key in ["cycle-budget", "livelock-window", "wall-budget", "sabotage"] {
             assert!(!plain.encode().contains(key), "{key} leaked into encode");
         }
         let spec = LabSpec::parse(
             "mesh 4x4\ncycle-budget 5000\nlivelock-window 2000\n\
-             wall-budget 1.5\nretries 2\nretry-backoff-ms 10\n\
-             sabotage panic@0 livelock@3\n",
+             wall-budget 1.5\nsabotage panic@0 livelock@3\n",
         )
         .unwrap();
         assert_eq!(spec.cycle_budget, Some(5000));
         assert_eq!(spec.livelock_window, Some(2000));
         assert_eq!(spec.wall_budget, Some(1.5));
-        assert_eq!(spec.retries, 2);
-        assert_eq!(spec.retry_backoff_ms, 10);
         assert_eq!(spec.sabotage_for(0), Some(SabotageKind::Panic));
         assert_eq!(spec.sabotage_for(3), Some(SabotageKind::Livelock));
         assert_eq!(spec.sabotage_for(1), None);
@@ -661,13 +619,19 @@ max-cycles 500000
             "wall-budget -1",
             "wall-budget NaN",
             "wall-budget inf",
-            "retries -1",
-            "sabotage panic",     // missing @index
-            "sabotage explode@1", // unknown kind
+            "retries 2",           // removed: a job runs once
+            "retry-backoff-ms 10", // removed with it
+            "sabotage panic",      // missing @index
+            "sabotage explode@1",  // unknown kind
             "sabotage panic@minus-one",
         ] {
             assert!(LabSpec::parse(bad).is_err(), "{bad:?} accepted");
         }
+        let err = LabSpec::parse("mesh 4x4\nretries 3\n").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("unknown key"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -687,6 +651,7 @@ max-cycles 500000
             "intensities -0.1",         // out of range
             "mesh 4",                   // malformed
             "mesh 0x4",                 // zero dimension
+            "mesh 256x512",             // more nodes than a NodeId names
             "replicas 0",               // zero
             "measure 0",                // zero
             "mesh 4x4\nbatch 4",        // removed key

@@ -86,7 +86,6 @@ fn sabotaged_jobs_end_terminal_and_leave_the_rest_untouched() {
     // terminal outcomes for both and healthy records for the others.
     let healthy = LabSpec::parse(SPEC).unwrap();
     let mut spec = healthy.clone();
-    spec.retry_backoff_ms = 1;
     spec.sabotage = vec![
         phastlane_lab::spec::Sabotage::parse("panic@1").unwrap(),
         phastlane_lab::spec::Sabotage::parse("livelock@2").unwrap(),

@@ -128,6 +128,10 @@ impl fmt::Display for Port {
     }
 }
 
+/// Most nodes a mesh may have: every node needs its own [`NodeId`], a
+/// `u16`.
+pub const MAX_NODES: usize = 1 << 16;
+
 /// A rectangular 2D mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mesh {
@@ -146,10 +150,41 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the mesh has more than
+    /// [`MAX_NODES`] nodes.
     pub fn new(width: u16, height: u16) -> Self {
-        assert!(width > 0 && height > 0, "mesh dimensions must be positive");
-        Mesh { width, height }
+        Mesh::checked(width, height).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Parses a `WxH` mesh (`8x8`, `4x6`): the one mesh parser of the
+    /// workspace, behind both the `--mesh` flag and the lab spec's `mesh`
+    /// key.
+    ///
+    /// # Errors
+    ///
+    /// Refuses malformed input, a zero dimension, and a mesh of more
+    /// nodes than a [`NodeId`] can name ([`MAX_NODES`]).
+    pub fn parse(text: &str) -> Result<Mesh, String> {
+        let (w, h) = text
+            .split_once('x')
+            .ok_or_else(|| format!("mesh expects WxH, got {text:?}"))?;
+        let width = w.parse().map_err(|_| format!("bad mesh width {w:?}"))?;
+        let height = h.parse().map_err(|_| format!("bad mesh height {h:?}"))?;
+        Mesh::checked(width, height)
+    }
+
+    fn checked(width: u16, height: u16) -> Result<Mesh, String> {
+        let mesh = Mesh { width, height };
+        if width == 0 || height == 0 {
+            Err("mesh dimensions must be positive".into())
+        } else if mesh.nodes() > MAX_NODES {
+            Err(format!(
+                "mesh {width}x{height} has {} nodes; a node id names at most {MAX_NODES}",
+                mesh.nodes()
+            ))
+        } else {
+            Ok(mesh)
+        }
     }
 
     /// Mesh width (columns).
@@ -227,7 +262,7 @@ impl Mesh {
 
     /// Iterator over every node id.
     pub fn iter_nodes(self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes() as u16).map(NodeId)
+        (0..self.nodes()).map(|i| NodeId(i as u16))
     }
 }
 
@@ -246,6 +281,35 @@ mod tests {
         let m = Mesh::PAPER;
         assert_eq!(m.nodes(), 64);
         assert_eq!((m.width(), m.height()), (8, 8));
+    }
+
+    #[test]
+    fn parse_refuses_what_a_node_id_cannot_name() {
+        assert_eq!(Mesh::parse("4x6"), Ok(Mesh::new(4, 6)));
+        assert_eq!(Mesh::parse("16x16"), Ok(Mesh::new(16, 16)));
+        let largest = Mesh::parse("256x256").unwrap();
+        assert_eq!(largest.nodes(), MAX_NODES);
+        assert_eq!(largest.iter_nodes().count(), MAX_NODES);
+        assert_eq!(largest.iter_nodes().last(), Some(NodeId(u16::MAX)));
+        for (bad, why) in [
+            ("4", "expects WxH"),
+            ("x4", "bad mesh width"),
+            ("4x-1", "bad mesh height"),
+            ("4x70000", "bad mesh height"),
+            ("0x4", "positive"),
+            ("4x0", "positive"),
+            ("256x512", "131072 nodes"),
+            ("256x257", "at most 65536"),
+        ] {
+            let e = Mesh::parse(bad).expect_err(bad);
+            assert!(e.contains(why), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn new_refuses_an_unnameable_mesh() {
+        let _ = Mesh::new(512, 512);
     }
 
     #[test]

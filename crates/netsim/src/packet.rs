@@ -100,8 +100,8 @@ impl DestSet {
                 }
                 out
             }
-            DestSet::Broadcast => (0..nodes as u16)
-                .map(NodeId)
+            DestSet::Broadcast => (0..nodes)
+                .map(|i| NodeId(i as u16))
                 .filter(|&n| n != src)
                 .collect(),
         }

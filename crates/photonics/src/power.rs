@@ -94,6 +94,28 @@ impl PowerPoint {
         let per_channel = OpticalReceiver::SENSITIVITY.value() / self.path_transmission();
         Milliwatts(per_channel * f64::from(self.peak_active_channels()))
     }
+
+    /// Hops per cycle the laser power provisioned for this point still
+    /// covers once a laser droop multiplies the crossing efficiency by
+    /// `factor` (Li et al.'s worst-case-loss rule): the largest
+    /// `h <= max_hops` whose drooped peak power is at most this point's
+    /// own. `0` means even one hop no longer closes the loss budget.
+    ///
+    /// A `factor` of 1 or more is no droop: `max_hops`, with no
+    /// arithmetic. The comparison is exact; a drooped efficiency that
+    /// underflows to zero (or a NaN factor) reaches no hop.
+    pub fn reach_under(&self, factor: f64) -> u32 {
+        if factor >= 1.0 {
+            return self.max_hops;
+        }
+        let budget = self.peak_optical_power();
+        // `max` also maps a NaN product to the floor.
+        let drooped = (self.crossing_efficiency * factor).max(f64::MIN_POSITIVE);
+        (1..=self.max_hops)
+            .take_while(|&h| PowerPoint::new(self.wdm, h, drooped).peak_optical_power() <= budget)
+            .last()
+            .unwrap_or(0)
+    }
 }
 
 /// The Figure 7 contour grid: peak power over
@@ -119,6 +141,23 @@ mod tests {
         PowerPoint::new(WdmConfig::new(wdm), hops, eff)
             .peak_optical_power()
             .as_watts()
+    }
+
+    #[test]
+    fn reach_shrinks_with_droop_and_never_panics() {
+        let p = PowerPoint::new(WdmConfig::new(64), 4, 0.98);
+        assert_eq!(p.reach_under(1.0), 4);
+        assert_eq!(p.reach_under(1.5), 4);
+        let mut last = 4;
+        for factor in [0.9999, 0.999, 0.99, 0.95, 0.9] {
+            let h = p.reach_under(factor);
+            assert!(h <= last, "{factor}: {h} > {last}");
+            last = h;
+        }
+        assert!(p.reach_under(0.9999) < 4, "any droop costs the last hop");
+        // Droop products can underflow to zero; no hop closes then.
+        assert_eq!(p.reach_under(1e-300 * 1e-300), 0);
+        assert_eq!(p.reach_under(f64::NAN), 0);
     }
 
     #[test]

@@ -741,6 +741,25 @@ mod tests {
             text.contains("line 2") && text.contains("unknown key"),
             "{text}"
         );
+        // So is the removed job-level retry: a deterministic job would
+        // only replay its failure, with a worker asleep in between.
+        let (status, body) =
+            client::request(&addr, "POST", "/jobs", Some(b"mesh 4x4\nretries 3\n")).unwrap();
+        assert_eq!(status, 400);
+        let text = String::from_utf8(body).unwrap();
+        assert!(
+            text.contains("line 2") && text.contains("unknown key"),
+            "{text}"
+        );
+        // A mesh with more nodes than a u16 node id names.
+        let (status, body) =
+            client::request(&addr, "POST", "/jobs", Some(b"mesh 256x512\n")).unwrap();
+        assert_eq!(status, 400);
+        let text = String::from_utf8(body).unwrap();
+        assert!(
+            text.contains("line 1") && text.contains("at most 65536"),
+            "{text}"
+        );
         // A matrix of 4.3e9 jobs is refused at the door: the worker's
         // expansion alone would exhaust memory and kill the server.
         let (status, body) = client::request(

@@ -42,8 +42,8 @@ impl Pattern {
     ///
     /// # Panics
     ///
-    /// Panics if the mesh node count is not a power of two (the bit
-    /// permutations are defined on index bits), or `src` is out of range.
+    /// Panics if [`check_mesh`](Pattern::check_mesh) refuses `mesh`, or
+    /// `src` is out of range.
     pub fn dest(self, mesh: Mesh, src: NodeId, rng: &mut SimRng) -> NodeId {
         let n = mesh.nodes();
         assert!(
@@ -79,6 +79,29 @@ impl Pattern {
             Pattern::NearestNeighbor => (i + 1) % n,
         };
         NodeId(d as u16)
+    }
+
+    /// Whether this pattern can address every node of `mesh`: the
+    /// predicate [`dest`](Pattern::dest) assumes. Every pattern's
+    /// arithmetic runs on node-index bits, so the node count must be a
+    /// power of two, and transpose swaps x and y, so its mesh must be
+    /// square.
+    ///
+    /// # Errors
+    ///
+    /// The reason, naming the mesh, when it cannot.
+    pub fn check_mesh(self, mesh: Mesh) -> Result<(), String> {
+        let (w, h) = (mesh.width(), mesh.height());
+        if !mesh.nodes().is_power_of_two() {
+            Err(format!(
+                "synthetic patterns need a power-of-two node count, mesh is {w}x{h} = {} nodes",
+                mesh.nodes()
+            ))
+        } else if self == Pattern::Transpose && w != h {
+            Err(format!("transpose needs a square mesh, mesh is {w}x{h}"))
+        } else {
+            Ok(())
+        }
     }
 
     /// Parses a pattern from its CLI/spec-file name (`uniform`,
@@ -160,6 +183,16 @@ mod tests {
             Some(Pattern::Hotspot { .. })
         ));
         assert_eq!(Pattern::from_name("warp"), None);
+    }
+
+    #[test]
+    fn check_mesh_names_what_dest_cannot_address() {
+        assert_eq!(Pattern::Transpose.check_mesh(Mesh::new(4, 4)), Ok(()));
+        assert_eq!(Pattern::Uniform.check_mesh(Mesh::new(8, 4)), Ok(()));
+        let e = Pattern::Uniform.check_mesh(Mesh::new(3, 3)).unwrap_err();
+        assert!(e.contains("power-of-two") && e.contains("3x3 = 9"), "{e}");
+        let e = Pattern::Transpose.check_mesh(Mesh::new(8, 4)).unwrap_err();
+        assert!(e.contains("square") && e.contains("8x4"), "{e}");
     }
 
     #[test]
