@@ -8,11 +8,10 @@
 //!   (guaranteed `Undeliverable` outcomes), the drooped laser cannot
 //!   close even one hop, a sabotage index lies outside the matrix, or a
 //!   pattern would panic on this mesh. [`preflight`] refuses such specs.
-//! * **Warning** — the run is legal but suspicious: a cycle budget
-//!   shorter than warm-up plus measurement, a zero retry cap on a
-//!   faulted matrix, or a channel-dependency cycle introduced by detour
-//!   turns (survivable here because Phastlane drops and retries instead
-//!   of holding links while waiting, but worth knowing about).
+//! * **Warning** — the run is legal but suspicious: a zero retry cap
+//!   on a faulted matrix, or a channel-dependency cycle introduced by
+//!   detour turns (survivable here because Phastlane drops and retries
+//!   instead of holding links while waiting, but worth knowing about).
 //!
 //! The fault plans inspected are exactly the plans the runner would
 //! build: `FaultPlan::random(mesh, fault_seed, intensity)` with the
@@ -148,19 +147,6 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
         findings.push(SpecFinding::error(None, message));
         // Everything below calls into the pattern machinery; stop here.
         return findings;
-    }
-
-    if let Some(budget) = spec.cycle_budget {
-        let horizon = spec.warmup + spec.measure;
-        if budget < horizon {
-            findings.push(SpecFinding::warning(
-                None,
-                format!(
-                    "cycle-budget {budget} is below warmup+measure = {horizon}; \
-                     every synthetic job will time out"
-                ),
-            ));
-        }
     }
 
     let faulted = spec.intensities.iter().any(|&i| i > 0.0);
@@ -363,17 +349,6 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].level, Level::Error);
         assert!(findings[0].message.contains("square"), "{findings:?}");
-    }
-
-    #[test]
-    fn short_cycle_budget_is_a_warning() {
-        let spec = parse("mesh 4x4\nwarmup 500\nmeasure 2000\ncycle-budget 100\n");
-        let findings = lint_spec(&spec);
-        assert!(findings
-            .iter()
-            .any(|f| f.level == Level::Warning && f.message.contains("cycle-budget 100")));
-        // Warnings alone never fail preflight.
-        assert!(preflight(&spec).is_ok());
     }
 
     #[test]

@@ -14,10 +14,11 @@ use phastlane_netsim::obs::{
 };
 use phastlane_netsim::Mesh;
 use phastlane_photonics::delay::{RouterDesign, CLOCK_GHZ};
+use phastlane_photonics::devices::Waveguide;
 use phastlane_photonics::power::PowerPoint;
 use phastlane_photonics::scaling::Scaling;
 use phastlane_photonics::wdm::WdmConfig;
-use phastlane_traffic::coherence::generate_trace;
+use phastlane_traffic::coherence::{check_scale, generate_trace};
 use phastlane_traffic::splash2;
 use phastlane_traffic::synthetic::BernoulliTraffic;
 use phastlane_traffic::Pattern;
@@ -73,11 +74,17 @@ pub fn parse_mesh(p: &Parsed) -> Result<Mesh, ArgError> {
     })
 }
 
-/// Parses a comma-separated list of numbers; `what` names one of them in
-/// the error.
-fn parse_list(list: &str, what: &str) -> Result<Vec<f64>, ArgError> {
+/// Parses the comma-separated numbers of option `--key`; an absent
+/// option is `default`.
+fn parse_list(p: &Parsed, key: &str, default: &[f64]) -> Result<Vec<f64>, ArgError> {
+    let Some(list) = p.get(key) else {
+        return Ok(default.to_vec());
+    };
     list.split(',')
-        .map(|s| s.parse().map_err(|_| ArgError(format!("bad {what} {s:?}"))))
+        .map(|s| {
+            s.parse()
+                .map_err(|_| ArgError(format!("invalid value for --{key}: {s:?}")))
+        })
         .collect()
 }
 
@@ -94,7 +101,6 @@ struct ObsArgs {
     flight_out: Option<String>,
     flight_sample: u64,
     profile: bool,
-    profile_sample: u32,
 }
 
 fn parse_obs(p: &Parsed) -> Result<ObsArgs, ArgError> {
@@ -121,11 +127,6 @@ fn parse_obs(p: &Parsed) -> Result<ObsArgs, ArgError> {
     if flight_sample == 0 {
         return Err(ArgError("--flight-sample must be positive".into()));
     }
-    let profile_sample: u32 =
-        p.get_parsed("profile-sample", PhaseProfiler::DEFAULT_SAMPLE_EVERY)?;
-    if profile_sample == 0 {
-        return Err(ArgError("--profile-sample must be positive".into()));
-    }
     Ok(ObsArgs {
         trace_out: p.get("trace-out").map(str::to_string),
         metrics_out: p.get("metrics-out").map(str::to_string),
@@ -136,7 +137,6 @@ fn parse_obs(p: &Parsed) -> Result<ObsArgs, ArgError> {
         flight_out: p.get("flight-recorder").map(str::to_string),
         flight_sample,
         profile: p.flag("profile"),
-        profile_sample,
     })
 }
 
@@ -154,7 +154,7 @@ impl ObsArgs {
             net.set_trace(buffer.with_min_severity(self.severity));
         }
         if self.profile {
-            net.set_phase_profiler(PhaseProfiler::enabled(self.profile_sample));
+            net.set_phase_profiler(PhaseProfiler::enabled(PhaseProfiler::DEFAULT_SAMPLE_EVERY));
         }
         if self.flight_out.is_some() {
             net.set_flight_recorder(FlightRecorder::new(seed, self.flight_sample));
@@ -322,11 +322,7 @@ fn write_export(
 fn load_benchmark_trace(p: &Parsed, mesh: Mesh) -> Result<(String, Trace), ArgError> {
     let name = p.get("benchmark").unwrap_or("FFT");
     let scale: f64 = p.get_parsed("scale", 0.25)?;
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err(ArgError(format!(
-            "--scale must be a positive finite number, got {scale}"
-        )));
-    }
+    check_scale(scale).map_err(|e| ArgError(format!("--{e}")))?;
     let profile = splash2::benchmark(name)
         .ok_or_else(|| ArgError(format!("unknown benchmark {name:?} (see Table 3)")))?
         .scaled(scale, mesh);
@@ -348,16 +344,11 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     if let Some(f) = &fault {
         net.set_fault_plan(f.plan.clone(), f.seed);
     }
-    let max_cycles: u64 = p.get_parsed("max-cycles", 10_000_000)?;
+    let opts = TraceOptions::default();
     // The trace itself is deterministic, so the flight recorder's
     // sampling seed is the only knob --seed turns here.
     let mut metrics = obs.attach(net.as_mut(), p.get_parsed("seed", 7)?);
-    let r = run_trace_observed(
-        &mut net,
-        &trace,
-        TraceOptions { max_cycles },
-        metrics.as_mut(),
-    );
+    let r = run_trace_observed(&mut net, &trace, opts, metrics.as_mut());
     let stats = net.stats();
     let mut out = String::new();
     out.push_str(&format!(
@@ -367,7 +358,7 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
         trace.len()
     ));
     if r.timed_out {
-        out.push_str(&format!("TIMED OUT after {max_cycles} cycles\n"));
+        out.push_str(&format!("TIMED OUT after {} cycles\n", opts.max_cycles));
     }
     out.push_str(&format!(
         "completion: {} cycles  latency[{}]\n",
@@ -457,7 +448,7 @@ pub fn cmd_compare(p: &Parsed) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `phastlane sweep`: latency at one injection rate for a pattern.
+/// `phastlane sweep`: latency at each `--rate` (a comma list) for a pattern.
 ///
 /// # Errors
 ///
@@ -468,10 +459,7 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
     let pattern = Pattern::from_name(pattern_name)
         .ok_or_else(|| ArgError(format!("unknown pattern {pattern_name:?}")))?;
     pattern.check_mesh(mesh).map_err(ArgError)?;
-    let rates: Vec<f64> = match p.get("rates") {
-        None => vec![p.get_parsed("rate", 0.05)?],
-        Some(list) => parse_list(list, "rate")?,
-    };
+    let rates = parse_list(p, "rate", &[0.05])?;
     if let Some(bad) = rates
         .iter()
         .find(|r| !r.is_finite() || !(0.0..=1.0).contains(*r))
@@ -711,10 +699,14 @@ pub fn cmd_trace_dump(p: &Parsed) -> Result<String, ArgError> {
 ///
 /// Propagates argument errors.
 pub fn cmd_design(p: &Parsed) -> Result<String, ArgError> {
+    let named = |key: &'static str| move |e: String| ArgError(format!("--{key}: {e}"));
     let wavelengths: u32 = p.get_parsed("wavelengths", 64)?;
+    WdmConfig::check_degree(wavelengths).map_err(named("wavelengths"))?;
     let wdm = WdmConfig::new(wavelengths);
     let hops: u32 = p.get_parsed("hops", 4)?;
+    PowerPoint::check_hops(hops).map_err(named("hops"))?;
     let eff: f64 = p.get_parsed("efficiency", 0.98)?;
+    Waveguide::check_crossing_efficiency(eff).map_err(named("efficiency"))?;
     let mut out = String::new();
     out.push_str(&format!(
         "wavelengths: {wavelengths}, waveguides: {}\n",
@@ -768,10 +760,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     // A tight retry cap keeps the soak's drain phase short; override with
     // --retry-limit for longer-suffering sources.
     let retry_limit: u32 = p.get_parsed("retry-limit", 50)?;
-    let intensities: Vec<f64> = match p.get("intensities") {
-        None => vec![0.0, 0.1, 0.25, 0.5],
-        Some(list) => parse_list(list, "intensity")?,
-    };
+    let intensities = parse_list(p, "intensities", &[0.0, 0.1, 0.25, 0.5])?;
     if intensities.iter().any(|i| !(0.0..=1.0).contains(i)) {
         return Err(ArgError("intensities must be in [0, 1]".into()));
     }
@@ -865,16 +854,14 @@ pub fn usage() -> String {
 USAGE:
   phastlane simulate [--net N] [--benchmark B] [--scale S] [--mesh WxH]
   phastlane compare  [--net N] [--benchmark B] [--scale S]
-  phastlane sweep    [--net N] [--pattern P] [--rate R | --rates R1,R2,..]
-  phastlane chaos    [--net N] [--rate R] [--intensities I1,I2,..]
+  phastlane sweep    [--net N] [--pattern P] [--rate R1,R2,..] [--seed S]
+  phastlane chaos    [--net N] [--rate R] [--intensities I1,I2,..] [--seed S]
                      [--fault-seed S] [--retry-limit L]
   phastlane lab run     SPEC [--workers N] [--report-out F]
                      [--perf-out F] [--progress[=FILE]] [--profile]
-                     [--profile-sample C] [--journal F] [--resume F]
-                     [--preflight]
-  phastlane lab record  SPEC [--name NAME] [--baseline-dir DIR] [--workers N]
-  phastlane lab compare SPEC [--name NAME] [--baseline-dir DIR] [--workers N]
-                     [--tol-mean T] [--tol-p99 T] [--tol-saturation T]
+                     [--journal F] [--resume F] [--preflight]
+  phastlane lab record  SPEC [--baseline-dir DIR] [--workers N]
+  phastlane lab compare SPEC [--baseline-dir DIR] [--workers N]
   phastlane serve    [--addr A] [--workers N] [--queue-depth D]
                      [--state-dir DIR] [--baseline-dir DIR] [--allow-shutdown]
   phastlane client submit SPEC [--addr A] [--workers N] [--wait]
@@ -891,6 +878,7 @@ USAGE:
   phastlane trace-dump FILE.json [--kind K] [--node N] [--limit L] [--counts]
   phastlane design   [--wavelengths W] [--hops H] [--efficiency E]
   phastlane figure   [NAME] [--quick] [--csv FILE] [--chart]
+  phastlane help     (or --help after any command: this text)
 
 observability (simulate, sweep, chaos):
   --trace-out FILE      export the cycle-accurate event trace (.json or .csv)
@@ -899,8 +887,8 @@ observability (simulate, sweep, chaos):
   --sample-interval C   metrics window in cycles (default 100)
   --ring N              keep only the latest N trace events
   --severity S          trace floor: debug (default), info, warn
-  --profile             per-phase hot-loop breakdown (table + report/--perf-out)
-  --profile-sample C    time one cycle in C under --profile (default 32)
+  --profile             per-phase hot-loop breakdown, timing one cycle in 32
+                        (table + report; lab run: phases line + --perf-out)
   --flight-recorder F   dump per-packet journeys (every 1-in-N sampled
                         packet plus every undeliverable one) to F as JSON
   --flight-sample N     flight-recorder sampling interval (default 64)
@@ -928,7 +916,7 @@ crash safety (lab run):
   --resume FILE         replay a killed run's journal: finished jobs are
                         restored, only the remainder re-runs, and the
                         canonical report is byte-identical to an
-                        uninterrupted run (requires the same spec + flags)
+                        uninterrupted run (requires the same spec)
 
 fault injection (simulate, sweep, chaos; analyze takes the plan):
   --fault-plan FILE     scheduled faults (link nX DIR / router nX / droop F /
@@ -951,14 +939,14 @@ static verification (analyze; no cycles simulated):
 lab spec keys (one `key value...` per line, # comments):
   name mesh seed nets patterns rates intensities replicas
   warmup measure drain retry-limit benchmarks scale max-cycles
-  profile cycle-budget livelock-window wall-budget sabotage
-  (profile C attaches the phase profiler timing one cycle in C; like
-  --workers it never changes a canonical-report bit)
-  (supervision: cycle-budget / livelock-window end runaway jobs with a
-  terminal timed_out outcome; wall-budget S caps wall seconds per job;
-  a panicking job records a terminal panicked outcome after its one
-  attempt; sabotage panic@I livelock@J deliberately breaks jobs I and J
-  to exercise the harness)
+  livelock-window wall-budget sabotage
+  (warmup + measure + drain bound a synthetic job, max-cycles a replay;
+  scale is at most 100)
+  (supervision: livelock-window ends a job that has stopped making
+  progress with a terminal timed_out outcome; wall-budget S caps wall
+  seconds per job; a panicking job records a terminal panicked outcome
+  after its one attempt; sabotage panic@I livelock@J deliberately breaks
+  jobs I and J to exercise the harness)
 
 networks: optical4 optical5 optical8 optical4b32 optical4b64 optical4ib
           optical4sp50 electrical2 electrical3
@@ -979,6 +967,9 @@ event kinds: inject nic_retry optical_transit link_traversal
 ///
 /// Propagates errors from the subcommands.
 pub fn dispatch(p: &Parsed) -> Result<String, ArgError> {
+    if p.flag("help") {
+        return Ok(usage());
+    }
     match p.positional(0) {
         Some("simulate") => cmd_simulate(p),
         Some("compare") => cmd_compare(p),
@@ -1178,7 +1169,7 @@ mod tests {
                 .expect_err(&format!("chaos rate {bad} accepted"));
             assert!(!e.to_string().is_empty());
         }
-        let e = dispatch(&parsed(&["sweep", "--rates", "0.02,-1"])).expect_err("negative rate");
+        let e = dispatch(&parsed(&["sweep", "--rate", "0.02,-1"])).expect_err("negative rate");
         assert!(e.to_string().contains("[0, 1]"), "{e}");
         // `analyze` reads its fault flags through the same parser.
         for bad in ["-0.5", "NaN", "1.5", "inf"] {
@@ -1248,11 +1239,24 @@ mod tests {
                 .expect_err(&format!("{cmd}: 256x512 accepted"));
             assert!(e.to_string().contains("at most 65536"), "{cmd}: {e}");
         }
-        // Zero / NaN / negative --scale.
-        for bad in ["0", "-1", "NaN"] {
+        // Zero / NaN / negative --scale, and one whose trace no memory
+        // holds.
+        for bad in ["0", "-1", "NaN", "1e300", "1e308"] {
             let e = dispatch(&parsed(&["simulate", "--benchmark", "LU", "--scale", bad]))
                 .expect_err(&format!("scale {bad} accepted"));
             assert!(e.to_string().contains("positive finite"), "{bad}: {e}");
+        }
+        // Numbers outside the §3 design models are refused by name.
+        for (key, bad) in [
+            ("wavelengths", "0"),
+            ("hops", "0"),
+            ("efficiency", "0"),
+            ("efficiency", "1.5"),
+            ("efficiency", "NaN"),
+        ] {
+            let e = dispatch(&parsed(&["design", &format!("--{key}"), bad]))
+                .expect_err(&format!("design --{key} {bad} accepted"));
+            assert!(e.to_string().starts_with(&format!("--{key}: ")), "{e}");
         }
         // Unparseable numeric values report their key.
         let e = dispatch(&parsed(&["sweep", "--rate", "abc"])).expect_err("non-number");
@@ -1262,9 +1266,33 @@ mod tests {
     #[test]
     fn usage_documents_crash_safety() {
         let u = usage();
-        for key in ["--journal", "--resume", "cycle-budget", "sabotage"] {
+        for key in ["--journal", "--resume", "livelock-window", "sabotage"] {
             assert!(u.contains(key), "usage missing {key}");
         }
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_options_the_parser_accepts() {
+        let u = usage();
+        let mut documented: Vec<&str> = u
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut accepted: Vec<&str> = crate::args::VALUE_KEYS
+            .iter()
+            .chain(crate::args::FLAG_KEYS)
+            .copied()
+            .collect();
+        accepted.sort_unstable();
+        assert_eq!(documented, accepted);
     }
 
     #[test]
@@ -1272,5 +1300,8 @@ mod tests {
         assert!(dispatch(&parsed(&[])).unwrap().contains("USAGE"));
         assert!(dispatch(&parsed(&["help"])).unwrap().contains("USAGE"));
         assert!(dispatch(&parsed(&["frobnicate"])).is_err());
+        // --help after a command answers the usage instead of running it.
+        let out = dispatch(&parsed(&["sweep", "--mesh", "4x4", "--help"])).unwrap();
+        assert!(out.contains("USAGE") && !out.contains("delivered"), "{out}");
     }
 }

@@ -10,17 +10,17 @@
 //!   file is byte-identical on any host at any `--workers`).
 //! * `lab compare FILE` — run fresh, diff against the recorded
 //!   baseline, and **fail** (non-zero exit) on any regression beyond
-//!   the `--tol-*` tolerances. Only deterministic metrics are gated;
+//!   the gate's fixed tolerances. Only deterministic metrics are gated;
 //!   wall-clock speed is measured by `benchmark/` alone.
 
 use crate::args::{ArgError, Parsed};
-use phastlane_lab::baseline::{self, Tolerances};
+use phastlane_lab::baseline;
 use phastlane_lab::journal::{self, Journal};
 use phastlane_lab::scheduler::{run_lab_opts, RunOptions};
 use phastlane_lab::store::{self, StoreError};
 use phastlane_lab::{LabReport, LabSpec};
 use phastlane_netsim::obs::json;
-use phastlane_netsim::obs::{EventSink, Phase, PhaseProfiler};
+use phastlane_netsim::obs::{EventSink, Phase};
 use std::path::{Path, PathBuf};
 
 fn read_spec(p: &Parsed) -> Result<LabSpec, ArgError> {
@@ -30,27 +30,6 @@ fn read_spec(p: &Parsed) -> Result<LabSpec, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     LabSpec::parse(&text).map_err(|e| ArgError(format!("{path}: {e}")))
-}
-
-fn parse_tolerances(p: &Parsed) -> Result<Tolerances, ArgError> {
-    // NaN or inf would make every `fresh > base * (1 + tol)` check
-    // false and so switch the gate off without saying so.
-    let tol = |key: &str, default: f64| -> Result<f64, ArgError> {
-        let v: f64 = p.get_parsed(key, default)?;
-        if v.is_finite() && v >= 0.0 {
-            Ok(v)
-        } else {
-            Err(ArgError(format!(
-                "--{key} must be a finite, non-negative number, got {v}"
-            )))
-        }
-    };
-    let d = Tolerances::default();
-    Ok(Tolerances {
-        mean: tol("tol-mean", d.mean)?,
-        p99: tol("tol-p99", d.p99)?,
-        saturation: tol("tol-saturation", d.saturation)?,
-    })
 }
 
 fn write_atomic(path: &str, body: &str) -> Result<(), ArgError> {
@@ -116,13 +95,6 @@ fn job_table(report: &LabReport) -> String {
 
 fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> {
     let workers: usize = p.get_parsed("workers", 1)?;
-    let mut spec = spec.clone();
-    if p.flag("profile") || p.get("profile-sample").is_some() {
-        spec.profile = p.get_parsed("profile-sample", PhaseProfiler::DEFAULT_SAMPLE_EVERY)?;
-        if spec.profile == 0 {
-            return Err(ArgError("--profile-sample must be positive".into()));
-        }
-    }
     let progress = parse_progress(p)?;
 
     // --preflight: statically verify the matrix before spending a
@@ -132,7 +104,7 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
     // proceeds.
     let mut preflight_note = String::new();
     if p.flag("preflight") {
-        let findings = phastlane_analyze::preflight(&spec).map_err(ArgError)?;
+        let findings = phastlane_analyze::preflight(spec).map_err(ArgError)?;
         let warnings = findings.len();
         preflight_note = format!(
             "preflight: statically clean ({warnings} warning(s))\n{}",
@@ -145,8 +117,7 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
 
     // --resume JOURNAL: replay the finished jobs of an interrupted run.
     // The journal header pins the exact spec encoding, so resuming with
-    // a different spec (or different spec-shaping flags) is an error,
-    // not a silently mixed report.
+    // a different spec is an error, not a silently mixed report.
     let mut resume_note = String::new();
     let resumed = match p.get("resume") {
         None => Vec::new(),
@@ -155,7 +126,7 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
             if rec.spec != spec.encode() {
                 return Err(ArgError(format!(
                     "journal {path} was written by a different spec; \
-                     resume with the same spec file and flags\n\
+                     resume with the same spec file\n\
                      journal spec:\n{}\ncurrent spec:\n{}",
                     rec.spec,
                     spec.encode()
@@ -180,7 +151,7 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
     let journal = match p.get("journal") {
         None => None,
         Some(path) => {
-            let j = Journal::create(Path::new(path), &spec).map_err(ArgError)?;
+            let j = Journal::create(Path::new(path), spec).map_err(ArgError)?;
             for rec in &resumed {
                 j.append(rec);
             }
@@ -189,13 +160,14 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
     };
 
     let report = run_lab_opts(
-        &spec,
+        spec,
         RunOptions {
             workers,
             progress: progress.as_ref().map(|(s, _)| s),
             journal: journal.as_ref().map(|(j, _)| j),
             resumed,
             cancel: None,
+            profile: p.flag("profile"),
         },
     )
     .map_err(ArgError)?;
@@ -255,10 +227,10 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
     Ok((report, out))
 }
 
-fn baseline_path(p: &Parsed, spec: &LabSpec) -> (PathBuf, String) {
+/// Where a spec's baseline lives: `<baseline-dir>/<spec name>.json`.
+fn baseline_path(p: &Parsed, spec: &LabSpec) -> PathBuf {
     let dir = PathBuf::from(p.get("baseline-dir").unwrap_or("results/baselines"));
-    let name = p.get("name").unwrap_or(&spec.name).to_string();
-    (dir.join(format!("{name}.json")), name)
+    dir.join(format!("{}.json", spec.name))
 }
 
 /// `phastlane lab run|record|compare`.
@@ -277,13 +249,13 @@ pub fn cmd_lab(p: &Parsed) -> Result<String, ArgError> {
         Some("record") => {
             let spec = read_spec(p)?;
             let (report, mut out) = execute(p, &spec)?;
-            let (path, name) = baseline_path(p, &spec);
+            let (path, name) = (baseline_path(p, &spec), &spec.name);
             // Baselines are written atomically under a checksum header:
             // a torn or bit-rotted baseline is detected at compare time
             // instead of silently gating against garbage.
             store::write_checksummed(
                 &path,
-                &baseline::baseline_json(&name, &report).to_string_pretty(),
+                &baseline::baseline_json(name, &report).to_string_pretty(),
             )
             .map_err(|e| ArgError(format!("cannot write baseline: {e}")))?;
             out.push_str(&format!("baseline {name} -> {}\n", path.display()));
@@ -291,8 +263,7 @@ pub fn cmd_lab(p: &Parsed) -> Result<String, ArgError> {
         }
         Some("compare") => {
             let spec = read_spec(p)?;
-            let tol = parse_tolerances(p)?;
-            let (path, name) = baseline_path(p, &spec);
+            let (path, name) = (baseline_path(p, &spec), &spec.name);
             let text = match store::read_checksummed(&path) {
                 Ok(text) => text,
                 Err(StoreError::Missing(_)) => {
@@ -324,7 +295,7 @@ pub fn cmd_lab(p: &Parsed) -> Result<String, ArgError> {
                 ))
             })?;
             let (report, mut out) = execute(p, &spec)?;
-            let regressions = baseline::compare(&recorded, &report, &tol).map_err(ArgError)?;
+            let regressions = baseline::compare(&recorded, &report).map_err(ArgError)?;
             if regressions.is_empty() {
                 out.push_str(&format!("baseline {name}: OK, no regressions\n"));
                 Ok(out)
@@ -533,20 +504,6 @@ mod tests {
         assert_eq!(ls(&dir), ["test.lab", "w1", "w2"]);
         assert_eq!(ls(&dir.join("w1")), ["cmd-test.json"]);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn non_finite_or_negative_tolerances_are_rejected() {
-        for key in ["tol-mean", "tol-p99", "tol-saturation"] {
-            for bad in ["NaN", "inf", "-inf", "-0.1"] {
-                let err = parse_tolerances(&parsed(&["lab", "compare", &format!("--{key}={bad}")]))
-                    .expect_err("a tolerance that disables the gate must be refused");
-                assert!(err.to_string().contains(&format!("--{key}")), "{err}");
-            }
-            let tol = parse_tolerances(&parsed(&["lab", "compare", &format!("--{key}=0.25")]))
-                .expect("a plain fraction is accepted");
-            assert_ne!(tol, Tolerances::default());
-        }
     }
 
     #[test]

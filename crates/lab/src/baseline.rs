@@ -6,39 +6,26 @@
 //! re-runs the spec
 //! and calls [`compare`]: a structural mismatch (different spec, missing
 //! jobs) is an **error** — the baseline is stale and must be re-recorded
-//! — while metric movements beyond the [`Tolerances`] are reported as
+//! — while metric movements beyond the tolerances are reported as
 //! **regressions** (the CLI exits non-zero on any).
 //!
 //! Everything gated here — mean/p99 latency and the saturation verdict
-//! — is a deterministic function of the spec, so the tolerances can be
-//! tight and the verdict is the same on every machine (improvements
-//! never trip the gate). Simulator speed is wall-clock: it is measured
-//! and gated only by the same-host A/B of `benchmark/`. Baselines
-//! recorded before that split carry a `perf` object; it is ignored.
+//! — is a deterministic function of the spec, so the tolerances are
+//! tight fixed constants and the verdict is the same on every machine
+//! (improvements never trip the gate). Simulator speed is wall-clock:
+//! it is measured and gated only by the same-host A/B of `benchmark/`.
+//! Baselines recorded before that split carry a `perf` object; it is
+//! ignored.
 
 use crate::report::{LabReport, Saturation};
 use phastlane_netsim::obs::json::JsonValue;
 
-/// Slack before a metric movement counts as a regression.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerances {
-    /// Allowed relative increase in per-job mean latency.
-    pub mean: f64,
-    /// Allowed relative increase in per-job p99 latency.
-    pub p99: f64,
-    /// Allowed absolute decrease in a curve's stable saturation rate.
-    pub saturation: f64,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            mean: 0.05,
-            p99: 0.10,
-            saturation: 0.0,
-        }
-    }
-}
+/// Allowed relative increase in per-job mean latency.
+const TOL_MEAN: f64 = 0.05;
+/// Allowed relative increase in per-job p99 latency.
+const TOL_P99: f64 = 0.10;
+/// Allowed absolute decrease in a curve's stable saturation rate.
+const TOL_SATURATION: f64 = 0.0;
 
 /// Absolute slack under every relative check, so exact re-runs never
 /// trip on float formatting.
@@ -76,11 +63,7 @@ fn saturation_from_json(v: &JsonValue) -> Option<Saturation> {
 /// malformed JSON shape, a different spec, or mismatched job lists.
 /// Structural drift means the comparison is meaningless, not that the
 /// code regressed — re-record the baseline instead.
-pub fn compare(
-    baseline: &JsonValue,
-    fresh: &LabReport,
-    tol: &Tolerances,
-) -> Result<Vec<String>, String> {
+pub fn compare(baseline: &JsonValue, fresh: &LabReport) -> Result<Vec<String>, String> {
     let canon = baseline
         .get("canonical")
         .ok_or("baseline has no \"canonical\" object")?;
@@ -120,10 +103,10 @@ pub fn compare(
             job.rate.map(|r| format!("@{r}")).unwrap_or_default(),
         );
         if let (Some(b), Some(f)) = (job_metric(base, "mean"), job.latency.mean()) {
-            if f > b * (1.0 + tol.mean) + EPS {
+            if f > b * (1.0 + TOL_MEAN) + EPS {
                 regressions.push(format!(
                     "{label}: mean latency {f:.2} exceeds baseline {b:.2} (+{:.1}% allowed)",
-                    tol.mean * 100.0
+                    TOL_MEAN * 100.0
                 ));
             }
         }
@@ -134,10 +117,10 @@ pub fn compare(
                 .flatten(),
         ) {
             let f = f as f64;
-            if f > b * (1.0 + tol.p99) + EPS {
+            if f > b * (1.0 + TOL_P99) + EPS {
                 regressions.push(format!(
                     "{label}: p99 latency {f} exceeds baseline {b} (+{:.1}% allowed)",
-                    tol.p99 * 100.0
+                    TOL_P99 * 100.0
                 ));
             }
         }
@@ -164,10 +147,10 @@ pub fn compare(
             .and_then(saturation_from_json)
             .ok_or_else(|| format!("{label}: baseline saturation unreadable"))?;
         match (b, group.saturation) {
-            (Saturation::Stable(b), Saturation::Stable(f)) if f < b - tol.saturation - EPS => {
+            (Saturation::Stable(b), Saturation::Stable(f)) if f < b - TOL_SATURATION - EPS => {
                 regressions.push(format!(
                     "{label}: saturation rate {f} below baseline {b} (-{} allowed)",
-                    tol.saturation
+                    TOL_SATURATION
                 ));
             }
             (Saturation::Stable(_), Saturation::Stable(_)) => {}
@@ -224,7 +207,7 @@ mod tests {
     fn identical_rerun_passes_clean() {
         let base = report(20);
         let recorded = baseline_json("t", &base);
-        let regressions = compare(&recorded, &base, &Tolerances::default()).unwrap();
+        let regressions = compare(&recorded, &base).unwrap();
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 
@@ -232,7 +215,7 @@ mod tests {
     fn latency_regression_is_flagged() {
         let recorded = baseline_json("t", &report(20));
         let worse = report(40);
-        let regressions = compare(&recorded, &worse, &Tolerances::default()).unwrap();
+        let regressions = compare(&recorded, &worse).unwrap();
         assert!(
             regressions.iter().any(|r| r.contains("mean latency")),
             "{regressions:?}"
@@ -247,7 +230,7 @@ mod tests {
     fn improvement_never_trips_the_gate() {
         let recorded = baseline_json("t", &report(40));
         let better = report(20);
-        let regressions = compare(&recorded, &better, &Tolerances::default()).unwrap();
+        let regressions = compare(&recorded, &better).unwrap();
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 
@@ -255,8 +238,7 @@ mod tests {
     fn tolerance_absorbs_small_drift() {
         let recorded = baseline_json("t", &report(100));
         let slightly_worse = report(104);
-        let tol = Tolerances::default(); // mean +5%
-        let regressions = compare(&recorded, &slightly_worse, &tol).unwrap();
+        let regressions = compare(&recorded, &slightly_worse).unwrap(); // mean +5%
         assert!(
             !regressions.iter().any(|r| r.contains("mean")),
             "{regressions:?}"
@@ -275,7 +257,7 @@ mod tests {
             s[0].saturation = Saturation::SaturatedFromStart(0.1);
             s
         };
-        let regressions = compare(&recorded, &collapsed, &Tolerances::default()).unwrap();
+        let regressions = compare(&recorded, &collapsed).unwrap();
         assert!(
             regressions.iter().any(|r| r.contains("was stable")),
             "{regressions:?}"
@@ -287,7 +269,7 @@ mod tests {
         let recorded = baseline_json("t", &report(20));
         let mut other = report(20);
         other.spec.seed = 99;
-        let err = compare(&recorded, &other, &Tolerances::default()).unwrap_err();
+        let err = compare(&recorded, &other).unwrap_err();
         assert!(err.contains("different spec"), "{err}");
     }
 
@@ -304,7 +286,7 @@ mod tests {
             "perf".into(),
             JsonValue::Obj(vec![("cycles_per_sec".into(), JsonValue::Num(1e12))]),
         ));
-        let regressions = compare(&JsonValue::Obj(fields), &base, &Tolerances::default()).unwrap();
+        let regressions = compare(&JsonValue::Obj(fields), &base).unwrap();
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 }

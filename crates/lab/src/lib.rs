@@ -27,7 +27,7 @@
 //!   and the regression gate: [`baseline::compare`] diffs a fresh run
 //!   against a recorded baseline and reports regressions in mean/p99
 //!   latency and saturation rate — the deterministic metrics — beyond
-//!   configurable tolerances;
+//!   fixed tolerances;
 //! * [`journal`] — an append-only NDJSON checkpoint of finished jobs;
 //!   `lab run --resume` replays it and re-runs only the remainder,
 //!   byte-identical to an uninterrupted run;
@@ -45,7 +45,6 @@ pub mod scheduler;
 pub mod spec;
 pub mod store;
 
-pub use baseline::Tolerances;
 pub use report::{GroupSaturation, JobRecord, LabReport};
 pub use scheduler::{run_lab, run_lab_with};
 pub use spec::{derive_seed, JobSpec, LabSpec, Work};

@@ -528,15 +528,6 @@ impl LabReport {
         JsonValue::Obj(pairs)
     }
 
-    /// Both layers in one object (for human inspection; baseline
-    /// comparisons read the layers separately).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("canonical".into(), self.canonical_json()),
-            ("perf".into(), self.perf_json()),
-        ])
-    }
-
     /// Flat per-job CSV (canonical columns only).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(

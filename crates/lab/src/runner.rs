@@ -125,10 +125,14 @@ pub fn job_fault_plan(spec: &LabSpec, job: &JobSpec) -> Option<FaultPlan> {
 
 /// Builds one job's network with the spec's retry policy and fault plan
 /// applied: faulted jobs default to the chaos soak's tight retry cap so
-/// the drain phase terminates; fault-free jobs run uncapped. When the
-/// spec asks for profiling, a [`PhaseProfiler`] is attached — pure
-/// observation, so the canonical results are unchanged.
-fn build_job_network(spec: &LabSpec, job: &JobSpec) -> Result<Box<dyn Network + Send>, String> {
+/// the drain phase terminates; fault-free jobs run uncapped. With
+/// `profile`, a [`PhaseProfiler`] is attached — pure observation, so the
+/// canonical results are unchanged.
+fn build_job_network(
+    spec: &LabSpec,
+    job: &JobSpec,
+    profile: bool,
+) -> Result<Box<dyn Network + Send>, String> {
     let retry_limit = spec
         .retry_limit
         .or_else(|| (job.intensity > 0.0).then_some(50));
@@ -136,8 +140,8 @@ fn build_job_network(spec: &LabSpec, job: &JobSpec) -> Result<Box<dyn Network + 
     if let Some(plan) = job_fault_plan(spec, job) {
         net.set_fault_plan(plan, job.fault_seed);
     }
-    if spec.profile > 0 {
-        net.set_phase_profiler(PhaseProfiler::enabled(spec.profile));
+    if profile {
+        net.set_phase_profiler(PhaseProfiler::enabled(PhaseProfiler::DEFAULT_SAMPLE_EVERY));
     }
     Ok(net)
 }
@@ -157,9 +161,6 @@ pub fn watchdog_for(
     cancel: Option<&CancelToken>,
 ) -> Option<Watchdog> {
     let mut wd = Watchdog::new();
-    if let Some(b) = spec.cycle_budget {
-        wd = wd.with_cycle_budget(b);
-    }
     let mut window = spec.livelock_window;
     if spec.sabotage_for(job.index) == Some(SabotageKind::Livelock) && window.is_none() {
         window = Some(SABOTAGE_LIVELOCK_WINDOW);
@@ -247,6 +248,8 @@ fn synthetic_opts(spec: &LabSpec, job: &JobSpec) -> SyntheticOptions {
 /// a job is a pure function of (spec, job), so a second attempt would
 /// replay the same panic. A watchdog armed from the spec's supervision
 /// keys, plus `cancel` when given, ends a runaway job as `TimedOut`.
+/// `profile` attaches a [`PhaseProfiler`]; its breakdown lands in the
+/// record's perf-only `phases`.
 ///
 /// # Errors
 ///
@@ -257,13 +260,14 @@ pub fn run_job(
     spec: &LabSpec,
     job: &JobSpec,
     cancel: Option<&CancelToken>,
+    profile: bool,
 ) -> Result<JobRecord, String> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if spec.sabotage_for(job.index) == Some(SabotageKind::Panic) {
             // Deliberate crash (harness testing): prove it is contained.
             panic!("sabotage: deliberate panic in job {}", job.index);
         }
-        simulate(spec, job, cancel)
+        simulate(spec, job, cancel, profile)
     }));
     caught.unwrap_or_else(|payload| Ok(panicked_record(job, panic_message(payload))))
 }
@@ -324,9 +328,10 @@ fn simulate(
     spec: &LabSpec,
     job: &JobSpec,
     cancel: Option<&CancelToken>,
+    profile: bool,
 ) -> Result<JobRecord, String> {
     let wall_start = Instant::now();
-    let mut net = build_job_network(spec, job)?;
+    let mut net = build_job_network(spec, job, profile)?;
     let watchdog = watchdog_for(spec, job, cancel);
 
     let mut rec = match &job.work {
@@ -438,8 +443,8 @@ mod tests {
         .unwrap();
         let jobs = expand(&spec);
         assert_eq!(jobs.len(), 1);
-        let a = run_job(&spec, &jobs[0], None).unwrap();
-        let b = run_job(&spec, &jobs[0], None).unwrap();
+        let a = run_job(&spec, &jobs[0], None, false).unwrap();
+        let b = run_job(&spec, &jobs[0], None, false).unwrap();
         assert!(a.latency.count() > 0, "some packets measured");
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.delivered_rate, b.delivered_rate);
@@ -457,7 +462,7 @@ mod tests {
             .into_iter()
             .find(|j| matches!(j.work, Work::Replay { .. }))
             .expect("replay job exists");
-        let rec = run_job(&spec, &job, None).unwrap();
+        let rec = run_job(&spec, &job, None, false).unwrap();
         assert!(!rec.timed_out);
         assert!(rec.completion_cycle.unwrap() > 0);
         assert_eq!(rec.benchmark.as_deref(), Some("LU"));
@@ -475,7 +480,7 @@ mod tests {
     fn sabotaged_panic_becomes_a_terminal_outcome() {
         let spec = base_spec("sabotage panic@0\n");
         let jobs = expand(&spec);
-        let rec = run_job(&spec, &jobs[0], None).unwrap();
+        let rec = run_job(&spec, &jobs[0], None, false).unwrap();
         match &rec.outcome {
             JobOutcome::Panicked { message } => {
                 assert!(message.contains("deliberate panic in job 0"), "{message}");
@@ -488,7 +493,7 @@ mod tests {
 
     /// On 32x32 an interior broadcast splits into more messages than
     /// the NIC holds; the replay used to retry it every cycle until its
-    /// cycle budget ran out. `inject` now panics with the reason, and
+    /// cycle limit ran out. `inject` now panics with the reason, and
     /// the record carries it.
     #[test]
     fn a_broadcast_no_nic_can_hold_is_a_named_panic() {
@@ -501,7 +506,7 @@ mod tests {
             .into_iter()
             .find(|j| matches!(j.work, Work::Replay { .. }))
             .expect("replay job exists");
-        let rec = run_job(&spec, &job, None).unwrap();
+        let rec = run_job(&spec, &job, None, false).unwrap();
         match &rec.outcome {
             JobOutcome::Panicked { message } => assert!(
                 message.contains("splits into 64 messages; the NIC holds 50"),
@@ -515,8 +520,8 @@ mod tests {
     fn sabotaged_livelock_times_out_deterministically() {
         let spec = base_spec("sabotage livelock@0\n");
         let jobs = expand(&spec);
-        let a = run_job(&spec, &jobs[0], None).unwrap();
-        let b = run_job(&spec, &jobs[0], None).unwrap();
+        let a = run_job(&spec, &jobs[0], None, false).unwrap();
+        let b = run_job(&spec, &jobs[0], None, false).unwrap();
         match (&a.outcome, &b.outcome) {
             (JobOutcome::TimedOut { reason: ra }, JobOutcome::TimedOut { reason: rb }) => {
                 assert!(ra.starts_with("livelock"), "{ra}");
@@ -537,7 +542,7 @@ mod tests {
         )
         .unwrap();
         let jobs = expand(&spec);
-        let rec = run_job(&spec, &jobs[0], None).unwrap();
+        let rec = run_job(&spec, &jobs[0], None, false).unwrap();
         // Under a non-trivial plan the run still resolves every packet.
         assert_eq!(rec.unfinished, 0, "drain resolved all packets");
     }

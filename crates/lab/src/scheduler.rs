@@ -178,6 +178,9 @@ pub struct RunOptions<'a> {
     /// Cooperative cancellation: when cancelled, in-flight jobs stop at
     /// the watchdog's next gate with a `cancelled` outcome.
     pub cancel: Option<&'a CancelToken>,
+    /// Attach a hot-loop phase profiler to every job's network; the
+    /// merged breakdown lands in the perf layer only.
+    pub profile: bool,
 }
 
 /// The full-control entry point: [`run_lab_with`] plus journaling,
@@ -238,7 +241,7 @@ pub fn run_lab_opts(spec: &LabSpec, opts: RunOptions<'_>) -> Result<LabReport, S
                 if let Some(p) = &progress {
                     p.job_started(job);
                 }
-                let result = runner::run_job(spec, job, opts.cancel);
+                let result = runner::run_job(spec, job, opts.cancel, opts.profile);
                 if let Ok(rec) = &result {
                     if let Some(j) = opts.journal {
                         j.append(rec);
@@ -424,10 +427,17 @@ mod tests {
 
     #[test]
     fn profiled_lab_keeps_canonical_identical_and_surfaces_phases_in_perf() {
-        let mut spec = small_spec();
+        let spec = small_spec();
         let plain = run_lab(&spec, 2).unwrap();
-        spec.profile = 16;
-        let profiled = run_lab(&spec, 2).unwrap();
+        let profiled = run_lab_opts(
+            &spec,
+            RunOptions {
+                workers: 2,
+                profile: true,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(
             plain.canonical_json().to_string_pretty(),
             profiled.canonical_json().to_string_pretty(),

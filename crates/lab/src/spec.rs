@@ -27,6 +27,7 @@
 
 use crate::runner;
 use phastlane_netsim::geometry::Mesh;
+use phastlane_traffic::coherence::check_scale;
 use phastlane_traffic::{splash2, Pattern};
 
 /// A declarative description of an experiment matrix.
@@ -64,23 +65,6 @@ pub struct LabSpec {
     pub scale: f64,
     /// Replay cycle limit (livelock guard).
     pub max_cycles: u64,
-    /// Hot-loop phase-profiler wall-sampling stride: `0` (the default)
-    /// runs unprofiled; `N > 0` attaches a
-    /// [`phastlane_netsim::obs::PhaseProfiler`] to every job's network,
-    /// timing one cycle in `N`.
-    ///
-    /// Profiling is pure observation — job results are bit-identical
-    /// with it on or off — so like the worker count it is **excluded**
-    /// from [`encode`](LabSpec::encode) and therefore from the canonical
-    /// report and baseline identity; the breakdown lands in the perf
-    /// layer only.
-    pub profile: u32,
-    /// Watchdog cycle budget per job: a job still running after this
-    /// many cycles is stopped with a `TimedOut` outcome. Fires at a
-    /// cycle-deterministic point, so the resulting record is
-    /// reproducible. `None` = unbounded (the synthetic hard end /
-    /// `max-cycles` still apply).
-    pub cycle_budget: Option<u64>,
     /// Watchdog livelock window: a job with work pending but no packet
     /// injected, delivered, or terminally failed for this many cycles is
     /// stopped with a `TimedOut` outcome. Cycle-deterministic.
@@ -91,8 +75,8 @@ pub struct LabSpec {
     pub wall_budget: Option<f64>,
     /// Deliberate job failures for harness testing: the listed matrix
     /// indices panic or livelock on purpose, exercising the supervision
-    /// path end-to-end. Changes outcomes, so (unlike `profile`)
-    /// it **is** part of [`encode`](LabSpec::encode) when non-empty.
+    /// path end-to-end. Changes outcomes, so it is part of
+    /// [`encode`](LabSpec::encode) when non-empty.
     pub sabotage: Vec<Sabotage>,
 }
 
@@ -168,8 +152,6 @@ impl Default for LabSpec {
             benchmarks: Vec::new(),
             scale: 0.05,
             max_cycles: 10_000_000,
-            profile: 0,
-            cycle_budget: None,
             livelock_window: None,
             wall_budget: None,
             sabotage: Vec::new(),
@@ -270,25 +252,13 @@ impl LabSpec {
                 }
                 "scale" => {
                     spec.scale = one()?.parse().map_err(|_| err("bad scale"))?;
-                    if spec.scale <= 0.0 || !spec.scale.is_finite() {
-                        return Err(err("scale must be positive"));
-                    }
+                    check_scale(spec.scale).map_err(|m| err(&m))?;
                 }
                 "max-cycles" => {
                     spec.max_cycles = one()?.parse().map_err(|_| err("bad max-cycles"))?;
                     if spec.max_cycles == 0 {
                         return Err(err("max-cycles must be positive"));
                     }
-                }
-                "profile" => {
-                    spec.profile = one()?.parse().map_err(|_| err("bad profile"))?;
-                }
-                "cycle-budget" => {
-                    let b: u64 = one()?.parse().map_err(|_| err("bad cycle-budget"))?;
-                    if b == 0 {
-                        return Err(err("cycle-budget must be positive"));
-                    }
-                    spec.cycle_budget = Some(b);
                 }
                 "livelock-window" => {
                     let w: u64 = one()?.parse().map_err(|_| err("bad livelock-window"))?;
@@ -323,11 +293,8 @@ impl LabSpec {
         Ok(spec)
     }
 
-    /// Renders the spec back to its [`parse`](LabSpec::parse) text form.
-    ///
-    /// `profile` is deliberately omitted: like the worker count it is
-    /// observation strategy, not experiment identity, and the encoding
-    /// doubles as the canonical report's spec string.
+    /// Renders the spec back to its [`parse`](LabSpec::parse) text form;
+    /// the encoding doubles as the canonical report's spec string.
     pub fn encode(&self) -> String {
         let mut out = String::new();
         let join_f = |v: &[f64]| v.iter().map(f64::to_string).collect::<Vec<_>>().join(" ");
@@ -364,9 +331,6 @@ impl LabSpec {
         // Supervision keys are emitted only when non-default, so specs
         // that never used them keep their exact pre-existing encoding —
         // and with it the identity of every committed baseline.
-        if let Some(b) = self.cycle_budget {
-            out.push_str(&format!("cycle-budget {b}\n"));
-        }
         if let Some(w) = self.livelock_window {
             out.push_str(&format!("livelock-window {w}\n"));
         }
@@ -578,29 +542,18 @@ max-cycles 500000
     }
 
     #[test]
-    fn profile_parses_but_stays_out_of_the_canonical_encoding() {
-        let spec = LabSpec::parse("mesh 4x4\nprofile 32\n").unwrap();
-        assert_eq!(spec.profile, 32);
-        assert!(!spec.encode().contains("profile"), "{}", spec.encode());
-        // Profiling is observation, not identity: reparsing the
-        // encoding resets it to off.
-        assert_eq!(LabSpec::parse(&spec.encode()).unwrap().profile, 0);
-    }
-
-    #[test]
     fn supervision_keys_parse_and_encode_only_when_set() {
         // Defaults leave the encoding untouched: committed baselines
         // recorded before these keys existed must keep their identity.
         let plain = LabSpec::parse("mesh 4x4\n").unwrap();
-        for key in ["cycle-budget", "livelock-window", "wall-budget", "sabotage"] {
+        for key in ["livelock-window", "wall-budget", "sabotage"] {
             assert!(!plain.encode().contains(key), "{key} leaked into encode");
         }
         let spec = LabSpec::parse(
-            "mesh 4x4\ncycle-budget 5000\nlivelock-window 2000\n\
+            "mesh 4x4\nlivelock-window 2000\n\
              wall-budget 1.5\nsabotage panic@0 livelock@3\n",
         )
         .unwrap();
-        assert_eq!(spec.cycle_budget, Some(5000));
         assert_eq!(spec.livelock_window, Some(2000));
         assert_eq!(spec.wall_budget, Some(1.5));
         assert_eq!(spec.sabotage_for(0), Some(SabotageKind::Panic));
@@ -613,8 +566,6 @@ max-cycles 500000
     #[test]
     fn supervision_keys_reject_garbage() {
         for bad in [
-            "cycle-budget 0",
-            "cycle-budget many",
             "livelock-window 0",
             "wall-budget -1",
             "wall-budget NaN",
@@ -627,11 +578,15 @@ max-cycles 500000
         ] {
             assert!(LabSpec::parse(bad).is_err(), "{bad:?} accepted");
         }
-        let err = LabSpec::parse("mesh 4x4\nretries 3\n").unwrap_err();
-        assert!(
-            err.contains("line 2") && err.contains("unknown key"),
-            "{err}"
-        );
+        // Removed keys: a second cycle bound beside warmup + measure +
+        // drain and max-cycles, and a profiler a served job never shows.
+        for removed in ["retries 3", "cycle-budget 100", "profile 32"] {
+            let err = LabSpec::parse(&format!("mesh 4x4\n{removed}\n")).unwrap_err();
+            assert!(
+                err.contains("line 2") && err.contains("unknown key"),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -654,6 +609,9 @@ max-cycles 500000
             "mesh 256x512",             // more nodes than a NodeId names
             "replicas 0",               // zero
             "measure 0",                // zero
+            "scale 0",                  // zero
+            "scale NaN",                // not a number
+            "scale 1e300",              // a trace no memory holds
             "mesh 4x4\nbatch 4",        // removed key
             "seed",                     // missing value
             "seed 1 2",                 // too many values
@@ -667,6 +625,14 @@ max-cycles 500000
             err.contains("line 2") && err.contains("unknown key"),
             "{err}"
         );
+        let err = LabSpec::parse("benchmarks FFT\nscale 1e300\n").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("at most 100"),
+            "{err}"
+        );
+        for ok in ["1.0", "0.05", "0.02"] {
+            assert!(LabSpec::parse(&format!("scale {ok}\n")).is_ok(), "{ok}");
+        }
         // The limit names the line that crossed it; the overflowing
         // product saturates instead of wrapping back under the limit.
         let err = LabSpec::parse("nets optical4 electrical3\nreplicas 524289\n").unwrap_err();

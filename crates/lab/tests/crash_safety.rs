@@ -5,6 +5,7 @@
 use phastlane_lab::journal::{self, Journal};
 use phastlane_lab::report::JobOutcome;
 use phastlane_lab::scheduler::{run_lab_opts, run_lab_with, RunOptions};
+use phastlane_lab::spec::{Sabotage, SabotageKind};
 use phastlane_lab::{run_lab, LabSpec};
 use std::path::PathBuf;
 
@@ -87,8 +88,8 @@ fn sabotaged_jobs_end_terminal_and_leave_the_rest_untouched() {
     let healthy = LabSpec::parse(SPEC).unwrap();
     let mut spec = healthy.clone();
     spec.sabotage = vec![
-        phastlane_lab::spec::Sabotage::parse("panic@1").unwrap(),
-        phastlane_lab::spec::Sabotage::parse("livelock@2").unwrap(),
+        Sabotage::parse("panic@1").unwrap(),
+        Sabotage::parse("livelock@2").unwrap(),
     ];
 
     let report = run_lab_with(&spec, 2, None).expect("sabotaged lab completes");
@@ -124,16 +125,24 @@ fn sabotaged_jobs_end_terminal_and_leave_the_rest_untouched() {
 }
 
 #[test]
-fn cycle_budget_interrupts_are_deterministic_terminal_outcomes() {
+fn livelock_interrupts_are_deterministic_terminal_outcomes() {
+    // Every job of the matrix wedges its optical routers (the electrical
+    // baseline gives stuck packets up instead): the livelock watchdog
+    // ends each at a cycle-deterministic point.
     let mut spec = LabSpec::parse(SPEC).unwrap();
-    // Tighter than warmup+measure+drain: every job is interrupted.
-    spec.cycle_budget = Some(200);
+    spec.nets = vec!["optical4".into()];
+    spec.sabotage = (0..spec.job_count())
+        .map(|index| Sabotage {
+            kind: SabotageKind::Livelock,
+            index,
+        })
+        .collect();
     let a = run_lab_with(&spec, 2, None).unwrap();
     let b = run_lab_with(&spec, 1, None).unwrap();
     for j in &a.jobs {
         match &j.outcome {
             JobOutcome::TimedOut { reason } => {
-                assert!(reason.contains("cycle budget"), "{reason}");
+                assert!(reason.starts_with("livelock"), "{reason}");
             }
             other => panic!("expected TimedOut, got {other:?}"),
         }
@@ -143,7 +152,7 @@ fn cycle_budget_interrupts_are_deterministic_terminal_outcomes() {
     assert_eq!(
         a.canonical_json().to_string_pretty(),
         b.canonical_json().to_string_pretty(),
-        "cycle-budget interrupts land on the same cycle regardless of workers"
+        "livelock interrupts land on the same cycle regardless of workers"
     );
 }
 

@@ -89,16 +89,6 @@ impl Interrupt {
             }
         }
     }
-
-    /// Whether this verdict fires at a cycle-deterministic point (so the
-    /// resulting record is reproducible) or depends on wall time / an
-    /// external signal.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(
-            self,
-            Interrupt::CycleBudget { .. } | Interrupt::Livelock { .. }
-        )
-    }
 }
 
 /// Per-run supervision state. Construct with [`Watchdog::new`] and the
@@ -315,11 +305,5 @@ mod tests {
             .reason(),
             "livelock: no progress for 2000 cycles (at cycle 2100)"
         );
-        assert!(Interrupt::Livelock {
-            window: 1,
-            cycle: 1
-        }
-        .is_deterministic());
-        assert!(!Interrupt::Cancelled.is_deterministic());
     }
 }

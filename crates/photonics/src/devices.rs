@@ -41,18 +41,33 @@ impl Waveguide {
         Picoseconds(self.length.value() * WAVEGUIDE_DELAY_PS_PER_MM)
     }
 
+    /// Checks a per-crossing transmission: a crossing passes some light
+    /// and amplifies none, so it lies in `(0, 1]` (NaN is outside).
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `crossing_efficiency` breaks.
+    pub fn check_crossing_efficiency(crossing_efficiency: f64) -> Result<(), String> {
+        if crossing_efficiency > 0.0 && crossing_efficiency <= 1.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "crossing efficiency must be in (0, 1], got {crossing_efficiency}"
+            ))
+        }
+    }
+
     /// Power transmission through `crossings` perpendicular waveguide
     /// crossings, each with per-crossing efficiency `crossing_efficiency`
     /// (e.g. 0.98 for a 2 % loss per crossing).
     ///
     /// # Panics
     ///
-    /// Panics if `crossing_efficiency` is not in `(0, 1]`.
+    /// Panics where [`Waveguide::check_crossing_efficiency`] errors.
     pub fn crossing_transmission(crossings: f64, crossing_efficiency: f64) -> f64 {
-        assert!(
-            crossing_efficiency > 0.0 && crossing_efficiency <= 1.0,
-            "crossing efficiency must be in (0, 1], got {crossing_efficiency}"
-        );
+        if let Err(e) = Waveguide::check_crossing_efficiency(crossing_efficiency) {
+            panic!("{e}");
+        }
         crossing_efficiency.powf(crossings)
     }
 }

@@ -49,18 +49,32 @@ pub struct PowerPoint {
 }
 
 impl PowerPoint {
+    /// Checks a hop count for [`PowerPoint::new`]: the worst-case path
+    /// crosses at least one router.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `max_hops` breaks.
+    pub fn check_hops(max_hops: u32) -> Result<(), String> {
+        if max_hops > 0 {
+            Ok(())
+        } else {
+            Err("max_hops must be positive".into())
+        }
+    }
+
     /// Creates an evaluation point.
     ///
     /// # Panics
     ///
-    /// Panics if `max_hops` is zero or `crossing_efficiency` is outside
-    /// `(0, 1]`.
+    /// Panics where [`PowerPoint::check_hops`] or
+    /// [`Waveguide::check_crossing_efficiency`] errors.
     pub fn new(wdm: WdmConfig, max_hops: u32, crossing_efficiency: f64) -> Self {
-        assert!(max_hops > 0, "max_hops must be positive");
-        assert!(
-            crossing_efficiency > 0.0 && crossing_efficiency <= 1.0,
-            "crossing efficiency must be in (0, 1]"
-        );
+        if let Err(e) = PowerPoint::check_hops(max_hops)
+            .and_then(|()| Waveguide::check_crossing_efficiency(crossing_efficiency))
+        {
+            panic!("{e}");
+        }
         PowerPoint {
             wdm,
             max_hops,

@@ -39,13 +39,30 @@ impl WdmConfig {
         WdmConfig { payload_wdm: 128 },
     ];
 
+    /// Checks a payload WDM degree for [`WdmConfig::new`]: a waveguide
+    /// carries at least one wavelength.
+    ///
+    /// # Errors
+    ///
+    /// Names the rule `payload_wdm` breaks.
+    pub fn check_degree(payload_wdm: u32) -> Result<(), String> {
+        if payload_wdm > 0 {
+            Ok(())
+        } else {
+            Err("payload WDM degree must be positive".into())
+        }
+    }
+
     /// Creates a configuration with the given payload WDM degree.
     ///
     /// # Panics
     ///
-    /// Panics if `payload_wdm` is zero.
+    /// Panics where [`WdmConfig::check_degree`] errors: `payload_wdm` is
+    /// zero.
     pub fn new(payload_wdm: u32) -> Self {
-        assert!(payload_wdm > 0, "payload WDM degree must be positive");
+        if let Err(e) = WdmConfig::check_degree(payload_wdm) {
+            panic!("{e}");
+        }
         WdmConfig { payload_wdm }
     }
 

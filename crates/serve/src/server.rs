@@ -325,6 +325,7 @@ fn run_job(shared: &Shared, id: u64) {
             journal: journal.as_ref(),
             resumed,
             cancel: Some(&cancel),
+            profile: false,
         },
     );
 
@@ -732,46 +733,34 @@ mod tests {
         let (status, _) =
             client::request(&addr, "POST", "/jobs", Some(b"{\"no_spec\": 1}")).unwrap();
         assert_eq!(status, 400);
-        // A removed spec key is an unknown key like any other.
-        let (status, body) =
-            client::request(&addr, "POST", "/jobs", Some(b"mesh 4x4\nbatch 4\n")).unwrap();
-        assert_eq!(status, 400);
-        let text = String::from_utf8(body).unwrap();
-        assert!(
-            text.contains("line 2") && text.contains("unknown key"),
-            "{text}"
-        );
-        // So is the removed job-level retry: a deterministic job would
-        // only replay its failure, with a worker asleep in between.
-        let (status, body) =
-            client::request(&addr, "POST", "/jobs", Some(b"mesh 4x4\nretries 3\n")).unwrap();
-        assert_eq!(status, 400);
-        let text = String::from_utf8(body).unwrap();
-        assert!(
-            text.contains("line 2") && text.contains("unknown key"),
-            "{text}"
-        );
-        // A mesh with more nodes than a u16 node id names.
-        let (status, body) =
-            client::request(&addr, "POST", "/jobs", Some(b"mesh 256x512\n")).unwrap();
-        assert_eq!(status, 400);
-        let text = String::from_utf8(body).unwrap();
-        assert!(
-            text.contains("line 1") && text.contains("at most 65536"),
-            "{text}"
-        );
-        // A matrix of 4.3e9 jobs is refused at the door: the worker's
-        // expansion alone would exhaust memory and kill the server.
-        let (status, body) = client::request(
-            &addr,
-            "POST",
-            "/jobs",
-            Some(b"mesh 4x4\nintensities 0.1\nreplicas 4294967295\n"),
-        )
-        .unwrap();
-        assert_eq!(status, 400);
-        let text = String::from_utf8(body).unwrap();
-        assert!(text.contains("line 3") && text.contains("jobs"), "{text}");
+        // Each spec is refused by the line to blame.
+        for (spec, line, needle) in [
+            // Removed keys are unknown keys like any other: a batch knob,
+            // the job-level retry (a deterministic job would only replay
+            // its failure), a second cycle bound, and a profiler a served
+            // job never shows.
+            ("mesh 4x4\nbatch 4\n", "line 2", "unknown key"),
+            ("mesh 4x4\nretries 3\n", "line 2", "unknown key"),
+            ("mesh 4x4\ncycle-budget 100\n", "line 2", "unknown key"),
+            ("mesh 4x4\nprofile 32\n", "line 2", "unknown key"),
+            // A mesh with more nodes than a u16 node id names.
+            ("mesh 256x512\n", "line 1", "at most 65536"),
+            // A matrix of 4.3e9 jobs, or a replay trace of 1e300 times
+            // the misses: the worker's expansion or trace generation
+            // alone would exhaust memory and kill the server.
+            (
+                "mesh 4x4\nintensities 0.1\nreplicas 4294967295\n",
+                "line 3",
+                "jobs",
+            ),
+            ("mesh 4x4\nbenchmarks FFT\nscale 1e300\n", "line 3", "scale"),
+        ] {
+            let (status, body) =
+                client::request(&addr, "POST", "/jobs", Some(spec.as_bytes())).unwrap();
+            assert_eq!(status, 400, "{spec}");
+            let text = String::from_utf8(body).unwrap();
+            assert!(text.contains(line) && text.contains(needle), "{text}");
+        }
         handle.join();
     }
 

@@ -69,11 +69,35 @@ pub struct BenchmarkProfile {
     pub seed: u64,
 }
 
+/// Largest miss-count scale a replay accepts. Far above the largest
+/// committed use (1.0, the full-scale Figures 10 and 11); at 100 the
+/// largest profile (Radix, 8x8) is about four million messages, which
+/// still generate in well under a gigabyte, where an unbounded scale
+/// saturates the miss count and aborts on allocation.
+pub const MAX_SCALE: f64 = 100.0;
+
+/// Checks a miss-count scale for [`BenchmarkProfile::scaled`]: positive,
+/// finite, and at most [`MAX_SCALE`].
+///
+/// # Errors
+///
+/// Names the rule `scale` breaks.
+pub fn check_scale(scale: f64) -> Result<(), String> {
+    if scale > 0.0 && scale <= MAX_SCALE {
+        Ok(())
+    } else {
+        Err(format!(
+            "scale must be a positive finite number at most {MAX_SCALE}"
+        ))
+    }
+}
+
 impl BenchmarkProfile {
     /// This profile sized for a run at `scale` on `mesh`: `scale` of its
     /// misses per core (`1.0` is the full trace; never fewer than two,
     /// so every core still has a miss to chain on) and no more active
-    /// cores than the mesh has nodes.
+    /// cores than the mesh has nodes. Callers bound `scale` with
+    /// [`check_scale`].
     pub fn scaled(&self, scale: f64, mesh: Mesh) -> BenchmarkProfile {
         BenchmarkProfile {
             misses_per_core: ((self.misses_per_core as f64 * scale).round() as usize).max(2),
