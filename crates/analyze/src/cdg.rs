@@ -14,7 +14,7 @@
 //!
 //! * [`Cdg::of_mesh_xy`] — dimension-order (XY) routing on a
 //!   [`Mesh`], including the fault-rerouting detours of
-//!   [`phastlane_netsim::fault::productive_detour`] (which route the
+//!   [`phastlane_netsim::fault::FaultView::productive_detour`] (which route the
 //!   *other* dimension first and therefore add YX turns to the turn
 //!   set). With an empty fault plan this is the paper's baseline and is
 //!   provably acyclic (the XY turn model); under fault plans the mixed
@@ -277,7 +277,7 @@ pub enum Walk {
 /// Statically walks the routing function from `src` to `dst` under the
 /// worst-case fault view: at each node take the XY first hop if live,
 /// otherwise the productive other-dimension detour (the static mirror of
-/// [`phastlane_netsim::fault::productive_detour`] — route toward the
+/// [`phastlane_netsim::fault::FaultView::productive_detour`] — route toward the
 /// corner `(x, dst.y)` when both dimensions are productive), otherwise
 /// report the pair partitioned at that node.
 ///
@@ -307,7 +307,7 @@ pub fn route_walk(mesh: Mesh, plan: &FaultPlan, src: NodeId, dst: NodeId) -> Wal
 }
 
 /// The static worst-case mirror of
-/// [`phastlane_netsim::fault::productive_detour`]: when both dimensions
+/// [`phastlane_netsim::fault::FaultView::productive_detour`]: when both dimensions
 /// are productive, try the Y hop toward the corner `(x, dst.y)` first.
 /// Returns the detour direction when that hop is live.
 fn static_detour(plan: &FaultPlan, mesh: Mesh, from: NodeId, to: NodeId) -> Option<Direction> {

@@ -6,8 +6,10 @@
 //! * **Error** — the matrix is statically doomed: a fault plan
 //!   partitions pairs that the cell's traffic pattern will address
 //!   (guaranteed `Undeliverable` outcomes), the drooped laser cannot
-//!   close even one hop, a sabotage index lies outside the matrix, or a
-//!   pattern would panic on this mesh. [`preflight`] refuses such specs.
+//!   close even one hop, a sabotage index lies outside the matrix, a
+//!   pattern would panic on this mesh, or an electrical replay's VCTM
+//!   multicast masks cannot name every node. [`preflight`] refuses such
+//!   specs.
 //! * **Warning** — the run is legal but suspicious: a zero retry cap
 //!   on a faulted matrix, or a channel-dependency cycle introduced by
 //!   detour turns (survivable here because Phastlane drops and retries
@@ -21,9 +23,11 @@
 
 use crate::cdg::Cdg;
 use crate::reach::{optical_envelope, residual_connectivity};
+use phastlane_lab::runner::optical_config;
 use phastlane_lab::spec::{fault_seed, LabSpec};
 use phastlane_netsim::fault::FaultPlan;
 use phastlane_netsim::geometry::{Mesh, NodeId};
+use phastlane_netsim::mask::MASK_CAPACITY;
 use phastlane_netsim::rng::SimRng;
 use phastlane_traffic::Pattern;
 
@@ -140,6 +144,25 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
                     spec.job_count()
                 ),
             ));
+        }
+    }
+
+    // A replay multicasts, and the electrical network routes a multicast
+    // as a VCTM tree over node masks of `MASK_CAPACITY` bits.
+    if !spec.benchmarks.is_empty() && mesh.nodes() > MASK_CAPACITY {
+        for net in &spec.nets {
+            if matches!(optical_config(net), Ok(None)) {
+                findings.push(SpecFinding::error(
+                    Some(format!("net={net} work=replay")),
+                    format!(
+                        "mesh {}x{} has {} nodes; electrical VCTM multicast masks \
+                         hold {MASK_CAPACITY}",
+                        mesh.width(),
+                        mesh.height(),
+                        mesh.nodes()
+                    ),
+                ));
+            }
         }
     }
 
@@ -349,6 +372,20 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].level, Level::Error);
         assert!(findings[0].message.contains("square"), "{findings:?}");
+    }
+
+    #[test]
+    fn electrical_replay_beyond_the_mask_capacity_is_an_error() {
+        let spec = parse("mesh 32x32\nnets electrical3 optical4\nbenchmarks FFT\n");
+        let err = preflight(&spec).unwrap_err();
+        assert!(err.contains("[net=electrical3 work=replay]"), "{err}");
+        assert!(err.contains("1024 nodes"), "{err}");
+        assert!(!err.contains("net=optical4"), "{err}");
+        // Synthetic unicast cells on the same mesh build no tree, and the
+        // largest mesh the masks hold (figure scalability's 16x16) passes.
+        assert!(preflight(&parse("mesh 32x32\nnets electrical3\n")).is_ok());
+        let spec = parse("mesh 16x16\nnets electrical3 optical4\nbenchmarks FFT\n");
+        assert!(preflight(&spec).is_ok());
     }
 
     #[test]

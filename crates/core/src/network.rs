@@ -5,7 +5,7 @@
 //!
 //! | phase function | `Phase` mark | paper | visits |
 //! |---|---|---|---|
-//! | `fault_bookkeeping` | `Fault` | — | the fault plan |
+//! | `fault_bookkeeping` | `Fault` | — | the fault view, rebuilt at fault edges |
 //! | `confirm_launches` | `Drain` | §2.1.2 | busy routers |
 //! | `drain_nics` | `Route` | Table 1 | busy routers |
 //! | `arbitrate_and_launch` | `Arbitrate` | §2.1.1 | busy routers |
@@ -22,8 +22,10 @@
 //! router's `DropReturn` / `Retransmit` events with another's
 //! `OpticalTransit`.
 //!
-//! 1. **Fault bookkeeping** — fault edge events, the hop reach under
-//!    laser droop, the bit-error rate; the nominal values with no plan.
+//! 1. **Fault bookkeeping** — on a fault edge only: the edge events,
+//!    a rebuilt [`FaultView`] and the hop reach under laser droop. Every
+//!    other cycle reuses them, so the later phases' fault lookups are
+//!    bit tests. The nominal values with no plan.
 //! 2. **Confirm/revert** — launches from the previous cycle either
 //!    succeeded (the packet was delivered or an intermediate router
 //!    assumed responsibility) and their buffer slots free, or a Packet
@@ -81,7 +83,7 @@ use crate::policies::ArbitrationPolicy;
 use crate::power::EnergyLedger;
 use crate::router::{rotation, Entry, PacketCore, RouterState};
 use phastlane_netsim::ecc::{self, Decoded};
-use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
+use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::set_bits;
@@ -313,6 +315,12 @@ pub struct PhastlaneNetwork {
     /// Scheduled device failures; the empty plan is guaranteed
     /// zero-effect (every fault hook is gated on it).
     fault_plan: FaultPlan,
+    /// The plan's state over the current window between fault edges;
+    /// built at the first faulted cycle, rebuilt at each edge.
+    faults: FaultView,
+    /// The hop reach under the view's laser droop, solved when the view
+    /// is rebuilt.
+    fault_hops: u32,
     /// Dedicated RNG for fault-path randomness (stall backoff jitter,
     /// bit-error positions), kept separate from `rng` so an empty plan
     /// leaves the main backoff stream untouched.
@@ -350,6 +358,8 @@ impl PhastlaneNetwork {
             obs: Obs::off(),
             profiler: PhaseProfiler::off(),
             fault_plan: FaultPlan::new(),
+            faults: FaultView::default(),
+            fault_hops: 0,
             fault_rng: SimRng::seed_from_u64(0),
         }
     }
@@ -476,7 +486,7 @@ impl PhastlaneNetwork {
         }
     }
 
-    /// Hop reach under the current laser-droop factor
+    /// Hop reach under the fault view's laser-droop factor
     /// ([`PowerPoint::reach_under`]): the largest hop count whose
     /// worst-case loss (at the degraded crossing efficiency) still fits
     /// the power budget provisioned for the *nominal* `max_hops` reach.
@@ -485,13 +495,13 @@ impl PhastlaneNetwork {
     /// no hop closes the budget, packets still cross one router per
     /// cycle, so the run drains instead of wedging. `analyze` reports
     /// the same plan as optically infeasible.
-    fn effective_max_hops(&self, now: u64) -> u32 {
+    fn effective_max_hops(&self) -> u32 {
         PowerPoint::new(
             self.cfg.wdm,
             self.cfg.max_hops,
             self.cfg.crossing_efficiency,
         )
-        .reach_under(self.fault_plan.efficiency_factor(now))
+        .reach_under(self.faults.efficiency_factor())
         .max(1)
     }
 
@@ -517,19 +527,21 @@ impl PhastlaneNetwork {
             EccOutcome::Corrected
         }
     }
-    /// Fault bookkeeping for this cycle: edge events, then the hop reach
-    /// under laser droop and the transient bit-error rate. Everything
-    /// collapses to the nominal values when no plan is installed, so an
-    /// empty plan is exactly zero-effect.
+    /// Fault bookkeeping for this cycle: the hop reach under laser droop
+    /// and the transient bit-error rate. On a fault edge the view is
+    /// rebuilt, the edge events emitted and the reach solved again; every
+    /// other cycle reuses them. Everything collapses to the nominal
+    /// values when no plan is installed, so an empty plan is exactly
+    /// zero-effect.
     fn fault_bookkeeping(&mut self, now: u64) -> (u32, f64) {
         if self.fault_plan.is_empty() {
             return (self.cfg.max_hops, 0.0);
         }
-        self.fault_plan.emit_edges(&mut self.obs, now);
-        (
-            self.effective_max_hops(now),
-            self.fault_plan.bit_error_rate(now),
-        )
+        if self.faults.advance(&self.fault_plan, self.cfg.mesh, now) {
+            self.fault_plan.emit_edges(&mut self.obs, now);
+            self.fault_hops = self.effective_max_hops();
+        }
+        (self.fault_hops, self.faults.bit_error_rate())
     }
 
     /// Confirms or reverts last cycle's launches. Busy routers that
@@ -713,25 +725,23 @@ impl PhastlaneNetwork {
         let mut out = xy_first_hop(mesh, here, first)
             .expect("buffered targets never equal the holding router");
         let mut waypoint: Option<NodeId> = None;
-        if faulted {
-            let stuck_here = self.fault_plan.router_stuck(now, here);
-            if stuck_here || self.fault_plan.blocked(now, mesh, here, out) {
-                // The preferred output is faulted. A unicast at a working
-                // router may detour through the other dimension if that
-                // makes real progress toward the destination; otherwise
-                // the entry backs off in place until the fault clears or
-                // the retry cap declares it undeliverable.
-                let unicast = !head.core.multicast && head.targets.len() == 1;
-                let detour = (!stuck_here && unicast)
-                    .then(|| productive_detour(&self.fault_plan, now, mesh, here, first))
-                    .flatten();
-                let Some((dir, corner)) = detour else {
-                    self.stall_or_give_up(here, qi, out, now);
-                    return HeadAction::Skipped;
-                };
-                out = dir;
-                waypoint = Some(corner);
-            }
+        // A stuck router blocks every hop out of it.
+        if faulted && self.faults.blocked(here, out) {
+            // The preferred output is faulted. A unicast at a working
+            // router may detour through the other dimension if that
+            // makes real progress toward the destination; otherwise the
+            // entry backs off in place until the fault clears or the
+            // retry cap declares it undeliverable.
+            let unicast = !head.core.multicast && head.targets.len() == 1;
+            let detour = (unicast && !self.faults.router_stuck(here))
+                .then(|| self.faults.productive_detour(mesh, here, first))
+                .flatten();
+            let Some((dir, corner)) = detour else {
+                self.stall_or_give_up(here, qi, out, now);
+                return HeadAction::Skipped;
+            };
+            out = dir;
+            waypoint = Some(corner);
         }
         if self.claims.contains(here, out) {
             return HeadAction::Skipped;
@@ -921,7 +931,7 @@ impl PhastlaneNetwork {
         now: u64,
     ) {
         let id = Some(self.flights[fi].core.id);
-        if !self.fault_plan.is_empty() && self.fault_plan.blocked(now, self.cfg.mesh, router, out) {
+        if !self.fault_plan.is_empty() && self.faults.blocked(router, out) {
             // The wavefront ran into a faulted link or stuck router
             // mid-flight: forced electrical fallback at this hop.
             self.ledger.stats.rerouted += 1;
@@ -1149,6 +1159,7 @@ impl Network for PhastlaneNetwork {
 
     fn set_fault_plan(&mut self, plan: FaultPlan, seed: u64) {
         self.fault_plan = plan;
+        self.faults.invalidate();
         self.fault_rng = SimRng::seed_from_u64(seed);
     }
 

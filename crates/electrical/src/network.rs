@@ -16,7 +16,7 @@
 //!
 //! | # | phase function | `Phase` mark |
 //! |---|---|---|
-//! | — | `FaultPlan::emit_edges` (fault edge events) | `Fault` |
+//! | — | the fault view, rebuilt at fault edges (edge events) | `Fault` |
 //! | 1 | `return_credits` | `Drain` |
 //! | 2 | `land_arrivals` | `Drain` |
 //! | 3 | `eject` (ejection bypass) | `Eject` |
@@ -42,8 +42,10 @@
 //! buffers are drained in place, switch allocation works on fixed
 //! arrays ([`crate::islip`]), and a tree branch's targets are
 //! `mask & region(here, out)` from the per-mesh table in
-//! [`crate::vctm::TreeRegions`]. Under a fault plan the blocked outputs
-//! of a router are evaluated once per cycle into a 4-bit mask.
+//! [`crate::vctm::TreeRegions`]. Under a fault plan every stuck-router
+//! and blocked-output lookup is a bit test in a [`FaultView`], rebuilt
+//! only on the cycle a fault starts or ends; a router's blocked outputs
+//! are one 4-bit mask of it.
 //!
 //! The visiting order is behaviour, not style: trace events, delivery
 //! order and the energy ledger's running `f64` sums all follow it, and
@@ -53,7 +55,7 @@ use crate::config::ElectricalConfig;
 use crate::islip::{first_from, Islip, MAX_PORTS};
 use crate::power::EnergyLedger;
 use crate::vctm::{mask_of, tree_fork, TargetMask, TreeRegions};
-use phastlane_netsim::fault::{productive_detour, FailedDelivery, FaultPlan};
+use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::set_bits;
@@ -210,9 +212,6 @@ pub struct ElectricalNetwork {
     /// in place every cycle, so their capacity is reused.
     incoming: Vec<Arrival>,
     credit_returns: Vec<CreditReturn>,
-    /// Under a fault plan: the blocked outputs of each busy router this
-    /// cycle, one bit per direction (written by phase 5, read by 6).
-    dead_outputs: Vec<u8>,
     /// VCTM subtree regions of this mesh.
     regions: TreeRegions,
     /// Packet ids, owed destination copies, deliveries, terminal
@@ -229,6 +228,11 @@ pub struct ElectricalNetwork {
     /// Scheduled device failures; the empty plan is zero-effect (every
     /// fault hook is gated on it).
     fault_plan: FaultPlan,
+    /// The plan's state this cycle, rebuilt at fault edges.
+    faults: FaultView,
+    /// The plan's state next cycle: a flit that crosses a link is routed
+    /// at its next router as of the cycle it lands there.
+    faults_next: FaultView,
 }
 
 /// How long a flit may sit unserviced before a fault plan declares its
@@ -269,7 +273,6 @@ impl ElectricalNetwork {
             // At most one flit leaves per directed link and cycle.
             incoming: Vec::with_capacity(4 * nodes),
             credit_returns: Vec::with_capacity(4 * nodes),
-            dead_outputs: vec![0; nodes],
             regions: TreeRegions::new(mesh),
             ledger: DeliveryLedger::new(),
             warm_trees: vec![false; nodes],
@@ -278,6 +281,8 @@ impl ElectricalNetwork {
             obs: Obs::off(),
             profiler: PhaseProfiler::off(),
             fault_plan: FaultPlan::new(),
+            faults: FaultView::default(),
+            faults_next: FaultView::default(),
             cfg,
             cycle: 0,
         }
@@ -319,20 +324,21 @@ impl ElectricalNetwork {
             Route::Unicast(dest) if dest == at => true,
             Route::Unicast(dest) => {
                 let mut out = xy_first_hop(mesh, at, dest).expect("dest != at");
-                if !self.fault_plan.is_empty() && self.fault_plan.blocked(now, mesh, at, out) {
-                    // Dead preferred link: detour through the other
-                    // dimension when that still makes progress toward
-                    // the destination. (When it does not, the branch
-                    // keeps its dead output; the VC allocator will
-                    // never grant it and the stall-abandon guard
-                    // eventually declares the target undeliverable.)
-                    if let Some((dir, _)) = productive_detour(&self.fault_plan, now, mesh, at, dest)
-                    {
-                        out = dir;
-                        self.ledger.stats.rerouted += 1;
-                        self.obs
-                            .emit(now, EventKind::FaultReroute, at, Some(dir), Some(core.id));
-                    }
+                // Dead preferred link: detour through the other dimension
+                // when that still makes progress toward the destination.
+                // (When it does not, the branch keeps its dead output; the
+                // VC allocator will never grant it and the stall-abandon
+                // guard eventually declares the target undeliverable.)
+                let detour = if self.fault_plan.is_empty() {
+                    None
+                } else {
+                    self.fault_detour(at, out, dest, now)
+                };
+                if let Some(dir) = detour {
+                    out = dir;
+                    self.ledger.stats.rerouted += 1;
+                    self.obs
+                        .emit(now, EventKind::FaultReroute, at, Some(dir), Some(core.id));
                 }
                 flit.push_branch(out);
                 false
@@ -347,6 +353,29 @@ impl ElectricalNetwork {
         };
         flit.eject_at = eject.then_some(now + 1);
         flit
+    }
+
+    /// The detour of a unicast for `dest` whose first hop `out` of `at`
+    /// is blocked as of cycle `now`, if a productive one is live. A flit
+    /// that crosses a link is routed at its next router as of the next
+    /// cycle, so `now` is this cycle or the next.
+    fn fault_detour(
+        &self,
+        at: NodeId,
+        out: Direction,
+        dest: NodeId,
+        now: u64,
+    ) -> Option<Direction> {
+        let faults = if now == self.cycle {
+            &self.faults
+        } else {
+            &self.faults_next
+        };
+        if !faults.blocked(at, out) {
+            return None;
+        }
+        let (dir, _) = faults.productive_detour(self.cfg.mesh, at, dest)?;
+        Some(dir)
     }
 
     /// The routing state carried by the flit copy that leaves router
@@ -412,7 +441,7 @@ impl ElectricalNetwork {
                 continue;
             }
             let here = NodeId(r_idx as u16);
-            if faulted && self.fault_plan.router_stuck(now, here) {
+            if faulted && self.faults.router_stuck(here) {
                 continue; // a stuck router cannot even eject
             }
             for port in 0..5 {
@@ -443,7 +472,7 @@ impl ElectricalNetwork {
             if self.nics[r_idx].is_empty() {
                 continue;
             }
-            if faulted && self.fault_plan.router_stuck(now, here) {
+            if faulted && self.faults.router_stuck(here) {
                 self.age_out_nic(here, now);
                 continue;
             }
@@ -486,32 +515,34 @@ impl ElectricalNetwork {
     }
 
     /// Phase 5: VC allocation at every live output of every busy router.
-    fn allocate_vcs(&mut self, now: u64, faulted: bool) {
-        let mesh = self.cfg.mesh;
+    fn allocate_vcs(&mut self, now: u64) {
         let mut arb_work = 0u64;
         for r_idx in 0..self.routers.len() {
             if self.routers[r_idx].is_idle() {
                 continue;
             }
-            let here = NodeId(r_idx as u16);
-            if faulted {
-                // Once per router and cycle, for this phase and the next.
-                self.dead_outputs[r_idx] = Direction::ALL
-                    .iter()
-                    .filter(|&&dir| self.fault_plan.blocked(now, mesh, here, dir))
-                    .fold(0, |dead, &dir| dead | 1 << dir as usize);
-            }
+            let dead = self.dead_outputs(r_idx);
             let requesters = self.vc_requesters(r_idx, now);
             for dir in Direction::ALL {
                 let d = dir as usize;
                 // Never grant VCs across a faulted link; the edge of the
                 // mesh has no credits to grant.
-                if requesters[d] != 0 && self.dead_outputs[r_idx] >> d & 1 == 0 {
+                if requesters[d] != 0 && dead >> d & 1 == 0 {
                     arb_work += self.allocate_output_vcs(r_idx, dir, requesters[d]);
                 }
             }
         }
         self.profiler.add_work(Phase::Arbitrate, arb_work);
+    }
+
+    /// The blocked outputs of router `r_idx` this cycle, one bit per
+    /// direction (none without a fault plan).
+    fn dead_outputs(&self, r_idx: usize) -> u8 {
+        if self.fault_plan.is_empty() {
+            0
+        } else {
+            self.faults.blocked_outputs(NodeId(r_idx as u16))
+        }
     }
 
     /// The VC requesters of router `r_idx`, per output: bit
@@ -573,7 +604,7 @@ impl ElectricalNetwork {
                 continue;
             }
             let here = NodeId(r_idx as u16);
-            if faulted && self.fault_plan.router_stuck(now, here) {
+            if faulted && self.faults.router_stuck(here) {
                 continue; // nothing moves through a stuck router
             }
             self.traverse_router(here, now);
@@ -590,7 +621,7 @@ impl ElectricalNetwork {
     /// across a now-dead link wait.
     fn switch_requests(&self, r_idx: usize, now: u64) -> ([u8; 5], [[usize; 4]; 5]) {
         let router = &self.routers[r_idx];
-        let live = !self.dead_outputs[r_idx];
+        let live = !self.dead_outputs(r_idx);
         let mut requests = [0u8; 5];
         let mut candidate = [[0usize; 4]; 5];
         for (port, &occupied) in router.occupied.iter().enumerate() {
@@ -797,7 +828,11 @@ impl Network for ElectricalNetwork {
         // Every fault hook is gated on this, so no plan is zero-effect.
         let faulted = !self.fault_plan.is_empty();
         if faulted {
-            self.fault_plan.emit_edges(&mut self.obs, now);
+            let mesh = self.cfg.mesh;
+            if self.faults.advance(&self.fault_plan, mesh, now) {
+                self.fault_plan.emit_edges(&mut self.obs, now);
+            }
+            self.faults_next.advance(&self.fault_plan, mesh, now + 1);
         }
         self.profiler.mark(Phase::Fault);
         self.return_credits();
@@ -807,7 +842,7 @@ impl Network for ElectricalNetwork {
         self.profiler.mark(Phase::Eject);
         self.inject_from_nics(now, faulted);
         self.profiler.mark(Phase::Route);
-        self.allocate_vcs(now, faulted);
+        self.allocate_vcs(now);
         self.profiler.mark(Phase::Arbitrate);
         self.switch_and_traverse(now, faulted);
         self.profiler.mark(Phase::Traverse);
@@ -830,7 +865,8 @@ impl Network for ElectricalNetwork {
         // router faults mask deterministically, and the optical-only
         // droop/bit-error faults do not apply here.
         self.fault_plan = plan;
-        self.dead_outputs.fill(0);
+        self.faults.invalidate();
+        self.faults_next.invalidate();
     }
 
     fn drain_failures(&mut self) -> Vec<FailedDelivery> {

@@ -12,8 +12,10 @@
 //! cycle window (`start`, optional `duration`; `None` means permanent).
 //! Plans are deterministic by construction: they are either parsed from a
 //! text file ([`FaultPlan::parse`]) or generated from a seed
-//! ([`FaultPlan::random`]), and the networks query them with pure
-//! functions of the cycle counter. An **empty plan is guaranteed
+//! ([`FaultPlan::random`]). The networks query a plan through a
+//! [`FaultView`]: its answers for the current window of cycles in which
+//! no fault starts or ends, rebuilt only at those edges, so a hot-loop
+//! lookup is a bit test instead of a scan. An **empty plan is guaranteed
 //! zero-effect**: every network fault hook is gated on
 //! [`FaultPlan::is_empty`] and faulty-path randomness comes from a
 //! dedicated RNG stream, so seeded runs without faults stay byte-identical
@@ -147,58 +149,6 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Whether the directed link `node -> dir` is dead at `cycle`.
-    pub fn link_down(&self, cycle: u64, node: NodeId, dir: Direction) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f.kind, FaultKind::LinkDown { node: n, dir: d } if n == node && d == dir)
-                && f.active_at(cycle)
-        })
-    }
-
-    /// Whether the router at `node` is stuck at `cycle`.
-    pub fn router_stuck(&self, cycle: u64, node: NodeId) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f.kind, FaultKind::RouterStuck { node: n } if n == node) && f.active_at(cycle)
-        })
-    }
-
-    /// Whether the hop out of `from` toward `dir` is unusable at `cycle`:
-    /// the link is dead, either endpoint router is stuck, or the hop
-    /// leaves the mesh.
-    pub fn blocked(&self, cycle: u64, mesh: Mesh, from: NodeId, dir: Direction) -> bool {
-        let Some(next) = mesh.neighbor(from, dir) else {
-            return true;
-        };
-        self.link_down(cycle, from, dir)
-            || self.router_stuck(cycle, from)
-            || self.router_stuck(cycle, next)
-    }
-
-    /// Product of all active laser-droop factors at `cycle` (1.0 when no
-    /// droop is active).
-    pub fn efficiency_factor(&self, cycle: u64) -> f64 {
-        self.faults
-            .iter()
-            .filter(|f| f.active_at(cycle))
-            .filter_map(|f| match f.kind {
-                FaultKind::LaserDroop { factor } => Some(factor),
-                _ => None,
-            })
-            .product()
-    }
-
-    /// The largest active bit-error rate at `cycle` (0.0 when none).
-    pub fn bit_error_rate(&self, cycle: u64) -> f64 {
-        self.faults
-            .iter()
-            .filter(|f| f.active_at(cycle))
-            .filter_map(|f| match f.kind {
-                FaultKind::BitError { rate } => Some(rate),
-                _ => None,
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Faults whose state toggles exactly at `cycle`: `(fault, true)` on
     /// injection, `(fault, false)` on clearing. Used for trace events.
     pub fn edges_at(&self, cycle: u64) -> impl Iterator<Item = (&Fault, bool)> {
@@ -239,7 +189,8 @@ impl FaultPlan {
     /// biterr 0.001               # 0.1% per-delivery bit-error rate
     /// ```
     ///
-    /// `@start` defaults to 0 and `+duration` to permanent. A `droop`
+    /// `@start` defaults to 0 and `+duration` to permanent; a duration
+    /// is at least 1 cycle. A `droop`
     /// factor must lie in (0, 1] and a `biterr` rate in [0, 1].
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
@@ -256,7 +207,10 @@ impl FaultPlan {
                 if let Some(s) = tok.strip_prefix('@') {
                     start = s.parse().map_err(|_| err("bad @start"))?;
                 } else if let Some(d) = tok.strip_prefix('+') {
-                    duration = Some(d.parse().map_err(|_| err("bad +duration"))?);
+                    // A `+0` window is never active, yet its start would
+                    // still trace an injection that nothing clears.
+                    let d = d.parse().ok().filter(|&d: &u64| d > 0);
+                    duration = Some(d.ok_or_else(|| err("bad +duration, want at least 1"))?);
                 } else {
                     words.push(tok);
                 }
@@ -363,6 +317,74 @@ impl FaultPlan {
     }
 }
 
+/// The linear scans of the plan's fault list that [`FaultView`] replaces:
+/// the reference its tests hold every view answer to.
+#[cfg(test)]
+impl FaultPlan {
+    /// Whether the directed link `node -> dir` is dead at `cycle`.
+    fn link_down(&self, cycle: u64, node: NodeId, dir: Direction) -> bool {
+        self.faults.iter().any(|f| {
+            matches!(f.kind, FaultKind::LinkDown { node: n, dir: d } if n == node && d == dir)
+                && f.active_at(cycle)
+        })
+    }
+
+    /// Whether the router at `node` is stuck at `cycle`.
+    fn router_stuck(&self, cycle: u64, node: NodeId) -> bool {
+        self.faults.iter().any(|f| {
+            matches!(f.kind, FaultKind::RouterStuck { node: n } if n == node) && f.active_at(cycle)
+        })
+    }
+
+    /// Whether the hop out of `from` toward `dir` is unusable at `cycle`:
+    /// the link is dead, either endpoint router is stuck, or the hop
+    /// leaves the mesh.
+    fn blocked(&self, cycle: u64, mesh: Mesh, from: NodeId, dir: Direction) -> bool {
+        let Some(next) = mesh.neighbor(from, dir) else {
+            return true;
+        };
+        self.link_down(cycle, from, dir)
+            || self.router_stuck(cycle, from)
+            || self.router_stuck(cycle, next)
+    }
+
+    /// Product of all active laser-droop factors at `cycle` (1.0 when no
+    /// droop is active).
+    fn efficiency_factor(&self, cycle: u64) -> f64 {
+        self.faults
+            .iter()
+            .filter(|f| f.active_at(cycle))
+            .filter_map(|f| match f.kind {
+                FaultKind::LaserDroop { factor } => Some(factor),
+                _ => None,
+            })
+            .product()
+    }
+
+    /// The largest active bit-error rate at `cycle` (0.0 when none).
+    fn bit_error_rate(&self, cycle: u64) -> f64 {
+        self.faults
+            .iter()
+            .filter(|f| f.active_at(cycle))
+            .filter_map(|f| match f.kind {
+                FaultKind::BitError { rate } => Some(rate),
+                _ => None,
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// [`FaultView::productive_detour`] at `cycle`, by scanning.
+    fn productive_detour(
+        &self,
+        cycle: u64,
+        mesh: Mesh,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<(Direction, NodeId)> {
+        detour_candidate(mesh, from, to).filter(|&(dir, _)| !self.blocked(cycle, mesh, from, dir))
+    }
+}
+
 /// A packet destination the network gave up on: the retry cap (or
 /// livelock guard) fired and the packet is terminally `Undeliverable`.
 ///
@@ -381,22 +403,11 @@ pub struct FailedDelivery {
     pub cycle: u64,
 }
 
-/// Picks a productive detour for a unicast whose XY first hop out of
+/// The productive detour for a unicast whose XY first hop out of
 /// `from` toward `to` is faulted: route the *other* dimension first (YX
-/// for this packet) via the corner waypoint `(from.x, to.y)`.
-///
-/// Returns `(first_hop, corner)` when such a detour exists and its first
-/// hop is live, `None` otherwise (single productive dimension, or the
-/// detour hop is also faulted). Restricting detours to productive
-/// directions keeps every launch strictly decreasing the Manhattan
-/// distance, so fault rerouting can never livelock.
-pub fn productive_detour(
-    plan: &FaultPlan,
-    cycle: u64,
-    mesh: Mesh,
-    from: NodeId,
-    to: NodeId,
-) -> Option<(Direction, NodeId)> {
+/// for this packet) via the corner waypoint `(from.x, to.y)`. `None`
+/// when only one dimension is productive.
+fn detour_candidate(mesh: Mesh, from: NodeId, to: NodeId) -> Option<(Direction, NodeId)> {
     let (a, b) = (mesh.coord(from), mesh.coord(to));
     if a.x == b.x || a.y == b.y {
         return None;
@@ -407,7 +418,165 @@ pub fn productive_detour(
     } else {
         Direction::North
     };
-    (!plan.blocked(cycle, mesh, from, dir)).then_some((dir, corner))
+    Some((dir, corner))
+}
+
+/// Bit 4 of a [`FaultView`] router entry: the router is stuck.
+const STUCK: u8 = 1 << 4;
+
+/// A [`FaultPlan`]'s answers over one window of cycles in which no fault
+/// starts or ends, so every lookup in a network's hot loop is O(1)
+/// instead of a scan of the fault list.
+///
+/// A network advances its view every faulted cycle; [`advance`] rebuilds
+/// it, in O(nodes + faults), only on the cycle of a fault edge (or the
+/// first faulted cycle). Those are the only cycles on which the plan's
+/// answers can change, so every answer equals a scan of the plan's fault
+/// list at the same cycle (the module's tests hold it to one).
+///
+/// [`advance`]: FaultView::advance
+#[derive(Debug)]
+pub struct FaultView {
+    /// Per router: bit `d` set when the hop toward `Direction::ALL[d]` is
+    /// blocked (dead link, stuck endpoint or off-mesh), [`STUCK`] when
+    /// the router itself is stuck. Empty until the first build.
+    routers: Vec<u8>,
+    /// Product of the active laser-droop factors (1.0 when none).
+    efficiency_factor: f64,
+    /// The largest active bit-error rate (0.0 when none).
+    bit_error_rate: f64,
+    /// The next cycle at which any fault starts or ends; the view holds
+    /// for every cycle before it.
+    valid_until: u64,
+}
+
+impl Default for FaultView {
+    /// An unbuilt view: the first [`advance`](FaultView::advance) builds.
+    fn default() -> FaultView {
+        FaultView {
+            routers: Vec::new(),
+            efficiency_factor: 1.0,
+            bit_error_rate: 0.0,
+            valid_until: 0,
+        }
+    }
+}
+
+impl FaultView {
+    /// Brings the view to cycle `now` of `plan` on `mesh`: rebuilds it
+    /// when `now` has reached [`valid_until`](FaultView::valid_until)
+    /// and answers whether it did. Cycles must not run backwards between
+    /// rebuilds; [`invalidate`](FaultView::invalidate) on a new plan.
+    pub fn advance(&mut self, plan: &FaultPlan, mesh: Mesh, now: u64) -> bool {
+        if now < self.valid_until {
+            return false;
+        }
+        let nodes = mesh.nodes();
+        self.routers.clear();
+        self.routers.resize(nodes, 0);
+        self.efficiency_factor = 1.0;
+        self.bit_error_rate = 0.0;
+        self.valid_until = u64::MAX;
+        for f in &plan.faults {
+            let end = f.duration.map(|d| f.start.saturating_add(d));
+            for edge in std::iter::once(f.start).chain(end) {
+                if edge > now {
+                    self.valid_until = self.valid_until.min(edge);
+                }
+            }
+            if !f.active_at(now) {
+                continue;
+            }
+            // Product and max in list order, as the scans fold them.
+            match f.kind {
+                FaultKind::LinkDown { node, dir } if node.index() < nodes => {
+                    self.routers[node.index()] |= 1 << dir as usize;
+                }
+                FaultKind::RouterStuck { node } if node.index() < nodes => {
+                    self.routers[node.index()] |= STUCK;
+                }
+                FaultKind::LaserDroop { factor } => self.efficiency_factor *= factor,
+                FaultKind::BitError { rate } => {
+                    self.bit_error_rate = self.bit_error_rate.max(rate);
+                }
+                // Faults anchored off the mesh block nothing on it.
+                FaultKind::LinkDown { .. } | FaultKind::RouterStuck { .. } => {}
+            }
+        }
+        for node in mesh.iter_nodes() {
+            let here = self.routers[node.index()];
+            for dir in Direction::ALL {
+                let blocked = mesh
+                    .neighbor(node, dir)
+                    .is_none_or(|next| (here | self.routers[next.index()]) & STUCK != 0);
+                if blocked {
+                    self.routers[node.index()] |= 1 << dir as usize;
+                }
+            }
+        }
+        true
+    }
+
+    /// Forgets the view, so the next [`advance`](FaultView::advance)
+    /// rebuilds it (a new plan was installed).
+    pub fn invalidate(&mut self) {
+        self.valid_until = 0;
+    }
+
+    /// The next cycle at which any fault starts or ends (`u64::MAX` when
+    /// none does): the view holds strictly before it.
+    pub fn valid_until(&self) -> u64 {
+        self.valid_until
+    }
+
+    /// Whether the router at `node` is stuck.
+    #[inline]
+    pub fn router_stuck(&self, node: NodeId) -> bool {
+        self.routers[node.index()] & STUCK != 0
+    }
+
+    /// Whether the hop out of `from` toward `dir` is unusable: the link
+    /// is dead, either endpoint router is stuck, or the hop leaves the
+    /// mesh.
+    #[inline]
+    pub fn blocked(&self, from: NodeId, dir: Direction) -> bool {
+        self.routers[from.index()] >> dir as usize & 1 != 0
+    }
+
+    /// The blocked hops out of `node`, bit `d` for `Direction::ALL[d]`.
+    #[inline]
+    pub fn blocked_outputs(&self, node: NodeId) -> u8 {
+        self.routers[node.index()] & !STUCK
+    }
+
+    /// Picks a productive detour for a unicast whose XY first hop out of
+    /// `from` toward `to` is faulted: route the *other* dimension first
+    /// (YX for this packet) via the corner waypoint `(from.x, to.y)`.
+    ///
+    /// Returns `(first_hop, corner)` when such a detour exists and its
+    /// first hop is live, `None` otherwise (single productive dimension,
+    /// or the detour hop is also faulted). Restricting detours to
+    /// productive directions keeps every launch strictly decreasing the
+    /// Manhattan distance, so fault rerouting can never livelock.
+    pub fn productive_detour(
+        &self,
+        mesh: Mesh,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<(Direction, NodeId)> {
+        detour_candidate(mesh, from, to).filter(|&(dir, _)| !self.blocked(from, dir))
+    }
+
+    /// Product of the active laser-droop factors (1.0 when none): the
+    /// factor the optical hop reach is solved under.
+    pub fn efficiency_factor(&self) -> f64 {
+        self.efficiency_factor
+    }
+
+    /// The largest active bit-error rate (0.0 when none).
+    pub fn bit_error_rate(&self) -> f64 {
+        self.bit_error_rate
+    }
 }
 
 fn parse_direction(s: &str) -> Option<Direction> {
@@ -450,6 +619,9 @@ mod tests {
         let plan = FaultPlan::new();
         let mesh = Mesh::new(4, 4);
         assert!(plan.is_empty());
+        let view = view_at(&plan, mesh, 0);
+        assert!(!view.blocked(NodeId(5), Direction::East));
+        assert_eq!(view.valid_until(), u64::MAX);
         assert!(!plan.link_down(0, NodeId(0), Direction::East));
         assert!(!plan.router_stuck(0, NodeId(0)));
         assert!(!plan.blocked(0, mesh, NodeId(0), Direction::East));
@@ -548,7 +720,7 @@ biterr 0.001
     fn parse_errors_name_the_line_and_the_problem() {
         // Every malformed token class produces a clear, located error —
         // a fat-fingered plan file must never panic or half-apply.
-        let cases: [(&str, &str); 17] = [
+        let cases: [(&str, &str); 18] = [
             ("router nX", "bad node"),
             ("router n-1", "bad node"),
             ("link n3 sideways", "bad direction"),
@@ -565,6 +737,8 @@ biterr 0.001
             ("biterr NaN", "bad rate"),
             ("biterr inf", "bad rate"),
             ("router n3 +forever", "bad +duration"),
+            // Never active, yet its start would trace an injection.
+            ("link n3 east @100 +0", "bad +duration, want at least 1"),
             ("droop", "expected link/router/droop/biterr"),
         ];
         for (text, want) in cases {
@@ -611,16 +785,135 @@ biterr 0.001
             dir: Direction::East,
         }));
         // 0 -> 5 (one east, one south): detour south via corner node 4.
-        let (dir, corner) = productive_detour(&plan, 0, mesh, NodeId(0), NodeId(5)).unwrap();
+        let view = view_at(&plan, mesh, 0);
+        let (dir, corner) = view.productive_detour(mesh, NodeId(0), NodeId(5)).unwrap();
         assert_eq!(dir, Direction::South);
         assert_eq!(corner, NodeId(4));
         // 0 -> 1 shares the row: no productive alternative.
-        assert!(productive_detour(&plan, 0, mesh, NodeId(0), NodeId(1)).is_none());
+        assert!(view.productive_detour(mesh, NodeId(0), NodeId(1)).is_none());
         // Detour dimension also dead: stuck.
         plan.push(Fault::permanent(FaultKind::LinkDown {
             node: NodeId(0),
             dir: Direction::South,
         }));
-        assert!(productive_detour(&plan, 0, mesh, NodeId(0), NodeId(5)).is_none());
+        let view = view_at(&plan, mesh, 0);
+        assert!(view.productive_detour(mesh, NodeId(0), NodeId(5)).is_none());
+    }
+
+    fn view_at(plan: &FaultPlan, mesh: Mesh, cycle: u64) -> FaultView {
+        let mut view = FaultView::default();
+        assert!(view.advance(plan, mesh, cycle), "an unbuilt view builds");
+        view
+    }
+
+    /// `random`'s permanent faults plus four transient windows (a dead
+    /// link, a clearing stuck router, a bit-error burst and a droop), as
+    /// the faulted step digests run them.
+    fn with_transients(mut plan: FaultPlan, mesh: Mesh) -> FaultPlan {
+        let late = NodeId(mesh.nodes() as u16 - 2);
+        for (kind, start, duration) in [
+            (
+                FaultKind::LinkDown {
+                    node: NodeId(1),
+                    dir: Direction::East,
+                },
+                40,
+                60,
+            ),
+            (FaultKind::RouterStuck { node: late }, 60, 50),
+            (FaultKind::BitError { rate: 0.2 }, 30, 80),
+            (FaultKind::LaserDroop { factor: 0.9 }, 100, 40),
+        ] {
+            plan.push(Fault::transient(kind, start, duration));
+        }
+        plan
+    }
+
+    /// Walks a view through every cycle from 0 to past `plan`'s last
+    /// edge and holds each answer to the linear scans at that cycle. The
+    /// view is rebuilt only on edge cycles, so equal answers at every
+    /// cycle also mean no scan answer changes strictly inside a window.
+    fn assert_view_matches_scans(plan: &FaultPlan, mesh: Mesh) {
+        use phastlane_photonics::power::PowerPoint;
+        use phastlane_photonics::wdm::WdmConfig;
+        // The optical hop reach under droop for the 4-, 5- and 8-hop designs.
+        let reach = |factor: f64| {
+            [4, 5, 8].map(|hops| PowerPoint::new(WdmConfig::PAPER, hops, 0.98).reach_under(factor))
+        };
+        let last_edge = plan
+            .faults()
+            .iter()
+            .map(|f| {
+                f.start
+                    .max(f.duration.map_or(0, |d| f.start.saturating_add(d)))
+            })
+            .max()
+            .unwrap_or(0);
+        let mut view = FaultView::default();
+        for t in 0..=last_edge + 2 {
+            let rebuilt = view.advance(plan, mesh, t);
+            let edge = plan.edges_at(t).next().is_some();
+            assert!(
+                t == 0 || rebuilt == edge,
+                "cycle {t}: rebuilt {rebuilt}, edge {edge}"
+            );
+            assert!(view.valid_until() > t);
+            for node in mesh.iter_nodes() {
+                assert_eq!(
+                    view.router_stuck(node),
+                    plan.router_stuck(t, node),
+                    "{node} @{t}"
+                );
+                let mut outs = 0;
+                for dir in Direction::ALL {
+                    let blocked = plan.blocked(t, mesh, node, dir);
+                    assert_eq!(view.blocked(node, dir), blocked, "{node} {dir:?} @{t}");
+                    outs |= u8::from(blocked) << dir as usize;
+                }
+                assert_eq!(view.blocked_outputs(node), outs, "{node} @{t}");
+                for to in mesh.iter_nodes() {
+                    assert_eq!(
+                        view.productive_detour(mesh, node, to),
+                        plan.productive_detour(t, mesh, node, to),
+                        "{node} -> {to} @{t}"
+                    );
+                }
+            }
+            let factor = plan.efficiency_factor(t);
+            assert_eq!(view.efficiency_factor().to_bits(), factor.to_bits(), "@{t}");
+            assert_eq!(reach(view.efficiency_factor()), reach(factor), "@{t}");
+            assert_eq!(
+                view.bit_error_rate().to_bits(),
+                plan.bit_error_rate(t).to_bits()
+            );
+        }
+        assert_eq!(view.valid_until(), u64::MAX, "no edge after the last");
+    }
+
+    #[test]
+    fn view_answers_as_the_scans_do_at_every_cycle() {
+        for mesh in [Mesh::new(8, 8), Mesh::new(8, 4), Mesh::new(5, 3)] {
+            for intensity in [0.05, 0.15, 0.3] {
+                let plan = FaultPlan::random(mesh, 2009, intensity);
+                assert_view_matches_scans(&plan, mesh);
+                assert_view_matches_scans(&with_transients(plan, mesh), mesh);
+            }
+        }
+        // Overlapping windows of one kind, late starts, a fault anchored
+        // off the 8x4 mesh, and edges on adjacent cycles.
+        let plan = FaultPlan::parse(
+            "link n3 east @10 +20\n\
+             router n4 @15 +10\n\
+             router n4 @20 +30\n\
+             router n99 @8 +4\n\
+             droop 0.9 @5 +40\n\
+             droop 0.8 @25 +10\n\
+             biterr 0.01 @12\n\
+             biterr 0.2 @18 +4\n\
+             link n2 south @30\n\
+             router n9 @31 +1\n",
+        )
+        .unwrap();
+        assert_view_matches_scans(&plan, Mesh::new(8, 4));
     }
 }

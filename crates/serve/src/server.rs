@@ -761,6 +761,16 @@ mod tests {
             let text = String::from_utf8(body).unwrap();
             assert!(text.contains(line) && text.contains(needle), "{text}");
         }
+        // Preflight refuses what the job would panic on: an electrical
+        // replay on more nodes than a VCTM multicast mask names.
+        let spec = b"mesh 32x32\nnets electrical3\nbenchmarks FFT\n";
+        let (status, body) = client::request(&addr, "POST", "/jobs", Some(spec)).unwrap();
+        assert_eq!(status, 400);
+        let text = String::from_utf8(body).unwrap();
+        assert!(
+            text.contains("preflight") && text.contains("VCTM"),
+            "{text}"
+        );
         handle.join();
     }
 
