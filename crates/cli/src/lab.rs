@@ -184,10 +184,10 @@ fn execute(p: &Parsed, spec: &LabSpec) -> Result<(LabReport, String), ArgError> 
     out.push_str(&resume_note);
     out.push_str(&job_table(&report));
     out.push_str(&format!(
-        "wall: {:.3} s  serial est: {:.3} s  speedup: {:.2}x  {:.0} cycles/s\n",
+        "wall: {:.3} s  job wall sum: {:.3} s  concurrency: {:.2}  {:.0} cycles/s\n",
         report.wall_seconds,
         report.serial_wall_seconds(),
-        report.speedup(),
+        report.concurrency(),
         report.cycles_per_sec(),
     ));
     if let Some(b) = report.merged_phases() {
@@ -358,12 +358,12 @@ mod tests {
         ]))
         .expect("runs");
         assert!(out.contains("2 jobs on 2 workers"), "{out}");
-        assert!(out.contains("speedup"), "{out}");
+        assert!(out.contains("concurrency"), "{out}");
         let text = std::fs::read_to_string(&report).unwrap();
         assert!(text.contains("\"jobs\""));
         assert!(!text.contains("wall"), "canonical export leaks wall clock");
         let perf_text = std::fs::read_to_string(&perf).unwrap();
-        assert!(perf_text.contains("speedup"));
+        assert!(perf_text.contains("concurrency"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

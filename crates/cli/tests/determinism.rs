@@ -169,7 +169,10 @@ fn run_lab_once(dir: &std::path::Path, spec_path: &str, workers: usize) -> Vec<u
     .map(|s| s.to_string())
     .collect();
     let out = dispatch(&parse(&args)).expect("lab run succeeds");
-    assert!(out.contains("speedup"), "lab output reports perf: {out}");
+    assert!(
+        out.contains("concurrency"),
+        "lab output reports perf: {out}"
+    );
     std::fs::read(&report).expect("report file written")
 }
 

@@ -33,11 +33,25 @@
 //!
 //! Flits are `Copy` values (branches inline, at most one per output) in
 //! one flat slot array, `(router * 5 + port) * V + vc`. Beside it each
-//! router keeps a `u16` occupancy mask per input port and a `u16` credit
-//! mask per output direction, so eject, VC allocation, switch-candidate
-//! selection and recycling walk set bits in ascending (router, port, vc)
-//! order instead of every slot, and the two round-robin pointers
-//! (`va_ptr`, `vc_sel`) are mask rotations. A steady-state `step`
+//! router keeps a `u16` occupancy mask per input port, a `u16` credit
+//! mask per output direction, and four readiness masks that say which
+//! flits have work in which phase: `eject_due` (a local delivery owed),
+//! `want_vc` (eligible branches waiting for a downstream VC, one `u128`
+//! per output), `has_vc` (granted branches that have not crossed) and
+//! `touched` (ejected or crossed this cycle, so possibly finished). They
+//! change only where a flit's state does: placement, ejection, a VC
+//! grant, a crossing and a free. A flit still in the router pipeline
+//! waits on a per-router eligibility wheel, bucket
+//! `eligible_at & wheel_mask`, sized so no two pending cycles share a
+//! bucket; VC allocation first moves the current bucket into `want_vc`.
+//! So eject, VC allocation, switch-candidate selection and recycling
+//! walk the set bits of pending work in ascending (router, port, vc)
+//! order, never every resident flit (under a fault plan recycling
+//! walks every occupied VC, as any flit may be stall-abandoned), and the
+//! two round-robin pointers (`va_ptr`, `vc_sel`) are mask rotations.
+//! Debug builds check each busy router's masks against a scan of its VCs
+//! once per cycle, and credit conservation on every link at the end of
+//! every cycle. A steady-state `step`
 //! allocates nothing (`tests/zero_alloc.rs`): the link and credit
 //! buffers are drained in place, switch allocation works on fixed
 //! arrays ([`crate::islip`]), and a tree branch's targets are
@@ -148,6 +162,17 @@ impl Flit {
 struct Router {
     /// `occupied[port]`: the VCs of input `port` holding a flit.
     occupied: [u16; 5],
+    /// `want_vc[dir]`: eligible flits with a branch to `dir` still
+    /// waiting for a downstream VC, bit `port * MAX_VCS + vc`.
+    want_vc: [u128; 4],
+    /// `has_vc[port][dir]`: the VCs whose branch to `dir` holds a
+    /// downstream VC and has not crossed.
+    has_vc: [[u16; 4]; 5],
+    /// `eject_due[port]`: the VCs whose flit owes a local delivery.
+    eject_due: [u16; 5],
+    /// `touched[port]`: the VCs whose flit ejected or crossed this
+    /// cycle, the only ones that can have finished.
+    touched: [u16; 5],
     /// `credits[dir]`: the free VCs of the downstream input port.
     credits: [u16; 4],
     /// VC-allocator rotation per output direction: the first requester
@@ -166,6 +191,10 @@ impl Router {
         let neighbors = Direction::ALL.map(|dir| mesh.neighbor(here, dir));
         Router {
             occupied: [0; 5],
+            want_vc: [0; 4],
+            has_vc: [[0; 4]; 5],
+            eject_due: [0; 5],
+            touched: [0; 5],
             credits: neighbors.map(|n| if n.is_some() { vc_mask } else { 0 }),
             va_ptr: [0; 4],
             sa: Islip::new(5, 4),
@@ -177,6 +206,21 @@ impl Router {
     /// Idle routers skip every phase.
     fn is_idle(&self) -> bool {
         self.occupied == [0; 5]
+    }
+
+    /// Empties VC `vc` of input `port`: every mask forgets it.
+    fn release(&mut self, port: usize, vc: usize) {
+        let keep = !(1u16 << vc);
+        self.occupied[port] &= keep;
+        self.eject_due[port] &= keep;
+        self.touched[port] &= keep;
+        for has in &mut self.has_vc[port] {
+            *has &= keep;
+        }
+        let keep_want = !(1u128 << (port * MAX_VCS + vc));
+        for want in &mut self.want_vc {
+            *want &= keep_want;
+        }
     }
 }
 
@@ -207,6 +251,12 @@ pub struct ElectricalNetwork {
     /// `Router::occupied` says which hold a flit, so no phase scans the
     /// empty ones.
     slots: Vec<Option<Flit>>,
+    /// The eligibility wheel: flits with branches still in the router
+    /// pipeline, one bit per VC in `wheel[bucket(router, eligible_at)][port]`
+    /// (`wheel_mask + 1` buckets per router). `allocate_vcs` promotes
+    /// the current bucket into `Router::want_vc`.
+    wheel: Vec<[u16; 5]>,
+    wheel_mask: u64,
     nics: Vec<Nic<(PacketOrigin, Route)>>,
     /// Link arrivals and upstream credits of the previous cycle; drained
     /// in place every cycle, so their capacity is reused.
@@ -233,6 +283,9 @@ pub struct ElectricalNetwork {
     /// The plan's state next cycle: a flit that crosses a link is routed
     /// at its next router as of the cycle it lands there.
     faults_next: FaultView,
+    /// Debug builds: one counter per directed link for the credit
+    /// conservation check (empty in release).
+    credit_audit: Vec<usize>,
 }
 
 /// How long a flit may sit unserviced before a fault plan declares its
@@ -266,9 +319,15 @@ impl ElectricalNetwork {
             .collect();
         let nics = (0..nodes).map(|_| Nic::new(NIC_ENTRIES)).collect();
         let energy = EnergyLedger::new(nodes);
+        // A flit is placed at most `router_delay + vctm_setup_penalty`
+        // cycles before it is eligible, so no two pending cycles share
+        // a bucket.
+        let wheel_len = (cfg.router_delay + cfg.vctm_setup_penalty + 2).next_power_of_two();
         ElectricalNetwork {
             routers,
             slots: vec![None; nodes * 5 * cfg.vcs_per_port],
+            wheel: vec![[0; 5]; nodes * wheel_len as usize],
+            wheel_mask: wheel_len - 1,
             nics,
             // At most one flit leaves per directed link and cycle.
             incoming: Vec::with_capacity(4 * nodes),
@@ -283,6 +342,7 @@ impl ElectricalNetwork {
             fault_plan: FaultPlan::new(),
             faults: FaultView::default(),
             faults_next: FaultView::default(),
+            credit_audit: vec![0; if cfg!(debug_assertions) { 4 * nodes } else { 0 }],
             cfg,
             cycle: 0,
         }
@@ -296,6 +356,31 @@ impl ElectricalNetwork {
     /// Index into `slots` of VC `vc` of input `port` of router `r_idx`.
     fn slot(&self, r_idx: usize, port: usize, vc: usize) -> usize {
         (r_idx * 5 + port) * self.cfg.vcs_per_port + vc
+    }
+
+    /// Index into `wheel` of router `r_idx`'s bucket for cycle `at`.
+    fn bucket(&self, r_idx: usize, at: u64) -> usize {
+        (r_idx as u64 * (self.wheel_mask + 1) + (at & self.wheel_mask)) as usize
+    }
+
+    /// Puts `flit` into the free VC `vc` of input `port` of router
+    /// `r_idx`: a flit owing a delivery is due for ejection, and one
+    /// with branches waits on the wheel until its eligible cycle.
+    fn place(&mut self, r_idx: usize, port: usize, vc: usize, flit: Flit) {
+        let bit = 1 << vc;
+        let slot = self.slot(r_idx, port, vc);
+        debug_assert!(self.slots[slot].is_none(), "reserved VC occupied");
+        let router = &mut self.routers[r_idx];
+        router.occupied[port] |= bit;
+        if flit.eject_at.is_some() {
+            router.eject_due[port] |= bit;
+        }
+        if flit.n_branches > 0 {
+            let bucket = self.bucket(r_idx, flit.eligible_at);
+            self.wheel[bucket][port] |= bit;
+        }
+        self.energy.on_buffer_write();
+        self.slots[slot] = Some(flit);
     }
 
     fn make_flit(
@@ -423,11 +508,7 @@ impl ElectricalNetwork {
                 vc,
                 flit,
             } = self.incoming[i];
-            let slot = self.slot(router, port, vc);
-            debug_assert!(self.slots[slot].is_none(), "reserved VC occupied");
-            self.energy.on_buffer_write();
-            self.slots[slot] = Some(flit);
-            self.routers[router].occupied[port] |= 1 << vc;
+            self.place(router, port, vc, flit);
         }
         self.incoming.clear();
     }
@@ -437,7 +518,7 @@ impl ElectricalNetwork {
     fn eject(&mut self, now: u64, faulted: bool) {
         let delivered_before = self.ledger.pending_deliveries();
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].is_idle() {
+            if self.routers[r_idx].eject_due == [0; 5] {
                 continue;
             }
             let here = NodeId(r_idx as u16);
@@ -445,11 +526,14 @@ impl ElectricalNetwork {
                 continue; // a stuck router cannot even eject
             }
             for port in 0..5 {
-                for vc in set_bits(u64::from(self.routers[r_idx].occupied[port])) {
+                for vc in set_bits(u64::from(self.routers[r_idx].eject_due[port])) {
                     let slot = self.slot(r_idx, port, vc);
                     let flit = self.slots[slot].as_mut().expect("occupied VC holds a flit");
                     if flit.eject_at.is_some_and(|t| t <= now) {
                         flit.eject_at = None;
+                        let router = &mut self.routers[r_idx];
+                        router.eject_due[port] &= !(1 << vc);
+                        router.touched[port] |= 1 << vc;
                         self.energy.on_buffer_read();
                         self.ledger
                             .deliver(&mut self.obs, flit.core, here, now, now);
@@ -490,10 +574,7 @@ impl ElectricalNetwork {
                     flit.eligible_at += self.cfg.vctm_setup_penalty;
                 }
             }
-            self.energy.on_buffer_write();
-            let slot = self.slot(r_idx, local, vc);
-            self.slots[slot] = Some(flit);
-            self.routers[r_idx].occupied[local] |= 1 << vc;
+            self.place(r_idx, local, vc, flit);
             route_work += 1;
         }
         self.profiler.add_work(Phase::Route, route_work);
@@ -521,14 +602,19 @@ impl ElectricalNetwork {
             if self.routers[r_idx].is_idle() {
                 continue;
             }
+            self.promote_eligible(r_idx, now);
+            debug_assert!(
+                self.masks_match_the_slots(r_idx, now),
+                "router {r_idx}'s readiness masks disagree with its VCs at cycle {now}"
+            );
             let dead = self.dead_outputs(r_idx);
-            let requesters = self.vc_requesters(r_idx, now);
             for dir in Direction::ALL {
                 let d = dir as usize;
                 // Never grant VCs across a faulted link; the edge of the
                 // mesh has no credits to grant.
-                if requesters[d] != 0 && dead >> d & 1 == 0 {
-                    arb_work += self.allocate_output_vcs(r_idx, dir, requesters[d]);
+                let requesters = self.routers[r_idx].want_vc[d];
+                if requesters != 0 && dead >> d & 1 == 0 {
+                    arb_work += self.allocate_output_vcs(r_idx, dir, requesters);
                 }
             }
         }
@@ -545,27 +631,22 @@ impl ElectricalNetwork {
         }
     }
 
-    /// The VC requesters of router `r_idx`, per output: bit
-    /// `port * MAX_VCS + vc` is set where that VC's flit is eligible and
-    /// has a branch to the output still waiting for a downstream VC.
-    fn vc_requesters(&self, r_idx: usize, now: u64) -> [u128; 4] {
-        let mut requesters = [0u128; 4];
-        for (port, &occupied) in self.routers[r_idx].occupied.iter().enumerate() {
-            for vc in set_bits(u64::from(occupied)) {
+    /// Moves router `r_idx`'s flits that become eligible at `now` off
+    /// the wheel: each branch of theirs starts requesting a VC.
+    fn promote_eligible(&mut self, r_idx: usize, now: u64) {
+        let bucket = self.bucket(r_idx, now);
+        let due = std::mem::take(&mut self.wheel[bucket]);
+        for (port, &vcs) in due.iter().enumerate() {
+            for vc in set_bits(u64::from(vcs)) {
                 let flit = self.slots[self.slot(r_idx, port, vc)]
                     .as_ref()
-                    .expect("occupied VC holds a flit");
-                if flit.eligible_at > now {
-                    continue;
-                }
+                    .expect("a wheel entry holds a flit");
+                debug_assert_eq!(flit.eligible_at, now, "one pending cycle per bucket");
                 for b in flit.branches() {
-                    if b.out_vc.is_none() && !b.done {
-                        requesters[b.out as usize] |= 1 << (port * MAX_VCS + vc);
-                    }
+                    self.routers[r_idx].want_vc[b.out as usize] |= 1 << (port * MAX_VCS + vc);
                 }
             }
         }
-        requesters
     }
 
     /// Grants the free downstream VCs of router `r_idx`'s output `dir`
@@ -588,6 +669,8 @@ impl ElectricalNetwork {
                 let flit = self.slots[slot].as_mut().expect("requester exists");
                 flit.branch_mut(dir).out_vc = Some(free.trailing_zeros() as u8);
                 let router = &mut self.routers[r_idx];
+                router.want_vc[d] &= !(1 << at);
+                router.has_vc[at / MAX_VCS][d] |= 1 << (at % MAX_VCS);
                 router.credits[d] = free & (free - 1);
                 router.va_ptr[d] = (at + 1) as u8;
                 self.energy.on_allocation();
@@ -616,29 +699,15 @@ impl ElectricalNetwork {
 
     /// The switch requests of router `r_idx`: per input port the outputs
     /// it asks for, and per (input port, output) the candidate VC —
-    /// chosen round-robin from the VC selector among the VCs whose flit
-    /// is eligible and holds a downstream VC on that output. Granted VCs
-    /// across a now-dead link wait.
-    fn switch_requests(&self, r_idx: usize, now: u64) -> ([u8; 5], [[usize; 4]; 5]) {
+    /// chosen round-robin from the VC selector among the VCs whose
+    /// branch holds a downstream VC on that output. Granted VCs across a
+    /// now-dead link wait.
+    fn switch_requests(&self, r_idx: usize) -> ([u8; 5], [[usize; 4]; 5]) {
         let router = &self.routers[r_idx];
         let live = !self.dead_outputs(r_idx);
         let mut requests = [0u8; 5];
         let mut candidate = [[0usize; 4]; 5];
-        for (port, &occupied) in router.occupied.iter().enumerate() {
-            let mut ready = [0u16; 4];
-            for vc in set_bits(u64::from(occupied)) {
-                let flit = self.slots[self.slot(r_idx, port, vc)]
-                    .as_ref()
-                    .expect("occupied VC holds a flit");
-                if flit.eligible_at > now {
-                    continue;
-                }
-                for b in flit.branches() {
-                    if b.out_vc.is_some() && !b.done {
-                        ready[b.out as usize] |= 1 << vc;
-                    }
-                }
-            }
+        for (port, ready) in router.has_vc.iter().enumerate() {
             for (d, &ready) in ready.iter().enumerate() {
                 if live >> d & 1 == 0 {
                     continue;
@@ -656,7 +725,7 @@ impl ElectricalNetwork {
     /// crossbar and their flit copies leave on the link.
     fn traverse_router(&mut self, here: NodeId, now: u64) {
         let r_idx = here.index();
-        let (requests, candidate) = self.switch_requests(r_idx, now);
+        let (requests, candidate) = self.switch_requests(r_idx);
         if requests == [0; 5] {
             return; // iSLIP over no requests matches nothing and moves no pointer
         }
@@ -690,7 +759,10 @@ impl ElectricalNetwork {
                 Some(dir),
                 Some(core.id),
             );
-            self.routers[r_idx].vc_sel[port][d] = ((vc + 1) % self.cfg.vcs_per_port) as u8;
+            let router = &mut self.routers[r_idx];
+            router.has_vc[port][d] &= !(1 << vc);
+            router.touched[port] |= 1 << vc;
+            router.vc_sel[port][d] = ((vc + 1) % self.cfg.vcs_per_port) as u8;
             let in_port = Port::Dir(dir.opposite());
             let flit = self.make_flit(next, core, route, in_port, now + 1);
             self.incoming.push(Arrival {
@@ -702,15 +774,20 @@ impl ElectricalNetwork {
         }
     }
 
-    /// Phase 7: free finished VCs and send credits upstream.
+    /// Phase 7: free finished VCs and send credits upstream. Only a flit
+    /// that ejected or crossed this cycle can have finished; under a
+    /// fault plan any flit may have stalled long enough to abandon.
     fn recycle_vcs(&mut self, now: u64, faulted: bool) {
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].is_idle() {
+            let router = &mut self.routers[r_idx];
+            let touched = std::mem::take(&mut router.touched);
+            let candidates = if faulted { router.occupied } else { touched };
+            if candidates == [0; 5] {
                 continue;
             }
             let here = NodeId(r_idx as u16);
-            for port in 0..5 {
-                for vc in set_bits(u64::from(self.routers[r_idx].occupied[port])) {
+            for (port, &vcs) in candidates.iter().enumerate() {
+                for vc in set_bits(u64::from(vcs)) {
                     let slot = self.slot(r_idx, port, vc);
                     let f = self.slots[slot].as_ref().expect("occupied VC holds a flit");
                     let finished = f.finished();
@@ -720,7 +797,7 @@ impl ElectricalNetwork {
                         continue;
                     }
                     let flit = self.slots[slot].take().expect("checked");
-                    self.routers[r_idx].occupied[port] &= !(1 << vc);
+                    self.routers[r_idx].release(port, vc);
                     if !finished {
                         self.abandon(&flit, here, now);
                     }
@@ -755,6 +832,119 @@ impl ElectricalNetwork {
             let route = self.branch_route(flit.route, here, b.out);
             self.fail_route(flit.core, route, here, now);
         }
+    }
+
+    /// Debug check: router `r_idx`'s readiness masks are what a scan of
+    /// its VCs at cycle `now`, after promotion, finds, and each flit
+    /// still in the pipeline is on the wheel. (Promotion checks that a
+    /// wheel entry is a flit due that cycle.)
+    fn masks_match_the_slots(&self, r_idx: usize, now: u64) -> bool {
+        let router = &self.routers[r_idx];
+        let mut want_vc = [0u128; 4];
+        let mut has_vc = [[0u16; 4]; 5];
+        let mut eject_due = [0u16; 5];
+        let mut wheel_ok = true;
+        for (port, &occupied) in router.occupied.iter().enumerate() {
+            for vc in set_bits(u64::from(occupied)) {
+                let flit = self.slots[self.slot(r_idx, port, vc)]
+                    .as_ref()
+                    .expect("occupied VC holds a flit");
+                if flit.eject_at.is_some() {
+                    eject_due[port] |= 1 << vc;
+                }
+                if flit.n_branches > 0 && flit.eligible_at > now {
+                    wheel_ok &=
+                        self.wheel[self.bucket(r_idx, flit.eligible_at)][port] >> vc & 1 == 1;
+                }
+                for b in flit.branches() {
+                    if b.done {
+                        continue;
+                    }
+                    if b.out_vc.is_some() {
+                        has_vc[port][b.out as usize] |= 1 << vc;
+                    } else if flit.eligible_at <= now {
+                        want_vc[b.out as usize] |= 1 << (port * MAX_VCS + vc);
+                    }
+                }
+            }
+        }
+        let touched_ok = (0..5).all(|p| router.touched[p] & !router.occupied[p] == 0);
+        wheel_ok
+            && touched_ok
+            && want_vc == router.want_vc
+            && has_vc == router.has_vc
+            && eject_due == router.eject_due
+    }
+
+    /// Debug check at the end of a cycle: every VC of every input port
+    /// with an upstream link is in exactly one place. Per directed link,
+    /// the sum of its free credits, the branches holding a VC on it that
+    /// have not crossed, its arrivals, the occupied VCs of the
+    /// downstream input port and the credits returning over it is
+    /// `vcs_per_port`. One pass over the occupied VCs and the two link
+    /// buffers.
+    fn assert_credits_conserved(&mut self) {
+        let mut audit = std::mem::take(&mut self.credit_audit);
+        audit.fill(0);
+        // The link into input `Dir(dir)` of `r_idx` leaves its neighbour
+        // that way through `dir.opposite()`.
+        let upstream = |routers: &[Router], r_idx: usize, dir: Direction| {
+            let up = routers[r_idx].neighbors[dir as usize].expect("input port has a link");
+            up.index() * 4 + dir.opposite() as usize
+        };
+        for (r_idx, router) in self.routers.iter().enumerate() {
+            for d in 0..4 {
+                audit[r_idx * 4 + d] += router.credits[d].count_ones() as usize;
+            }
+            if router.is_idle() {
+                continue;
+            }
+            for (port, &occupied) in router.occupied.iter().enumerate() {
+                if let Port::Dir(dir) = Port::ALL[port] {
+                    if occupied != 0 {
+                        audit[upstream(&self.routers, r_idx, dir)] +=
+                            occupied.count_ones() as usize;
+                    }
+                }
+                for vc in set_bits(u64::from(occupied)) {
+                    let flit = self.slots[self.slot(r_idx, port, vc)]
+                        .as_ref()
+                        .expect("occupied VC holds a flit");
+                    for b in flit
+                        .branches()
+                        .iter()
+                        .filter(|b| !b.done && b.out_vc.is_some())
+                    {
+                        audit[r_idx * 4 + b.out as usize] += 1;
+                    }
+                }
+            }
+        }
+        for a in &self.incoming {
+            let Port::Dir(dir) = Port::ALL[a.port] else {
+                unreachable!("arrivals land on link ports")
+            };
+            audit[upstream(&self.routers, a.router, dir)] += 1;
+        }
+        for cr in &self.credit_returns {
+            audit[cr.router * 4 + cr.dir] += 1;
+        }
+        for (r_idx, router) in self.routers.iter().enumerate() {
+            for d in 0..4 {
+                let expected = if router.neighbors[d].is_some() {
+                    self.cfg.vcs_per_port
+                } else {
+                    0
+                };
+                assert_eq!(
+                    audit[r_idx * 4 + d],
+                    expected,
+                    "credits of router {r_idx}'s output {d} not conserved at cycle {}",
+                    self.cycle
+                );
+            }
+        }
+        self.credit_audit = audit;
     }
 
     /// Total occupied VCs (diagnostics).
@@ -848,6 +1038,9 @@ impl Network for ElectricalNetwork {
         self.profiler.mark(Phase::Traverse);
         self.recycle_vcs(now, faulted);
         self.energy.on_cycle();
+        if cfg!(debug_assertions) {
+            self.assert_credits_conserved();
+        }
         self.cycle += 1;
         self.profiler.mark(Phase::Drain);
     }

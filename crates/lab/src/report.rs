@@ -9,8 +9,8 @@
 //!   of machine, load, or `--workers`;
 //! * the **perf** layer ([`LabReport::perf_json`]) carries the
 //!   non-deterministic rest: total wall time, summed per-job wall time,
-//!   aggregate simulated cycles per second, and the parallel speedup
-//!   (serial wall estimate / actual wall).
+//!   aggregate simulated cycles per second, and the concurrency
+//!   (summed job wall / actual wall: the mean number of jobs in flight).
 
 use crate::spec::LabSpec;
 use phastlane_netsim::obs::json::JsonValue;
@@ -393,15 +393,16 @@ impl LabReport {
         }
     }
 
-    /// Sum of per-job wall times: an estimate of what a serial run
-    /// would have cost, without running one.
+    /// Sum of per-job wall times: what a serial run would have cost,
+    /// when the jobs did not slow each other down.
     pub fn serial_wall_seconds(&self) -> f64 {
         self.jobs.iter().map(|j| j.wall_seconds).sum()
     }
 
-    /// Parallel speedup over the serial estimate (1.0 for an instant
-    /// run).
-    pub fn speedup(&self) -> f64 {
+    /// The mean number of jobs in flight: summed job wall over the
+    /// run's wall (1.0 for an instant run). Not a speedup: two workers
+    /// that each run a job at half speed read 2.0 and finish no sooner.
+    pub fn concurrency(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.serial_wall_seconds() / self.wall_seconds
         } else {
@@ -504,7 +505,7 @@ impl LabReport {
         merged
     }
 
-    /// The non-deterministic layer: wall clock, throughput, speedup,
+    /// The non-deterministic layer: wall clock, throughput, concurrency,
     /// worker count, and (when profiled) the merged phase breakdown.
     pub fn perf_json(&self) -> JsonValue {
         let mut pairs = vec![
@@ -515,7 +516,7 @@ impl LabReport {
                 "serial_wall_seconds".into(),
                 JsonValue::Num(self.serial_wall_seconds()),
             ),
-            ("speedup".into(), JsonValue::Num(self.speedup())),
+            ("concurrency".into(), JsonValue::Num(self.concurrency())),
             ("total_cycles".into(), JsonValue::Uint(self.total_cycles())),
             (
                 "cycles_per_sec".into(),
@@ -663,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn perf_layer_carries_speedup() {
+    fn perf_layer_carries_concurrency() {
         let r = LabReport::new(
             spec(),
             vec![record(0, 0.1, true, 2.0), record(1, 0.2, true, 2.0)],
@@ -671,12 +672,15 @@ mod tests {
             1.0,
         );
         assert_eq!(r.serial_wall_seconds(), 4.0);
-        assert_eq!(r.speedup(), 4.0);
+        assert_eq!(r.concurrency(), 4.0);
         assert_eq!(r.total_cycles(), 2_000);
         assert_eq!(r.cycles_per_sec(), 2_000.0);
         let perf = r.perf_json();
         assert_eq!(perf.get("workers").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(perf.get("speedup").and_then(JsonValue::as_f64), Some(4.0));
+        assert_eq!(
+            perf.get("concurrency").and_then(JsonValue::as_f64),
+            Some(4.0)
+        );
     }
 
     #[test]
