@@ -736,12 +736,12 @@ impl PhastlaneNetwork {
             let detour = (unicast && !self.faults.router_stuck(here))
                 .then(|| self.faults.productive_detour(mesh, here, first))
                 .flatten();
-            let Some((dir, corner)) = detour else {
+            let Some((dir, _)) = detour else {
                 self.stall_or_give_up(here, qi, out, now);
                 return HeadAction::Skipped;
             };
             out = dir;
-            waypoint = Some(corner);
+            waypoint = mesh.neighbor(here, dir);
         }
         if self.claims.contains(here, out) {
             return HeadAction::Skipped;
