@@ -14,24 +14,24 @@
 //!
 //! * [`Cdg::of_mesh_xy`] — dimension-order (XY) routing on a
 //!   [`Mesh`], including the fault-rerouting detours of
-//!   [`phastlane_netsim::fault::FaultView::productive_detour`] (which route the
-//!   *other* dimension first and therefore add YX turns to the turn
-//!   set). With an empty fault plan this is the paper's baseline and is
-//!   provably acyclic (the XY turn model); under fault plans the mixed
-//!   XY/YX turn set can close cycles, which the analyzer reports.
+//!   [`FaultView::unicast_hop`] (which take a hop through the *other*
+//!   dimension and therefore add YX turns to the turn set). With an
+//!   empty fault plan this is the paper's baseline and is provably
+//!   acyclic (the XY turn model); under fault plans the mixed XY/YX
+//!   turn set can close cycles, which the analyzer reports.
 //! * [`Cdg::of_ring_dor`] — naive dimension-order routing on a 1-D
 //!   **torus** (a wraparound ring): every packet keeps moving "east"
 //!   until it arrives. The wraparound channel closes the classic ring
 //!   cycle, the textbook deadlocking configuration; this is the
 //!   analyzer's known-answer seed for a failing verdict.
 //!
-//! The walk model treats every scheduled fault as worst-case permanent
-//! (see [`ever_blocked`]): a static verdict must hold at every cycle the
-//! fault could be active.
+//! The walk runs the networks' own fault-routing rule over
+//! [`FaultView::all_active`], every scheduled fault treated as
+//! permanent: a static verdict must hold at every cycle the fault could
+//! be active.
 
-use phastlane_netsim::fault::FaultPlan;
-use phastlane_netsim::geometry::{Coord, Direction, Mesh, NodeId};
-use phastlane_netsim::routing::xy_first_hop;
+use phastlane_netsim::fault::{FaultPlan, FaultView, Hop};
+use phastlane_netsim::geometry::{Direction, Mesh, NodeId};
 use std::fmt;
 
 /// One directed mesh link: the channel leaving `node` toward `dir`.
@@ -46,15 +46,6 @@ pub struct Channel {
 impl fmt::Display for Channel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}->{}", self.node, self.dir)
-    }
-}
-
-fn dir_index(dir: Direction) -> usize {
-    match dir {
-        Direction::North => 0,
-        Direction::South => 1,
-        Direction::East => 2,
-        Direction::West => 3,
     }
 }
 
@@ -78,7 +69,7 @@ impl Cdg {
     }
 
     fn index(&self, c: Channel) -> usize {
-        c.node.index() * 4 + dir_index(c.dir)
+        c.node.index() * 4 + c.dir as usize
     }
 
     fn channel(&self, index: usize) -> Channel {
@@ -180,19 +171,19 @@ impl Cdg {
     }
 
     /// Builds the CDG of XY dimension-order routing (plus the
-    /// fault-plan's productive detours) on `mesh`: every (src, dst)
-    /// pair's static walk contributes one dependency per consecutive
-    /// channel pair. Unreachable pairs contribute the prefix walked
-    /// before the partition — those channels can still hold waiting
-    /// packets.
+    /// fault-plan's detours) on `mesh`: every (src, dst) pair's static
+    /// walk contributes one dependency per consecutive channel pair.
+    /// Unreachable pairs contribute the prefix walked before the
+    /// partition — those channels can still hold waiting packets.
     pub fn of_mesh_xy(mesh: Mesh, plan: &FaultPlan) -> Cdg {
+        let view = FaultView::all_active(plan, mesh);
         let mut cdg = Cdg::new(mesh.nodes());
         for src in mesh.iter_nodes() {
             for dst in mesh.iter_nodes() {
                 if src == dst {
                     continue;
                 }
-                let channels = match route_walk(mesh, plan, src, dst) {
+                let channels = match route_walk(mesh, &view, src, dst) {
                     Walk::Reached(c) => c,
                     Walk::Partitioned { walked, .. } => walked,
                 };
@@ -244,22 +235,6 @@ impl Cdg {
     }
 }
 
-/// Whether the hop `from -> dir` is unusable under the **worst-case**
-/// static view of `plan`: every scheduled fault is treated as permanent
-/// (a static verdict must hold at every cycle the fault could be
-/// active). Off-mesh hops are always blocked.
-pub fn ever_blocked(plan: &FaultPlan, mesh: Mesh, from: NodeId, dir: Direction) -> bool {
-    use phastlane_netsim::fault::FaultKind;
-    let Some(next) = mesh.neighbor(from, dir) else {
-        return true;
-    };
-    plan.faults().iter().any(|f| match f.kind {
-        FaultKind::LinkDown { node, dir: d } => node == from && d == dir,
-        FaultKind::RouterStuck { node } => node == from || node == next,
-        FaultKind::LaserDroop { .. } | FaultKind::BitError { .. } => false,
-    })
-}
-
 /// The outcome of one static route walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Walk {
@@ -274,29 +249,20 @@ pub enum Walk {
     },
 }
 
-/// Statically walks the routing function from `src` to `dst` under the
-/// worst-case fault view: at each node take the XY first hop if live,
-/// otherwise the productive other-dimension detour (the static mirror of
-/// [`phastlane_netsim::fault::FaultView::productive_detour`] — route toward the
-/// corner `(x, dst.y)` when both dimensions are productive), otherwise
-/// report the pair partitioned at that node.
+/// Statically walks the routing function from `src` to `dst` over
+/// `view` (the analyzer passes [`FaultView::all_active`]): at each node
+/// take the hop [`FaultView::unicast_hop`] answers, the rule both
+/// networks run, or report the pair partitioned where it stalls.
 ///
 /// Every step strictly decreases the Manhattan distance to `dst`, so the
 /// walk always terminates in at most `distance(src, dst)` hops.
-pub fn route_walk(mesh: Mesh, plan: &FaultPlan, src: NodeId, dst: NodeId) -> Walk {
+pub fn route_walk(mesh: Mesh, view: &FaultView, src: NodeId, dst: NodeId) -> Walk {
     let mut walked = Vec::new();
     let mut cur = src;
     while cur != dst {
-        let Some(xy) = xy_first_hop(mesh, cur, dst) else {
-            break;
-        };
-        let dir = if !ever_blocked(plan, mesh, cur, xy) {
-            xy
-        } else {
-            match static_detour(plan, mesh, cur, dst) {
-                Some(d) => d,
-                None => return Walk::Partitioned { at: cur, walked },
-            }
+        let dir = match view.unicast_hop(mesh, cur, dst) {
+            Hop::Xy(dir) | Hop::Detour(dir) => dir,
+            Hop::Stalled(_) => return Walk::Partitioned { at: cur, walked },
         };
         walked.push(Channel { node: cur, dir });
         cur = mesh
@@ -304,23 +270,6 @@ pub fn route_walk(mesh: Mesh, plan: &FaultPlan, src: NodeId, dst: NodeId) -> Wal
             .expect("live hops stay inside the mesh");
     }
     Walk::Reached(walked)
-}
-
-/// The static worst-case mirror of
-/// [`phastlane_netsim::fault::FaultView::productive_detour`]: when both dimensions
-/// are productive, try the Y hop toward the corner `(x, dst.y)` first.
-/// Returns the detour direction when that hop is live.
-fn static_detour(plan: &FaultPlan, mesh: Mesh, from: NodeId, to: NodeId) -> Option<Direction> {
-    let (a, b): (Coord, Coord) = (mesh.coord(from), mesh.coord(to));
-    if a.x == b.x || a.y == b.y {
-        return None;
-    }
-    let dir = if b.y > a.y {
-        Direction::South
-    } else {
-        Direction::North
-    };
-    (!ever_blocked(plan, mesh, from, dir)).then_some(dir)
 }
 
 #[cfg(test)]
@@ -389,10 +338,10 @@ mod tests {
     #[test]
     fn route_walk_matches_xy_when_fault_free() {
         let mesh = Mesh::new(4, 4);
-        let plan = FaultPlan::new();
+        let view = FaultView::all_active(&FaultPlan::new(), mesh);
         for src in mesh.iter_nodes() {
             for dst in mesh.iter_nodes() {
-                match route_walk(mesh, &plan, src, dst) {
+                match route_walk(mesh, &view, src, dst) {
                     Walk::Reached(channels) => {
                         assert_eq!(channels.len() as u32, mesh.distance(src, dst));
                     }
@@ -405,14 +354,15 @@ mod tests {
     #[test]
     fn route_walk_detours_around_a_dead_link() {
         // 0 -> 5 on a 4x4 mesh with the east link out of 0 dead: the
-        // static walk must mirror productive_detour and go south first.
+        // static walk takes the one-hop detour and goes south first.
         let mesh = Mesh::new(4, 4);
         let mut plan = FaultPlan::new();
         plan.push(Fault::permanent(FaultKind::LinkDown {
             node: NodeId(0),
             dir: Direction::East,
         }));
-        match route_walk(mesh, &plan, NodeId(0), NodeId(5)) {
+        let view = FaultView::all_active(&plan, mesh);
+        match route_walk(mesh, &view, NodeId(0), NodeId(5)) {
             Walk::Reached(channels) => {
                 assert_eq!(channels[0].dir, Direction::South);
                 assert_eq!(channels.len(), 2);
@@ -421,7 +371,7 @@ mod tests {
         }
         // 0 -> 1 shares the row: no productive alternative.
         assert_eq!(
-            route_walk(mesh, &plan, NodeId(0), NodeId(1)),
+            route_walk(mesh, &view, NodeId(0), NodeId(1)),
             Walk::Partitioned {
                 at: NodeId(0),
                 walked: vec![]
@@ -441,8 +391,14 @@ mod tests {
             100,
             10,
         ));
-        assert!(ever_blocked(&plan, mesh, NodeId(0), Direction::East));
-        assert!(!ever_blocked(&plan, mesh, NodeId(1), Direction::East));
+        let view = FaultView::all_active(&plan, mesh);
+        assert!(view.blocked(NodeId(0), Direction::East));
+        assert!(!view.blocked(NodeId(1), Direction::East));
+        // Outside the window too, the static walk detours.
+        assert_eq!(
+            view.unicast_hop(mesh, NodeId(0), NodeId(5)),
+            Hop::Detour(Direction::South)
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   partitions pairs that the cell's traffic pattern will address
 //!   (guaranteed `Undeliverable` outcomes), the drooped laser cannot
 //!   close even one hop, a sabotage index lies outside the matrix, a
-//!   pattern would panic on this mesh, or an electrical replay's VCTM
-//!   multicast masks cannot name every node. [`preflight`] refuses such
-//!   specs.
+//!   pattern would panic on this mesh, an electrical replay's VCTM
+//!   multicast masks cannot name every node, or an optical replay's
+//!   broadcast splits into more messages than its source's NIC holds.
+//!   [`preflight`] refuses such specs.
 //! * **Warning** — the run is legal but suspicious: a zero retry cap
 //!   on a faulted matrix, or a channel-dependency cycle introduced by
 //!   detour turns (survivable here because Phastlane drops and retries
@@ -23,11 +24,13 @@
 
 use crate::cdg::Cdg;
 use crate::reach::{optical_envelope, residual_connectivity};
+use phastlane_core::multicast::split_multicast;
 use phastlane_lab::runner::optical_config;
 use phastlane_lab::spec::{fault_seed, LabSpec};
 use phastlane_netsim::fault::FaultPlan;
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_netsim::mask::MASK_CAPACITY;
+use phastlane_netsim::nic::NIC_ENTRIES;
 use phastlane_netsim::rng::SimRng;
 use phastlane_traffic::Pattern;
 
@@ -147,22 +150,30 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
         }
     }
 
-    // A replay multicasts, and the electrical network routes a multicast
-    // as a VCTM tree over node masks of `MASK_CAPACITY` bits.
-    if !spec.benchmarks.is_empty() && mesh.nodes() > MASK_CAPACITY {
+    // A replay multicasts. The electrical network routes a multicast as
+    // a VCTM tree over node masks of `MASK_CAPACITY` bits; the optical
+    // core enters a broadcast into its source's NIC as all of its
+    // column-split messages at once, so a split no NIC holds panics.
+    if !spec.benchmarks.is_empty() {
+        let (w, h) = (mesh.width(), mesh.height());
+        let (src, messages) = widest_broadcast(mesh);
         for net in &spec.nets {
-            if matches!(optical_config(net), Ok(None)) {
-                findings.push(SpecFinding::error(
-                    Some(format!("net={net} work=replay")),
-                    format!(
-                        "mesh {}x{} has {} nodes; electrical VCTM multicast masks \
-                         hold {MASK_CAPACITY}",
-                        mesh.width(),
-                        mesh.height(),
-                        mesh.nodes()
-                    ),
-                ));
-            }
+            let message = match optical_config(net) {
+                Ok(None) if mesh.nodes() > MASK_CAPACITY => format!(
+                    "mesh {w}x{h} has {} nodes; electrical VCTM multicast masks \
+                     hold {MASK_CAPACITY}",
+                    mesh.nodes()
+                ),
+                Ok(Some(_)) if messages > NIC_ENTRIES => format!(
+                    "mesh {w}x{h}: a broadcast from {src} splits into {messages} \
+                     messages; the optical NIC holds {NIC_ENTRIES}"
+                ),
+                _ => continue,
+            };
+            findings.push(SpecFinding::error(
+                Some(format!("net={net} work=replay")),
+                message,
+            ));
         }
     }
 
@@ -275,6 +286,17 @@ pub fn lint_spec(spec: &LabSpec) -> Vec<SpecFinding> {
     findings
 }
 
+/// The source whose broadcast splits into the most messages on `mesh`
+/// (the lowest such node), and that count: the split the optical core's
+/// `inject` pushes into one NIC.
+fn widest_broadcast(mesh: Mesh) -> (NodeId, usize) {
+    let all: Vec<NodeId> = mesh.iter_nodes().collect();
+    mesh.iter_nodes()
+        .map(|src| (src, split_multicast(mesh, src, &all).len()))
+        .min_by_key(|&(_, messages)| std::cmp::Reverse(messages))
+        .expect("a mesh has nodes")
+}
+
 /// The fault plan the lab runner installs for the jobs of one faulted
 /// (intensity, replica) slice of the matrix.
 fn slice_plan(spec: &LabSpec, intensity: f64, replica: u32) -> FaultPlan {
@@ -380,12 +402,31 @@ mod tests {
         let err = preflight(&spec).unwrap_err();
         assert!(err.contains("[net=electrical3 work=replay]"), "{err}");
         assert!(err.contains("1024 nodes"), "{err}");
-        assert!(!err.contains("net=optical4"), "{err}");
+        assert_eq!(err.matches("VCTM").count(), 1, "{err}");
         // Synthetic unicast cells on the same mesh build no tree, and the
         // largest mesh the masks hold (figure scalability's 16x16) passes.
         assert!(preflight(&parse("mesh 32x32\nnets electrical3\n")).is_ok());
         let spec = parse("mesh 16x16\nnets electrical3 optical4\nbenchmarks FFT\n");
         assert!(preflight(&spec).is_ok());
+    }
+
+    #[test]
+    fn optical_replay_beyond_the_nic_is_an_error() {
+        // An interior source on 32x32 splits a broadcast into two
+        // messages per column, 64 in all, past the NIC's 50 entries.
+        let spec = parse("mesh 32x32\nnets optical4 electrical3\nbenchmarks FFT\n");
+        let err = preflight(&spec).unwrap_err();
+        let want = "[net=optical4 work=replay] mesh 32x32: a broadcast from n32 splits \
+                    into 64 messages; the optical NIC holds 50";
+        assert!(
+            err.contains(want) && err.matches("optical NIC").count() == 1,
+            "{err}"
+        );
+        // Synthetic unicast cells broadcast nothing, and figure
+        // scalability's 16x16 replay (32 messages) passes.
+        assert!(preflight(&parse("mesh 32x32\nnets optical4\n")).is_ok());
+        assert_eq!(widest_broadcast(Mesh::new(16, 16)), (NodeId(16), 32));
+        assert!(preflight(&parse("mesh 16x16\nnets optical4\nbenchmarks FFT\n")).is_ok());
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Two independent questions, both answerable before cycle 0:
 //!
 //! * **Residual connectivity** — under the worst-case view of a
-//!   [`FaultPlan`] (every fault treated as permanent), which (src, dst)
-//!   pairs can still be routed by XY + productive detours? The
+//!   [`FaultPlan`] ([`FaultView::all_active`], every fault treated as
+//!   permanent), which (src, dst) pairs can still be routed by the
+//!   networks' fault-routing rule, [`FaultView::unicast_hop`]? The
 //!   complement is the exact set of statically partitioned pairs — the
-//!   pairs the simulator will eventually declare `Undeliverable`. The
+//!   pairs both simulators declare `Undeliverable` under permanent link
+//!   and router faults (`tests/static_equals_dynamic.rs` holds them to it). The
 //!   analyzer *predicts* those outcomes instead of discovering them at
 //!   the retry cap.
 //! * **Optical envelope** — the photonics loss budget is a static
@@ -22,7 +24,7 @@
 
 use crate::cdg::{route_walk, Walk};
 use phastlane_lab::runner::optical_config;
-use phastlane_netsim::fault::{FaultKind, FaultPlan};
+use phastlane_netsim::fault::{FaultPlan, FaultView};
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_photonics::power::PowerPoint;
 
@@ -48,13 +50,14 @@ impl Residual {
 /// pairs that wedge. Deterministic: pairs are visited and reported in
 /// ascending (src, dst) order.
 pub fn residual_connectivity(mesh: Mesh, plan: &FaultPlan) -> Residual {
+    let view = FaultView::all_active(plan, mesh);
     let mut partitioned = Vec::new();
     for src in mesh.iter_nodes() {
         for dst in mesh.iter_nodes() {
             if src == dst {
                 continue;
             }
-            if let Walk::Partitioned { .. } = route_walk(mesh, plan, src, dst) {
+            if let Walk::Partitioned { .. } = route_walk(mesh, &view, src, dst) {
                 partitioned.push((src, dst));
             }
         }
@@ -95,23 +98,9 @@ impl OpticalEnvelope {
     }
 }
 
-/// The worst-case droop factor of a plan: the product of every scheduled
-/// [`LaserDroop`] factor, windows ignored (a static verdict must hold
-/// while all droops overlap).
-///
-/// [`LaserDroop`]: phastlane_netsim::fault::FaultKind::LaserDroop
-pub fn worst_case_droop(plan: &FaultPlan) -> f64 {
-    plan.faults()
-        .iter()
-        .filter_map(|f| match f.kind {
-            FaultKind::LaserDroop { factor } => Some(factor),
-            _ => None,
-        })
-        .product()
-}
-
 /// Evaluates the optical envelope of `net` on `mesh` under `plan`'s
-/// worst-case droop. Returns `Ok(None)` for electrical networks.
+/// worst-case droop, every droop at once ([`FaultView::all_active`]).
+/// Returns `Ok(None)` for electrical networks.
 ///
 /// The provisioned power is the peak power of the *nominal* design
 /// point ([`PowerPoint::peak_optical_power`] at `max_hops` and the
@@ -131,7 +120,7 @@ pub fn optical_envelope(
     let Some(cfg) = optical_config(net)? else {
         return Ok(None);
     };
-    let droop = worst_case_droop(plan);
+    let droop = FaultView::all_active(plan, mesh).efficiency_factor();
     let effective_hops =
         PowerPoint::new(cfg.wdm, cfg.max_hops, cfg.crossing_efficiency).reach_under(droop);
     let corner = NodeId(0);
@@ -151,7 +140,7 @@ pub fn optical_envelope(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phastlane_netsim::fault::Fault;
+    use phastlane_netsim::fault::{Fault, FaultKind};
     use phastlane_netsim::geometry::Direction;
 
     #[test]
@@ -280,7 +269,10 @@ mod tests {
             5,
             10,
         ));
-        assert!((worst_case_droop(&plan) - 0.99 * 0.98).abs() < 1e-12);
+        let env = optical_envelope("optical4", Mesh::PAPER, &plan)
+            .unwrap()
+            .unwrap();
+        assert!((env.droop_factor - 0.99 * 0.98).abs() < 1e-12);
     }
 
     #[test]

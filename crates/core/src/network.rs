@@ -41,8 +41,9 @@
 //!    cycle at every router, so it is the cycle number mod 5 and no
 //!    router stores it). `service_head` decides what one queue head
 //!    does and `launch` claims its output port: buffered packets have
-//!    priority over newly arriving ones. Under a fault plan a head whose
-//!    preferred output is faulted takes a productive detour or
+//!    priority over newly arriving ones. Under a fault plan a unicast
+//!    head whose preferred output is faulted takes the one-hop detour of
+//!    [`FaultView::unicast_hop`] when it has one, any other blocked head
 //!    `stall_or_give_up`s in place, and a head that an ECC-rejected
 //!    delivery re-buffered at its own target router ejects locally
 //!    (through the same `deliver` as the wavefront) instead of launching.
@@ -83,7 +84,7 @@ use crate::policies::ArbitrationPolicy;
 use crate::power::EnergyLedger;
 use crate::router::{rotation, Entry, PacketCore, RouterState};
 use phastlane_netsim::ecc::{self, Decoded};
-use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView};
+use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView, Hop};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::set_bits;
@@ -724,29 +725,25 @@ impl PhastlaneNetwork {
         let first = *head.targets.first().expect("entries keep >= 1 target");
         let mut out = xy_first_hop(mesh, here, first)
             .expect("buffered targets never equal the holding router");
-        let mut waypoint: Option<NodeId> = None;
-        // A stuck router blocks every hop out of it.
+        let mut detour = false;
         if faulted && self.faults.blocked(here, out) {
-            // The preferred output is faulted. A unicast at a working
-            // router may detour through the other dimension if that
-            // makes real progress toward the destination; otherwise the
+            // The preferred output is faulted. A unicast takes the
+            // fault-routing rule's detour when it has one; otherwise the
             // entry backs off in place until the fault clears or the
             // retry cap declares it undeliverable.
             let unicast = !head.core.multicast && head.targets.len() == 1;
-            let detour = (unicast && !self.faults.router_stuck(here))
-                .then(|| self.faults.productive_detour(mesh, here, first))
-                .flatten();
-            let Some((dir, _)) = detour else {
+            let hop = unicast.then(|| self.faults.unicast_hop(mesh, here, first));
+            let Some(Hop::Detour(dir)) = hop else {
                 self.stall_or_give_up(here, qi, out, now);
                 return HeadAction::Skipped;
             };
             out = dir;
-            waypoint = mesh.neighbor(here, dir);
+            detour = true;
         }
         if self.claims.contains(here, out) {
             return HeadAction::Skipped;
         }
-        self.launch(here, qi, out, waypoint, now, hops);
+        self.launch(here, qi, out, detour, now, hops);
         HeadAction::Launched
     }
 
@@ -774,16 +771,17 @@ impl PhastlaneNetwork {
     }
 
     /// Launches the head of queue `qi` out of `here` through `out`, as
-    /// the next flight of this cycle: builds its plan (a detour via
-    /// `waypoint` is an ordinary two-waypoint unicast plan; the corner
-    /// is not tapped because the plan is not multicast), claims the
-    /// output port, and parks the entry until next cycle's confirm.
+    /// the next flight of this cycle: builds its plan (a `detour` is an
+    /// ordinary two-waypoint unicast plan, one hop through `out` and on
+    /// along XY; the neighbour is not tapped because the plan is not
+    /// multicast), claims the output port, and parks the entry until
+    /// next cycle's confirm.
     fn launch(
         &mut self,
         here: NodeId,
         qi: usize,
         out: Direction,
-        waypoint: Option<NodeId>,
+        detour: bool,
         now: u64,
         hops: u32,
     ) {
@@ -795,17 +793,17 @@ impl PhastlaneNetwork {
         let entry = self.routers[here.index()].launch_head(qi, fi as u32);
         let id = Some(entry.core.id);
         let flight = &mut self.flights[fi];
-        let detour;
-        let (targets, multicast): (&[NodeId], bool) = match waypoint {
-            Some(corner) => {
-                let first = *entry.targets.first().expect("entries keep >= 1 target");
-                detour = [corner, first];
-                self.ledger.stats.rerouted += 1;
-                self.obs
-                    .emit(now, EventKind::FaultReroute, here, Some(out), id);
-                (&detour, false)
-            }
-            None => (&entry.targets, entry.core.multicast),
+        let waypoints;
+        let (targets, multicast): (&[NodeId], bool) = if detour {
+            let next = mesh.neighbor(here, out).expect("a live hop");
+            let first = *entry.targets.first().expect("entries keep >= 1 target");
+            waypoints = [next, first];
+            self.ledger.stats.rerouted += 1;
+            self.obs
+                .emit(now, EventKind::FaultReroute, here, Some(out), id);
+            (&waypoints, false)
+        } else {
+            (&entry.targets, entry.core.multicast)
         };
         flight
             .plan

@@ -466,8 +466,9 @@ mod tests {
 
     #[test]
     fn segment_only_detour_plans_match_the_reference() {
-        // The fault path's two-waypoint unicast: out through the other
-        // dimension to the corner, then on to the destination.
+        // The fault path's two-waypoint unicast: one hop through the
+        // other dimension to the neighbour, then on along XY to the
+        // destination.
         for m in [Mesh::PAPER, Mesh::new(5, 3)] {
             for from in m.iter_nodes() {
                 for dest in m.iter_nodes() {
@@ -475,9 +476,12 @@ mod tests {
                     if f.x == d.x || f.y == d.y {
                         continue;
                     }
-                    let corner = m.node_at(Coord { x: f.x, y: d.y });
+                    let neighbour = m.node_at(Coord {
+                        x: f.x,
+                        y: if d.y > f.y { f.y + 1 } else { f.y - 1 },
+                    });
                     for max_hops in HOP_LIMITS {
-                        assert_matches_reference(m, from, &[corner, dest], false, max_hops);
+                        assert_matches_reference(m, from, &[neighbour, dest], false, max_hops);
                     }
                 }
             }

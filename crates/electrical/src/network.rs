@@ -69,7 +69,7 @@ use crate::config::ElectricalConfig;
 use crate::islip::{first_from, Islip, MAX_PORTS};
 use crate::power::EnergyLedger;
 use crate::vctm::{mask_of, tree_fork, TargetMask, TreeRegions};
-use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView};
+use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView, Hop};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
 use phastlane_netsim::ledger::{DeliveryLedger, PacketOrigin};
 use phastlane_netsim::mask::set_bits;
@@ -409,21 +409,24 @@ impl ElectricalNetwork {
             Route::Unicast(dest) if dest == at => true,
             Route::Unicast(dest) => {
                 let mut out = xy_first_hop(mesh, at, dest).expect("dest != at");
-                // Dead preferred link: detour through the other dimension
-                // when that still makes progress toward the destination.
-                // (When it does not, the branch keeps its dead output; the
-                // VC allocator will never grant it and the stall-abandon
-                // guard eventually declares the target undeliverable.)
-                let detour = if self.fault_plan.is_empty() {
-                    None
-                } else {
-                    self.fault_detour(at, out, dest, now)
-                };
-                if let Some(dir) = detour {
-                    out = dir;
-                    self.ledger.stats.rerouted += 1;
-                    self.obs
-                        .emit(now, EventKind::FaultReroute, at, Some(dir), Some(core.id));
+                if !self.fault_plan.is_empty() {
+                    // A flit that crosses a link is routed at its next
+                    // router as of the next cycle, so `now` is this cycle
+                    // or the next. A stalled branch keeps its dead XY
+                    // output: the VC allocator never grants it, and the
+                    // stall-abandon guard eventually declares the target
+                    // undeliverable.
+                    let faults = if now == self.cycle {
+                        &self.faults
+                    } else {
+                        &self.faults_next
+                    };
+                    if let Hop::Detour(dir) = faults.unicast_hop(mesh, at, dest) {
+                        out = dir;
+                        self.ledger.stats.rerouted += 1;
+                        self.obs
+                            .emit(now, EventKind::FaultReroute, at, Some(dir), Some(core.id));
+                    }
                 }
                 flit.push_branch(out);
                 false
@@ -438,29 +441,6 @@ impl ElectricalNetwork {
         };
         flit.eject_at = eject.then_some(now + 1);
         flit
-    }
-
-    /// The detour of a unicast for `dest` whose first hop `out` of `at`
-    /// is blocked as of cycle `now`, if a productive one is live. A flit
-    /// that crosses a link is routed at its next router as of the next
-    /// cycle, so `now` is this cycle or the next.
-    fn fault_detour(
-        &self,
-        at: NodeId,
-        out: Direction,
-        dest: NodeId,
-        now: u64,
-    ) -> Option<Direction> {
-        let faults = if now == self.cycle {
-            &self.faults
-        } else {
-            &self.faults_next
-        };
-        if !faults.blocked(at, out) {
-            return None;
-        }
-        let (dir, _) = faults.productive_detour(self.cfg.mesh, at, dest)?;
-        Some(dir)
     }
 
     /// The routing state carried by the flit copy that leaves router

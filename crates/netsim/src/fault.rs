@@ -21,10 +21,11 @@
 //! dedicated RNG stream, so seeded runs without faults stay byte-identical
 //! to a build without this module.
 
-use crate::geometry::{Coord, Direction, Mesh, NodeId};
+use crate::geometry::{Direction, Mesh, NodeId};
 use crate::obs::{EventKind, Obs};
 use crate::packet::PacketId;
 use crate::rng::SimRng;
+use crate::routing::xy_first_hop;
 
 /// The device failure a [`Fault`] models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -372,17 +373,6 @@ impl FaultPlan {
             })
             .fold(0.0, f64::max)
     }
-
-    /// [`FaultView::productive_detour`] at `cycle`, by scanning.
-    fn productive_detour(
-        &self,
-        cycle: u64,
-        mesh: Mesh,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<(Direction, NodeId)> {
-        detour_candidate(mesh, from, to).filter(|&(dir, _)| !self.blocked(cycle, mesh, from, dir))
-    }
 }
 
 /// A packet destination the network gave up on: the retry cap (or
@@ -403,22 +393,17 @@ pub struct FailedDelivery {
     pub cycle: u64,
 }
 
-/// The productive detour for a unicast whose XY first hop out of
-/// `from` toward `to` is faulted: route the *other* dimension first (YX
-/// for this packet) via the corner waypoint `(from.x, to.y)`. `None`
-/// when only one dimension is productive.
-fn detour_candidate(mesh: Mesh, from: NodeId, to: NodeId) -> Option<(Direction, NodeId)> {
-    let (a, b) = (mesh.coord(from), mesh.coord(to));
-    if a.x == b.x || a.y == b.y {
-        return None;
-    }
-    let corner = mesh.node_at(Coord { x: a.x, y: b.y });
-    let dir = if b.y > a.y {
-        Direction::South
-    } else {
-        Direction::North
-    };
-    Some((dir, corner))
+/// Where a unicast goes next from a router, as [`FaultView::unicast_hop`]
+/// decides it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hop {
+    /// The dimension-order (XY) hop is live.
+    Xy(Direction),
+    /// The XY hop is blocked; the productive hop through the other
+    /// dimension is live.
+    Detour(Direction),
+    /// No productive hop is live: the unicast waits, its XY hop named.
+    Stalled(Direction),
 }
 
 /// Bit 4 of a [`FaultView`] router entry: the router is stuck.
@@ -433,8 +418,11 @@ const STUCK: u8 = 1 << 4;
 /// first faulted cycle). Those are the only cycles on which the plan's
 /// answers can change, so every answer equals a scan of the plan's fault
 /// list at the same cycle (the module's tests hold it to one).
+/// [`all_active`] builds the analyzer's worst case through the same
+/// loop: every fault at once.
 ///
 /// [`advance`]: FaultView::advance
+/// [`all_active`]: FaultView::all_active
 #[derive(Debug)]
 pub struct FaultView {
     /// Per router: bit `d` set when the hop toward `Direction::ALL[d]` is
@@ -517,6 +505,20 @@ impl FaultView {
         true
     }
 
+    /// The worst-case static view of `plan`: every scheduled fault active
+    /// at once, windows ignored, so a verdict read from it holds at every
+    /// cycle. It is `plan` with every window made permanent, built by
+    /// [`advance`](FaultView::advance), and never expires.
+    pub fn all_active(plan: &FaultPlan, mesh: Mesh) -> FaultView {
+        let permanent = plan.faults.iter().map(|f| Fault::permanent(f.kind));
+        let permanent = FaultPlan {
+            faults: permanent.collect(),
+        };
+        let mut view = FaultView::default();
+        view.advance(&permanent, mesh, 0);
+        view
+    }
+
     /// Forgets the view, so the next [`advance`](FaultView::advance)
     /// rebuilds it (a new plan was installed).
     pub fn invalidate(&mut self) {
@@ -549,22 +551,30 @@ impl FaultView {
         self.routers[node.index()] & !STUCK
     }
 
-    /// Picks a productive detour for a unicast whose XY first hop out of
-    /// `from` toward `to` is faulted: route the *other* dimension first
-    /// (YX for this packet) via the corner waypoint `(from.x, to.y)`.
-    ///
-    /// Returns `(first_hop, corner)` when such a detour exists and its
-    /// first hop is live, `None` otherwise (single productive dimension,
-    /// or the detour hop is also faulted). Restricting detours to
-    /// productive directions keeps every launch strictly decreasing the
-    /// Manhattan distance, so fault rerouting can never livelock.
-    pub fn productive_detour(
-        &self,
-        mesh: Mesh,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<(Direction, NodeId)> {
-        detour_candidate(mesh, from, to).filter(|&(dir, _)| !self.blocked(from, dir))
+    /// The fault-routing rule, the one place a unicast's next hop out of
+    /// `at` toward `dst` (`at != dst`) is decided under faults: the XY
+    /// hop if it is live, else the productive hop through the other
+    /// dimension if that one is, else a stall. Both networks and the
+    /// analyzer's static walk run it. Every hop strictly decreases the
+    /// distance to `dst`, so rerouting never livelocks.
+    pub fn unicast_hop(&self, mesh: Mesh, at: NodeId, dst: NodeId) -> Hop {
+        let xy = xy_first_hop(mesh, at, dst).expect("a unicast hop leaves its destination");
+        if !self.blocked(at, xy) {
+            return Hop::Xy(xy);
+        }
+        // XY moves along x first: the other dimension is productive only
+        // while both coordinates differ.
+        let (a, b) = (mesh.coord(at), mesh.coord(dst));
+        let dir = if b.y > a.y {
+            Direction::South
+        } else {
+            Direction::North
+        };
+        if a.x == b.x || a.y == b.y || self.blocked(at, dir) {
+            Hop::Stalled(xy)
+        } else {
+            Hop::Detour(dir)
+        }
     }
 
     /// Product of the active laser-droop factors (1.0 when none): the
@@ -784,20 +794,21 @@ biterr 0.001
             node: NodeId(0),
             dir: Direction::East,
         }));
-        // 0 -> 5 (one east, one south): detour south via corner node 4.
+        // 0 -> 5 (one east, one south): detour one hop south.
         let view = view_at(&plan, mesh, 0);
-        let (dir, corner) = view.productive_detour(mesh, NodeId(0), NodeId(5)).unwrap();
-        assert_eq!(dir, Direction::South);
-        assert_eq!(corner, NodeId(4));
+        let hop = |view: &FaultView, to: u16| view.unicast_hop(mesh, NodeId(0), NodeId(to));
+        assert_eq!(hop(&view, 5), Hop::Detour(Direction::South));
+        // 0 -> 4 needs no detour: its XY hop is live.
+        assert_eq!(hop(&view, 4), Hop::Xy(Direction::South));
         // 0 -> 1 shares the row: no productive alternative.
-        assert!(view.productive_detour(mesh, NodeId(0), NodeId(1)).is_none());
-        // Detour dimension also dead: stuck.
+        assert_eq!(hop(&view, 1), Hop::Stalled(Direction::East));
+        // Detour dimension also dead: stalled on the XY hop.
         plan.push(Fault::permanent(FaultKind::LinkDown {
             node: NodeId(0),
             dir: Direction::South,
         }));
         let view = view_at(&plan, mesh, 0);
-        assert!(view.productive_detour(mesh, NodeId(0), NodeId(5)).is_none());
+        assert_eq!(hop(&view, 5), Hop::Stalled(Direction::East));
     }
 
     fn view_at(plan: &FaultPlan, mesh: Mesh, cycle: u64) -> FaultView {
@@ -829,17 +840,45 @@ biterr 0.001
         plan
     }
 
-    /// Walks a view through every cycle from 0 to past `plan`'s last
-    /// edge and holds each answer to the linear scans at that cycle. The
-    /// view is rebuilt only on edge cycles, so equal answers at every
-    /// cycle also mean no scan answer changes strictly inside a window.
-    fn assert_view_matches_scans(plan: &FaultPlan, mesh: Mesh) {
+    /// Holds every answer of `view` to the linear scans of `plan` at
+    /// cycle `t`.
+    fn assert_answers_as_scans(view: &FaultView, plan: &FaultPlan, mesh: Mesh, t: u64) {
         use phastlane_photonics::power::PowerPoint;
         use phastlane_photonics::wdm::WdmConfig;
         // The optical hop reach under droop for the 4-, 5- and 8-hop designs.
         let reach = |factor: f64| {
             [4, 5, 8].map(|hops| PowerPoint::new(WdmConfig::PAPER, hops, 0.98).reach_under(factor))
         };
+        for node in mesh.iter_nodes() {
+            assert_eq!(
+                view.router_stuck(node),
+                plan.router_stuck(t, node),
+                "{node} @{t}"
+            );
+            let mut outs = 0;
+            for dir in Direction::ALL {
+                let blocked = plan.blocked(t, mesh, node, dir);
+                assert_eq!(view.blocked(node, dir), blocked, "{node} {dir:?} @{t}");
+                outs |= u8::from(blocked) << dir as usize;
+            }
+            assert_eq!(view.blocked_outputs(node), outs, "{node} @{t}");
+        }
+        let factor = plan.efficiency_factor(t);
+        assert_eq!(view.efficiency_factor().to_bits(), factor.to_bits(), "@{t}");
+        assert_eq!(reach(view.efficiency_factor()), reach(factor), "@{t}");
+        assert_eq!(
+            view.bit_error_rate().to_bits(),
+            plan.bit_error_rate(t).to_bits()
+        );
+    }
+
+    /// Walks a view through every cycle from 0 to past `plan`'s last
+    /// edge and holds each answer to the linear scans at that cycle. The
+    /// view is rebuilt only on edge cycles, so equal answers at every
+    /// cycle also mean no scan answer changes strictly inside a window.
+    /// Then holds [`FaultView::all_active`] to the scans of the same plan
+    /// with every window made permanent.
+    fn assert_view_matches_scans(plan: &FaultPlan, mesh: Mesh) {
         let last_edge = plan
             .faults()
             .iter()
@@ -858,36 +897,17 @@ biterr 0.001
                 "cycle {t}: rebuilt {rebuilt}, edge {edge}"
             );
             assert!(view.valid_until() > t);
-            for node in mesh.iter_nodes() {
-                assert_eq!(
-                    view.router_stuck(node),
-                    plan.router_stuck(t, node),
-                    "{node} @{t}"
-                );
-                let mut outs = 0;
-                for dir in Direction::ALL {
-                    let blocked = plan.blocked(t, mesh, node, dir);
-                    assert_eq!(view.blocked(node, dir), blocked, "{node} {dir:?} @{t}");
-                    outs |= u8::from(blocked) << dir as usize;
-                }
-                assert_eq!(view.blocked_outputs(node), outs, "{node} @{t}");
-                for to in mesh.iter_nodes() {
-                    assert_eq!(
-                        view.productive_detour(mesh, node, to),
-                        plan.productive_detour(t, mesh, node, to),
-                        "{node} -> {to} @{t}"
-                    );
-                }
-            }
-            let factor = plan.efficiency_factor(t);
-            assert_eq!(view.efficiency_factor().to_bits(), factor.to_bits(), "@{t}");
-            assert_eq!(reach(view.efficiency_factor()), reach(factor), "@{t}");
-            assert_eq!(
-                view.bit_error_rate().to_bits(),
-                plan.bit_error_rate(t).to_bits()
-            );
+            assert_answers_as_scans(&view, plan, mesh, t);
         }
         assert_eq!(view.valid_until(), u64::MAX, "no edge after the last");
+
+        let worst = FaultView::all_active(plan, mesh);
+        assert_eq!(worst.valid_until(), u64::MAX);
+        let permanent = plan.faults.iter().map(|f| Fault::permanent(f.kind));
+        let permanent = FaultPlan {
+            faults: permanent.collect(),
+        };
+        assert_answers_as_scans(&worst, &permanent, mesh, 0);
     }
 
     #[test]

@@ -762,15 +762,22 @@ mod tests {
             assert!(text.contains(line) && text.contains(needle), "{text}");
         }
         // Preflight refuses what the job would panic on: an electrical
-        // replay on more nodes than a VCTM multicast mask names.
-        let spec = b"mesh 32x32\nnets electrical3\nbenchmarks FFT\n";
-        let (status, body) = client::request(&addr, "POST", "/jobs", Some(spec)).unwrap();
-        assert_eq!(status, 400);
-        let text = String::from_utf8(body).unwrap();
-        assert!(
-            text.contains("preflight") && text.contains("VCTM"),
-            "{text}"
-        );
+        // replay on more nodes than a VCTM multicast mask names, and an
+        // optical replay whose broadcast splits past the NIC.
+        for (net, needle) in [
+            ("electrical3", "VCTM"),
+            ("optical4", "optical NIC holds 50"),
+        ] {
+            let spec = format!("mesh 32x32\nnets {net}\nbenchmarks FFT\n");
+            let (status, body) =
+                client::request(&addr, "POST", "/jobs", Some(spec.as_bytes())).unwrap();
+            assert_eq!(status, 400);
+            let text = String::from_utf8(body).unwrap();
+            assert!(
+                text.contains("preflight") && text.contains(needle),
+                "{text}"
+            );
+        }
         handle.join();
     }
 
