@@ -87,9 +87,10 @@ impl Journal {
     /// failures bump [`Journal::write_errors`] and the run continues —
     /// a sick disk must never take the science down with it.
     pub fn append(&self, rec: &JobRecord) {
-        let line = frame("record", &rec.to_json());
+        let mut line = frame("record", &rec.to_json());
+        line.push('\n');
         let mut w = self.file.lock().expect("journal lock");
-        let wrote = writeln!(w, "{line}").and_then(|()| w.flush());
+        let wrote = w.write_all(line.as_bytes()).and_then(|()| w.flush());
         if wrote.is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -164,7 +165,10 @@ pub fn load(path: &Path) -> Result<Recovered, String> {
             }
         }
     }
-    // Dedup by index, last write wins (a retried job journals twice).
+    // Dedup by index, last write wins. No writer here journals a job
+    // twice since the lab lost its retry loop, but the reader does not
+    // rely on that: an older journal, or two joined by hand, still
+    // resumes to one record per slot.
     by_index.sort_by_key(|(i, _)| *i);
     let mut records: Vec<JobRecord> = Vec::with_capacity(by_index.len());
     for (i, rec) in by_index {
@@ -182,10 +186,23 @@ pub fn load(path: &Path) -> Result<Recovered, String> {
 
 /// Frames `body` as one self-checking line (no newline):
 /// `{"crc":<CRC-32 of the body's compact JSON>,"<key>":<body>}`.
+///
+/// The line is built in one buffer: the body is written in place, its
+/// CRC taken over those bytes, and the digits inserted after `"crc":`.
 pub fn frame(key: &str, body: &JsonValue) -> String {
-    let body = body.to_string_compact();
-    let key = JsonValue::Str(key.into()).to_string_compact();
-    format!("{{\"crc\":{},{key}:{body}}}", crc32(body.as_bytes()))
+    const CRC_AT: usize = "{\"crc\":".len();
+    // A job record frames to about 600 bytes; larger bodies grow the
+    // buffer as usual.
+    let mut line = String::with_capacity(1024);
+    line.push_str("{\"crc\":,");
+    json::write_escaped(key, &mut line);
+    line.push(':');
+    let body_at = line.len();
+    body.write_compact(&mut line);
+    let crc = crc32(&line.as_bytes()[body_at..]);
+    line.push('}');
+    line.insert_str(CRC_AT, json::uint_text(u64::from(crc), &mut [0; 20]));
+    line
 }
 
 /// The key and body of a line [`frame`] wrote, or `None` for anything
@@ -308,12 +325,12 @@ mod tests {
         };
         first.timed_out = true;
         j.append(&first);
-        j.append(&record(1)); // the retry that completed
+        j.append(&record(1)); // a later line for the same job
         drop(j);
 
         let rec = load(&path).unwrap();
         assert_eq!(rec.records.len(), 1);
-        assert!(rec.records[0].outcome.is_completed(), "retry wins");
+        assert!(rec.records[0].outcome.is_completed(), "the later line wins");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -328,6 +345,29 @@ mod tests {
         }
         let flipped = line.replacen("optical4", "optical5", 1);
         assert_eq!(unframe(&flipped), None);
+    }
+
+    /// A journal written by the binary that still had the allocating
+    /// JSON writer and the bitwise CRC (`lab run
+    /// results/specs/ci-smoke.lab --journal`): it must still load
+    /// whole, and framing each loaded record again must give back its
+    /// line byte for byte.
+    #[test]
+    fn an_older_binarys_journal_loads_and_reframes_identically() {
+        let path = Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/ci-smoke.journal"
+        ));
+        let recovered = load(path).unwrap();
+        assert_eq!(recovered.torn_lines, 0);
+        let raw = std::fs::read_to_string(path).unwrap();
+        let lines: Vec<&str> = raw.lines().skip(1).collect();
+        assert_eq!(lines.len(), 4);
+        assert_eq!(recovered.records.len(), lines.len());
+        for line in lines {
+            let rec = parse_record_line(line).expect("an intact record line");
+            assert_eq!(frame("record", &rec.to_json()), line);
+        }
     }
 
     #[test]

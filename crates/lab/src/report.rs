@@ -16,21 +16,23 @@ use crate::spec::LabSpec;
 use phastlane_netsim::obs::json::JsonValue;
 use phastlane_netsim::obs::PhaseBreakdown;
 use phastlane_netsim::stats::LatencyStats;
+use std::collections::BTreeMap;
 
 /// How a job's execution ended.
 ///
 /// `Completed` covers every job that ran to its natural end — including
 /// unstable or saturated ones (those verdicts live in `stable` /
-/// `timed_out`). The other variants are *terminal harness outcomes*: the
-/// supervisor stopped the job (watchdog) or caught it dying (panic), and
-/// the record's metrics describe at most a partial run.
+/// `timed_out`). The other variants are *terminal outcomes* of
+/// `runner::run_job`: the job's watchdog stopped it, or `catch_unwind`
+/// caught it panicking, and the record's metrics describe at most a
+/// partial run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum JobOutcome {
     /// The job ran to completion.
     #[default]
     Completed,
-    /// A watchdog stopped the job (cycle budget, livelock, wall budget,
-    /// or cancellation — the reason string says which).
+    /// The job's watchdog stopped it (livelock window, wall budget or
+    /// cancellation — the reason string says which).
     TimedOut {
         /// Deterministic reason string (see
         /// `phastlane_netsim::watchdog::Interrupt::reason`).
@@ -578,33 +580,54 @@ impl LabReport {
 
 /// Groups the synthetic jobs into curves (net × pattern × intensity ×
 /// replica) and classifies each curve's saturation across its rates, in
-/// spec order.
+/// spec order. One pass files each job's `(rate, stable)` point under
+/// its curve, keyed by the first position of its net, pattern and
+/// intensity in the spec (so `==` decides, as the spec's own lists do);
+/// a job with no rate or no verdict casts no point, and a curve with no
+/// points is left out.
 fn classify_groups(spec: &LabSpec, jobs: &[JobRecord]) -> Vec<GroupSaturation> {
+    let net_at = |net: &str| spec.nets.iter().position(|n| n == net);
+    let pattern_at = |name: &str| spec.patterns.iter().position(|p| p.name() == name);
+    let intensity_at = |x: f64| spec.intensities.iter().position(|&i| i == x);
+    let mut curves: BTreeMap<_, Vec<(f64, bool)>> = BTreeMap::new();
+    for j in jobs {
+        let (Some(rate), Some(stable), Some(pattern)) = (j.rate, j.stable, &j.pattern) else {
+            continue;
+        };
+        let key = (
+            net_at(&j.net),
+            pattern_at(pattern),
+            intensity_at(j.intensity),
+        );
+        if let (Some(n), Some(p), Some(i)) = key {
+            curves
+                .entry((n, p, i, j.replica))
+                .or_default()
+                .push((rate, stable));
+        }
+    }
     let mut groups = Vec::new();
     for net in &spec.nets {
         for &pattern in &spec.patterns {
             for &intensity in &spec.intensities {
+                let key = (
+                    net_at(net),
+                    pattern_at(pattern.name()),
+                    intensity_at(intensity),
+                );
+                let (Some(n), Some(p), Some(i)) = key else {
+                    continue;
+                };
                 for replica in 0..spec.replicas {
-                    let curve: Vec<(f64, bool)> = jobs
-                        .iter()
-                        .filter(|j| {
-                            j.net == *net
-                                && j.pattern.as_deref() == Some(pattern.name())
-                                && j.intensity == intensity
-                                && j.replica == replica
-                        })
-                        .filter_map(|j| Some((j.rate?, j.stable?)))
-                        .collect();
-                    if curve.is_empty() {
-                        continue;
+                    if let Some(curve) = curves.get(&(n, p, i, replica)) {
+                        groups.push(GroupSaturation {
+                            net: net.clone(),
+                            pattern: pattern.name().to_string(),
+                            intensity,
+                            replica,
+                            saturation: Saturation::classify(curve.iter().copied()),
+                        });
                     }
-                    groups.push(GroupSaturation {
-                        net: net.clone(),
-                        pattern: pattern.name().to_string(),
-                        intensity,
-                        replica,
-                        saturation: Saturation::classify(curve),
-                    });
                 }
             }
         }
@@ -615,6 +638,7 @@ fn classify_groups(spec: &LabSpec, jobs: &[JobRecord]) -> Vec<GroupSaturation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phastlane_netsim::rng::SimRng;
 
     fn record(index: usize, rate: f64, stable: bool, wall: f64) -> JobRecord {
         let mut latency = LatencyStats::new();
@@ -775,5 +799,104 @@ mod tests {
             Saturation::SaturatedFromStart(0.5)
         );
         assert_eq!(Saturation::classify([]), Saturation::NotSwept);
+    }
+
+    /// The grouping `classify_groups` replaced: for every curve of the
+    /// spec, a scan of all jobs.
+    fn classify_groups_by_scan(spec: &LabSpec, jobs: &[JobRecord]) -> Vec<GroupSaturation> {
+        let mut groups = Vec::new();
+        for net in &spec.nets {
+            for &pattern in &spec.patterns {
+                for &intensity in &spec.intensities {
+                    for replica in 0..spec.replicas {
+                        let curve: Vec<(f64, bool)> = jobs
+                            .iter()
+                            .filter(|j| {
+                                j.net == *net
+                                    && j.pattern.as_deref() == Some(pattern.name())
+                                    && j.intensity == intensity
+                                    && j.replica == replica
+                            })
+                            .filter_map(|j| Some((j.rate?, j.stable?)))
+                            .collect();
+                        if curve.is_empty() {
+                            continue;
+                        }
+                        groups.push(GroupSaturation {
+                            net: net.clone(),
+                            pattern: pattern.name().to_string(),
+                            intensity,
+                            replica,
+                            saturation: Saturation::classify(curve),
+                        });
+                    }
+                }
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn one_pass_grouping_equals_the_scan() {
+        let mut rng = SimRng::seed_from_u64(0x6709_0038);
+        let mut jobs = Vec::new();
+        for net in ["optical4", "electrical3"] {
+            for pattern in ["uniform", "transpose"] {
+                for intensity in [0.0, 0.1] {
+                    for replica in 0..3 {
+                        for rate in [0.02, 0.05, 0.1] {
+                            let mut j = record(jobs.len(), rate, rng.gen_bool(0.6), 0.1);
+                            j.net = net.into();
+                            j.pattern = Some(pattern.into());
+                            j.intensity = intensity;
+                            j.replica = replica;
+                            jobs.push(j);
+                        }
+                    }
+                }
+            }
+        }
+        // A replay job belongs to no curve.
+        let mut replay = record(jobs.len(), 0.0, true, 0.1);
+        (replay.pattern, replay.rate, replay.benchmark, replay.stable) =
+            (None, None, Some("FFT".into()), None);
+        jobs.push(replay);
+        // A timed-out job abstains from its curve's vote. Its curve is
+        // otherwise all unstable, so a vote either way would move the
+        // verdict off `SaturatedFromStart(0.02)`.
+        for j in &mut jobs[..3] {
+            j.stable = Some(false);
+        }
+        let mut timed_out = record(jobs.len(), 0.01, true, 0.1);
+        (timed_out.timed_out, timed_out.stable) = (true, None);
+        timed_out.outcome = JobOutcome::TimedOut {
+            reason: "cancelled".into(),
+        };
+        jobs.push(timed_out);
+        for i in (1..jobs.len()).rev() {
+            jobs.swap(i, rng.gen_range(0..i + 1));
+        }
+
+        let spec = |matrix: &str| {
+            LabSpec::parse(&format!(
+                "mesh 4x4\n{matrix}\nrates 0.02 0.05 0.1\nbenchmarks FFT\n"
+            ))
+            .unwrap()
+        };
+        let full = spec(
+            "nets optical4 electrical3\npatterns uniform transpose\nintensities 0 0.1\nreplicas 3",
+        );
+        let groups = classify_groups(&full, &jobs);
+        assert_eq!(groups.len(), 24);
+        assert_eq!(groups[0].saturation, Saturation::SaturatedFromStart(0.02));
+        assert_eq!(groups, classify_groups_by_scan(&full, &jobs));
+        // Repeated values repeat their curves; unlisted ones drop out.
+        let odd = spec(
+            "nets electrical3 electrical3\npatterns transpose\nintensities 0.1 0 0.1\nreplicas 2",
+        );
+        assert_eq!(
+            classify_groups(&odd, &jobs),
+            classify_groups_by_scan(&odd, &jobs)
+        );
     }
 }

@@ -14,7 +14,7 @@
 //!   (plus arbitrary whitespace), enough for `phastlane trace-dump` to
 //!   re-read its own traces.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,24 +41,30 @@ impl JsonValue {
     /// Serializes compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_compact(&mut out);
         out
     }
 
     /// Serializes with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
+        self.write_pretty(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact form to `out`. Allocates nothing beyond
+    /// `out`'s own growth.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Uint(n) => out.push_str(&n.to_string()),
-            JsonValue::Int(n) => out.push_str(&n.to_string()),
+            JsonValue::Uint(n) => out.push_str(uint_text(*n, &mut [0; 20])),
+            JsonValue::Int(n) => {
+                if *n < 0 {
+                    out.push('-');
+                }
+                out.push_str(uint_text(n.unsigned_abs(), &mut [0; 20]));
+            }
             JsonValue::Num(x) => write_f64(*x, out),
             JsonValue::Str(s) => write_escaped(s, out),
             JsonValue::Arr(items) => {
@@ -67,7 +73,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.write_compact(out);
                 }
                 out.push(']');
             }
@@ -79,14 +85,21 @@ impl JsonValue {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_compact(out);
                 }
                 out.push('}');
             }
         }
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    /// Appends the indented form, newline-terminated, to `out`.
+    /// Allocates nothing beyond `out`'s own growth.
+    pub fn write_pretty(&self, out: &mut String) {
+        self.write_indented(out, 0);
+        out.push('\n');
+    }
+
+    fn write_indented(&self, out: &mut String, depth: usize) {
         match self {
             JsonValue::Arr(items) if !items.is_empty() => {
                 out.push_str("[\n");
@@ -95,7 +108,7 @@ impl JsonValue {
                         out.push_str(",\n");
                     }
                     indent(out, depth + 1);
-                    v.write_pretty(out, depth + 1);
+                    v.write_indented(out, depth + 1);
                 }
                 out.push('\n');
                 indent(out, depth);
@@ -110,13 +123,13 @@ impl JsonValue {
                     indent(out, depth + 1);
                     write_escaped(k, out);
                     out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
+                    v.write_indented(out, depth + 1);
                 }
                 out.push('\n');
                 indent(out, depth);
                 out.push('}');
             }
-            other => other.write(out),
+            other => other.write_compact(out),
         }
     }
 
@@ -164,9 +177,27 @@ impl JsonValue {
     }
 }
 
+/// The decimal digits of `n`, written at the end of `buf`.
+pub fn uint_text(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("ascii digits")
+}
+
 fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+    const SPACES: &str = "                                                                ";
+    let mut width = 2 * depth;
+    while width > 0 {
+        let chunk = width.min(SPACES.len());
+        out.push_str(&SPACES[..chunk]);
+        width -= chunk;
     }
 }
 
@@ -174,28 +205,49 @@ fn write_f64(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
     } else if x == x.trunc() && x.abs() < 1e15 {
-        // Keep integral floats readable and stable: `3` not `3.0`... but
-        // JSON-distinguishable from our Uint path is unnecessary; emit
-        // with a trailing `.0` so the type survives a roundtrip.
-        out.push_str(&format!("{x:.1}"));
+        // Integral floats keep a trailing `.0`, so the type survives a
+        // roundtrip (`3.0`, not `3`): the digits `{x:.1}` would print,
+        // from the integer path. Below 1e15 the cast is exact, and
+        // `-0.0` keeps its sign, as it does under `{x:.1}`.
+        if x.is_sign_negative() {
+            out.push('-');
+        }
+        out.push_str(uint_text(x.abs() as u64, &mut [0; 20]));
+        out.push_str(".0");
     } else {
-        out.push_str(&format!("{x}"));
+        // `fmt::Write` for `String` cannot fail.
+        let _ = write!(out, "{x}");
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string. Runs of bytes that need no
+/// escape are copied whole; every byte that does is ASCII, so each run
+/// ends on a char boundary.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -458,6 +510,7 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn compact_roundtrip() {
@@ -525,6 +578,244 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"k\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} accepted");
         }
+    }
+
+    /// The formatter this module had before it wrote in place: one
+    /// `String` per number, one `format!` per float and per control
+    /// character, escaping one `char` at a time. The writer must match
+    /// it byte for byte.
+    mod reference {
+        use super::JsonValue;
+
+        pub fn compact(v: &JsonValue) -> String {
+            let mut out = String::new();
+            write(v, &mut out);
+            out
+        }
+
+        pub fn pretty(v: &JsonValue) -> String {
+            let mut out = String::new();
+            write_pretty(v, &mut out, 0);
+            out.push('\n');
+            out
+        }
+
+        fn write(v: &JsonValue, out: &mut String) {
+            match v {
+                JsonValue::Null => out.push_str("null"),
+                JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                JsonValue::Uint(n) => out.push_str(&n.to_string()),
+                JsonValue::Int(n) => out.push_str(&n.to_string()),
+                JsonValue::Num(x) => {
+                    if !x.is_finite() {
+                        out.push_str("null");
+                    } else if *x == x.trunc() && x.abs() < 1e15 {
+                        out.push_str(&format!("{x:.1}"));
+                    } else {
+                        out.push_str(&format!("{x}"));
+                    }
+                }
+                JsonValue::Str(s) => escaped(s, out),
+                JsonValue::Arr(items) => {
+                    out.push('[');
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write(v, out);
+                    }
+                    out.push(']');
+                }
+                JsonValue::Obj(pairs) => {
+                    out.push('{');
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        escaped(k, out);
+                        out.push(':');
+                        write(v, out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        fn write_pretty(v: &JsonValue, out: &mut String, depth: usize) {
+            let indent = |out: &mut String, depth: usize| {
+                for _ in 0..depth {
+                    out.push_str("  ");
+                }
+            };
+            match v {
+                JsonValue::Arr(items) if !items.is_empty() => {
+                    out.push_str("[\n");
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(",\n");
+                        }
+                        indent(out, depth + 1);
+                        write_pretty(v, out, depth + 1);
+                    }
+                    out.push('\n');
+                    indent(out, depth);
+                    out.push(']');
+                }
+                JsonValue::Obj(pairs) if !pairs.is_empty() => {
+                    out.push_str("{\n");
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(",\n");
+                        }
+                        indent(out, depth + 1);
+                        escaped(k, out);
+                        out.push_str(": ");
+                        write_pretty(v, out, depth + 1);
+                    }
+                    out.push('\n');
+                    indent(out, depth);
+                    out.push('}');
+                }
+                other => write(other, out),
+            }
+        }
+
+        fn escaped(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    fn assert_matches_reference(v: &JsonValue) {
+        assert_eq!(v.to_string_compact(), reference::compact(v), "{v:?}");
+        assert_eq!(v.to_string_pretty(), reference::pretty(v), "{v:?}");
+    }
+
+    #[test]
+    fn scalars_match_the_reference_formatter() {
+        for n in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_matches_reference(&JsonValue::Uint(n));
+        }
+        for n in [i64::MIN, i64::MIN + 1, -10, -9, -1, 0, 1, 9, 10, i64::MAX] {
+            assert_matches_reference(&JsonValue::Int(n));
+        }
+        for x in [
+            0.0,
+            -0.0,
+            1e15 - 1.0,
+            1e15,
+            1e15 + 1.0,
+            -1e15,
+            0.1 + 0.2,
+            0.25,
+            -3.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_matches_reference(&JsonValue::Num(x));
+        }
+    }
+
+    #[test]
+    fn strings_match_the_reference_formatter() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            String::new(),
+            "plain".into(),
+            every_control.clone(),
+            format!("a{every_control}b"),
+            "\"quoted\" and \\back\\slash\\".into(),
+            "héllo → ω 𝄞 \u{7f} \u{1}\u{1f}".into(),
+            "\"".into(),
+            "ω\nω".into(),
+        ] {
+            assert_matches_reference(&JsonValue::Str(s.clone()));
+            // The same text as an object key.
+            assert_matches_reference(&JsonValue::Obj(vec![(s, JsonValue::Null)]));
+        }
+    }
+
+    fn random_tree(rng: &mut SimRng, depth: u32) -> JsonValue {
+        const CHARS: [char; 12] = [
+            'a', 'Z', '0', ' ', '"', '\\', '\n', '\u{1}', '\u{1f}', 'é', '→', '𝄞',
+        ];
+        let text = |rng: &mut SimRng| -> String {
+            (0..rng.gen_range(0..8usize))
+                .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                .collect()
+        };
+        let kind = if depth == 0 {
+            rng.gen_range(0..6u32)
+        } else {
+            rng.gen_range(0..8u32)
+        };
+        match kind {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.gen_bool(0.5)),
+            2 => JsonValue::Uint(rng.next_u64() >> rng.gen_range(0..64u32)),
+            3 => JsonValue::Int((rng.next_u64() as i64) >> rng.gen_range(0..64u32)),
+            4 => JsonValue::Num(match rng.gen_range(0..5u32) {
+                0 => f64::from_bits(rng.next_u64()),
+                1 => rng.gen_range(0..2_000_000u32) as f64 - 1e6,
+                // Integral, on both sides of the 1e15 cut.
+                2 => (rng.gen_f64() * 4e15).trunc() - 2e15,
+                3 => rng.gen_f64() * 1e17,
+                _ => rng.gen_f64(),
+            }),
+            5 => JsonValue::Str(text(rng)),
+            6 => JsonValue::Arr(
+                (0..rng.gen_range(0..5usize))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Obj(
+                (0..rng.gen_range(0..5usize))
+                    .map(|_| (text(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn random_trees_match_the_reference_formatter() {
+        let mut rng = SimRng::seed_from_u64(0x0150_0038);
+        for _ in 0..500 {
+            assert_matches_reference(&random_tree(&mut rng, 5));
+        }
+        // Deeper than the static indentation slice covers in one push.
+        let mut deep = JsonValue::Arr(vec![JsonValue::Uint(1)]);
+        for _ in 0..40 {
+            deep = JsonValue::Arr(vec![deep]);
+        }
+        assert_matches_reference(&deep);
     }
 
     #[test]

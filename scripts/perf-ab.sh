@@ -32,7 +32,9 @@ IDENTITY_WORKLOADS="optical-stable optical-saturated optical-faulted electrical-
 # own Q1 - Q3. splash2-replay is the dearest cycle of the reproduction
 # (every router busy under a broadcast storm) and the only optical
 # workload that broadcasts, so inject's broadcast path is timed only here.
-TIMED_WORKLOADS="optical-stable optical-saturated electrical-baseline splash2-replay serve-smalljobs"
+# lab-smalljobs is the lab layer's: spec parse, scheduler, journal and
+# report encoding cost about as much as its 384 tiny simulations.
+TIMED_WORKLOADS="optical-stable optical-saturated electrical-baseline splash2-replay lab-smalljobs serve-smalljobs"
 
 base=$(git rev-parse --verify "$1^{commit}")
 work=$(mktemp -d)
