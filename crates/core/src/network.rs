@@ -81,7 +81,7 @@ use crate::dropnet::{ReturnPath, ReturnPathRegistry};
 use crate::multicast::split_multicast;
 use crate::plan::{Plan, StepExit, StopKind};
 use crate::policies::ArbitrationPolicy;
-use crate::power::EnergyLedger;
+use crate::power::{self, EnergyCounts, EnergyLedger};
 use crate::router::{rotation, Entry, PacketCore, RouterState};
 use phastlane_netsim::ecc::{self, Decoded};
 use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView, Hop};
@@ -304,6 +304,13 @@ pub struct PhastlaneNetwork {
     /// Plan-construction scratch (hop direction list).
     plan_dirs: Vec<Direction>,
     energy: EnergyLedger,
+    /// Laser energy provisioned per launch (pJ), fixed by the config.
+    laser_pj_per_launch: f64,
+    /// Energy events the hot loop counts; cycles and drop signals are
+    /// `cycle` and `stats.dropped`.
+    launches: u64,
+    receives: u64,
+    buffer_writes: u64,
     rng: SimRng,
     /// Per-cycle drop-signal link tracker (footnote-4 invariant).
     return_paths: ReturnPathRegistry,
@@ -336,6 +343,8 @@ impl PhastlaneNetwork {
         let routers = (0..nodes).map(|_| RouterState::new(cfg.buffers)).collect();
         let nics = (0..nodes).map(|_| Nic::new(NIC_ENTRIES)).collect();
         let energy = EnergyLedger::new(nodes, cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
+        let laser_pj_per_launch =
+            power::laser_pj_per_launch(cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
         let rng = SimRng::seed_from_u64(cfg.seed);
         PhastlaneNetwork {
             cfg,
@@ -353,6 +362,10 @@ impl PhastlaneNetwork {
             confirm_scratch: Vec::new(),
             plan_dirs: Vec::new(),
             energy,
+            laser_pj_per_launch,
+            launches: 0,
+            receives: 0,
+            buffer_writes: 0,
             rng,
             return_paths: ReturnPathRegistry::new(),
             links: LinkCounters::for_mesh(mesh),
@@ -368,6 +381,24 @@ impl PhastlaneNetwork {
     /// The configuration this network was built with.
     pub fn config(&self) -> &PhastlaneConfig {
         &self.cfg
+    }
+
+    /// The energy events so far; [`Network::energy`] is
+    /// [`power::energy`] of them.
+    pub fn energy_counts(&self) -> EnergyCounts {
+        EnergyCounts {
+            cycles: self.cycle,
+            launches: self.launches,
+            receives: self.receives,
+            buffer_writes: self.buffer_writes,
+            drop_signals: self.ledger.stats.dropped,
+        }
+    }
+
+    /// The energy of [`Self::energy_counts`].
+    pub fn counted_energy(&self) -> EnergyReport {
+        let counts = self.energy_counts();
+        power::energy(&counts, self.cfg.mesh.nodes(), self.laser_pj_per_launch)
     }
 
     /// Total waiting entries across all router buffers (diagnostics).
@@ -410,6 +441,7 @@ impl PhastlaneNetwork {
     /// Ejects the copy of `core` owed to the local node of router `at`.
     fn deliver(&mut self, core: PacketCore, at: NodeId, now: u64) {
         self.energy.on_receive();
+        self.receives += 1;
         self.ledger
             .deliver(&mut self.obs, origin(core), at, now, now + 1);
     }
@@ -438,6 +470,8 @@ impl PhastlaneNetwork {
             );
             self.energy.on_receive();
             self.energy.on_buffer_write();
+            self.receives += 1;
+            self.buffer_writes += 1;
             let uid = self.next_uid;
             self.next_uid += 1;
             set_bit(&mut self.busy, router.index());
@@ -610,6 +644,7 @@ impl PhastlaneNetwork {
                     match nic.pop() {
                         Some(entry) => {
                             self.energy.on_buffer_write();
+                            self.buffer_writes += 1;
                             state.push(local_q, entry);
                             route_work += 1;
                         }
@@ -832,6 +867,7 @@ impl PhastlaneNetwork {
         self.drop_slots.push(None);
         self.energy.on_buffer_read();
         self.energy.on_launch();
+        self.launches += 1;
     }
 
     /// The optical wavefront: every flight advances one router per

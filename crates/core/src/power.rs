@@ -32,6 +32,63 @@ pub const E_DROP_SIGNAL_PJ: f64 = 0.5;
 /// buffer leakage, arbiters.
 pub const LEAKAGE_MW_PER_ROUTER: f64 = 0.5;
 
+/// The optical network's energy events, counted as they happen.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnergyCounts {
+    /// Cycles stepped: one cycle of every router's leakage each.
+    pub cycles: u64,
+    /// Packet launches. Each one modulates every channel, is provisioned
+    /// laser power for one cycle, and reads its packet out of a buffer.
+    pub launches: u64,
+    /// Packets (or copies) received: a destination accept, a multicast
+    /// tap, or a blocked packet pulled into the electrical domain.
+    pub receives: u64,
+    /// Packets written into an electrical buffer: a NIC drain or a
+    /// blocked packet.
+    pub buffer_writes: u64,
+    /// Drop signals sent on the return path, one per dropped packet.
+    pub drop_signals: u64,
+}
+
+/// Laser energy provisioned per launch (pJ): every packet channel, plus
+/// the return path, must overcome the worst-case crossing losses of a
+/// full `max_hops` traversal for one cycle.
+///
+/// # Panics
+///
+/// Panics where [`PowerPoint::new`] does: a hop count or crossing
+/// efficiency outside the power model.
+pub fn laser_pj_per_launch(wdm: WdmConfig, max_hops: u32, crossing_efficiency: f64) -> f64 {
+    let point = PowerPoint::new(wdm, max_hops, crossing_efficiency);
+    let channels = f64::from(wdm.packet_channels() + RETURN_PATH_BITS);
+    let per_channel_mw = phastlane_photonics::devices::OpticalReceiver::SENSITIVITY.value()
+        / point.path_transmission();
+    // mW * ps * 1e-3 = pJ
+    channels * per_channel_mw * CLOCK_PERIOD.value() * 1e-3
+}
+
+/// One cycle of static leakage across `routers` routers (pJ).
+pub fn leakage_pj_per_cycle(routers: usize) -> f64 {
+    LEAKAGE_MW_PER_ROUTER * routers as f64 * CLOCK_PERIOD.value() * 1e-3
+}
+
+/// The energy `counts` cost on a network of `routers` routers whose
+/// launches are provisioned `laser_pj_per_launch` each: every term is a
+/// count times its per-event energy, summed in a fixed order.
+pub fn energy(counts: &EnergyCounts, routers: usize, laser_pj_per_launch: f64) -> EnergyReport {
+    let per_packet = |n: u64, pj_per_bit: f64| n as f64 * (pj_per_bit * PACKET_CHANNEL_BITS);
+    EnergyReport {
+        dynamic_pj: per_packet(counts.launches, E_MOD_PJ_PER_BIT)
+            + per_packet(counts.receives, E_RX_PJ_PER_BIT)
+            + per_packet(counts.buffer_writes, E_BUF_WRITE_PJ_PER_BIT)
+            + per_packet(counts.launches, E_BUF_READ_PJ_PER_BIT)
+            + counts.drop_signals as f64 * E_DROP_SIGNAL_PJ,
+        leakage_pj: counts.cycles as f64 * leakage_pj_per_cycle(routers),
+        laser_pj: counts.launches as f64 * laser_pj_per_launch,
+        link_pj: 0.0,
+    }
+}
+
 /// Per-event energy ledger for one Phastlane network instance.
 #[derive(Debug, Clone)]
 pub struct EnergyLedger {

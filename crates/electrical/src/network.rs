@@ -67,7 +67,7 @@
 
 use crate::config::ElectricalConfig;
 use crate::islip::{first_from, Islip, MAX_PORTS};
-use crate::power::EnergyLedger;
+use crate::power::{self, EnergyCounts, EnergyLedger};
 use crate::vctm::{mask_of, tree_fork, TargetMask, TreeRegions};
 use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView, Hop};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
@@ -270,6 +270,11 @@ pub struct ElectricalNetwork {
     /// Sources whose VCTM tree is already installed (dense, per node).
     warm_trees: Vec<bool>,
     energy: EnergyLedger,
+    /// Energy events the hot loop counts; cycles are `cycle` and
+    /// traversals the link counters' total.
+    buffer_writes: u64,
+    ejections: u64,
+    vc_grants: u64,
     links: LinkCounters,
     /// Observability handle: one branch per emit site when disabled.
     obs: Obs,
@@ -336,6 +341,9 @@ impl ElectricalNetwork {
             ledger: DeliveryLedger::new(),
             warm_trees: vec![false; nodes],
             energy,
+            buffer_writes: 0,
+            ejections: 0,
+            vc_grants: 0,
             links: LinkCounters::for_mesh(mesh),
             obs: Obs::off(),
             profiler: PhaseProfiler::off(),
@@ -351,6 +359,23 @@ impl ElectricalNetwork {
     /// The configuration this network was built with.
     pub fn config(&self) -> &ElectricalConfig {
         &self.cfg
+    }
+
+    /// The energy events so far; [`Network::energy`] is
+    /// [`power::energy`] of them.
+    pub fn energy_counts(&self) -> EnergyCounts {
+        EnergyCounts {
+            cycles: self.cycle,
+            buffer_writes: self.buffer_writes,
+            ejections: self.ejections,
+            vc_grants: self.vc_grants,
+            traversals: self.links.total(),
+        }
+    }
+
+    /// The energy of [`Self::energy_counts`].
+    pub fn counted_energy(&self) -> EnergyReport {
+        power::energy(&self.energy_counts(), self.cfg.mesh.nodes())
     }
 
     /// Index into `slots` of VC `vc` of input `port` of router `r_idx`.
@@ -380,6 +405,7 @@ impl ElectricalNetwork {
             self.wheel[bucket][port] |= bit;
         }
         self.energy.on_buffer_write();
+        self.buffer_writes += 1;
         self.slots[slot] = Some(flit);
     }
 
@@ -515,6 +541,7 @@ impl ElectricalNetwork {
                         router.eject_due[port] &= !(1 << vc);
                         router.touched[port] |= 1 << vc;
                         self.energy.on_buffer_read();
+                        self.ejections += 1;
                         self.ledger
                             .deliver(&mut self.obs, flit.core, here, now, now);
                     }
@@ -654,6 +681,7 @@ impl ElectricalNetwork {
                 router.credits[d] = free & (free - 1);
                 router.va_ptr[d] = (at + 1) as u8;
                 self.energy.on_allocation();
+                self.vc_grants += 1;
                 granted += 1;
             }
         }

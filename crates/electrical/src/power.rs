@@ -30,6 +30,43 @@ pub const LEAKAGE_MW_PER_ROUTER: f64 = 4.0;
 /// Network clock period (ps) at 4 GHz.
 pub const CLOCK_PS: f64 = 250.0;
 
+/// The electrical network's energy events, counted as they happen.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnergyCounts {
+    /// Cycles stepped: one cycle of every router's leakage each.
+    pub cycles: u64,
+    /// Flits written into a VC buffer: an injection or a link arrival.
+    pub buffer_writes: u64,
+    /// Flit copies ejected at their destination: one buffer read each.
+    pub ejections: u64,
+    /// VC-allocation grants.
+    pub vc_grants: u64,
+    /// Switch traversals, the sum of the link counters. Each one is a
+    /// switch grant, a buffer read, a crossbar crossing and a link.
+    pub traversals: u64,
+}
+
+/// One cycle of leakage across `routers` routers (pJ).
+pub fn leakage_pj_per_cycle(routers: usize) -> f64 {
+    LEAKAGE_MW_PER_ROUTER * routers as f64 * CLOCK_PS * 1e-3
+}
+
+/// The energy `counts` cost on a network of `routers` routers: every
+/// term is a count times its per-event energy, summed in a fixed order.
+pub fn energy(counts: &EnergyCounts, routers: usize) -> EnergyReport {
+    let per_flit = |n: u64, pj_per_bit: f64| n as f64 * (pj_per_bit * FLIT_BITS);
+    let grants = counts.vc_grants + counts.traversals;
+    EnergyReport {
+        dynamic_pj: per_flit(counts.buffer_writes, E_BUF_WRITE_PJ_PER_BIT)
+            + per_flit(counts.ejections + counts.traversals, E_BUF_READ_PJ_PER_BIT)
+            + per_flit(counts.traversals, E_XBAR_PJ_PER_BIT)
+            + grants as f64 * E_ARB_PJ,
+        leakage_pj: counts.cycles as f64 * leakage_pj_per_cycle(routers),
+        laser_pj: 0.0,
+        link_pj: per_flit(counts.traversals, E_LINK_PJ_PER_BIT),
+    }
+}
+
 /// Per-event energy ledger for the electrical network.
 #[derive(Debug, Clone)]
 pub struct EnergyLedger {

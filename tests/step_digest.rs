@@ -45,6 +45,7 @@ use phastlane_repro::netsim::fault::{Fault, FaultKind, FaultPlan};
 use phastlane_repro::netsim::obs::TraceBuffer;
 use phastlane_repro::netsim::packet::PacketKind;
 use phastlane_repro::netsim::rng::SimRng;
+use phastlane_repro::netsim::stats::EnergyReport;
 use phastlane_repro::netsim::{DestSet, Direction, Mesh, Network, NewPacket, NodeId};
 use phastlane_repro::optical::{
     ArbitrationPolicy, PathPriority, PhastlaneConfig, PhastlaneNetwork,
@@ -225,6 +226,18 @@ fn run_cell(net: &mut dyn Network, plan: FaultPlan, drive: &Drive) -> u64 {
 
 const MESHES: [(u16, u16); 2] = [(4, 4), (8, 8)];
 
+/// The energy computed from a network's event counts equals its running
+/// ledger within 1e-9 relative, term by term.
+fn assert_counted_energy(label: &str, ledger: EnergyReport, counted: EnergyReport) {
+    let terms = |e: EnergyReport| [e.dynamic_pj, e.leakage_pj, e.laser_pj, e.link_pj];
+    for (a, b) in terms(ledger).into_iter().zip(terms(counted)) {
+        assert!(
+            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            "{label}: ledger {ledger:?} != counted {counted:?}"
+        );
+    }
+}
+
 /// Every optical cell, in table order, as `(label, digest)`.
 fn optical_cells() -> Vec<(String, u64)> {
     let configs = [
@@ -262,13 +275,12 @@ fn optical_cells() -> Vec<(String, u64)> {
                             };
                             let digest =
                                 run_cell(&mut net, plan_for(mesh, seed, intensity), &drive);
-                            cells.push((
-                                format!(
-                                    "{name}/{w}x{hgt}/{arbitration}/{path_priority}/f{intensity}/{}",
-                                    if mixed { "mixed" } else { "unicast" }
-                                ),
-                                digest,
-                            ));
+                            let label = format!(
+                                "{name}/{w}x{hgt}/{arbitration}/{path_priority}/f{intensity}/{}",
+                                if mixed { "mixed" } else { "unicast" }
+                            );
+                            assert_counted_energy(&label, net.energy(), net.counted_energy());
+                            cells.push((label, digest));
                         }
                     }
                 }
@@ -312,13 +324,12 @@ fn electrical_cells() -> Vec<(String, u64)> {
                         },
                     };
                     let digest = run_cell(&mut net, plan_for(mesh, seed, intensity), &drive);
-                    cells.push((
-                        format!(
-                            "{name}/{w}x{hgt}/f{intensity}/{}",
-                            if mixed { "mixed" } else { "unicast" }
-                        ),
-                        digest,
-                    ));
+                    let label = format!(
+                        "{name}/{w}x{hgt}/f{intensity}/{}",
+                        if mixed { "mixed" } else { "unicast" }
+                    );
+                    assert_counted_energy(&label, net.energy(), net.counted_energy());
+                    cells.push((label, digest));
                 }
             }
         }
@@ -362,13 +373,12 @@ fn electrical_axis_cells() -> Vec<(String, u64)> {
                     total_cycles: if intensity > 0.0 { 2_400 } else { 500 },
                 };
                 let digest = run_cell(&mut net, plan_for(mesh, seed, intensity), &drive);
-                cells.push((
-                    format!(
-                        "Electrical3/{axis}/f{intensity}/{}",
-                        if mixed { "mixed" } else { "unicast" }
-                    ),
-                    digest,
-                ));
+                let label = format!(
+                    "Electrical3/{axis}/f{intensity}/{}",
+                    if mixed { "mixed" } else { "unicast" }
+                );
+                assert_counted_energy(&label, net.energy(), net.counted_energy());
+                cells.push((label, digest));
             }
         }
     }
@@ -473,11 +483,10 @@ fn optical_axis_runs() -> Vec<(String, u64, u64)> {
                 } else {
                     "broadcast"
                 };
-                runs.push((
-                    format!("Optical4/storm/{w}x{hgt}/f{intensity}/{spelling}"),
-                    digest,
-                    storm.refused,
-                ));
+                let label = format!("Optical4/storm/{w}x{hgt}/f{intensity}/{spelling}");
+                let net = &storm.net;
+                assert_counted_energy(&label, net.energy(), net.counted_energy());
+                runs.push((label, digest, storm.refused));
             }
         }
     }
