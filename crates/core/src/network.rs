@@ -16,8 +16,8 @@
 //! the *busy-router worklist*, a bitmask in which a clear bit means the
 //! router's queues, parked launches and NIC are all empty. Set bits are
 //! visited in ascending router order inside each phase — the order the
-//! full walk had — so trace events, both RNG streams and the running
-//! energy sum are those of a walk over all N routers. The three sweeps
+//! full walk had — so trace events and both RNG streams are those of a
+//! walk over all N routers. The three sweeps
 //! are not merged into one per-router pass: that would interleave one
 //! router's `DropReturn` / `Retransmit` events with another's
 //! `OpticalTransit`.
@@ -81,7 +81,7 @@ use crate::dropnet::{ReturnPath, ReturnPathRegistry};
 use crate::multicast::split_multicast;
 use crate::plan::{Plan, StepExit, StopKind};
 use crate::policies::ArbitrationPolicy;
-use crate::power::{self, EnergyCounts, EnergyLedger};
+use crate::power::{self, EnergyCounts};
 use crate::router::{rotation, Entry, PacketCore, RouterState};
 use phastlane_netsim::ecc::{self, Decoded};
 use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView, Hop};
@@ -303,14 +303,12 @@ pub struct PhastlaneNetwork {
     confirm_scratch: Vec<(u8, u32)>,
     /// Plan-construction scratch (hop direction list).
     plan_dirs: Vec<Direction>,
-    energy: EnergyLedger,
     /// Laser energy provisioned per launch (pJ), fixed by the config.
     laser_pj_per_launch: f64,
-    /// Energy events the hot loop counts; cycles and drop signals are
-    /// `cycle` and `stats.dropped`.
-    launches: u64,
-    receives: u64,
-    buffer_writes: u64,
+    /// Energy events the hot loop counts. `cycles` and `drop_signals`
+    /// stay 0 here: [`Self::energy_counts`] reads `cycle` and
+    /// `stats.dropped`.
+    energy: EnergyCounts,
     rng: SimRng,
     /// Per-cycle drop-signal link tracker (footnote-4 invariant).
     return_paths: ReturnPathRegistry,
@@ -342,7 +340,6 @@ impl PhastlaneNetwork {
         let nodes = cfg.mesh.nodes();
         let routers = (0..nodes).map(|_| RouterState::new(cfg.buffers)).collect();
         let nics = (0..nodes).map(|_| Nic::new(NIC_ENTRIES)).collect();
-        let energy = EnergyLedger::new(nodes, cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
         let laser_pj_per_launch =
             power::laser_pj_per_launch(cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
         let rng = SimRng::seed_from_u64(cfg.seed);
@@ -361,11 +358,8 @@ impl PhastlaneNetwork {
             claims: ClaimTable::new(nodes),
             confirm_scratch: Vec::new(),
             plan_dirs: Vec::new(),
-            energy,
             laser_pj_per_launch,
-            launches: 0,
-            receives: 0,
-            buffer_writes: 0,
+            energy: EnergyCounts::default(),
             rng,
             return_paths: ReturnPathRegistry::new(),
             links: LinkCounters::for_mesh(mesh),
@@ -388,17 +382,9 @@ impl PhastlaneNetwork {
     pub fn energy_counts(&self) -> EnergyCounts {
         EnergyCounts {
             cycles: self.cycle,
-            launches: self.launches,
-            receives: self.receives,
-            buffer_writes: self.buffer_writes,
             drop_signals: self.ledger.stats.dropped,
+            ..self.energy
         }
-    }
-
-    /// The energy of [`Self::energy_counts`].
-    pub fn counted_energy(&self) -> EnergyReport {
-        let counts = self.energy_counts();
-        power::energy(&counts, self.cfg.mesh.nodes(), self.laser_pj_per_launch)
     }
 
     /// Total waiting entries across all router buffers (diagnostics).
@@ -440,8 +426,7 @@ impl PhastlaneNetwork {
 
     /// Ejects the copy of `core` owed to the local node of router `at`.
     fn deliver(&mut self, core: PacketCore, at: NodeId, now: u64) {
-        self.energy.on_receive();
-        self.receives += 1;
+        self.energy.receives += 1;
         self.ledger
             .deliver(&mut self.obs, origin(core), at, now, now + 1);
     }
@@ -468,10 +453,8 @@ impl PhastlaneNetwork {
                 Some(entry_dir),
                 id,
             );
-            self.energy.on_receive();
-            self.energy.on_buffer_write();
-            self.receives += 1;
-            self.buffer_writes += 1;
+            self.energy.receives += 1;
+            self.energy.buffer_writes += 1;
             let uid = self.next_uid;
             self.next_uid += 1;
             set_bit(&mut self.busy, router.index());
@@ -500,7 +483,6 @@ impl PhastlaneNetwork {
                 registered.is_ok(),
                 "return paths overlapped: {registered:?}"
             );
-            self.energy.on_drop_signal();
             debug_assert!(
                 self.drop_slots[fi].is_none(),
                 "one launch cannot drop twice"
@@ -643,8 +625,7 @@ impl PhastlaneNetwork {
                 while state.has_room(local_q) {
                     match nic.pop() {
                         Some(entry) => {
-                            self.energy.on_buffer_write();
-                            self.buffer_writes += 1;
+                            self.energy.buffer_writes += 1;
                             state.push(local_q, entry);
                             route_work += 1;
                         }
@@ -865,9 +846,7 @@ impl PhastlaneNetwork {
         flight.alive = true;
         self.n_flights += 1;
         self.drop_slots.push(None);
-        self.energy.on_buffer_read();
-        self.energy.on_launch();
-        self.launches += 1;
+        self.energy.launches += 1;
     }
 
     /// The optical wavefront: every flight advances one router per
@@ -1014,14 +993,14 @@ impl PhastlaneNetwork {
         }
     }
 
-    /// Leakage accrues and the clock advances.
+    /// The clock advances. `cycle` and `stats.dropped` are also the
+    /// leakage and drop-signal counts of [`Self::energy_counts`].
     fn end_cycle(&mut self, delivered_before: usize) {
         debug_assert_eq!(
             self.ledger.stats.dropped,
             self.return_paths.signals_total(),
             "every dropped packet produces exactly one drop-return signal"
         );
-        self.energy.on_cycle();
         self.cycle += 1;
         let ejected = self.ledger.pending_deliveries() - delivered_before;
         self.profiler.add_work(Phase::Eject, ejected as u64);
@@ -1210,7 +1189,8 @@ impl Network for PhastlaneNetwork {
     }
 
     fn energy(&self) -> EnergyReport {
-        self.energy.report()
+        let counts = self.energy_counts();
+        power::energy(&counts, self.cfg.mesh.nodes(), self.laser_pj_per_launch)
     }
 
     fn stats(&self) -> NetworkStats {

@@ -8,6 +8,11 @@
 //! every launch must be provisioned for the worst-case crossing losses of
 //! a full `max_hops` traversal, which is why the eight-hop network's
 //! transmit power "increases sharply" (§5).
+//!
+//! The network only counts events ([`EnergyCounts`]); [`energy`] turns
+//! the counts into an [`EnergyReport`] when it is read. Every term is a
+//! count times a constant, so the report depends on how many events
+//! happened, never on the order the hot loop met them.
 
 use phastlane_netsim::stats::EnergyReport;
 use phastlane_photonics::delay::CLOCK_PERIOD;
@@ -89,96 +94,19 @@ pub fn energy(counts: &EnergyCounts, routers: usize, laser_pj_per_launch: f64) -
     }
 }
 
-/// Per-event energy ledger for one Phastlane network instance.
-#[derive(Debug, Clone)]
-pub struct EnergyLedger {
-    report: EnergyReport,
-    laser_pj_per_launch: f64,
-    leakage_pj_per_cycle: f64,
-}
-
-impl EnergyLedger {
-    /// Creates a ledger for a network of `routers` routers with the given
-    /// WDM packaging and laser provisioning assumptions.
-    pub fn new(routers: usize, wdm: WdmConfig, max_hops: u32, crossing_efficiency: f64) -> Self {
-        let point = PowerPoint::new(wdm, max_hops, crossing_efficiency);
-        // Laser power provisioned per launch: every packet channel (plus
-        // the return path) must overcome the worst-case path losses.
-        let channels = f64::from(wdm.packet_channels() + RETURN_PATH_BITS);
-        let per_channel_mw = phastlane_photonics::devices::OpticalReceiver::SENSITIVITY.value()
-            / point.path_transmission();
-        let laser_mw = channels * per_channel_mw;
-        // mW * ps * 1e-3 = pJ
-        let laser_pj_per_launch = laser_mw * CLOCK_PERIOD.value() * 1e-3;
-        let leakage_pj_per_cycle =
-            LEAKAGE_MW_PER_ROUTER * routers as f64 * CLOCK_PERIOD.value() * 1e-3;
-        EnergyLedger {
-            report: EnergyReport::default(),
-            laser_pj_per_launch,
-            leakage_pj_per_cycle,
-        }
-    }
-
-    /// A packet launch: modulator drive for every channel plus the
-    /// provisioned laser power for one cycle.
-    pub fn on_launch(&mut self) {
-        self.report.dynamic_pj += E_MOD_PJ_PER_BIT * PACKET_CHANNEL_BITS;
-        self.report.laser_pj += self.laser_pj_per_launch;
-    }
-
-    /// A packet (or copy) received: destination accept, multicast tap, or
-    /// a blocked packet pulled into the electrical domain.
-    pub fn on_receive(&mut self) {
-        self.report.dynamic_pj += E_RX_PJ_PER_BIT * PACKET_CHANNEL_BITS;
-    }
-
-    /// A packet written into an electrical buffer.
-    pub fn on_buffer_write(&mut self) {
-        self.report.dynamic_pj += E_BUF_WRITE_PJ_PER_BIT * PACKET_CHANNEL_BITS;
-    }
-
-    /// A packet read out of an electrical buffer (relaunch).
-    pub fn on_buffer_read(&mut self) {
-        self.report.dynamic_pj += E_BUF_READ_PJ_PER_BIT * PACKET_CHANNEL_BITS;
-    }
-
-    /// A drop signal transmitted on the return path.
-    pub fn on_drop_signal(&mut self) {
-        self.report.dynamic_pj += E_DROP_SIGNAL_PJ;
-    }
-
-    /// One cycle of static leakage across all routers.
-    pub fn on_cycle(&mut self) {
-        self.report.leakage_pj += self.leakage_pj_per_cycle;
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> EnergyReport {
-        self.report
-    }
-
-    /// Laser energy provisioned per launch (pJ) — exposed for tests and
-    /// the design-space experiments.
-    pub fn laser_pj_per_launch(&self) -> f64 {
-        self.laser_pj_per_launch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ledger(max_hops: u32) -> EnergyLedger {
-        EnergyLedger::new(64, WdmConfig::PAPER, max_hops, 0.98)
+    fn laser(max_hops: u32) -> f64 {
+        laser_pj_per_launch(WdmConfig::PAPER, max_hops, 0.98)
     }
 
     #[test]
     fn laser_energy_grows_sharply_with_hop_limit() {
         // §5: the eight-hop network's transmit power increases sharply due
         // to additional crossing losses.
-        let l4 = ledger(4).laser_pj_per_launch();
-        let l5 = ledger(5).laser_pj_per_launch();
-        let l8 = ledger(8).laser_pj_per_launch();
+        let (l4, l5, l8) = (laser(4), laser(5), laser(8));
         assert!(l5 > l4);
         assert!(l8 > 5.0 * l4, "8-hop {l8} vs 4-hop {l4}");
     }
@@ -186,36 +114,37 @@ mod tests {
     #[test]
     fn four_hop_launch_energy_magnitude() {
         // ~130 mW for 250 ps ≈ 33 pJ; sanity-check the unit chain.
-        let l = ledger(4).laser_pj_per_launch();
+        let l = laser(4);
         assert!(l > 15.0 && l < 60.0, "laser pJ/launch = {l}");
     }
 
     #[test]
     fn events_accumulate() {
-        let mut e = ledger(4);
-        e.on_launch();
-        e.on_receive();
-        e.on_buffer_write();
-        e.on_buffer_read();
-        e.on_drop_signal();
-        e.on_cycle();
-        let r = e.report();
+        let one_each = EnergyCounts {
+            cycles: 1,
+            launches: 1,
+            receives: 1,
+            buffer_writes: 1,
+            drop_signals: 1,
+        };
+        let r = energy(&one_each, 64, laser(4));
         assert!(r.dynamic_pj > 0.0);
-        assert!(r.laser_pj > 0.0);
-        assert!(r.leakage_pj > 0.0);
+        assert_eq!(r.laser_pj, laser(4));
+        assert_eq!(r.leakage_pj, leakage_pj_per_cycle(64));
+        assert_eq!(r.link_pj, 0.0);
         let expected_dynamic =
             (E_MOD_PJ_PER_BIT + E_RX_PJ_PER_BIT + E_BUF_WRITE_PJ_PER_BIT + E_BUF_READ_PJ_PER_BIT)
                 * PACKET_CHANNEL_BITS
                 + E_DROP_SIGNAL_PJ;
         assert!((r.dynamic_pj - expected_dynamic).abs() < 1e-9);
+        assert_eq!(
+            energy(&EnergyCounts::default(), 64, laser(4)).total_pj(),
+            0.0
+        );
     }
 
     #[test]
     fn leakage_scales_with_router_count() {
-        let mut small = EnergyLedger::new(16, WdmConfig::PAPER, 4, 0.98);
-        let mut big = EnergyLedger::new(64, WdmConfig::PAPER, 4, 0.98);
-        small.on_cycle();
-        big.on_cycle();
-        assert!((big.report().leakage_pj / small.report().leakage_pj - 4.0).abs() < 1e-9);
+        assert!((leakage_pj_per_cycle(64) / leakage_pj_per_cycle(16) - 4.0).abs() < 1e-9);
     }
 }

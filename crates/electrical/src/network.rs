@@ -61,13 +61,15 @@
 //! only on the cycle a fault starts or ends; a router's blocked outputs
 //! are one 4-bit mask of it.
 //!
-//! The visiting order is behaviour, not style: trace events, delivery
-//! order and the energy ledger's running `f64` sums all follow it, and
-//! `tests/step_digest.rs` pins it across commits.
+//! The visiting order is behaviour, not style: trace events and
+//! delivery order follow it, and `tests/step_digest.rs` pins it across
+//! commits. Energy does not: the hot loop only counts events
+//! ([`ElectricalNetwork::energy_counts`]), and [`power::energy`] prices
+//! them when [`Network::energy`] is read.
 
 use crate::config::ElectricalConfig;
 use crate::islip::{first_from, Islip, MAX_PORTS};
-use crate::power::{self, EnergyCounts, EnergyLedger};
+use crate::power::{self, EnergyCounts};
 use crate::vctm::{mask_of, tree_fork, TargetMask, TreeRegions};
 use phastlane_netsim::fault::{FailedDelivery, FaultPlan, FaultView, Hop};
 use phastlane_netsim::geometry::{Direction, Mesh, NodeId, Port};
@@ -269,12 +271,10 @@ pub struct ElectricalNetwork {
     ledger: DeliveryLedger,
     /// Sources whose VCTM tree is already installed (dense, per node).
     warm_trees: Vec<bool>,
-    energy: EnergyLedger,
-    /// Energy events the hot loop counts; cycles are `cycle` and
-    /// traversals the link counters' total.
-    buffer_writes: u64,
-    ejections: u64,
-    vc_grants: u64,
+    /// Energy events the hot loop counts. `cycles` and `traversals`
+    /// stay 0 here: [`Self::energy_counts`] reads `cycle` and the link
+    /// counters' total.
+    energy: EnergyCounts,
     links: LinkCounters,
     /// Observability handle: one branch per emit site when disabled.
     obs: Obs,
@@ -323,7 +323,6 @@ impl ElectricalNetwork {
             .map(|here| Router::new(mesh, here, vc_mask(cfg.vcs_per_port)))
             .collect();
         let nics = (0..nodes).map(|_| Nic::new(NIC_ENTRIES)).collect();
-        let energy = EnergyLedger::new(nodes);
         // A flit is placed at most `router_delay + vctm_setup_penalty`
         // cycles before it is eligible, so no two pending cycles share
         // a bucket.
@@ -340,10 +339,7 @@ impl ElectricalNetwork {
             regions: TreeRegions::new(mesh),
             ledger: DeliveryLedger::new(),
             warm_trees: vec![false; nodes],
-            energy,
-            buffer_writes: 0,
-            ejections: 0,
-            vc_grants: 0,
+            energy: EnergyCounts::default(),
             links: LinkCounters::for_mesh(mesh),
             obs: Obs::off(),
             profiler: PhaseProfiler::off(),
@@ -366,16 +362,9 @@ impl ElectricalNetwork {
     pub fn energy_counts(&self) -> EnergyCounts {
         EnergyCounts {
             cycles: self.cycle,
-            buffer_writes: self.buffer_writes,
-            ejections: self.ejections,
-            vc_grants: self.vc_grants,
             traversals: self.links.total(),
+            ..self.energy
         }
-    }
-
-    /// The energy of [`Self::energy_counts`].
-    pub fn counted_energy(&self) -> EnergyReport {
-        power::energy(&self.energy_counts(), self.cfg.mesh.nodes())
     }
 
     /// Index into `slots` of VC `vc` of input `port` of router `r_idx`.
@@ -404,8 +393,7 @@ impl ElectricalNetwork {
             let bucket = self.bucket(r_idx, flit.eligible_at);
             self.wheel[bucket][port] |= bit;
         }
-        self.energy.on_buffer_write();
-        self.buffer_writes += 1;
+        self.energy.buffer_writes += 1;
         self.slots[slot] = Some(flit);
     }
 
@@ -540,8 +528,7 @@ impl ElectricalNetwork {
                         let router = &mut self.routers[r_idx];
                         router.eject_due[port] &= !(1 << vc);
                         router.touched[port] |= 1 << vc;
-                        self.energy.on_buffer_read();
-                        self.ejections += 1;
+                        self.energy.ejections += 1;
                         self.ledger
                             .deliver(&mut self.obs, flit.core, here, now, now);
                     }
@@ -680,8 +667,7 @@ impl ElectricalNetwork {
                 router.has_vc[at / MAX_VCS][d] |= 1 << (at % MAX_VCS);
                 router.credits[d] = free & (free - 1);
                 router.va_ptr[d] = (at + 1) as u8;
-                self.energy.on_allocation();
-                self.vc_grants += 1;
+                self.energy.vc_grants += 1;
                 granted += 1;
             }
         }
@@ -755,10 +741,7 @@ impl ElectricalNetwork {
             b.done = true;
             let (core, route) = (f.core, f.route);
             let route = self.branch_route(route, here, dir);
-            self.energy.on_allocation();
-            self.energy.on_buffer_read();
-            self.energy.on_crossbar();
-            self.energy.on_link();
+            // Also the traversal count energy is priced from.
             self.links.record(here, dir);
             self.obs.emit(
                 now,
@@ -1045,7 +1028,6 @@ impl Network for ElectricalNetwork {
         self.switch_and_traverse(now, faulted);
         self.profiler.mark(Phase::Traverse);
         self.recycle_vcs(now, faulted);
-        self.energy.on_cycle();
         if cfg!(debug_assertions) {
             self.assert_credits_conserved();
         }
@@ -1083,7 +1065,7 @@ impl Network for ElectricalNetwork {
     }
 
     fn energy(&self) -> EnergyReport {
-        self.energy.report()
+        power::energy(&self.energy_counts(), self.cfg.mesh.nodes())
     }
 
     fn stats(&self) -> NetworkStats {

@@ -6,6 +6,11 @@
 //! read/write, crossbar traversal, allocator events, full-swing repeated
 //! links at the 1.87 mm node pitch, and per-router leakage dominated by
 //! the 50 flit-slots of VC buffers and the allocator logic.
+//!
+//! The network only counts events ([`EnergyCounts`]); [`energy`] turns
+//! the counts into an [`EnergyReport`] when it is read. Every term is a
+//! count times a constant, so the report depends on how many events
+//! happened, never on the order the hot loop met them.
 
 use phastlane_netsim::stats::EnergyReport;
 
@@ -67,100 +72,32 @@ pub fn energy(counts: &EnergyCounts, routers: usize) -> EnergyReport {
     }
 }
 
-/// Per-event energy ledger for the electrical network.
-#[derive(Debug, Clone)]
-pub struct EnergyLedger {
-    report: EnergyReport,
-    leakage_pj_per_cycle: f64,
-}
-
-impl EnergyLedger {
-    /// Creates a ledger for `routers` routers.
-    pub fn new(routers: usize) -> Self {
-        EnergyLedger {
-            report: EnergyReport::default(),
-            leakage_pj_per_cycle: LEAKAGE_MW_PER_ROUTER * routers as f64 * CLOCK_PS * 1e-3,
-        }
-    }
-
-    /// A flit written into a VC buffer (arrival or injection).
-    pub fn on_buffer_write(&mut self) {
-        self.report.dynamic_pj += E_BUF_WRITE_PJ_PER_BIT * FLIT_BITS;
-    }
-
-    /// A flit read out of its VC for traversal or ejection.
-    pub fn on_buffer_read(&mut self) {
-        self.report.dynamic_pj += E_BUF_READ_PJ_PER_BIT * FLIT_BITS;
-    }
-
-    /// A flit crossing the switch.
-    pub fn on_crossbar(&mut self) {
-        self.report.dynamic_pj += E_XBAR_PJ_PER_BIT * FLIT_BITS;
-    }
-
-    /// A flit traversing an inter-router link.
-    pub fn on_link(&mut self) {
-        self.report.link_pj += E_LINK_PJ_PER_BIT * FLIT_BITS;
-    }
-
-    /// One allocator grant (VC or switch).
-    pub fn on_allocation(&mut self) {
-        self.report.dynamic_pj += E_ARB_PJ;
-    }
-
-    /// One cycle of leakage across the network.
-    pub fn on_cycle(&mut self) {
-        self.report.leakage_pj += self.leakage_pj_per_cycle;
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> EnergyReport {
-        self.report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn per_hop_energy_magnitude() {
-        // One hop = write + read + xbar + link + ~2 allocations: ~230 pJ.
-        let mut e = EnergyLedger::new(64);
-        e.on_buffer_write();
-        e.on_buffer_read();
-        e.on_crossbar();
-        e.on_link();
-        e.on_allocation();
-        e.on_allocation();
-        let total = e.report().total_pj();
+        // One hop = write + read + xbar + link + 2 allocations: ~230 pJ.
+        let hop = EnergyCounts {
+            buffer_writes: 1,
+            vc_grants: 1,
+            traversals: 1,
+            ..EnergyCounts::default()
+        };
+        let total = energy(&hop, 64).total_pj();
         assert!(total > 150.0 && total < 350.0, "per-hop energy {total} pJ");
     }
 
     #[test]
     fn leakage_dominates_idle_network() {
-        let mut e = EnergyLedger::new(64);
-        for _ in 0..1000 {
-            e.on_cycle();
-        }
-        let r = e.report();
+        let idle = EnergyCounts {
+            cycles: 1000,
+            ..EnergyCounts::default()
+        };
+        let r = energy(&idle, 64);
         assert_eq!(r.dynamic_pj, 0.0);
         // 4 mW x 64 routers = 256 mW -> 64 pJ/cycle.
         assert!((r.leakage_pj / 1000.0 - 64.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn electrical_leakage_exceeds_optical() {
-        // The paper's optical network has far less electrical state.
-        assert!(
-            LEAKAGE_MW_PER_ROUTER > phastlane_core_leakage(),
-            "baseline router must leak more than the Phastlane router"
-        );
-    }
-
-    fn phastlane_core_leakage() -> f64 {
-        // Mirrors phastlane_core::power::LEAKAGE_MW_PER_ROUTER without a
-        // circular dev-dependency.
-        0.5
     }
 }

@@ -7,6 +7,11 @@
 //! and the core rearrange its memory layout freely: none of it may move
 //! a single canonical bit. If this test fails, the refactor changed
 //! simulated behavior — fix the code, do not re-record the golden.
+//!
+//! The golden was re-recorded once, on purpose, when both networks'
+//! energy became a function of event counts evaluated at read time
+//! instead of a running `f64` sum: only the 24 `energy_pj` values moved,
+//! each by float reassociation (at most 2.7e-14 relative).
 
 use phastlane_lab::{run_lab, LabSpec};
 use std::path::Path;

@@ -203,3 +203,21 @@ fn soak_random_traffic() {
         );
     }
 }
+
+#[test]
+fn electrical_leakage_exceeds_optical() {
+    use phastlane_repro::electrical::power as electrical;
+    use phastlane_repro::optical::power as optical;
+    // The paper's optical network has far less electrical state.
+    const {
+        assert!(
+            electrical::LEAKAGE_MW_PER_ROUTER > optical::LEAKAGE_MW_PER_ROUTER,
+            "baseline router must leak more than the Phastlane router"
+        );
+    }
+    // Both leakages are priced over the same 4 GHz cycle.
+    assert_eq!(
+        electrical::CLOCK_PS,
+        phastlane_repro::photonics::delay::CLOCK_PERIOD.value()
+    );
+}

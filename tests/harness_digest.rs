@@ -18,6 +18,14 @@
 //! altered what a drive reports — fix the code, do not re-record the
 //! digests. (`print_digest_table`, ignored, prints the tables in source
 //! form for the day a cell is *added*.)
+//!
+//! One deliberate change re-recorded the tables once: both networks'
+//! energy became a function of event counts, evaluated when `energy()` is
+//! read, instead of a running `f64` sum the hot loop added to. That moves
+//! the energy bits by float reassociation only. Every cell's digest with
+//! its four energy words left out was identical before and after; the
+//! one cell whose digest did not move is `ideal/f0`, whose network spends
+//! no energy.
 
 use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_repro::netsim::fault::{Fault, FaultKind, FaultPlan};
@@ -527,64 +535,64 @@ fn print_digest_table() {
 
 #[rustfmt::skip]
 const SYNTHETIC: &[(&str, u64)] = &[
-    ("optical4/uniform/0.05/f0", 0xfeba20586714abbf),
-    ("optical4/uniform/0.05/f0.3", 0x69cef7621406be4d),
-    ("optical4/transpose/0.4/f0", 0x34101e873241dd73),
-    ("optical4/transpose/0.4/f0.3", 0xdee438525888d4b8),
-    ("electrical3/uniform/0.05/f0", 0x0c7e443dc848d83d),
-    ("electrical3/uniform/0.05/f0.3", 0xebb1f74f60cf3f05),
-    ("electrical3/transpose/0.4/f0", 0xead6dd074eed913b),
-    ("electrical3/transpose/0.4/f0.3", 0x7a9b1a95b33958d0),
+    ("optical4/uniform/0.05/f0", 0x3369ebc212e2311f),
+    ("optical4/uniform/0.05/f0.3", 0xb8284ed285067a1e),
+    ("optical4/transpose/0.4/f0", 0x4369f82e53304610),
+    ("optical4/transpose/0.4/f0.3", 0x1c86565aac5c7b9e),
+    ("electrical3/uniform/0.05/f0", 0x73754d978f6fca03),
+    ("electrical3/uniform/0.05/f0.3", 0x4fecefe604f3a297),
+    ("electrical3/transpose/0.4/f0", 0x9d46b2f3c3355638),
+    ("electrical3/transpose/0.4/f0.3", 0x6f3a4577650ebd56),
 ];
 
 #[rustfmt::skip]
 const REPLAY: &[(&str, u64)] = &[
-    ("FFT/optical4/f0", 0x3102d7856c2b9c86),
-    ("FFT/optical4/f0.3", 0xf4556524495a399f),
-    ("FFT/electrical3/f0", 0xc5ec3f19578cc9a5),
-    ("FFT/electrical3/f0.3", 0xa835441a97882965),
-    ("Ocean/optical4/f0", 0x5cd102db4b691b07),
-    ("Ocean/optical4/f0.3", 0xbfbeb78a289ca905),
-    ("Ocean/electrical3/f0", 0x297ae66f2120615c),
-    ("Ocean/electrical3/f0.3", 0xdf441baa066d0dbe),
-    ("Radix/optical4/f0", 0x65e69518badbca79),
-    ("Radix/optical4/f0.3", 0x16f9830a880b5846),
-    ("Radix/electrical3/f0", 0x62ce58e04b5f7133),
-    ("Radix/electrical3/f0.3", 0xb7b15b4b8034bfae),
+    ("FFT/optical4/f0", 0x680f3b2ca2772867),
+    ("FFT/optical4/f0.3", 0x7ca40fff71e9df1e),
+    ("FFT/electrical3/f0", 0x073891cf41889598),
+    ("FFT/electrical3/f0.3", 0xc7884a7c0fe926ff),
+    ("Ocean/optical4/f0", 0x87bbc4c543550c41),
+    ("Ocean/optical4/f0.3", 0x33db05c1630ea9d2),
+    ("Ocean/electrical3/f0", 0x3e91f5c7bf8049c1),
+    ("Ocean/electrical3/f0.3", 0xd64c39b25f6ff537),
+    ("Radix/optical4/f0", 0x46f637af6a26e919),
+    ("Radix/optical4/f0.3", 0xa82e1b1b85614afc),
+    ("Radix/electrical3/f0", 0xcd47de6e1b3f9d35),
+    ("Radix/electrical3/f0.3", 0xb3148c9c9ae28161),
 ];
 
 #[rustfmt::skip]
 const WATCHDOG: &[(&str, u64)] = &[
-    ("synthetic/unarmed", 0x386fe4daabeab1e9),
-    ("replay/unarmed", 0x3102d7856c2b9c86),
-    ("synthetic/budget-mid-run", 0xaf3be89f4a944320),
-    ("replay/budget-mid-run", 0x66cc314609aaaa74),
-    ("synthetic/livelock", 0x645cbfa2cfdb781e),
-    ("replay/livelock", 0x38618707ee543924),
-    ("replay/max-cycles", 0x94efa33d04a796d3),
-    ("replay/max-cycles-on-completion", 0x3102d7856c2b9c86),
-    ("replay/budget-on-completion", 0x14374a2ee2a431a1),
-    ("synthetic/budget-on-early-exit", 0x095573deaedc014a),
+    ("synthetic/unarmed", 0x12842af2c5613a29),
+    ("replay/unarmed", 0x680f3b2ca2772867),
+    ("synthetic/budget-mid-run", 0xefd959e4742cbf9b),
+    ("replay/budget-mid-run", 0x0d213ba61b36e583),
+    ("synthetic/livelock", 0x6060dccfddcffaea),
+    ("replay/livelock", 0x8bdbc20aa0136568),
+    ("replay/max-cycles", 0x1d9c715927654abc),
+    ("replay/max-cycles-on-completion", 0x680f3b2ca2772867),
+    ("replay/budget-on-completion", 0x2dd81c0093437672),
+    ("synthetic/budget-on-early-exit", 0x0e49d048e4124b8a),
 ];
 
 #[rustfmt::skip]
 const REUSED: &[(&str, u64)] = &[
-    ("optical4/1-saturated", 0x62160a5f23c93aa7),
-    ("optical4/2-fft", 0x0a7b9b657631c034),
-    ("optical4/3-ocean-cut-short", 0xf39889a9d5036224),
-    ("optical4/4-uniform", 0x4322752f542c8f15),
-    ("optical4/5-radix", 0xbdebbdaf6f3637b5),
-    ("electrical3/1-saturated", 0xef828784cc1e5921),
-    ("electrical3/2-fft", 0x8a9165cfe6ae3089),
-    ("electrical3/3-ocean-cut-short", 0x2e37ce22e91db660),
-    ("electrical3/4-uniform", 0x25a82ed35dd309a1),
-    ("electrical3/5-radix", 0x5d2bb8539cda42d8),
+    ("optical4/1-saturated", 0x89cc98e7af45ed85),
+    ("optical4/2-fft", 0xf5796ccec04f0486),
+    ("optical4/3-ocean-cut-short", 0xf17a96b89502adf7),
+    ("optical4/4-uniform", 0xe9b4fe2943fe04bd),
+    ("optical4/5-radix", 0x436c71694671af32),
+    ("electrical3/1-saturated", 0xc10b1c24c639c79a),
+    ("electrical3/2-fft", 0x4289bef9e5313a3e),
+    ("electrical3/3-ocean-cut-short", 0xe670dbb3e8cb08ee),
+    ("electrical3/4-uniform", 0x4b17ecab5f9a1d66),
+    ("electrical3/5-radix", 0x0b45e060a609bb2e),
 ];
 
 #[rustfmt::skip]
 const HAND_BUILT: &[(&str, u64)] = &[
     ("ideal/f0", 0x07bb9c026d10deaf),
-    ("optical4/f0", 0x5b14734bcb82bbff),
-    ("optical4/f0.3", 0xabcbfee90decc2ec),
-    ("electrical3/f0", 0x0ff065526a1beefc),
+    ("optical4/f0", 0xbbbe142bf7613c86),
+    ("optical4/f0.3", 0xed5c78446f9b34cd),
+    ("electrical3/f0", 0x3a65cb37246935b7),
 ];
