@@ -1,6 +1,7 @@
 //! Implementations of the `phastlane` subcommands.
 
 use crate::args::{ArgError, Parsed};
+use phastlane_lab::runner::build_network;
 use phastlane_netsim::fault::FaultPlan;
 use phastlane_netsim::harness::{
     run_synthetic_observed, run_trace, run_trace_observed, SyntheticOptions, Trace, TraceOptions,
@@ -23,35 +24,14 @@ use phastlane_traffic::splash2;
 use phastlane_traffic::synthetic::BernoulliTraffic;
 use phastlane_traffic::Pattern;
 
-/// Builds a network from its `--net` name, with an optional retry-limit
-/// override (the fault subsystem's livelock guard; only meaningful for
-/// the optical configs).
-///
-/// Delegates to the lab runner's builder — one network registry for the
-/// whole workspace — and forgets the `Send` bound the lab's worker pool
-/// needs but the CLI does not.
-///
-/// # Errors
-///
-/// Errors on an unknown name.
-pub fn build_network(
-    name: &str,
-    mesh: Mesh,
-    retry_limit: Option<u32>,
-) -> Result<Box<dyn Network>, ArgError> {
-    phastlane_lab::runner::build_network(name, mesh, retry_limit)
-        .map(|n| n as Box<dyn Network>)
-        .map_err(ArgError)
-}
-
 /// Replays `trace` on a fresh network of the lab configuration `name`;
 /// the network comes back for its label, counters and link loads.
 pub(crate) fn replay_on(
     name: &str,
     mesh: Mesh,
     trace: &Trace,
-) -> Result<(TraceResult, Box<dyn Network>), ArgError> {
-    let mut net = build_network(name, mesh, None)?;
+) -> Result<(TraceResult, Box<dyn Network + Send>), ArgError> {
+    let mut net = build_network(name, mesh, None).map_err(ArgError)?;
     let result = run_trace(&mut net, trace, TraceOptions::default());
     Ok((result, net))
 }
@@ -340,7 +320,8 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     let fault = parse_fault(p, mesh)?;
     let (name, trace) = load_benchmark_trace(p, mesh)?;
     let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
-    let mut net = build_network(p.get("net").unwrap_or("optical4"), mesh, retry_limit)?;
+    let mut net =
+        build_network(p.get("net").unwrap_or("optical4"), mesh, retry_limit).map_err(ArgError)?;
     if let Some(f) = &fault {
         net.set_fault_plan(f.plan.clone(), f.seed);
     }
@@ -484,7 +465,8 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         "rate", "latency", "p99", "delivered"
     ));
     for rate in rates {
-        let mut net = build_network(net_name, mesh, fault.as_ref().and_then(|f| f.retry_limit))?;
+        let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
+        let mut net = build_network(net_name, mesh, retry_limit).map_err(ArgError)?;
         if let Some(f) = &fault {
             net.set_fault_plan(f.plan.clone(), f.seed);
         }
@@ -786,7 +768,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     let mut baseline_p99: Option<u64> = None;
     for &intensity in &intensities {
         let plan = FaultPlan::random(mesh, fault_seed, intensity);
-        let mut net = build_network(net_name, mesh, Some(retry_limit))?;
+        let mut net = build_network(net_name, mesh, Some(retry_limit)).map_err(ArgError)?;
         if !plan.is_empty() {
             net.set_fault_plan(plan.clone(), fault_seed);
         }
@@ -994,21 +976,6 @@ mod tests {
 
     fn parsed(words: &[&str]) -> Parsed {
         Parsed::parse(words.iter().map(|s| s.to_string())).expect("parses")
-    }
-
-    #[test]
-    fn unknown_network_is_an_error() {
-        match build_network("warp-drive", Mesh::PAPER, None) {
-            Err(e) => assert!(e.to_string().contains("unknown network")),
-            Ok(_) => panic!("bogus network accepted"),
-        }
-    }
-
-    #[test]
-    fn every_advertised_network_builds() {
-        for n in phastlane_lab::runner::NETWORKS {
-            assert!(build_network(n, Mesh::PAPER, None).is_ok(), "{n}");
-        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 
 use super::{header, row};
 use crate::args::{ArgError, Parsed};
-use crate::commands::{average_power_mw, build_network, replay_on};
+use crate::commands::{average_power_mw, replay_on};
 use phastlane_core::{ArbitrationPolicy, PathPriority, PhastlaneConfig, PhastlaneNetwork};
+use phastlane_lab::runner::build_network;
 use phastlane_netsim::harness::{
     run_synthetic, run_trace, SyntheticOptions, Trace, TraceOptions, TraceResult,
 };
@@ -144,7 +145,7 @@ pub(super) fn scalability(p: &Parsed) -> Result<String, ArgError> {
             drain: 3_000,
         };
         let lat = |name: &str| -> Result<f64, ArgError> {
-            let mut net = build_network(name, mesh, None)?;
+            let mut net = build_network(name, mesh, None).map_err(ArgError)?;
             let mut w = BernoulliTraffic::new(mesh, Pattern::Uniform, 0.02, 0x5CA1E);
             Ok(run_synthetic(&mut net, &mut w, opts)
                 .latency

@@ -2,6 +2,7 @@
 //! transit, pipelined segments, contention priorities, multicast, drops,
 //! and retransmission.
 
+use phastlane_core::power::{self, EnergyCounts};
 use phastlane_core::{BufferDepth, PhastlaneConfig, PhastlaneNetwork};
 use phastlane_netsim::geometry::Coord;
 use phastlane_netsim::packet::PacketKind;
@@ -287,6 +288,62 @@ fn energy_accrues_with_traffic() {
     let busy_e = busy.energy();
     assert!(busy_e.dynamic_pj > 0.0);
     assert!(busy_e.laser_pj > 0.0);
+}
+
+#[test]
+fn idle_energy_is_exactly_cycles_times_leakage() {
+    let mut net = PhastlaneNetwork::new(PhastlaneConfig::optical4());
+    for _ in 0..1000 {
+        net.step();
+    }
+    let counts = net.energy_counts();
+    assert_eq!(
+        counts,
+        EnergyCounts {
+            cycles: 1000,
+            ..EnergyCounts::default()
+        }
+    );
+    let e = net.energy();
+    assert_eq!(e.dynamic_pj + e.laser_pj + e.link_pj, 0.0);
+    let per_cycle = power::leakage_pj_per_cycle(64);
+    assert_eq!(e.leakage_pj.to_bits(), (1000.0 * per_cycle).to_bits());
+}
+
+#[test]
+fn isolated_unicast_counts_every_energy_event() {
+    // Corner to corner on an idle 4x4 is six hops, beyond Optical4's
+    // four: the NIC drain writes the source buffer, the first launch
+    // stops after four hops and is received into an intermediate
+    // buffer, the second launch (one buffer read each) is received at
+    // the destination. No contention, so no drop signal.
+    let mut cfg = PhastlaneConfig::optical4();
+    cfg.mesh = Mesh::new(4, 4);
+    let laser = power::laser_pj_per_launch(cfg.wdm, cfg.max_hops, cfg.crossing_efficiency);
+    let mut net = PhastlaneNetwork::new(cfg);
+    net.inject(NewPacket::unicast(NodeId(0), NodeId(15)))
+        .unwrap();
+    run_until_idle(&mut net, 100);
+    let counts = net.energy_counts();
+    assert_eq!(
+        counts,
+        EnergyCounts {
+            cycles: net.cycle(),
+            launches: 2,
+            receives: 2,
+            buffer_writes: 2,
+            drop_signals: 0,
+        }
+    );
+    let e = net.energy();
+    assert_eq!(e, power::energy(&counts, 16, laser));
+    let per_packet = (power::E_MOD_PJ_PER_BIT
+        + power::E_RX_PJ_PER_BIT
+        + power::E_BUF_WRITE_PJ_PER_BIT
+        + power::E_BUF_READ_PJ_PER_BIT)
+        * power::PACKET_CHANNEL_BITS;
+    assert!((e.dynamic_pj - 2.0 * per_packet).abs() < 1e-9);
+    assert_eq!(e.laser_pj, 2.0 * laser);
 }
 
 #[test]

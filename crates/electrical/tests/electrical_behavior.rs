@@ -1,6 +1,7 @@
 //! Behavioural tests of the electrical baseline: pipeline latency,
 //! VCTM broadcasts, losslessness under load, and credit flow.
 
+use phastlane_electrical::power::{self, EnergyCounts};
 use phastlane_electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_netsim::ideal::IdealNetwork;
 use phastlane_netsim::packet::PacketKind;
@@ -161,6 +162,84 @@ fn energy_accrues_and_links_dominate_long_paths() {
         "14 links outweigh buffer/xbar energy"
     );
     assert_eq!(e.laser_pj, 0.0, "no optics in the baseline");
+}
+
+#[test]
+fn idle_energy_is_exactly_cycles_times_leakage() {
+    let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
+    for _ in 0..1000 {
+        net.step();
+    }
+    let counts = net.energy_counts();
+    assert_eq!(
+        counts,
+        EnergyCounts {
+            cycles: 1000,
+            ..EnergyCounts::default()
+        }
+    );
+    let e = net.energy();
+    assert_eq!(e.dynamic_pj + e.laser_pj + e.link_pj, 0.0);
+    let per_cycle = power::leakage_pj_per_cycle(64);
+    assert_eq!(e.leakage_pj.to_bits(), (1000.0 * per_cycle).to_bits());
+}
+
+#[test]
+fn isolated_unicast_counts_every_energy_event() {
+    // Corner to corner on an idle 4x4 is six hops: the injection and
+    // six link arrivals write a VC buffer, each hop is one VC grant and
+    // one traversal, and the destination ejects once.
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.mesh = Mesh::new(4, 4);
+    let mut net = ElectricalNetwork::new(cfg);
+    net.inject(NewPacket::unicast(NodeId(0), NodeId(15)))
+        .unwrap();
+    run_until_idle(&mut net, 100);
+    let counts = net.energy_counts();
+    assert_eq!(
+        counts,
+        EnergyCounts {
+            cycles: net.cycle(),
+            buffer_writes: 7,
+            ejections: 1,
+            vc_grants: 6,
+            traversals: 6,
+        }
+    );
+    assert_eq!(counts.traversals, net.link_counters().total());
+    let e = net.energy();
+    assert_eq!(e, power::energy(&counts, 16));
+    let per_bit = |pj: f64| pj * power::FLIT_BITS;
+    let dynamic = 7.0 * per_bit(power::E_BUF_WRITE_PJ_PER_BIT)
+        + 7.0 * per_bit(power::E_BUF_READ_PJ_PER_BIT)
+        + 6.0 * per_bit(power::E_XBAR_PJ_PER_BIT)
+        + 12.0 * power::E_ARB_PJ;
+    assert!((e.dynamic_pj - dynamic).abs() < 1e-9);
+    assert_eq!(e.link_pj, 6.0 * per_bit(power::E_LINK_PJ_PER_BIT));
+}
+
+#[test]
+fn traversals_are_the_link_counters_total_and_the_hops() {
+    // Unicasts only, so every traversal is one hop of one packet's XY
+    // route, and the link counters see each of them.
+    let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
+    let mesh = net.mesh();
+    let mut rng = SimRng::seed_from_u64(14);
+    let mut hops = 0;
+    for _ in 0..200 {
+        let (src, dst) = (rng.gen_range(0..64u16), rng.gen_range(0..64u16));
+        if net
+            .inject(NewPacket::unicast(NodeId(src), NodeId(dst)))
+            .is_some()
+        {
+            hops += u64::from(mesh.distance(NodeId(src), NodeId(dst)));
+        }
+        net.step();
+    }
+    run_until_idle(&mut net, 2_000);
+    let traversals = net.energy_counts().traversals;
+    assert_eq!(traversals, net.link_counters().total());
+    assert_eq!(traversals, hops);
 }
 
 #[test]
