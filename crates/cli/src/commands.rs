@@ -464,8 +464,8 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         "{:>8} {:>10} {:>8} {:>10}\n",
         "rate", "latency", "p99", "delivered"
     ));
+    let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
     for rate in rates {
-        let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
         let mut net = build_network(net_name, mesh, retry_limit).map_err(ArgError)?;
         if let Some(f) = &fault {
             net.set_fault_plan(f.plan.clone(), f.seed);

@@ -17,10 +17,9 @@
 //! router's queues, parked launches and NIC are all empty. Set bits are
 //! visited in ascending router order inside each phase — the order the
 //! full walk had — so trace events and both RNG streams are those of a
-//! walk over all N routers. The three sweeps
-//! are not merged into one per-router pass: that would interleave one
-//! router's `DropReturn` / `Retransmit` events with another's
-//! `OpticalTransit`.
+//! walk over all N routers. The three sweeps are not merged into one
+//! per-router pass: that would interleave one router's `DropReturn` /
+//! `Retransmit` events with another's `OpticalTransit`.
 //!
 //! 1. **Fault bookkeeping** — on a fault edge only: the edge events,
 //!    a rebuilt [`FaultView`] and the hop reach under laser droop. Every
@@ -993,8 +992,7 @@ impl PhastlaneNetwork {
         }
     }
 
-    /// The clock advances. `cycle` and `stats.dropped` are also the
-    /// leakage and drop-signal counts of [`Self::energy_counts`].
+    /// The clock advances.
     fn end_cycle(&mut self, delivered_before: usize) {
         debug_assert_eq!(
             self.ledger.stats.dropped,
