@@ -979,6 +979,25 @@ mod tests {
     }
 
     #[test]
+    fn unknown_network_is_an_error() {
+        let p = parsed(&[
+            "simulate",
+            "--mesh",
+            "4x4",
+            "--benchmark",
+            "LU",
+            "--scale",
+            "0.02",
+            "--net",
+            "warp-drive",
+        ]);
+        match dispatch(&p) {
+            Err(e) => assert!(e.to_string().contains("unknown network"), "{e}"),
+            Ok(_) => panic!("bogus network accepted"),
+        }
+    }
+
+    #[test]
     fn mesh_parsing() {
         assert_eq!(parse_mesh(&parsed(&[])).unwrap(), Mesh::PAPER);
         assert_eq!(
