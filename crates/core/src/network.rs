@@ -58,7 +58,8 @@
 //!    `receive_copy` delivers multicast taps en route and the final
 //!    accept, unless SECDED rejects the copy; interim stops buffer the
 //!    packet for the next segment (§2.1.3).
-//! 6. **End of cycle** — leakage accrues and the clock advances.
+//! 6. **End of cycle** — the clock advances. Leakage is `cycle` × the
+//!    per-cycle value, priced when `energy()` is read.
 //!
 //! `inject` sits outside the cycle: it turns a packet into the NIC
 //! entries of its messages, and tests the NIC before it builds

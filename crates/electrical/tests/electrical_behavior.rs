@@ -178,10 +178,11 @@ fn idle_energy_is_exactly_cycles_times_leakage() {
             ..EnergyCounts::default()
         }
     );
-    let e = net.energy();
-    assert_eq!(e.dynamic_pj + e.laser_pj + e.link_pj, 0.0);
     let per_cycle = power::leakage_pj_per_cycle(64);
-    assert_eq!(e.leakage_pj.to_bits(), (1000.0 * per_cycle).to_bits());
+    assert_eq!(
+        net.energy().leakage_pj.to_bits(),
+        (1000.0 * per_cycle).to_bits()
+    );
 }
 
 #[test]
@@ -240,18 +241,6 @@ fn traversals_are_the_link_counters_total_and_the_hops() {
     let traversals = net.energy_counts().traversals;
     assert_eq!(traversals, net.link_counters().total());
     assert_eq!(traversals, hops);
-}
-
-#[test]
-fn self_send_delivers_immediately() {
-    let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
-    let id = net
-        .inject(NewPacket::unicast(NodeId(5), NodeId(5)))
-        .unwrap();
-    assert_eq!(net.in_flight(), 0);
-    let d = net.drain_deliveries();
-    assert_eq!(d[0].packet, id);
-    assert_eq!(d[0].latency(), 0);
 }
 
 /// The same seeded unicast workload into the electrical network and

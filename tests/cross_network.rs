@@ -3,8 +3,7 @@
 
 use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_repro::netsim::harness::{run_trace, TraceOptions};
-use phastlane_repro::netsim::packet::PacketKind;
-use phastlane_repro::netsim::{Mesh, Network, NewPacket, NodeId};
+use phastlane_repro::netsim::{Mesh, Network};
 use phastlane_repro::optical::{PhastlaneConfig, PhastlaneNetwork};
 use phastlane_repro::traffic::coherence::generate_trace;
 use phastlane_repro::traffic::splash2;
@@ -59,38 +58,6 @@ fn optical_uses_less_energy_per_trace() {
         o.energy.total_pj(),
         e.energy.total_pj()
     );
-}
-
-#[test]
-fn deliveries_identical_across_networks() {
-    // Same packets in, same (packet, destination) deliveries out.
-    let drive = |net: &mut dyn Network| {
-        let mut injected = Vec::new();
-        for i in (0..64u16).step_by(3) {
-            let src = NodeId(i);
-            let dst = NodeId((i * 7 + 11) % 64);
-            if src != dst {
-                let id = net.inject(NewPacket::unicast(src, dst)).expect("NIC room");
-                injected.push((id, dst));
-            }
-        }
-        net.inject(NewPacket::broadcast(NodeId(9), PacketKind::Invalidate))
-            .expect("NIC room");
-        while net.in_flight() > 0 {
-            net.step();
-            assert!(net.cycle() < 10_000);
-        }
-        let mut dests: Vec<(u16, u16)> = net
-            .drain_deliveries()
-            .iter()
-            .map(|d| (d.src.0, d.dest.0))
-            .collect();
-        dests.sort_unstable();
-        dests
-    };
-    let mut optical = PhastlaneNetwork::new(PhastlaneConfig::optical4());
-    let mut electrical = ElectricalNetwork::new(ElectricalConfig::electrical3());
-    assert_eq!(drive(&mut optical), drive(&mut electrical));
 }
 
 #[test]
@@ -149,59 +116,6 @@ fn per_kind_latency_recorded() {
     // the unicast response mean on an uncongested run.
     assert!(req.mean().unwrap() > 0.0);
     assert!(resp.mean().unwrap() > 0.0);
-}
-
-/// Long randomized soak: hours of simulated traffic with conservation
-/// checks. Run explicitly with `cargo test -- --ignored`.
-#[test]
-#[ignore = "long soak; run with --ignored"]
-fn soak_random_traffic() {
-    use phastlane_repro::netsim::rng::SimRng;
-    use phastlane_repro::netsim::DestSet;
-    let mut rng = SimRng::seed_from_u64(0x50AC);
-    for (label, mut net) in [
-        (
-            "optical",
-            Box::new(PhastlaneNetwork::new(PhastlaneConfig::optical4())) as Box<dyn Network>,
-        ),
-        (
-            "electrical",
-            Box::new(ElectricalNetwork::new(ElectricalConfig::electrical3())),
-        ),
-    ] {
-        let mut injected_copies = 0u64;
-        for cycle in 0..50_000u64 {
-            if cycle % 3 == 0 {
-                let src = NodeId(rng.gen_range(0..64u16));
-                let p = if rng.gen_bool(0.05) {
-                    NewPacket::broadcast(src, PacketKind::ReadRequest)
-                } else {
-                    let dst = NodeId(rng.gen_range(0..64u16));
-                    NewPacket {
-                        src,
-                        dests: DestSet::Unicast(dst),
-                        kind: PacketKind::Data,
-                    }
-                };
-                let copies = p.dests.expand(p.src, 64).len().max(1) as u64;
-                if net.inject(p).is_some() {
-                    injected_copies += copies;
-                }
-            }
-            net.step();
-        }
-        let mut guard = 0;
-        while net.in_flight() > 0 {
-            net.step();
-            guard += 1;
-            assert!(guard < 100_000, "{label}: soak did not drain");
-        }
-        assert_eq!(
-            net.stats().delivered,
-            injected_copies,
-            "{label}: conservation"
-        );
-    }
 }
 
 #[test]
