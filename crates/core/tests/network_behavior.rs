@@ -6,7 +6,7 @@ use phastlane_core::power::{self, EnergyCounts};
 use phastlane_core::{BufferDepth, PhastlaneConfig, PhastlaneNetwork};
 use phastlane_netsim::geometry::Coord;
 use phastlane_netsim::packet::PacketKind;
-use phastlane_netsim::{Mesh, Network, NewPacket, NodeId};
+use phastlane_netsim::{DestSet, Mesh, Network, NewPacket, NodeId};
 
 fn run_until_idle(net: &mut PhastlaneNetwork, max_cycles: u64) {
     let start = net.cycle();
@@ -65,6 +65,38 @@ fn corner_to_corner_latency_scales_with_hop_limit() {
         run_until_idle(&mut net, 20);
         let d = net.drain_deliveries();
         assert_eq!(d[0].latency(), expect, "{label}: corner-to-corner latency");
+    }
+}
+
+#[test]
+fn broadcast_reaches_every_node() {
+    let mut net = PhastlaneNetwork::new(PhastlaneConfig::optical4());
+    net.inject(NewPacket::broadcast(NodeId(27), PacketKind::ReadRequest))
+        .unwrap();
+    run_until_idle(&mut net, 100);
+    let d = net.drain_deliveries();
+    assert_eq!(d.len(), 63);
+    let mut dests: Vec<u16> = d.iter().map(|x| x.dest.0).collect();
+    dests.sort_unstable();
+    let expected: Vec<u16> = (0..64).filter(|&n| n != 27).collect();
+    assert_eq!(dests, expected);
+}
+
+#[test]
+fn multicast_subset_only_reaches_targets() {
+    let mut net = PhastlaneNetwork::new(PhastlaneConfig::optical4());
+    let targets = vec![NodeId(7), NodeId(56), NodeId(35)];
+    net.inject(NewPacket {
+        src: NodeId(0),
+        dests: DestSet::Multicast(targets.clone()),
+        kind: PacketKind::Invalidate,
+    })
+    .unwrap();
+    run_until_idle(&mut net, 100);
+    let d = net.drain_deliveries();
+    assert_eq!(d.len(), 3);
+    for t in targets {
+        assert!(d.iter().any(|x| x.dest == t));
     }
 }
 
@@ -172,6 +204,19 @@ fn infinite_buffers_never_drop() {
     run_until_idle(&mut net, 5_000);
     assert_eq!(net.stats().dropped, 0);
     assert_eq!(net.drain_deliveries().len(), 63);
+}
+
+#[test]
+fn self_send_delivers_immediately() {
+    let mut net = PhastlaneNetwork::new(PhastlaneConfig::optical4());
+    let id = net
+        .inject(NewPacket::unicast(NodeId(5), NodeId(5)))
+        .unwrap();
+    assert_eq!(net.in_flight(), 0);
+    let d = net.drain_deliveries();
+    assert_eq!(d.len(), 1);
+    assert_eq!(d[0].packet, id);
+    assert_eq!(d[0].latency(), 0);
 }
 
 #[test]

@@ -243,6 +243,18 @@ fn traversals_are_the_link_counters_total_and_the_hops() {
     assert_eq!(traversals, hops);
 }
 
+#[test]
+fn self_send_delivers_immediately() {
+    let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
+    let id = net
+        .inject(NewPacket::unicast(NodeId(5), NodeId(5)))
+        .unwrap();
+    assert_eq!(net.in_flight(), 0);
+    let d = net.drain_deliveries();
+    assert_eq!(d[0].packet, id);
+    assert_eq!(d[0].latency(), 0);
+}
+
 /// The same seeded unicast workload into the electrical network and
 /// into the contention-free ideal one with the same per-hop cost: no
 /// packet may arrive earlier than its ideal twin.

@@ -188,18 +188,24 @@ fn drive(net: &mut dyn Network, schedule: &Schedule, limit: u64) -> Books {
     books
 }
 
-/// `rounds` times, a fresh network takes a batch of random packets and
-/// runs until idle, within 10 000 cycles: every copy is delivered
-/// exactly once, none fails, and the idle network does no more work.
+/// `rounds` times, a fresh network takes a batch of random packets:
+/// [`delivers_exactly_once`].
 pub fn exactly_once<N: Network>(make: impl Fn() -> N, seed: u64, rounds: u32) {
     let mut rng = SimRng::seed_from_u64(seed);
     for _ in 0..rounds {
         let mut net = make();
         let batch = random_packets(&mut rng, net.mesh().nodes() as u16, 25);
-        let books = drive(&mut net, &[batch], 10_000);
-        assert!(net.in_flight() == 0 && books.failed == 0, "{}", net.name());
-        idle_does_no_dynamic_work(&mut net);
+        delivers_exactly_once(&mut net, batch);
     }
+}
+
+/// A fresh `net` takes `batch` in one cycle and runs until idle, within
+/// 10 000 cycles: every copy is delivered exactly once, none fails, and
+/// the idle network does no more work.
+pub fn delivers_exactly_once(net: &mut dyn Network, batch: Vec<NewPacket>) {
+    let books = drive(net, &[batch], 10_000);
+    assert!(net.in_flight() == 0 && books.failed == 0, "{}", net.name());
+    idle_does_no_dynamic_work(net);
 }
 
 /// Drives random traffic, six packets on average in every cycle that

@@ -3,7 +3,8 @@
 
 use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_repro::netsim::harness::{run_trace, TraceOptions};
-use phastlane_repro::netsim::{Mesh, Network};
+use phastlane_repro::netsim::packet::PacketKind;
+use phastlane_repro::netsim::{Mesh, Network, NewPacket, NodeId};
 use phastlane_repro::optical::{PhastlaneConfig, PhastlaneNetwork};
 use phastlane_repro::traffic::coherence::generate_trace;
 use phastlane_repro::traffic::splash2;
@@ -58,6 +59,38 @@ fn optical_uses_less_energy_per_trace() {
         o.energy.total_pj(),
         e.energy.total_pj()
     );
+}
+
+#[test]
+fn deliveries_identical_across_networks() {
+    // Same packets in, same (packet, destination) deliveries out.
+    let drive = |net: &mut dyn Network| {
+        let mut injected = Vec::new();
+        for i in (0..64u16).step_by(3) {
+            let src = NodeId(i);
+            let dst = NodeId((i * 7 + 11) % 64);
+            if src != dst {
+                let id = net.inject(NewPacket::unicast(src, dst)).expect("NIC room");
+                injected.push((id, dst));
+            }
+        }
+        net.inject(NewPacket::broadcast(NodeId(9), PacketKind::Invalidate))
+            .expect("NIC room");
+        while net.in_flight() > 0 {
+            net.step();
+            assert!(net.cycle() < 10_000);
+        }
+        let mut dests: Vec<(u16, u16)> = net
+            .drain_deliveries()
+            .iter()
+            .map(|d| (d.src.0, d.dest.0))
+            .collect();
+        dests.sort_unstable();
+        dests
+    };
+    let mut optical = PhastlaneNetwork::new(PhastlaneConfig::optical4());
+    let mut electrical = ElectricalNetwork::new(ElectricalConfig::electrical3());
+    assert_eq!(drive(&mut optical), drive(&mut electrical));
 }
 
 #[test]

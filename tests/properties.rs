@@ -1,20 +1,86 @@
 //! Workspace-level property tests: invariants that must hold for
 //! arbitrary workloads, with cases drawn from the in-tree deterministic
 //! [`SimRng`]. The contracts every network owes live in the conformance
-//! kit (`tests/conformance/`); these are the optical core's own.
+//! kit (`tests/conformance/`); the first six tests here run them on one
+//! network each, at their own seeds and sizes.
 
 #[allow(
     dead_code,
-    reason = "this binary uses the kit's traffic and conservation check only"
+    reason = "this binary uses the kit's traffic and contract checks only"
 )]
 #[path = "conformance/kit.rs"]
 mod kit;
 
+use phastlane_repro::electrical::{ElectricalConfig, ElectricalNetwork};
 use phastlane_repro::netsim::packet::PacketKind;
 use phastlane_repro::netsim::rng::SimRng;
 use phastlane_repro::netsim::{Mesh, Network, NodeId};
 use phastlane_repro::optical::router::{rotation, Entry, PacketCore};
-use phastlane_repro::optical::{ArbitrationPolicy, PhastlaneConfig, PhastlaneNetwork};
+use phastlane_repro::optical::{ArbitrationPolicy, BufferDepth, PhastlaneConfig, PhastlaneNetwork};
+
+fn optical4() -> PhastlaneNetwork {
+    PhastlaneNetwork::new(PhastlaneConfig::optical4())
+}
+
+/// Every copy of a random batch reaches exactly its destinations, once,
+/// on Phastlane, despite drops and retransmissions.
+#[test]
+fn optical_delivers_exactly_once() {
+    kit::exactly_once(optical4, 0x0092_0901, 24);
+}
+
+/// The same law on the electrical baseline, which also never drops.
+#[test]
+fn electrical_delivers_exactly_once() {
+    let mut rng = SimRng::seed_from_u64(0x0092_0902);
+    for _ in 0..24 {
+        let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
+        kit::delivers_exactly_once(&mut net, kit::random_packets(&mut rng, 64, 25));
+        assert_eq!(net.stats().dropped, 0);
+    }
+}
+
+/// Exactly once even with pathologically small optical buffers (heavy
+/// drop and retransmit activity).
+#[test]
+fn optical_conserves_with_tiny_buffers() {
+    let cfg = PhastlaneConfig::with_hops_and_buffers(4, BufferDepth::Finite(1));
+    let mut rng = SimRng::seed_from_u64(0x0092_0903);
+    for _ in 0..24 {
+        let mut net = PhastlaneNetwork::new(cfg.clone());
+        kit::delivers_exactly_once(&mut net, kit::random_packets(&mut rng, 64, 15));
+    }
+}
+
+/// No energy term ever decreases as the simulation advances: the kit's
+/// books check all four after every step.
+#[test]
+fn energy_monotone() {
+    kit::conserves_every_cycle(&mut optical4(), 0x0092_0904, 0.0, |c| c < 50, 200);
+}
+
+/// Conservation every cycle under a random fault plan on Phastlane: a
+/// finite retry cap makes both give-up paths (drop-return past the cap,
+/// fault stall past the cap) fire, and the run ends fully accounted for.
+#[test]
+fn optical_conserves_every_cycle_under_faults() {
+    let mut cfg = PhastlaneConfig::optical4();
+    cfg.retry_limit = 8;
+    let mut net = PhastlaneNetwork::new(cfg);
+    kit::conserves_every_cycle(&mut net, 0x0092_0906, 0.3, |c| c < 200, 5_000);
+    assert!(net.stats().undeliverable > 0, "the fault plan never bit");
+    assert_eq!(net.in_flight(), 0, "retry caps bound every packet's life");
+}
+
+/// The same law on the electrical baseline, run past the 2 000-cycle
+/// stall-abandon guard so stranded flits and NIC entries fail
+/// terminally instead of staying owed forever.
+#[test]
+fn electrical_conserves_every_cycle_under_faults() {
+    let mut net = ElectricalNetwork::new(ElectricalConfig::electrical3());
+    kit::conserves_every_cycle(&mut net, 0x0092_0907, 0.3, |c| c < 200, 2_400);
+    assert!(net.stats().undeliverable > 0, "the fault plan never bit");
+}
 
 /// Phastlane delivery latency is bounded under a finite workload: no
 /// packet livelocks even with drops.
@@ -23,7 +89,7 @@ fn optical_latency_bounded() {
     let mut rng = SimRng::seed_from_u64(0x0092_0905);
     for _ in 0..24 {
         let packets = kit::random_packets(&mut rng, 64, 20);
-        let mut net = PhastlaneNetwork::new(PhastlaneConfig::optical4());
+        let mut net = optical4();
         for p in &packets {
             let _ = net.inject(p.clone());
         }
