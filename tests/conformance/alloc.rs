@@ -111,6 +111,48 @@ fn optical_drop_free_steady_state_step_allocates_nothing() {
     assert_eq!(allocations, 0, "in 500 steady-state step() calls");
 }
 
+const COUNTED: u64 = 1_000;
+
+/// One round: every source broadcasts until its NIC refuses (or the
+/// budget of counted injections runs out), then the mesh steps until
+/// every packet is delivered. Returns `(accepted, refused, allocations)`,
+/// the last counted inside the `inject` calls.
+fn round(net: &mut PhastlaneNetwork, count: bool, budget: &mut u64) -> (u64, u64, u64) {
+    let (mut accepted, mut refused, mut allocations) = (0, 0, 0);
+    'sources: for src in 0..net.mesh().nodes() as u16 {
+        loop {
+            if count && *budget == 0 {
+                break 'sources;
+            }
+            let packet = NewPacket::broadcast(NodeId(src), PacketKind::Invalidate);
+            let id = if count {
+                let (id, n) = counted(|| net.inject(packet));
+                allocations += n;
+                id
+            } else {
+                net.inject(packet)
+            };
+            *budget -= u64::from(count);
+            if id.is_none() {
+                refused += 1;
+                break;
+            }
+            accepted += 1;
+        }
+    }
+    let mut deliveries = Vec::new();
+    for _ in 0..20_000 {
+        if net.in_flight() == 0 {
+            break;
+        }
+        net.step();
+        net.drain_deliveries_into(&mut deliveries);
+        deliveries.clear();
+    }
+    assert_eq!(net.in_flight(), 0, "the mesh drains between rounds");
+    (accepted, refused, allocations)
+}
+
 /// A broadcast injection allocates nothing once its source has
 /// broadcast before: the column split is memoised per source, so an
 /// accepted broadcast copies its inline target lists into NIC entries
@@ -121,39 +163,26 @@ fn optical_drop_free_steady_state_step_allocates_nothing() {
 /// `inject` calls are counted, never `step`.
 #[test]
 fn optical_broadcast_inject_allocates_nothing_after_each_sources_first_broadcast() {
-    const COUNTED: u64 = 1_000;
     let mut net = PhastlaneNetwork::new(PhastlaneConfig::optical4());
-    let (mut offered, mut accepted, mut allocations) = (0, 0, 0);
-    // Round 0 is the warm-up: each source's first broadcast, and the NIC
+    let mut budget = COUNTED;
+    // The warm-up round: each source's first broadcast, and the NIC
     // queues and the ledger's id window at their largest.
-    for round in 0.. {
-        'sources: for src in 0..net.mesh().nodes() as u16 {
-            while round == 0 || offered < COUNTED {
-                let packet = NewPacket::broadcast(NodeId(src), PacketKind::Invalidate);
-                let (id, n) = counted(|| net.inject(packet));
-                let counting = u64::from(round > 0);
-                (offered, allocations) = (offered + counting, allocations + counting * n);
-                accepted += counting * u64::from(id.is_some());
-                if id.is_none() {
-                    continue 'sources;
-                }
-            }
-        }
-        assert!(round > 0 || net.in_flight() >= 64, "every source broadcast");
-        let (mut deliveries, end) = (Vec::new(), net.cycle() + 20_000);
-        while net.in_flight() > 0 && net.cycle() < end {
-            net.step();
-            net.drain_deliveries_into(&mut deliveries);
-            deliveries.clear();
-        }
-        assert_eq!(net.in_flight(), 0, "the mesh drains between rounds");
-        if offered == COUNTED {
-            break;
-        }
+    let (warm, _, _) = round(&mut net, false, &mut budget);
+    assert!(warm >= 64, "every source broadcast at least once");
+    let (mut accepted, mut refused, mut allocations) = (0, 0, 0);
+    while budget > 0 {
+        let (a, r, n) = round(&mut net, true, &mut budget);
+        (accepted, refused, allocations) = (accepted + a, refused + r, allocations + n);
     }
-    let refused = offered - accepted;
-    assert!(accepted > 500 && refused > 150, "{accepted} / {refused}");
-    assert_eq!(allocations, 0, "in {COUNTED} broadcast inject() calls");
+    assert_eq!(accepted + refused, COUNTED);
+    assert!(
+        accepted > 500 && refused > 150,
+        "{accepted} accepted, {refused} refused"
+    );
+    assert_eq!(
+        allocations, 0,
+        "heap allocations inside {COUNTED} broadcast inject() calls"
+    );
 }
 
 /// `ElectricalNetwork::step` allocates nothing in steady state: flits

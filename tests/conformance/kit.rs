@@ -38,24 +38,26 @@ pub fn conformance<N: Network>(make: impl Fn() -> N, scope: Scope) {
         .collect();
     assert_eq!(got, [(id.unwrap(), NodeId(5), 0)], "{}", net.name());
     assert_eq!(net.in_flight(), 0);
-    exactly_once(&make, 0x0092_0901, 24);
-    conserves_every_cycle(&mut make(), 0x0092_0902, 0.0, |c| c < 200, 600);
-    // Past the electrical baseline's 2 000-cycle stall-abandon guard, so
-    // its stranded flits fail terminally inside the window.
+    exactly_once(&make, 0x0C0F_0001, 24);
+    conserves_every_cycle(&mut make(), 0x0C0F_0002, 0.0, |c| c < 200, 600);
+    // Long enough for Optical4's default retry cap to give up on a packet
+    // stalled at a stuck router, and past the electrical baseline's
+    // 2 000-cycle stall-abandon guard, so that copies fail terminally
+    // inside the window.
     let mut faulted = make();
-    conserves_every_cycle(&mut faulted, 0x0092_0907, 0.3, |c| c < 60, 2_400);
+    conserves_every_cycle(&mut faulted, 0x0C0F_0003, 0.3, |c| c < 60, 6_000);
     let failed = faulted.stats().undeliverable > 0;
     assert!(failed || scope == Scope::Ideal, "the fault plan never bit");
     idle_does_no_dynamic_work(&mut make());
     // One source offers 60 broadcasts in one cycle. The refused ones take
-    // no id and are offered again later; exactly the accepted copies
-    // arrive.
+    // no id and are offered again later until accepted; every copy
+    // arrives exactly once.
     net = make();
     let src = net.mesh().node_at(Coord { x: 3, y: 3 });
     let burst = vec![NewPacket::broadcast(src, PacketKind::WriteRequest); 60];
     let books = drive(&mut net, &[burst], 20_000);
     assert!(books.refused > 0 || scope == Scope::Ideal, "never refused");
-    assert!(net.in_flight() == 0 && books.failed == 0, "{}", net.name());
+    books.all_delivered(&net);
 }
 
 /// A random packet: a unicast (to its own source one time in `nodes`),
@@ -120,6 +122,8 @@ struct Books {
     packets: u64,
     refused: u64,
     failed: u64,
+    /// Packets still refused when the drive stopped.
+    unaccepted: usize,
     energy: EnergyReport,
 }
 
@@ -170,11 +174,21 @@ impl Books {
         assert!(!fell, "{name} cycle {cycle}: energy fell to {e:?}");
         self.energy = e;
     }
+
+    /// The drive ended with every packet offered accepted, nothing in
+    /// flight and no failure: every copy was delivered exactly once.
+    fn all_delivered(&self, net: &dyn Network) {
+        let name = net.name();
+        assert_eq!(self.unaccepted, 0, "{name}: packets refused to the end");
+        assert_eq!(net.in_flight(), 0, "{name}: workload did not drain");
+        assert_eq!(self.failed, 0, "{name}: copies failed");
+    }
 }
 
 /// Offers `schedule[c]` to a fresh `net` in cycle `c`, and a refused
 /// packet again in every later cycle, then steps on until idle: `limit`
-/// cycles in all at most. The books are checked after every step.
+/// cycles in all at most. The books are checked after every step, and
+/// count the packets still refused at the end.
 fn drive(net: &mut dyn Network, schedule: &Schedule, limit: u64) -> Books {
     let (mut books, mut queue) = (Books::default(), Vec::new());
     for c in 0..limit as usize {
@@ -185,6 +199,7 @@ fn drive(net: &mut dyn Network, schedule: &Schedule, limit: u64) -> Books {
         queue.retain(|p| !books.inject(net, p));
         books.step(net);
     }
+    books.unaccepted = queue.len();
     books
 }
 
@@ -200,11 +215,10 @@ pub fn exactly_once<N: Network>(make: impl Fn() -> N, seed: u64, rounds: u32) {
 }
 
 /// A fresh `net` takes `batch` in one cycle and runs until idle, within
-/// 10 000 cycles: every copy is delivered exactly once, none fails, and
-/// the idle network does no more work.
+/// 10 000 cycles: every packet is accepted, every copy is delivered
+/// exactly once, none fails, and the idle network does no more work.
 pub fn delivers_exactly_once(net: &mut dyn Network, batch: Vec<NewPacket>) {
-    let books = drive(net, &[batch], 10_000);
-    assert!(net.in_flight() == 0 && books.failed == 0, "{}", net.name());
+    drive(net, &[batch], 10_000).all_delivered(net);
     idle_does_no_dynamic_work(net);
 }
 
