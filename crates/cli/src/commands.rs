@@ -1,17 +1,17 @@
 //! Implementations of the `phastlane` subcommands.
 
 use crate::args::{ArgError, Parsed};
-use phastlane_lab::runner::build_network;
-use phastlane_netsim::fault::FaultPlan;
-use phastlane_netsim::harness::{
-    run_synthetic_observed, run_trace, run_trace_observed, SyntheticOptions, Trace, TraceOptions,
-    TraceResult,
+use phastlane_lab::runner::{
+    build_job_network, build_network, drive_job, job_fault_plan, HarnessResult,
 };
+use phastlane_lab::spec::expand;
+use phastlane_lab::{JobRecord, JobSpec, LabSpec, Work};
+use phastlane_netsim::fault::FaultPlan;
+use phastlane_netsim::harness::{run_trace, Trace, TraceOptions, TraceResult};
 use phastlane_netsim::network::Network;
 use phastlane_netsim::obs::json::JsonValue;
 use phastlane_netsim::obs::{
-    FlightRecorder, MetricsCollector, Phase, PhaseBreakdown, PhaseProfiler, RunReport, Severity,
-    TraceBuffer,
+    FlightRecorder, MetricsCollector, Phase, PhaseBreakdown, RunReport, Severity, TraceBuffer,
 };
 use phastlane_netsim::Mesh;
 use phastlane_photonics::delay::{RouterDesign, CLOCK_GHZ};
@@ -19,10 +19,10 @@ use phastlane_photonics::devices::Waveguide;
 use phastlane_photonics::power::PowerPoint;
 use phastlane_photonics::scaling::Scaling;
 use phastlane_photonics::wdm::WdmConfig;
-use phastlane_traffic::coherence::{check_scale, generate_trace};
+use phastlane_traffic::coherence::{check_scale, generate_trace, BenchmarkProfile};
 use phastlane_traffic::splash2;
-use phastlane_traffic::synthetic::BernoulliTraffic;
 use phastlane_traffic::Pattern;
+use std::fmt::Write as _;
 
 /// Replays `trace` on a fresh network of the lab configuration `name`;
 /// the network comes back for its label, counters and link loads.
@@ -68,9 +68,22 @@ fn parse_list(p: &Parsed, key: &str, default: &[f64]) -> Result<Vec<f64>, ArgErr
         .collect()
 }
 
-/// Observability options shared by `simulate` and `sweep`: where to
-/// export the event trace, metrics series, and run report, plus the
-/// sampling interval and trace bounds.
+/// Refuses an injection rate outside [0, 1], NaN and infinities
+/// included.
+fn check_rates(rates: &[f64]) -> Result<(), ArgError> {
+    match rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        Some(bad) => Err(ArgError(format!(
+            "injection rates must be finite and in [0, 1], got {bad}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Observability options shared by `simulate`, `sweep` and `chaos`:
+/// where to export the event trace, metrics series, and run report, plus
+/// the sampling interval, trace bounds, the flight recorder's sampling
+/// seed (`--seed`), and the indent of the console lines naming each
+/// export.
 struct ObsArgs {
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -80,25 +93,21 @@ struct ObsArgs {
     severity: Severity,
     flight_out: Option<String>,
     flight_sample: u64,
+    flight_seed: u64,
     profile: bool,
+    indent: &'static str,
 }
 
-fn parse_obs(p: &Parsed) -> Result<ObsArgs, ArgError> {
+fn parse_obs(p: &Parsed, indent: &'static str) -> Result<ObsArgs, ArgError> {
     let severity = match p.get("severity") {
         None => Severity::Debug,
         Some(s) => Severity::from_name(s)
             .ok_or_else(|| ArgError(format!("unknown severity {s:?}; try debug, info, warn")))?,
     };
-    let ring = match p.get("ring") {
-        None => None,
-        Some(_) => {
-            let n: usize = p.get_parsed("ring", 0)?;
-            if n == 0 {
-                return Err(ArgError("--ring requires a positive capacity".into()));
-            }
-            Some(n)
-        }
-    };
+    let ring: Option<usize> = p.get("ring").map(|_| p.get_parsed("ring", 0)).transpose()?;
+    if ring == Some(0) {
+        return Err(ArgError("--ring requires a positive capacity".into()));
+    }
     let sample_interval: u64 = p.get_parsed("sample-interval", 100)?;
     if sample_interval == 0 {
         return Err(ArgError("--sample-interval must be positive".into()));
@@ -116,28 +125,24 @@ fn parse_obs(p: &Parsed) -> Result<ObsArgs, ArgError> {
         severity,
         flight_out: p.get("flight-recorder").map(str::to_string),
         flight_sample,
+        flight_seed: p.get_parsed("seed", 7)?,
         profile: p.flag("profile"),
+        indent,
     })
 }
 
 impl ObsArgs {
     /// Attaches every instrument the flags ask for to a freshly built
-    /// network — event trace, phase profiler, flight recorder (its
-    /// sampling seeded with `seed`) — and returns the metrics collector
-    /// for the run to feed, when `--metrics-out` asks for one.
-    fn attach(&self, net: &mut dyn Network, seed: u64) -> Option<MetricsCollector> {
+    /// network — event trace, flight recorder — and returns the metrics
+    /// collector for the run to feed, when `--metrics-out` asks for one.
+    /// (`--profile`'s phase profiler is the runner's to attach.)
+    fn attach(&self, net: &mut dyn Network) -> Option<MetricsCollector> {
         if self.trace_out.is_some() {
-            let buffer = match self.ring {
-                Some(n) => TraceBuffer::ring(n),
-                None => TraceBuffer::new(),
-            };
+            let buffer = self.ring.map_or_else(TraceBuffer::new, TraceBuffer::ring);
             net.set_trace(buffer.with_min_severity(self.severity));
         }
-        if self.profile {
-            net.set_phase_profiler(PhaseProfiler::enabled(PhaseProfiler::DEFAULT_SAMPLE_EVERY));
-        }
         if self.flight_out.is_some() {
-            net.set_flight_recorder(FlightRecorder::new(seed, self.flight_sample));
+            net.set_flight_recorder(FlightRecorder::new(self.flight_seed, self.flight_sample));
         }
         self.metrics_out
             .as_ref()
@@ -147,66 +152,66 @@ impl ObsArgs {
     /// Takes the instruments back off `net` and writes every export the
     /// flags ask for — flight recorder, trace, metrics, `report` —
     /// returning the `--profile` table and one console line per file,
-    /// each behind `indent`. A run that is one `point` of several (a rate
-    /// of a sweep, an intensity of a soak) gets `-r<point>` before each
-    /// file's extension, so the points do not overwrite one another.
+    /// each behind the indent. A run that is one `point` of several (a rate
+    /// of a sweep, an intensity of a soak) writes [`point_path`]s, so the
+    /// points do not overwrite one another.
     fn export(
         &self,
         net: &mut dyn Network,
         metrics: Option<MetricsCollector>,
         point: Option<f64>,
-        indent: &str,
         report: RunReport,
     ) -> Result<String, ArgError> {
-        let at = |path: &str| match (point, path.rsplit_once('.')) {
-            (None, _) => path.to_string(),
-            (Some(p), Some((stem, ext))) => format!("{stem}-r{p}.{ext}"),
-            (Some(p), None) => format!("{path}-r{p}"),
-        };
-        let mut out = report
-            .perf
-            .phases
-            .as_ref()
-            .map_or(String::new(), phase_table);
+        let (indent, at) = (self.indent, |path| point_path(path, point));
+        let phases = report.perf.phases.as_ref();
+        let mut out = phases.map_or(String::new(), phase_table);
         if let (Some(path), Some(fr)) = (&self.flight_out, net.take_flight_recorder()) {
             let (path, json) = (at(path), fr.to_json());
             // The dump has no CSV form.
             write_export(&path, &json, || pretty(&json))?;
-            out.push_str(&format!(
-                "{indent}flight recorder: {} journeys of {} packets seen -> {path}\n",
-                fr.pinned(),
-                json.get("packets_seen")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-            ));
+            let seen = json.get("packets_seen").and_then(JsonValue::as_u64);
+            let (pinned, seen) = (fr.pinned(), seen.unwrap_or(0));
+            writeln!(
+                out,
+                "{indent}flight recorder: {pinned} journeys of {seen} packets seen -> {path}"
+            )?;
         }
         if let Some(path) = &self.trace_out {
-            let path = at(path);
-            let tb = net.take_trace().unwrap_or_default();
+            let (path, tb) = (at(path), net.take_trace().unwrap_or_default());
             write_export(&path, &tb.to_json(), || tb.to_csv())?;
-            out.push_str(&format!(
-                "{indent}trace: {} events ({} evicted, {} filtered) -> {path}\n",
-                tb.len(),
-                tb.evicted(),
-                tb.filtered()
-            ));
+            let (len, evicted, filtered) = (tb.len(), tb.evicted(), tb.filtered());
+            writeln!(
+                out,
+                "{indent}trace: {len} events ({evicted} evicted, {filtered} filtered) -> {path}"
+            )?;
         }
         if let (Some(path), Some(m)) = (&self.metrics_out, metrics) {
-            let path = at(path);
-            let series = m.into_series();
+            let (path, series) = (at(path), m.into_series());
             write_export(&path, &series.to_json(), || series.to_csv())?;
-            out.push_str(&format!(
-                "{indent}metrics: {} samples -> {path}\n",
-                series.samples.len()
-            ));
+            let samples = series.samples.len();
+            writeln!(out, "{indent}metrics: {samples} samples -> {path}")?;
         }
         if let Some(path) = &self.report_out {
             let path = at(path);
             write_export(&path, &report.to_json(), || report.to_csv())?;
-            out.push_str(&format!("{indent}report -> {path}\n"));
+            writeln!(out, "{indent}report -> {path}")?;
         }
         Ok(out)
     }
+}
+
+/// `path` with `-r<point>` inserted before the file name's extension, or
+/// appended to a file name without one; `path` itself without a point.
+/// Only the file name is searched for the extension, so a dot in a
+/// directory name (`./trace`, `out.d/trace`) stays where it is.
+fn point_path(path: &str, point: Option<f64>) -> String {
+    let Some(p) = point else {
+        return path.to_string();
+    };
+    let name = path.rfind(std::path::is_separator).map_or(0, |i| i + 1);
+    let dot = path[name..].rfind('.').filter(|&d| d > 0);
+    let (stem, ext) = path.split_at(dot.map_or(path.len(), |d| name + d));
+    format!("{stem}-r{p}{ext}")
 }
 
 /// Human-readable per-phase table for `--profile` output.
@@ -261,13 +266,9 @@ pub(crate) fn parse_fault(p: &Parsed, mesh: Mesh) -> Result<Option<FaultArgs>, A
             }
             FaultPlan::random(mesh, seed, rate)
         }
-        (None, None) => {
-            return Ok(retry_limit.map(|_| FaultArgs {
-                plan: FaultPlan::new(),
-                seed,
-                retry_limit,
-            }))
-        }
+        // A bare --retry-limit runs under the empty plan.
+        (None, None) if retry_limit.is_some() => FaultPlan::new(),
+        (None, None) => return Ok(None),
     };
     Ok(Some(FaultArgs {
         plan,
@@ -299,14 +300,78 @@ fn write_export(
     std::fs::write(path, body).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }
 
-fn load_benchmark_trace(p: &Parsed, mesh: Mesh) -> Result<(String, Trace), ArgError> {
+/// The `--benchmark` profile (default FFT) scaled to `--scale` on
+/// `mesh`, and the scale.
+fn benchmark_arg(p: &Parsed, mesh: Mesh) -> Result<(BenchmarkProfile, f64), ArgError> {
     let name = p.get("benchmark").unwrap_or("FFT");
     let scale: f64 = p.get_parsed("scale", 0.25)?;
     check_scale(scale).map_err(|e| ArgError(format!("--{e}")))?;
     let profile = splash2::benchmark(name)
-        .ok_or_else(|| ArgError(format!("unknown benchmark {name:?} (see Table 3)")))?
-        .scaled(scale, mesh);
-    Ok((profile.name.to_string(), generate_trace(mesh, &profile)))
+        .ok_or_else(|| ArgError(format!("unknown benchmark {name:?} (see Table 3)")))?;
+    Ok((profile.scaled(scale, mesh), scale))
+}
+
+/// The jobs `spec` expands to, seeded with the command line's `seed` and
+/// `fault_seed` as they are, where `lab run` derives both from the spec
+/// seed.
+pub(crate) fn cli_jobs(spec: &LabSpec, seed: u64, fault_seed: u64) -> Vec<JobSpec> {
+    let mut jobs = expand(spec);
+    for job in &mut jobs {
+        (job.seed, job.fault_seed) = (seed, fault_seed);
+    }
+    jobs
+}
+
+/// What a command reports of one finished job beside its console lines:
+/// its run report's extras.
+type Row = Result<Vec<(String, JsonValue)>, ArgError>;
+
+/// Runs each of `jobs` through the lab runner's two steps,
+/// [`build_job_network`] then [`drive_job`], with the command line in
+/// between: `fault`'s plan (from `--fault-plan`, `--fault-rate` or a
+/// bare `--retry-limit`) is installed, and `obs` attaches its
+/// instruments before the drive and exports them after it. `row` writes
+/// each finished job's console lines. A run of several jobs sweeps the
+/// rates or the intensities, and each job's value tags its exports.
+fn run_jobs(
+    spec: &LabSpec,
+    jobs: &[JobSpec],
+    fault: Option<&FaultArgs>,
+    obs: &ObsArgs,
+    mut row: impl FnMut(&mut String, &JobSpec, &JobRecord, &HarnessResult, &dyn Network) -> Row,
+) -> Result<String, ArgError> {
+    let mut out = String::new();
+    for job in jobs {
+        let mut net = build_job_network(spec, job, obs.profile).map_err(ArgError)?;
+        if let Some(f) = fault {
+            net.set_fault_plan(f.plan.clone(), f.seed);
+        }
+        let mut metrics = obs.attach(net.as_mut());
+        let (rec, run) =
+            drive_job(spec, job, &mut net, metrics.as_mut(), None).map_err(ArgError)?;
+        let extra = row(&mut out, job, &rec, &run, net.as_ref())?;
+        let point = match job.work {
+            Work::Synthetic { rate, .. } if spec.rates.len() > 1 => Some(rate),
+            _ => (spec.intensities.len() > 1).then_some(job.intensity),
+        };
+        let (seed, cycles, energy, perf) = match run {
+            HarnessResult::Synthetic(r) => (Some(job.seed), r.perf.cycles, r.energy, r.perf),
+            HarnessResult::Replay(r, _) => (None, r.completion_cycle, r.energy, r.perf),
+        };
+        let report = RunReport {
+            network: net.name(),
+            width: spec.mesh.width(),
+            height: spec.mesh.height(),
+            seed,
+            cycles,
+            stats: net.stats(),
+            energy,
+            perf,
+            extra,
+        };
+        out.push_str(&obs.export(net.as_mut(), metrics, point, report)?);
+    }
+    Ok(out)
 }
 
 /// `phastlane simulate`: replay a benchmark trace on one network.
@@ -316,88 +381,71 @@ fn load_benchmark_trace(p: &Parsed, mesh: Mesh) -> Result<(String, Trace), ArgEr
 /// Propagates argument errors.
 pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
     let mesh = parse_mesh(p)?;
-    let obs = parse_obs(p)?;
+    let obs = parse_obs(p, "")?;
     let fault = parse_fault(p, mesh)?;
-    let (name, trace) = load_benchmark_trace(p, mesh)?;
-    let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
-    let mut net =
-        build_network(p.get("net").unwrap_or("optical4"), mesh, retry_limit).map_err(ArgError)?;
-    if let Some(f) = &fault {
-        net.set_fault_plan(f.plan.clone(), f.seed);
-    }
-    let opts = TraceOptions::default();
-    // The trace itself is deterministic, so the flight recorder's
-    // sampling seed is the only knob --seed turns here.
-    let mut metrics = obs.attach(net.as_mut(), p.get_parsed("seed", 7)?);
-    let r = run_trace_observed(&mut net, &trace, opts, metrics.as_mut());
-    let stats = net.stats();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{} on {}: {} messages\n",
-        name,
-        net.name(),
-        trace.len()
-    ));
-    if r.timed_out {
-        out.push_str(&format!("TIMED OUT after {} cycles\n", opts.max_cycles));
-    }
-    out.push_str(&format!(
-        "completion: {} cycles  latency[{}]\n",
-        r.completion_cycle, r.latency
-    ));
-    out.push_str(&format!(
-        "drops: {}  retransmits: {}\n",
-        stats.dropped, stats.retransmitted
-    ));
-    if let Some(f) = &fault {
-        out.push_str(&format!(
-            "faults: {}  rerouted: {}  undeliverable: {} (retry cap hit {} times)\n",
-            f.plan.len(),
-            stats.rerouted,
-            stats.undeliverable,
-            stats.retry_exhausted,
-        ));
-        if stats.ecc_corrected + stats.ecc_uncorrectable > 0 {
-            out.push_str(&format!(
-                "ecc: {} corrected, {} uncorrectable\n",
-                stats.ecc_corrected, stats.ecc_uncorrectable
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "power: {:.0} mW ({:.0} pJ dynamic, {:.0} pJ laser, {:.0} pJ link, {:.0} pJ leakage)\n",
-        average_power_mw(&r),
-        r.energy.dynamic_pj,
-        r.energy.laser_pj,
-        r.energy.link_pj,
-        r.energy.leakage_pj,
-    ));
-    out.push_str(&format!(
-        "sim speed: {:.0} cycles/s ({:.3} s wall)\n",
-        r.perf.cycles_per_sec(),
-        r.perf.wall_seconds
-    ));
-    let mut extra = vec![
-        ("benchmark".into(), JsonValue::Str(name)),
-        ("messages".into(), JsonValue::Uint(trace.len() as u64)),
-    ];
-    if let Some(f) = &fault {
-        extra.push(("faults".into(), JsonValue::Uint(f.plan.len() as u64)));
-        extra.push(("fault_seed".into(), JsonValue::Uint(f.seed)));
-    }
-    let report = RunReport {
-        network: net.name(),
-        width: mesh.width(),
-        height: mesh.height(),
-        seed: None,
-        cycles: r.completion_cycle,
-        stats,
-        energy: r.energy,
-        perf: r.perf,
-        extra,
+    let (profile, scale) = benchmark_arg(p, mesh)?;
+    let name = profile.name;
+    let spec = LabSpec {
+        mesh,
+        nets: vec![p.get("net").unwrap_or("optical4").to_string()],
+        patterns: Vec::new(),
+        benchmarks: vec![name.to_string()],
+        scale,
+        retry_limit: fault.as_ref().and_then(|f| f.retry_limit),
+        ..LabSpec::default()
     };
-    out.push_str(&obs.export(net.as_mut(), metrics, None, "", report)?);
-    Ok(out)
+    // The job's seed is the profile's own, so it replays the benchmark's
+    // trace; the flight recorder's sampling seed is the only knob --seed
+    // turns here.
+    let jobs = cli_jobs(&spec, profile.seed, p.get_parsed("fault-seed", 1)?);
+    run_jobs(&spec, &jobs, fault.as_ref(), &obs, |out, _, _, run, net| {
+        let HarnessResult::Replay(r, messages) = run else {
+            unreachable!("a replay job drives a replay")
+        };
+        let stats = net.stats();
+        writeln!(out, "{name} on {}: {messages} messages", net.name())?;
+        if r.timed_out {
+            writeln!(out, "TIMED OUT after {} cycles", spec.max_cycles)?;
+        }
+        let (cycles, latency) = (r.completion_cycle, &r.latency);
+        writeln!(out, "completion: {cycles} cycles  latency[{latency}]")?;
+        let (drops, retransmits) = (stats.dropped, stats.retransmitted);
+        writeln!(out, "drops: {drops}  retransmits: {retransmits}")?;
+        let mut extra = vec![
+            ("benchmark".into(), JsonValue::Str(name.to_string())),
+            ("messages".into(), JsonValue::Uint(*messages as u64)),
+        ];
+        if let Some(f) = &fault {
+            writeln!(
+                out,
+                "faults: {}  rerouted: {}  undeliverable: {} (retry cap hit {} times)",
+                f.plan.len(),
+                stats.rerouted,
+                stats.undeliverable,
+                stats.retry_exhausted,
+            )?;
+            let (ok, bad) = (stats.ecc_corrected, stats.ecc_uncorrectable);
+            if ok + bad > 0 {
+                writeln!(out, "ecc: {ok} corrected, {bad} uncorrectable")?;
+            }
+            extra.push(("faults".into(), JsonValue::Uint(f.plan.len() as u64)));
+            extra.push(("fault_seed".into(), JsonValue::Uint(f.seed)));
+        }
+        let e = &r.energy;
+        writeln!(
+            out,
+            "power: {:.0} mW ({:.0} pJ dynamic, {:.0} pJ laser, {:.0} pJ link, \
+             {:.0} pJ leakage)",
+            average_power_mw(r),
+            e.dynamic_pj,
+            e.laser_pj,
+            e.link_pj,
+            e.leakage_pj,
+        )?;
+        let (speed, wall) = (r.perf.cycles_per_sec(), r.perf.wall_seconds);
+        writeln!(out, "sim speed: {speed:.0} cycles/s ({wall:.3} s wall)")?;
+        Ok(extra)
+    })
 }
 
 /// `phastlane compare`: the same trace on two networks, with speedup.
@@ -407,7 +455,8 @@ pub fn cmd_simulate(p: &Parsed) -> Result<String, ArgError> {
 /// Propagates argument errors.
 pub fn cmd_compare(p: &Parsed) -> Result<String, ArgError> {
     let mesh = parse_mesh(p)?;
-    let (name, trace) = load_benchmark_trace(p, mesh)?;
+    let (profile, _) = benchmark_arg(p, mesh)?;
+    let (name, trace) = (profile.name, generate_trace(mesh, &profile));
     let mut out = format!("{name}: {} messages\n", trace.len());
     let mut base: Option<u64> = None;
     for net_name in ["electrical3", p.get("net").unwrap_or("optical4")] {
@@ -441,83 +490,45 @@ pub fn cmd_sweep(p: &Parsed) -> Result<String, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown pattern {pattern_name:?}")))?;
     pattern.check_mesh(mesh).map_err(ArgError)?;
     let rates = parse_list(p, "rate", &[0.05])?;
-    if let Some(bad) = rates
-        .iter()
-        .find(|r| !r.is_finite() || !(0.0..=1.0).contains(*r))
-    {
-        return Err(ArgError(format!(
-            "injection rates must be finite and in [0, 1], got {bad}"
-        )));
-    }
+    check_rates(&rates)?;
     let net_name = p.get("net").unwrap_or("optical4");
-    let obs = parse_obs(p)?;
+    let obs = parse_obs(p, "  ")?;
     let fault = parse_fault(p, mesh)?;
-    let seed: u64 = p.get_parsed("seed", 7)?;
-    let multi = rates.len() > 1;
-    let mut out = format!(
-        "{} on {net_name} ({}x{})\n",
-        pattern.label(),
-        mesh.width(),
-        mesh.height()
-    );
-    out.push_str(&format!(
-        "{:>8} {:>10} {:>8} {:>10}\n",
-        "rate", "latency", "p99", "delivered"
-    ));
-    let retry_limit = fault.as_ref().and_then(|f| f.retry_limit);
-    for rate in rates {
-        let mut net = build_network(net_name, mesh, retry_limit).map_err(ArgError)?;
-        if let Some(f) = &fault {
-            net.set_fault_plan(f.plan.clone(), f.seed);
+    let spec = LabSpec {
+        mesh,
+        nets: vec![net_name.to_string()],
+        patterns: vec![pattern],
+        rates,
+        warmup: 500,
+        measure: 2_000,
+        drain: 6_000,
+        retry_limit: fault.as_ref().and_then(|f| f.retry_limit),
+        ..LabSpec::default()
+    };
+    let (seed, fault_seed) = (p.get_parsed("seed", 7)?, p.get_parsed("fault-seed", 1)?);
+    let jobs = cli_jobs(&spec, seed, fault_seed);
+    let (width, height) = (mesh.width(), mesh.height());
+    let mut out = format!("{} on {net_name} ({width}x{height})\n", pattern.label());
+    out.push_str("    rate    latency      p99  delivered\n");
+    out += &run_jobs(&spec, &jobs, fault.as_ref(), &obs, |out, _, rec, _, net| {
+        let rate = rec.rate.unwrap_or(f64::NAN);
+        let delivered = rec.delivered_rate.unwrap_or(f64::NAN);
+        let mean = rec.latency.mean().unwrap_or(f64::NAN);
+        let p99 = rec
+            .latency
+            .percentile(99.0)
+            .map_or("-".into(), |v| v.to_string());
+        writeln!(out, "{rate:>8.3} {mean:>10.2} {p99:>8} {delivered:>10.3}")?;
+        if rec.undeliverable > 0 {
+            let (lost, rerouted) = (rec.undeliverable, net.stats().rerouted);
+            writeln!(out, "  undeliverable: {lost} (rerouted {rerouted})")?;
         }
-        let mut metrics = obs.attach(net.as_mut(), seed);
-        let mut w = BernoulliTraffic::new(mesh, pattern, rate, seed);
-        let r = run_synthetic_observed(
-            &mut net,
-            &mut w,
-            SyntheticOptions {
-                warmup: 500,
-                measure: 2_000,
-                drain: 6_000,
-            },
-            metrics.as_mut(),
-        );
-        out.push_str(&format!(
-            "{rate:>8.3} {:>10.2} {:>8} {:>10.3}\n",
-            r.latency.mean().unwrap_or(f64::NAN),
-            r.latency
-                .percentile(99.0)
-                .map_or("-".into(), |v| v.to_string()),
-            r.delivered_rate
-        ));
-        if r.undeliverable > 0 {
-            out.push_str(&format!(
-                "  undeliverable: {} (rerouted {})\n",
-                r.undeliverable,
-                net.stats().rerouted
-            ));
-        }
-        let report = RunReport {
-            network: net.name(),
-            width: mesh.width(),
-            height: mesh.height(),
-            seed: Some(seed),
-            cycles: r.perf.cycles,
-            stats: net.stats(),
-            energy: r.energy,
-            perf: r.perf,
-            extra: vec![
-                (
-                    "pattern".into(),
-                    JsonValue::Str(pattern.label().to_string()),
-                ),
-                ("offered_rate".into(), JsonValue::Num(rate)),
-                ("delivered_rate".into(), JsonValue::Num(r.delivered_rate)),
-            ],
-        };
-        let point = multi.then_some(rate);
-        out.push_str(&obs.export(net.as_mut(), metrics, point, "  ", report)?);
-    }
+        Ok(vec![
+            ("pattern".into(), JsonValue::Str(pattern.label().into())),
+            ("offered_rate".into(), JsonValue::Num(rate)),
+            ("delivered_rate".into(), JsonValue::Num(delivered)),
+        ])
+    })?;
     Ok(out)
 }
 
@@ -532,7 +543,8 @@ pub fn cmd_trace(p: &Parsed) -> Result<String, ArgError> {
     match p.positional(1) {
         Some("gen") => {
             let mesh = parse_mesh(p)?;
-            let (name, trace) = load_benchmark_trace(p, mesh)?;
+            let (profile, _) = benchmark_arg(p, mesh)?;
+            let (name, trace) = (profile.name, generate_trace(mesh, &profile));
             let out_path = p.get("out").unwrap_or("trace.txt").to_string();
             std::fs::write(&out_path, phastlane_traffic::codec::encode(&trace)).map_err(io_err)?;
             Ok(format!(
@@ -732,11 +744,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     Pattern::Uniform.check_mesh(mesh).map_err(ArgError)?;
     let net_name = p.get("net").unwrap_or("optical4");
     let rate: f64 = p.get_parsed("rate", 0.05)?;
-    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-        return Err(ArgError(format!(
-            "injection rates must be finite and in [0, 1], got {rate}"
-        )));
-    }
+    check_rates(&[rate])?;
     let seed: u64 = p.get_parsed("seed", 7)?;
     let fault_seed: u64 = p.get_parsed("fault-seed", 1)?;
     // A tight retry cap keeps the soak's drain phase short; override with
@@ -746,35 +754,33 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
     if intensities.iter().any(|i| !(0.0..=1.0).contains(i)) {
         return Err(ArgError("intensities must be in [0, 1]".into()));
     }
-    let obs = parse_obs(p)?;
+    let obs = parse_obs(p, "  ")?;
     // The drain window is generous: under heavy fault intensities every
     // stranded packet must walk to its retry cap (head-of-line, one queue
     // entry at a time) before the run can account for it.
-    let opts = SyntheticOptions {
+    let spec = LabSpec {
+        mesh,
+        nets: vec![net_name.to_string()],
+        patterns: vec![Pattern::Uniform],
+        rates: vec![rate],
+        intensities,
         warmup: 500,
         measure: 2_000,
         drain: 60_000,
+        retry_limit: Some(retry_limit),
+        ..LabSpec::default()
     };
-
+    let jobs = cli_jobs(&spec, seed, fault_seed);
+    let (width, height) = (mesh.width(), mesh.height());
     let mut out = format!(
-        "chaos soak: {net_name} ({}x{}), uniform rate {rate}, fault seed {fault_seed}\n",
-        mesh.width(),
-        mesh.height()
+        "chaos soak: {net_name} ({width}x{height}), uniform rate {rate}, fault seed {fault_seed}\n"
     );
-    out.push_str(&format!(
-        "{:>9} {:>7} {:>10} {:>8} {:>6} {:>8} {:>9}\n",
-        "intensity", "faults", "delivered", "p99", "p99x", "undeliv", "rerouted"
-    ));
+    out.push_str("intensity  faults  delivered      p99   p99x  undeliv  rerouted\n");
     let mut baseline_p99: Option<u64> = None;
-    for &intensity in &intensities {
-        let plan = FaultPlan::random(mesh, fault_seed, intensity);
-        let mut net = build_network(net_name, mesh, Some(retry_limit)).map_err(ArgError)?;
-        if !plan.is_empty() {
-            net.set_fault_plan(plan.clone(), fault_seed);
-        }
-        let mut metrics = obs.attach(net.as_mut(), seed);
-        let mut w = BernoulliTraffic::new(mesh, Pattern::Uniform, rate, seed);
-        let r = run_synthetic_observed(&mut net, &mut w, opts, metrics.as_mut());
+    out += &run_jobs(&spec, &jobs, None, &obs, |out, job, rec, _, net| {
+        let intensity = job.intensity;
+        // The plan the runner installed for this job.
+        let plan = job_fault_plan(&spec, job).unwrap_or_default();
         let stats = net.stats();
         let resolved = stats.delivered + stats.undeliverable;
         let delivered_frac = if resolved > 0 {
@@ -782,7 +788,7 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
         } else {
             1.0
         };
-        let p99 = r.latency.percentile(99.0);
+        let p99 = rec.latency.percentile(99.0);
         if intensity == 0.0 && baseline_p99.is_none() {
             baseline_p99 = p99;
         }
@@ -790,42 +796,31 @@ pub fn cmd_chaos(p: &Parsed) -> Result<String, ArgError> {
             (Some(b), Some(v)) if b > 0 => format!("{:.2}", v as f64 / b as f64),
             _ => "-".into(),
         };
-        out.push_str(&format!(
-            "{intensity:>9.2} {:>7} {:>9.1}% {:>8} {:>6} {:>8} {:>9}\n",
+        writeln!(
+            out,
+            "{intensity:>9.2} {:>7} {:>9.1}% {:>8} {inflation:>6} {:>8} {:>9}",
             plan.len(),
             delivered_frac * 100.0,
             p99.map_or("-".into(), |v| v.to_string()),
-            inflation,
             stats.undeliverable,
             stats.rerouted,
-        ));
-        if r.unfinished > 0 {
-            out.push_str(&format!(
-                "  UNRESOLVED: {} accepted packets neither delivered nor undeliverable\n",
-                r.unfinished
-            ));
+        )?;
+        if rec.unfinished > 0 {
+            writeln!(
+                out,
+                "  UNRESOLVED: {} accepted packets neither delivered nor undeliverable",
+                rec.unfinished
+            )?;
         }
-        let report = RunReport {
-            network: net.name(),
-            width: mesh.width(),
-            height: mesh.height(),
-            seed: Some(seed),
-            cycles: r.perf.cycles,
-            stats,
-            energy: r.energy,
-            perf: r.perf,
-            extra: vec![
-                ("intensity".into(), JsonValue::Num(intensity)),
-                ("faults".into(), JsonValue::Uint(plan.len() as u64)),
-                ("fault_seed".into(), JsonValue::Uint(fault_seed)),
-                ("fault_plan".into(), JsonValue::Str(plan.encode())),
-                ("delivered_fraction".into(), JsonValue::Num(delivered_frac)),
-                ("unresolved".into(), JsonValue::Uint(r.unfinished)),
-            ],
-        };
-        let point = (intensities.len() > 1).then_some(intensity);
-        out.push_str(&obs.export(net.as_mut(), metrics, point, "  ", report)?);
-    }
+        Ok(vec![
+            ("intensity".into(), JsonValue::Num(intensity)),
+            ("faults".into(), JsonValue::Uint(plan.len() as u64)),
+            ("fault_seed".into(), JsonValue::Uint(fault_seed)),
+            ("fault_plan".into(), JsonValue::Str(plan.encode())),
+            ("delivered_fraction".into(), JsonValue::Num(delivered_frac)),
+            ("unresolved".into(), JsonValue::Uint(rec.unfinished)),
+        ])
+    })?;
     Ok(out)
 }
 
@@ -1037,6 +1032,44 @@ mod tests {
         let p = parsed(&["sweep", "--pattern", "shuffle", "--rate", "0.02"]);
         let out = dispatch(&p).expect("runs");
         assert!(out.contains("Shuffle"));
+        // Several rates tag each export's file name, never a directory.
+        for (path, point, tagged) in [
+            ("out.json", 0.02, "out-r0.02.json"),
+            ("./trace", 0.02, "./trace-r0.02"),
+            ("dir.x/trace", 0.05, "dir.x/trace-r0.05"),
+            ("out.d/trace.csv", 0.05, "out.d/trace-r0.05.csv"),
+        ] {
+            assert_eq!(point_path(path, Some(point)), tagged);
+            assert_eq!(point_path(path, None), path);
+        }
+        let dir = std::env::temp_dir().join("phastlane_cli_point_paths");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("dir.x")).unwrap();
+        let (trace, metrics) = (
+            dir.join(".").join("trace"),
+            dir.join("dir.x").join("metrics"),
+        );
+        let p = parsed(&[
+            "sweep",
+            "--mesh",
+            "4x4",
+            "--rate",
+            "0.02,0.05",
+            "--trace-out",
+            trace.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        dispatch(&p).expect("a multi-rate sweep writes beside a dotted directory");
+        for file in [
+            "trace-r0.02",
+            "trace-r0.05",
+            "dir.x/metrics-r0.02",
+            "dir.x/metrics-r0.05",
+        ] {
+            assert!(dir.join(file).is_file(), "{file} written");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,16 +4,14 @@
 
 use super::{header, row};
 use crate::args::{ArgError, Parsed};
-use crate::commands::{average_power_mw, replay_on};
+use crate::commands::{average_power_mw, cli_jobs, replay_on};
 use phastlane_core::{ArbitrationPolicy, PathPriority, PhastlaneConfig, PhastlaneNetwork};
-use phastlane_lab::runner::build_network;
-use phastlane_netsim::harness::{
-    run_synthetic, run_trace, SyntheticOptions, Trace, TraceOptions, TraceResult,
-};
+use phastlane_lab::runner::run_job;
+use phastlane_lab::{JobRecord, LabSpec};
+use phastlane_netsim::harness::{run_trace, Trace, TraceOptions, TraceResult};
 use phastlane_netsim::{Mesh, Network};
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
-use phastlane_traffic::synthetic::BernoulliTraffic;
 use phastlane_traffic::Pattern;
 use std::fmt::Write as _;
 
@@ -138,21 +136,24 @@ pub(super) fn scalability(p: &Parsed) -> Result<String, ArgError> {
     for &side in sizes {
         let mesh = Mesh::new(side, side);
 
-        // Zero-load-ish uniform latency.
-        let opts = SyntheticOptions {
+        // Zero-load-ish uniform latency, one lab job per network.
+        let spec = LabSpec {
+            mesh,
+            nets: vec!["optical4".into(), "electrical3".into()],
+            patterns: vec![Pattern::Uniform],
+            rates: vec![0.02],
             warmup: 200,
             measure: 800,
             drain: 3_000,
+            ..LabSpec::default()
         };
-        let lat = |name: &str| -> Result<f64, ArgError> {
-            let mut net = build_network(name, mesh, None).map_err(ArgError)?;
-            let mut w = BernoulliTraffic::new(mesh, Pattern::Uniform, 0.02, 0x5CA1E);
-            Ok(run_synthetic(&mut net, &mut w, opts)
-                .latency
-                .mean()
-                .unwrap_or(f64::NAN))
-        };
-        let (lo, le) = (lat("optical4")?, lat("electrical3")?);
+        let mean = |rec: JobRecord| rec.latency.mean().unwrap_or(f64::NAN);
+        let lat = cli_jobs(&spec, 0x5CA1E, 1)
+            .iter()
+            .map(|job| run_job(&spec, job, None, false).map(mean))
+            .collect::<Result<Vec<f64>, _>>()
+            .map_err(ArgError)?;
+        let (lo, le) = (lat[0], lat[1]);
 
         // Coherence workload scaled to the mesh.
         let mut profile = splash2::benchmark("FFT").expect("known benchmark");

@@ -1,5 +1,9 @@
-//! Builds networks by name and executes one lab job end-to-end, with
-//! panic isolation: [`run_job`] is the one way a job runs.
+//! Builds networks by name and runs lab jobs. A job runs one way:
+//! [`build_job_network`], then [`drive_job`]. [`run_job`] makes the two
+//! calls under panic isolation, for the scheduler and every caller that
+//! attaches nothing; the CLI's `sweep`, `chaos` and `simulate` make them
+//! itself, to install a plan from the command line and attach
+//! instruments in between.
 //!
 //! A job runs entirely on the calling thread: the network is built,
 //! faulted, driven, and dropped here, so nothing but the plain-data
@@ -16,15 +20,15 @@ use phastlane_netsim::fault::{Fault, FaultKind, FaultPlan};
 use phastlane_netsim::geometry::{Mesh, NodeId};
 use phastlane_netsim::harness::{
     run_synthetic_guarded, run_trace_guarded, SyntheticOptions, SyntheticResult, TraceOptions,
+    TraceResult,
 };
 use phastlane_netsim::network::Network;
-use phastlane_netsim::obs::PhaseProfiler;
+use phastlane_netsim::obs::{MetricsCollector, PhaseProfiler};
 use phastlane_netsim::stats::LatencyStats;
-use phastlane_netsim::watchdog::{CancelToken, Watchdog};
+use phastlane_netsim::watchdog::{CancelToken, Interrupt, Watchdog};
 use phastlane_traffic::coherence::generate_trace;
 use phastlane_traffic::splash2;
 use phastlane_traffic::synthetic::BernoulliTraffic;
-use phastlane_traffic::Pattern;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -43,8 +47,7 @@ pub const NETWORKS: [&str; 9] = [
 
 /// Whether `name` is a known network configuration (case-insensitive).
 pub fn known_network(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    NETWORKS.contains(&lower.as_str())
+    optical_config(name).is_ok()
 }
 
 /// The optical configuration behind a network name, or `None` for the
@@ -127,8 +130,13 @@ pub fn job_fault_plan(spec: &LabSpec, job: &JobSpec) -> Option<FaultPlan> {
 /// applied: faulted jobs default to the chaos soak's tight retry cap so
 /// the drain phase terminates; fault-free jobs run uncapped. With
 /// `profile`, a [`PhaseProfiler`] is attached — pure observation, so the
-/// canonical results are unchanged.
-fn build_job_network(
+/// canonical results are unchanged. The first of [`run_job`]'s two
+/// steps; [`drive_job`] is the second.
+///
+/// # Errors
+///
+/// Errors on an unknown network name.
+pub fn build_job_network(
     spec: &LabSpec,
     job: &JobSpec,
     profile: bool,
@@ -184,110 +192,18 @@ fn kept_up(r: &SyntheticResult) -> bool {
     r.unfinished == 0 && r.delivered_rate >= 0.90 * r.offered_rate
 }
 
-/// Summarizes one synthetic run as its job's record (wall clock still
-/// zero; the caller attributes it).
-fn synthetic_record(job: &JobSpec, pattern: &Pattern, rate: f64, r: SyntheticResult) -> JobRecord {
-    let stable = kept_up(&r);
-    // A watchdog interrupt makes the metrics partial: the job is marked
-    // timed out, carries the verdict as its outcome, and abstains from
-    // the stability vote (so saturation curves only see full runs).
-    let outcome = match &r.interrupt {
+/// The outcome a drive ended with: timed out when a watchdog stopped
+/// it, completed otherwise.
+fn outcome_of(interrupt: Option<&Interrupt>) -> JobOutcome {
+    match interrupt {
         Some(i) => JobOutcome::TimedOut { reason: i.reason() },
         None => JobOutcome::Completed,
-    };
-    let interrupted = r.interrupt.is_some();
-    JobRecord {
-        index: job.index,
-        net: job.net.clone(),
-        pattern: Some(pattern.name().to_string()),
-        rate: Some(rate),
-        benchmark: None,
-        intensity: job.intensity,
-        replica: job.replica,
-        seed: job.seed,
-        cycles: r.perf.cycles,
-        latency: r.latency,
-        energy_pj: r.energy.total_pj(),
-        offered_rate: Some(r.offered_rate),
-        accepted_rate: Some(r.accepted_rate),
-        delivered_rate: Some(r.delivered_rate),
-        completion_cycle: None,
-        unfinished: r.unfinished,
-        undeliverable: r.undeliverable,
-        timed_out: interrupted,
-        stable: if interrupted { None } else { Some(stable) },
-        outcome,
-        wall_seconds: 0.0,
-        phases: r.perf.phases,
     }
 }
 
-/// The effective synthetic drive options for one job. A
-/// sabotaged-livelock job gets its drain stretched so the watchdog —
-/// not the drain allowance — is what ends it, at a deterministic cycle.
-fn synthetic_opts(spec: &LabSpec, job: &JobSpec) -> SyntheticOptions {
-    let drain = if spec.sabotage_for(job.index) == Some(SabotageKind::Livelock) {
-        spec.drain.max(1_000_000)
-    } else {
-        spec.drain
-    };
-    SyntheticOptions {
-        warmup: spec.warmup,
-        measure: spec.measure,
-        drain,
-    }
-}
-
-/// Runs one job of the expanded matrix and summarizes it: the one way
-/// a job runs, for the scheduler and every other caller.
-///
-/// The job runs once, under `catch_unwind`: a simulator panic (or a
-/// deliberate `sabotage panic@N`) becomes a terminal
-/// [`JobOutcome::Panicked`] record instead of unwinding through the
-/// worker pool and killing the rest of the matrix. There is no retry:
-/// a job is a pure function of (spec, job), so a second attempt would
-/// replay the same panic. A watchdog armed from the spec's supervision
-/// keys, plus `cancel` when given, ends a runaway job as `TimedOut`.
-/// `profile` attaches a [`PhaseProfiler`]; its breakdown lands in the
-/// record's perf-only `phases`.
-///
-/// # Errors
-///
-/// Structural failures only — an unknown network or benchmark name,
-/// normally caught at spec-parse time already. Panics and timeouts are
-/// outcomes, not errors.
-pub fn run_job(
-    spec: &LabSpec,
-    job: &JobSpec,
-    cancel: Option<&CancelToken>,
-    profile: bool,
-) -> Result<JobRecord, String> {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if spec.sabotage_for(job.index) == Some(SabotageKind::Panic) {
-            // Deliberate crash (harness testing): prove it is contained.
-            panic!("sabotage: deliberate panic in job {}", job.index);
-        }
-        simulate(spec, job, cancel, profile)
-    }));
-    caught.unwrap_or_else(|payload| Ok(panicked_record(job, panic_message(payload))))
-}
-
-/// Extracts a human-readable message from a panic payload. Panics via
-/// `panic!("...")` carry `String` or `&str`; anything else gets a
-/// placeholder.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The terminal record for a job that panicked: zero cycles, empty
-/// latency, no stability vote — just the verdict.
-fn panicked_record(job: &JobSpec, message: String) -> JobRecord {
+/// A job's record before anything ran: its identity and `outcome`,
+/// every count zero.
+fn blank_record(job: &JobSpec, outcome: JobOutcome) -> JobRecord {
     let (pattern, rate, benchmark) = match &job.work {
         Work::Synthetic { pattern, rate } => (Some(pattern.name().to_string()), Some(*rate), None),
         Work::Replay { benchmark } => (None, None, Some(benchmark.clone())),
@@ -312,39 +228,158 @@ fn panicked_record(job: &JobSpec, message: String) -> JobRecord {
         undeliverable: 0,
         timed_out: false,
         stable: None,
-        outcome: JobOutcome::Panicked { message },
+        outcome,
         wall_seconds: 0.0,
         phases: None,
     }
 }
 
-/// Builds, drives and summarizes one job under its watchdog; the body
-/// [`run_job`] guards.
+/// Summarizes one drive as its job's record (wall clock still zero; the
+/// caller attributes it).
+fn record(job: &JobSpec, run: &HarnessResult) -> JobRecord {
+    match run {
+        HarnessResult::Synthetic(r) => {
+            // A watchdog interrupt makes the metrics partial: the job is
+            // marked timed out, carries the verdict as its outcome, and
+            // abstains from the stability vote (so saturation curves only
+            // see full runs).
+            let interrupted = r.interrupt.is_some();
+            JobRecord {
+                cycles: r.perf.cycles,
+                latency: r.latency.clone(),
+                energy_pj: r.energy.total_pj(),
+                offered_rate: Some(r.offered_rate),
+                accepted_rate: Some(r.accepted_rate),
+                delivered_rate: Some(r.delivered_rate),
+                unfinished: r.unfinished,
+                undeliverable: r.undeliverable,
+                timed_out: interrupted,
+                stable: (!interrupted).then(|| kept_up(r)),
+                phases: r.perf.phases,
+                ..blank_record(job, outcome_of(r.interrupt.as_ref()))
+            }
+        }
+        HarnessResult::Replay(r, _) => JobRecord {
+            cycles: r.perf.cycles,
+            latency: r.latency.clone(),
+            energy_pj: r.energy.total_pj(),
+            completion_cycle: Some(r.completion_cycle),
+            undeliverable: r.undeliverable,
+            timed_out: r.timed_out,
+            phases: r.perf.phases,
+            ..blank_record(job, outcome_of(r.interrupt.as_ref()))
+        },
+    }
+}
+
+/// The effective synthetic drive options for one job. A
+/// sabotaged-livelock job gets its drain stretched so the watchdog —
+/// not the drain allowance — is what ends it, at a deterministic cycle.
+fn synthetic_opts(spec: &LabSpec, job: &JobSpec) -> SyntheticOptions {
+    let drain = if spec.sabotage_for(job.index) == Some(SabotageKind::Livelock) {
+        spec.drain.max(1_000_000)
+    } else {
+        spec.drain
+    };
+    SyntheticOptions {
+        warmup: spec.warmup,
+        measure: spec.measure,
+        drain,
+    }
+}
+
+/// Runs one job of the expanded matrix and summarizes it:
+/// [`build_job_network`], then [`drive_job`].
+///
+/// The job runs once, under `catch_unwind`: a simulator panic (or a
+/// deliberate `sabotage panic@N`) becomes a terminal
+/// [`JobOutcome::Panicked`] record instead of unwinding through the
+/// worker pool and killing the rest of the matrix. There is no retry:
+/// a job is a pure function of (spec, job), so a second attempt would
+/// replay the same panic. A watchdog armed from the spec's supervision
+/// keys, plus `cancel` when given, ends a runaway job as `TimedOut`.
+/// `profile` attaches a [`PhaseProfiler`]; its breakdown lands in the
+/// record's perf-only `phases`.
+///
+/// # Errors
+///
+/// Structural failures only — an unknown network or benchmark name,
+/// normally caught at spec-parse time already. Panics and timeouts are
+/// outcomes, not errors.
 #[expect(
     clippy::disallowed_methods,
-    reason = "watchdog wall-budget and per-job wall timing; perf layer only"
+    reason = "per-job wall timing; perf layer only"
 )]
-fn simulate(
+pub fn run_job(
     spec: &LabSpec,
     job: &JobSpec,
     cancel: Option<&CancelToken>,
     profile: bool,
 ) -> Result<JobRecord, String> {
-    let wall_start = Instant::now();
-    let mut net = build_job_network(spec, job, profile)?;
-    let watchdog = watchdog_for(spec, job, cancel);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        if spec.sabotage_for(job.index) == Some(SabotageKind::Panic) {
+            // Deliberate crash (harness testing): prove it is contained.
+            panic!("sabotage: deliberate panic in job {}", job.index);
+        }
+        let wall_start = Instant::now();
+        let mut net = build_job_network(spec, job, profile)?;
+        let (mut rec, _) = drive_job(spec, job, &mut net, None, cancel)?;
+        rec.wall_seconds = wall_start.elapsed().as_secs_f64();
+        Ok(rec)
+    }));
+    caught.unwrap_or_else(|payload| {
+        let message = panic_message(payload);
+        Ok(blank_record(job, JobOutcome::Panicked { message }))
+    })
+}
 
-    let mut rec = match &job.work {
+/// Extracts a human-readable message from a panic payload. Panics via
+/// `panic!("...")` carry `String` or `&str`; anything else gets a
+/// placeholder.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The harness result a job's record was summarised from.
+#[derive(Debug, Clone)]
+pub enum HarnessResult {
+    /// An open-loop synthetic run.
+    Synthetic(SyntheticResult),
+    /// A closed-loop trace replay, and the number of messages its trace
+    /// held.
+    Replay(TraceResult, usize),
+}
+
+/// Drives one job's built network through its workload and summarizes
+/// it: the second of [`run_job`]'s two steps, after
+/// [`build_job_network`]. The drive runs under the job's watchdog
+/// ([`watchdog_for`] with `cancel`) and feeds `metrics` when given —
+/// pure observation. The record's wall clock is still zero; the caller
+/// attributes it.
+///
+/// # Errors
+///
+/// Errors on an unknown benchmark name.
+pub fn drive_job(
+    spec: &LabSpec,
+    job: &JobSpec,
+    net: &mut Box<dyn Network + Send>,
+    metrics: Option<&mut MetricsCollector>,
+    cancel: Option<&CancelToken>,
+) -> Result<(JobRecord, HarnessResult), String> {
+    let watchdog = watchdog_for(spec, job, cancel);
+    let run = match &job.work {
         Work::Synthetic { pattern, rate } => {
             let mut workload = BernoulliTraffic::new(spec.mesh, *pattern, *rate, job.seed);
-            let r = run_synthetic_guarded(
-                &mut net,
-                &mut workload,
-                synthetic_opts(spec, job),
-                None,
-                watchdog,
-            );
-            synthetic_record(job, pattern, *rate, r)
+            let opts = synthetic_opts(spec, job);
+            let r = run_synthetic_guarded(net, &mut workload, opts, metrics, watchdog);
+            HarnessResult::Synthetic(r)
         }
         Work::Replay { benchmark } => {
             let mut profile = splash2::benchmark(benchmark)
@@ -352,47 +387,14 @@ fn simulate(
                 .scaled(spec.scale, spec.mesh);
             profile.seed = job.seed;
             let trace = generate_trace(spec.mesh, &profile);
-            let r = run_trace_guarded(
-                &mut net,
-                &trace,
-                TraceOptions {
-                    max_cycles: spec.max_cycles,
-                },
-                None,
-                watchdog,
-            );
-            let outcome = match &r.interrupt {
-                Some(i) => JobOutcome::TimedOut { reason: i.reason() },
-                None => JobOutcome::Completed,
+            let opts = TraceOptions {
+                max_cycles: spec.max_cycles,
             };
-            JobRecord {
-                index: job.index,
-                net: job.net.clone(),
-                pattern: None,
-                rate: None,
-                benchmark: Some(benchmark.clone()),
-                intensity: job.intensity,
-                replica: job.replica,
-                seed: job.seed,
-                cycles: r.perf.cycles,
-                latency: r.latency,
-                energy_pj: r.energy.total_pj(),
-                offered_rate: None,
-                accepted_rate: None,
-                delivered_rate: None,
-                completion_cycle: Some(r.completion_cycle),
-                unfinished: 0,
-                undeliverable: r.undeliverable,
-                timed_out: r.timed_out,
-                stable: None,
-                outcome,
-                wall_seconds: 0.0,
-                phases: r.perf.phases,
-            }
+            let r = run_trace_guarded(net, &trace, opts, metrics, watchdog);
+            HarnessResult::Replay(r, trace.len())
         }
     };
-    rec.wall_seconds = wall_start.elapsed().as_secs_f64();
-    Ok(rec)
+    Ok((record(job, &run), run))
 }
 
 #[cfg(test)]
