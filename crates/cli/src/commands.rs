@@ -322,9 +322,9 @@ pub(crate) fn cli_jobs(spec: &LabSpec, seed: u64, fault_seed: u64) -> Vec<JobSpe
     jobs
 }
 
-/// What a command reports of one finished job beside its console lines:
-/// its run report's extras.
-type Row = Result<Vec<(String, JsonValue)>, ArgError>;
+/// A finished job's run-report extras, which a command's row returns
+/// beside the console lines it writes.
+type Extras = Result<Vec<(String, JsonValue)>, ArgError>;
 
 /// Runs each of `jobs` through the lab runner's two steps,
 /// [`build_job_network`] then [`drive_job`], with the command line in
@@ -338,7 +338,7 @@ fn run_jobs(
     jobs: &[JobSpec],
     fault: Option<&FaultArgs>,
     obs: &ObsArgs,
-    mut row: impl FnMut(&mut String, &JobSpec, &JobRecord, &HarnessResult, &dyn Network) -> Row,
+    mut row: impl FnMut(&mut String, &JobSpec, &JobRecord, &HarnessResult, &dyn Network) -> Extras,
 ) -> Result<String, ArgError> {
     let mut out = String::new();
     for job in jobs {

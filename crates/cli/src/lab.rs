@@ -79,8 +79,9 @@ fn job_table(report: &LabReport) -> String {
                 .mean()
                 .map(|m| format!("{m:.2}"))
                 .unwrap_or_else(|| "-".into()),
-            j.latency
-                .percentile(99.0)
+            (j.latency.count() > 0)
+                .then(|| j.latency.percentile(99.0))
+                .flatten()
                 .map(|v| v.to_string())
                 .unwrap_or_else(|| "-".into()),
             j.stable

@@ -47,7 +47,8 @@ pub const NETWORKS: [&str; 9] = [
 
 /// Whether `name` is a known network configuration (case-insensitive).
 pub fn known_network(name: &str) -> bool {
-    optical_config(name).is_ok()
+    let lower = name.to_ascii_lowercase();
+    NETWORKS.contains(&lower.as_str())
 }
 
 /// The optical configuration behind a network name, or `None` for the
@@ -347,7 +348,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The harness result a job's record was summarised from.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum HarnessResult {
     /// An open-loop synthetic run.
     Synthetic(SyntheticResult),
