@@ -650,19 +650,10 @@ pub fn run_trace<N: Network + ?Sized>(
 }
 
 /// [`run_trace`] with an optional time-series metrics collector (see
-/// [`run_synthetic_observed`] for the sampling contract).
-pub fn run_trace_observed<N: Network + ?Sized>(
-    net: &mut N,
-    trace: &Trace,
-    opts: TraceOptions,
-    metrics: Option<&mut MetricsCollector>,
-) -> TraceResult {
-    run_trace_guarded(net, trace, opts, metrics, None)
-}
-
-/// [`run_trace_observed`] with an optional [`Watchdog`]. An interrupt
-/// marks the result `timed_out` and records the verdict; the partial
-/// counters describe the replay up to the stop point.
+/// [`run_synthetic_observed`] for the sampling contract) and an optional
+/// [`Watchdog`]. An interrupt marks the result `timed_out` and records
+/// the verdict; the partial counters describe the replay up to the stop
+/// point.
 pub fn run_trace_guarded<N: Network + ?Sized>(
     net: &mut N,
     trace: &Trace,
